@@ -15,8 +15,8 @@ from . import congruence, cp, hcp, reduction
 from . import types as ty
 from .names import Name, fresh
 from .translate import cp_to_hcp
-from .typecheck import Derivation, env_eq, hyper_eq, revalidate
-from .types import BOT, ONE, Type, dual
+from .typecheck import Derivation, env_eq, revalidate
+from .types import BOT, ONE, Type
 
 
 class BridgeError(Exception):

@@ -2,7 +2,8 @@
 
 Subcommands: check, reduce, graph, translate, disentangle, internalize, fuzz.
 Exit codes: 0 success / all-pass, 1 type or simulation failure, 2 usage or
-parse error.  --json switches to JSON-lines output where available.
+parse error, 3 budget exhausted.  --json switches to JSON-lines output where
+available.
 """
 from __future__ import annotations
 
@@ -10,11 +11,9 @@ import argparse
 import json
 import sys
 
-from . import bridge, congruence, cp, harness, hcp, reduction, surface
-from . import types as ty
+from . import bridge, congruence, harness, reduction, surface
 from .translate import cp_to_hcp
-from .typecheck import (Derivation, TypeCheckError, check_cp, check_hcp,
-                        derivation_json_lines, render_derivation)
+from .typecheck import TypeCheckError, check_cp, check_hcp, derivation_json_lines, render_derivation
 
 
 def _load(path: str) -> surface.SessionFile:
@@ -29,6 +28,13 @@ def _pick(f: surface.SessionFile, name: str | None, *, dialect: str | None = Non
     if not decls:
         raise KeyError(name or "<any>")
     return decls[0]
+
+
+def _fuel(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"fuel must be at least 1, not {n}")
+    return n
 
 
 def _emit(records: list[dict]) -> None:
@@ -222,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("reduce", help="run the deterministic reduction strategy")
     p.add_argument("file")
     p.add_argument("--proc", required=True)
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel", type=_fuel, default=None)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reduce)
@@ -269,9 +275,15 @@ def main(argv: list[str] | None = None) -> int:
     except surface.ParseError as e:
         print(str(e))
         return 2
-    except (KeyError, FileNotFoundError) as e:
+    except (KeyError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}")
         return 2
+    except (reduction.BudgetExceeded, congruence.ClosureBudgetExceeded) as e:
+        print(f"{type(e).__name__}: {e}")
+        return 3
+    except (reduction.ReductionError, congruence.CongruenceError, bridge.BridgeError) as e:
+        print(f"{type(e).__name__}: {e}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ class CongruenceError(Exception):
     pass
 
 
+class ClosureBudgetExceeded(CongruenceError):
+    pass
+
+
 @dataclass
 class CpBinder:
     name: Name
@@ -501,7 +505,7 @@ def bfs_equiv(t1, t2, max_steps: int = 6, node_cap: int = 20000) -> bool:
                     return True
                 seen.add(k)
                 if len(seen) > node_cap:
-                    raise CongruenceError("bfs closure exceeded the node budget")
+                    raise ClosureBudgetExceeded("bfs closure exceeded the node budget")
                 nxt.append(t2c)
         frontier = nxt
         if not frontier:

@@ -13,17 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bridge, congruence, cp, hcp, reduction, surface
 from . import names as nm
 from . import types as ty
 from .translate import cp_to_hcp
-from .typecheck import Derivation, TypeCheckError, check_cp, check_hcp, hyper_eq, revalidate
+from .terms import SUBTERM_FIELDS
+from .typecheck import TypeCheckError, check_cp, check_hcp, hyper_eq, revalidate
 from .types import BOT, ONE, TOP, ZERO, dual
-
-reduction_graph = reduction.reduction_graph
-ReductionGraph = reduction.ReductionGraph
 
 
 class GeneratorStuck(Exception):
@@ -694,7 +692,7 @@ def _replace_at(t, path):
     """Return a function rebuilding t with the subterm at path replaced."""
     if not path:
         return lambda new: new
-    fields = reduction.SUBTERM_FIELDS[type(t)]
+    fields = SUBTERM_FIELDS[type(t)]
     f = fields[path[0]]
     inner = _replace_at(getattr(t, f), path[1:])
 
@@ -746,7 +744,7 @@ def _shrink(t, env, prop, detail):
             leaf = _leaf_for(node.env, dialect)
             if leaf is not None and path and leaf != node.term:
                 candidates.append((path, leaf))
-            fields = reduction.SUBTERM_FIELDS.get(type(node.term), ())
+            fields = SUBTERM_FIELDS.get(type(node.term), ())
             for k, c in enumerate(node.premises):
                 if k < len(fields):
                     walk(c, path + (k,))

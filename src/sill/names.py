@@ -66,11 +66,6 @@ def ensure_above(uid: int) -> None:
         _counter = uid + 1
 
 
-def reset_supply() -> None:
-    global _counter
-    _counter = 0
-
-
 class supply_from:
     """Temporarily draw uids from a fixed base, so a computation's names are
     a pure function of its inputs; on exit the global supply resumes above

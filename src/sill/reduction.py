@@ -10,11 +10,12 @@ multiset of restriction-formula sizes; every step strictly decreases it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import congruence, cp, hcp
 from . import types as ty
 from .names import Name
+from .terms import SUBTERM_FIELDS
 from .types import dual, size
 
 RULE_LINK = "κ↔"
@@ -305,13 +306,6 @@ def _step_hcp(t: hcp.HcpTerm, r: Redex) -> hcp.HcpTerm:
 
 
 # -- measure ------------------------------------------------------------------
-
-
-# each term class's process-valued fields, in declaration order
-SUBTERM_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.name in ("left", "right", "body", "payload", "cont"))
-    for base in (cp.CpTerm, hcp.HcpTerm) for cls in base.__subclasses__()
-}
 
 
 def measure(t) -> tuple[int, ...]:

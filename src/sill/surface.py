@@ -8,11 +8,12 @@ value (terms: alpha-equal with the same surface names).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import cp, hcp
 from . import types as ty
 from .names import Loc, Name, fresh
+from .terms import BINDERS, SUBTERM_FIELDS
 
 KEYWORDS = {"new", "proc", "hproc", "inl", "inr", "par", "bot", "top"}
 _PUNCT = ["<->", "(", ")", "[", "]", ".", "|", ":", ",", "=", "!", "?", "{", "}", ";", "*", "+", "&", "~"]
@@ -419,63 +420,108 @@ def parse_file(src: str, filename: str = "<input>") -> SessionFile:
 print_type = ty.render
 
 
-def _binder_scopes(t):
-    """Yield (binder, [subterms it scopes]) pairs, in traversal order."""
-    if isinstance(t, cp.CpTerm):
-        match t:
-            case cp.Cut(x, _, p, q):
-                yield x, [p, q]
-            case cp.Send(_, y, p, _):
-                yield y, [p]
-            case cp.Recv(_, y, p):
-                yield y, [p]
-    else:
-        match t:
-            case hcp.New(x, _, p):
-                yield x, [p]
-            case hcp.BoundOut(_, y, p) | hcp.In(_, y, p):
-                yield y, [p]
-    for sub in _subterms(t):
-        yield from _binder_scopes(sub)
+# Each constructor's printed form: its field names ("x", "y", "ty" and its
+# subterm fields) and the literal text between them.
+_FORM_PIECES = [
+    ((cp.Link, hcp.Link), ("x", "<->", "y")),
+    ((cp.Recv, hcp.In), ("x", "(", "y", ").", "body")),
+    ((cp.Wait, hcp.InUnit), ("x", "().", "body")),
+    ((cp.Inl, hcp.Inl), ("x", "!inl.", "body")),
+    ((cp.Inr, hcp.Inr), ("x", "!inr.", "body")),
+    ((cp.Case, hcp.Case), ("x", "?{inl: ", "left", "; inr: ", "right", "}")),
+    ((cp.Absurd, hcp.Absurd), ("x", "?{}")),
+    ((cp.Cut,), ("new ", "x", ":", "ty", " (", "left", " | ", "right", ")")),
+    ((cp.Send,), ("x", "[", "y", "].(", "payload", " | ", "cont", ")")),
+    ((cp.Halt,), ("x", "[].0")),
+    ((hcp.Inert,), ("0",)),
+    ((hcp.New,), ("new ", "x", ":", "ty", ". ", "body")),
+    ((hcp.Par,), ("(", "left", " | ", "right", ")")),
+    ((hcp.BoundOut,), ("x", "[", "y", "].", "body")),
+    ((hcp.OutUnit,), ("x", "[].", "body")),
+]
+_LITERAL, _NAME, _TYPE, _TERM = range(4)
 
 
-def _subterms(t):
-    match t:
-        case cp.Cut(_, _, p, q) | cp.Send(_, _, p, q) | cp.Case(_, p, q):
-            return [p, q]
-        case cp.Recv(_, _, p) | cp.Wait(_, p) | cp.Inl(_, p) | cp.Inr(_, p):
-            return [p]
-        case hcp.New(_, _, p) | hcp.BoundOut(_, _, p) | hcp.In(_, _, p):
-            return [p]
-        case hcp.Par(p, q) | hcp.Case(_, p, q):
-            return [p, q]
-        case hcp.OutUnit(_, p) | hcp.InUnit(_, p) | hcp.Inl(_, p) | hcp.Inr(_, p):
-            return [p]
-        case _:
-            return []
+def _form(cls, pieces: tuple) -> tuple:
+    """The (kind, text or field) pieces of a printed form, last piece first."""
+    def kind(piece: str) -> int:
+        if piece in SUBTERM_FIELDS[cls]:
+            return _TERM
+        return _TYPE if piece == "ty" else _NAME if piece in ("x", "y") else _LITERAL
+
+    return tuple((kind(p), p) for p in reversed(pieces))
 
 
-def _occurring(t) -> set[Name]:
-    out: set[Name] = set()
-
-    def go(t):
-        for f in ("x", "y"):
-            n = getattr(t, f, None)
-            if isinstance(n, Name):
-                out.add(n)
-        for sub in _subterms(t):
-            go(sub)
-
-    go(t)
-    return out
+_FORMS = {cls: _form(cls, pieces) for classes, pieces in _FORM_PIECES for cls in classes}
 
 
-def _print_names(t, fv) -> dict[Name, str]:
+def _scoping(cls) -> tuple:
+    """What the name choice reads of a term class: the name fields it uses
+    (all but its binder), its binder field (or None), and its subterms inside
+    and outside the binder's scope, each last first."""
+    binder, scoped = BINDERS.get(cls, (None, ()))
+    uses = tuple(f.name for f in fields(cls) if f.name in ("x", "y") and f.name != binder)
+    subs = SUBTERM_FIELDS[cls][::-1]
+    return uses, binder, tuple(f for f in subs if f in scoped), tuple(f for f in subs if f not in scoped)
+
+
+_SCOPING = {cls: _scoping(cls) for cls in SUBTERM_FIELDS}
+
+
+def _print_names(t) -> dict[Name, str]:
     """Choose printed spellings: keep surfaces, renaming only binders whose
     scope contains a distinct free name of the same surface (which a reparse
-    would capture)."""
-    out: dict[Name, str] = {}
-    taken = {n.surface for n in _occurring(t)}
+    would capture).
+
+    One walk decides every clash.  Per surface, the binders in scope form a
+    stack.  A use of a name whose binder sits at index i of that stack (-1
+    when it is free) is a distinct free name in the scope of every binder
+    above i, so it lowers the innermost binder's `low` to i; when a scope
+    ends, its `low` passes to the binder below.  A binder clashes iff its
+    `low` ends below its own index."""
+    taken: set[str] = set()
+    scopes: dict[str, list] = {}  # surface -> binders in scope, as [name, low, index, shadowed]
+    at: dict[Name, int] = {}  # bound name -> index of its innermost binder in scopes[surface]
+    order: list[list] = []  # every binder entry, in pre-order
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is list:  # the scope of binder entry t ends
+            b, low, i, shadowed = t
+            scope = scopes[b.surface]
+            scope.pop()
+            if shadowed is None:
+                del at[b]
+            else:
+                at[b] = shadowed
+            if scope and low < scope[-1][1]:
+                scope[-1][1] = low
+            continue
+        scoping = _SCOPING.get(type(t))
+        if scoping is None:
+            raise TypeError(f"not a term: {t!r}")
+        uses, binder, inside, outside = scoping
+        for f in uses:
+            n = getattr(t, f)
+            taken.add(n.surface)
+            scope = scopes.get(n.surface)
+            if scope:
+                i = at.get(n, -1)
+                if i < scope[-1][1]:
+                    scope[-1][1] = i
+        for f in outside:
+            stack.append(getattr(t, f))
+        if binder is not None:
+            b = getattr(t, binder)
+            taken.add(b.surface)
+            scope = scopes.setdefault(b.surface, [])
+            entry = [b, len(scope), len(scope), at.get(b)]
+            at[b] = len(scope)
+            scope.append(entry)
+            order.append(entry)
+            stack.append(entry)
+            for f in inside:
+                stack.append(getattr(t, f))
 
     def pick(surface: str) -> str:
         if surface not in taken:
@@ -485,83 +531,35 @@ def _print_names(t, fv) -> dict[Name, str]:
             i += 1
         return f"{surface}{i}"
 
-    for b, bodies in _binder_scopes(t):
-        clash = any(f.surface == b.surface and f != b for body in bodies for f in fv(body))
-        if clash and b not in out:
+    out: dict[Name, str] = {}
+    for b, low, i, _ in order:
+        if low < i and b not in out:
             s = pick(b.surface)
             taken.add(s)
             out[b] = s
     return out
 
 
-def print_cp_term(t: cp.CpTerm) -> str:
-    names = _print_names(t, cp.free_names)
-    s = lambda n: names.get(n, n.surface)
-
-    def go(t) -> str:
-        match t:
-            case cp.Link(x, y):
-                return f"{s(x)}<->{s(y)}"
-            case cp.Cut(x, a, p, q):
-                return f"new {s(x)}:{ty.render(a)} ({go(p)} | {go(q)})"
-            case cp.Send(x, y, p, q):
-                return f"{s(x)}[{s(y)}].({go(p)} | {go(q)})"
-            case cp.Recv(x, y, p):
-                return f"{s(x)}({s(y)}).{go(p)}"
-            case cp.Halt(x):
-                return f"{s(x)}[].0"
-            case cp.Wait(x, p):
-                return f"{s(x)}().{go(p)}"
-            case cp.Inl(x, p):
-                return f"{s(x)}!inl.{go(p)}"
-            case cp.Inr(x, p):
-                return f"{s(x)}!inr.{go(p)}"
-            case cp.Case(x, p, q):
-                return f"{s(x)}?{{inl: {go(p)}; inr: {go(q)}}}"
-            case cp.Absurd(x):
-                return f"{s(x)}?{{}}"
-        raise TypeError(f"not a cp term: {t!r}")
-
-    return go(t)
-
-
-def print_hcp_term(t: hcp.HcpTerm) -> str:
-    names = _print_names(t, hcp.free_names)
-    s = lambda n: names.get(n, n.surface)
-
-    def go(t) -> str:
-        match t:
-            case hcp.Link(x, y):
-                return f"{s(x)}<->{s(y)}"
-            case hcp.Inert():
-                return "0"
-            case hcp.New(x, a, p):
-                return f"new {s(x)}:{ty.render(a)}. {go(p)}"
-            case hcp.Par(p, q):
-                return f"({go(p)} | {go(q)})"
-            case hcp.BoundOut(x, y, p):
-                return f"{s(x)}[{s(y)}].{go(p)}"
-            case hcp.In(x, y, p):
-                return f"{s(x)}({s(y)}).{go(p)}"
-            case hcp.OutUnit(x, p):
-                return f"{s(x)}[].{go(p)}"
-            case hcp.InUnit(x, p):
-                return f"{s(x)}().{go(p)}"
-            case hcp.Inl(x, p):
-                return f"{s(x)}!inl.{go(p)}"
-            case hcp.Inr(x, p):
-                return f"{s(x)}!inr.{go(p)}"
-            case hcp.Case(x, p, q):
-                return f"{s(x)}?{{inl: {go(p)}; inr: {go(q)}}}"
-            case hcp.Absurd(x):
-                return f"{s(x)}?{{}}"
-        raise TypeError(f"not an hcp term: {t!r}")
-
-    return go(t)
-
-
 def print_term(t) -> str:
-    return print_cp_term(t) if isinstance(t, cp.CpTerm) else print_hcp_term(t)
+    names = _print_names(t)
+    parts: list[str] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            parts.append(t)
+            continue
+        for kind, piece in _FORMS[type(t)]:
+            if kind is _LITERAL:
+                stack.append(piece)
+            elif kind is _TERM:
+                stack.append(getattr(t, piece))
+            elif kind is _NAME:
+                n = getattr(t, piece)
+                stack.append(names.get(n, n.surface))
+            else:
+                stack.append(ty.render(getattr(t, piece)))
+    return "".join(parts)
 
 
 def print_env(env: dict[Name, ty.Type]) -> str:

@@ -816,34 +816,20 @@ def _revalidate_hcp(d: Derivation) -> None:
             raise ValueError(f"unknown HCP rule {d.rule}")
 
 
-def render_derivation(d: Derivation, indent: int = 0) -> str:
-    from . import surface
-
-    pad = "  " * indent
-    if isinstance(d.env, dict):
-        envs = surface.print_env(d.env)
-    else:
-        envs = surface.print_hyper_env(d.env)
-    lines = [f"{pad}{d.rule}: ⊢ {surface.print_term(d.term)} : {envs}"]
-    for c in d.premises:
-        lines.append(render_derivation(c, indent + 1))
-    return "\n".join(lines)
+def render_derivation(d: Derivation) -> str:
+    return "\n".join(f"{'  ' * r['depth']}{r['rule']}: {r['conclusion']}" for r in derivation_json_lines(d))
 
 
 def derivation_json_lines(d: Derivation) -> list[dict]:
+    """One record per derivation node, in pre-order."""
     from . import surface
 
     out = []
-
-    def walk(d, depth):
-        if isinstance(d.env, dict):
-            envs = surface.print_env(d.env)
-        else:
-            envs = surface.print_hyper_env(d.env)
+    stack = [(d, 0)]
+    while stack:
+        d, depth = stack.pop()
+        envs = surface.print_env(d.env) if isinstance(d.env, dict) else surface.print_hyper_env(d.env)
         out.append({"rule": d.rule, "conclusion": f"⊢ {surface.print_term(d.term)} : {envs}",
                     "children": len(d.premises), "depth": depth})
-        for c in d.premises:
-            walk(c, depth + 1)
-
-    walk(d, 0)
+        stack += [(c, depth + 1) for c in reversed(d.premises)]
     return out

@@ -178,3 +178,51 @@ def test_missing_proc_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, "check", "no_such_file.sill")
     assert code == 2
+
+
+def test_unreadable_file_exit_code(tmp_path, capsys):
+    binary = tmp_path / "binary.sill"
+    binary.write_bytes(b"proc A : w:1 = w[].0\xff\n")
+    for path in (tmp_path, binary):
+        code, out = run(capsys, "check", str(path))
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+def test_budget_exhaustion_exit_code(capsys):
+    code, out = run(capsys, "graph", fixture_path("tensor_unit.sill"), "--proc", "Main", "--cap", "1")
+    assert code == 3
+    assert out == "BudgetExceeded: reduction graph exceeded 1 nodes\n"
+
+
+def test_closure_budget_exhaustion_exit_code(capsys, monkeypatch):
+    from sill import congruence, reduction
+
+    monkeypatch.setattr(reduction, "reduction_graph", _raise(congruence.ClosureBudgetExceeded("over budget")))
+    code, out = run(capsys, "graph", fixture_path("unit_cut.sill"), "--proc", "Main")
+    assert code == 3
+    assert out == "ClosureBudgetExceeded: over budget\n"
+
+
+@pytest.mark.parametrize("exc", ["BridgeError", "SimulationError", "StaleRedexError", "CongruenceError"])
+def test_library_failure_exit_code(capsys, monkeypatch, exc):
+    from sill import bridge, congruence, reduction
+
+    cls = next(getattr(m, exc) for m in (bridge, congruence, reduction) if hasattr(m, exc))
+    monkeypatch.setattr(bridge, "disentangle", _raise(cls("no components")))
+    code, out = run(capsys, "disentangle", fixture_path("corpus.sill"), "--proc", "Pair")
+    assert code == 1
+    assert out == f"{exc}: no components\n"
+
+
+def test_fuel_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["reduce", fixture_path("tensor_unit.sill"), "--proc", "Main", "--fuel", "0"])
+    assert e.value.code == 2
+    assert "fuel must be at least 1" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 
-from sill import cp, hcp, surface
+from sill import cp, harness, hcp, surface
 from sill import types as ty
+from sill.names import Name
 from sill.surface import ParseError, parse_file, parse_term, parse_type, print_term
 from sill.types import BOT, ONE, Par, Tensor
 
@@ -129,3 +132,96 @@ def test_print_env_and_partition():
     assert surface.print_env(d.env) == "w:1"
     assert surface.print_hyper_env([d.env, d.env]) == "w:1 | w:1"
     assert surface.print_hyper_env([]) == "·"
+
+
+# -- the printer's name choice against the rule it implements ------------------
+
+
+def _reference_names(t) -> dict[Name, str]:
+    """Rename a binder b iff some f in free_names(body) has b's surface and
+    f != b, picking spellings in pre-order: a plain recursion over the terms."""
+    fv = cp.free_names if isinstance(t, cp.CpTerm) else hcp.free_names
+    taken: set[str] = set()
+    scopes: list[tuple[Name, list]] = []
+
+    def walk(t):
+        for n in (getattr(t, "x", None), getattr(t, "y", None)):
+            if isinstance(n, Name):
+                taken.add(n.surface)
+        match t:
+            case cp.Cut(b, _, p, q):
+                scopes.append((b, [p, q]))
+            case cp.Send(_, b, p, _) | cp.Recv(_, b, p) | hcp.New(b, _, p) | hcp.BoundOut(_, b, p) | hcp.In(_, b, p):
+                scopes.append((b, [p]))
+        for f in ("left", "right", "body", "payload", "cont"):
+            if hasattr(t, f):
+                walk(getattr(t, f))
+
+    def pick(surface: str) -> str:
+        if surface not in taken:
+            return surface
+        i = 1
+        while f"{surface}{i}" in taken:
+            i += 1
+        return f"{surface}{i}"
+
+    walk(t)
+    out: dict[Name, str] = {}
+    for b, bodies in scopes:
+        if b not in out and any(f.surface == b.surface and f != b for body in bodies for f in fv(body)):
+            out[b] = pick(b.surface)
+            taken.add(out[b])
+    return out
+
+
+@pytest.mark.parametrize("gen", [harness.gen_cp, harness.gen_hcp], ids=["cp", "hcp"])
+def test_print_names_agree_with_reference_on_samples(gen):
+    cfg = harness.GenConfig(seed=5, count=60)
+    for i in range(60):
+        term = gen(cfg, i)[0]
+        # two copies share every binder
+        twice = cp.Case(Name("s", 0), term, term) if isinstance(term, cp.CpTerm) else hcp.Par(term, term)
+        for t in (term, twice):
+            assert surface._print_names(t) == _reference_names(t)
+            dialect, eq = ("cp", cp.alpha_eq) if isinstance(t, cp.CpTerm) else ("hcp", hcp.alpha_eq)
+            assert eq(t, parse_term(print_term(t), dialect))
+
+
+_NAMES = st.builds(Name, st.sampled_from("ab"), st.integers(1, 3))
+_TYPES = st.sampled_from([ONE, BOT, Tensor(ONE, BOT)])
+_CP_TERMS = st.recursive(
+    st.one_of(st.builds(cp.Link, _NAMES, _NAMES), st.builds(cp.Halt, _NAMES), st.builds(cp.Absurd, _NAMES)),
+    lambda kids: st.one_of(
+        st.builds(cp.Cut, _NAMES, _TYPES, kids, kids), st.builds(cp.Send, _NAMES, _NAMES, kids, kids),
+        st.builds(cp.Recv, _NAMES, _NAMES, kids), st.builds(cp.Wait, _NAMES, kids),
+        st.builds(cp.Inl, _NAMES, kids), st.builds(cp.Inr, _NAMES, kids), st.builds(cp.Case, _NAMES, kids, kids)),
+    max_leaves=10)
+_HCP_TERMS = st.recursive(
+    st.one_of(st.builds(hcp.Link, _NAMES, _NAMES), st.builds(hcp.Absurd, _NAMES), st.just(hcp.Inert())),
+    lambda kids: st.one_of(
+        st.builds(hcp.New, _NAMES, _TYPES, kids), st.builds(hcp.Par, kids, kids),
+        st.builds(hcp.BoundOut, _NAMES, _NAMES, kids), st.builds(hcp.In, _NAMES, _NAMES, kids),
+        st.builds(hcp.OutUnit, _NAMES, kids), st.builds(hcp.InUnit, _NAMES, kids),
+        st.builds(hcp.Inl, _NAMES, kids), st.builds(hcp.Inr, _NAMES, kids), st.builds(hcp.Case, _NAMES, kids, kids)),
+    max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_CP_TERMS, _HCP_TERMS))
+def test_print_names_agree_with_reference_on_clash_heavy_terms(t):
+    # two spellings and three uids: clashes, shadowing and rebinding are common
+    assert surface._print_names(t) == _reference_names(t)
+
+
+def test_deep_chains_print_without_recursion():
+    n = 5000
+    x, w = Name("x", 1), Name("w", 2)
+    chains = [(cp.Halt(x), lambda i, t: cp.Recv(x, Name("y", 10 + i), t), "x(y)."),
+              (cp.Halt(x), lambda i, t: cp.Wait(x, t), "x()."),
+              (hcp.Inert(), lambda i, t: hcp.New(Name("x", 10 + i), ONE, t), "new x:1. "),
+              (hcp.OutUnit(w, hcp.Inert()), lambda i, t: hcp.InUnit(x, t), "x().")]
+    for leaf, wrap, prefix in chains:
+        t = leaf
+        for i in range(n):
+            t = wrap(i, t)
+        assert print_term(t) == prefix * n + print_term(leaf)
