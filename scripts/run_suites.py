@@ -16,16 +16,16 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=500)
     args = ap.parse_args()
     ok = True
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name in harness.SUITE_NAMES:
         count = min(args.count, 300) if name in ("disentangle", "internalize") else args.count
         cfg = harness.GenConfig(seed=args.seed, count=count)
-        t1 = time.time()
+        t1 = time.perf_counter()
         rep = harness.run_suite(name, cfg)
         print(rep.text())
-        print(f"  ({time.time() - t1:.1f}s)")
+        print(f"  ({time.perf_counter() - t1:.1f}s)")
         ok = ok and rep.ok
-    print(f"total: {time.time() - t0:.1f}s")
+    print(f"total: {time.perf_counter() - t0:.1f}s")
     return 0 if ok else 1
 
 

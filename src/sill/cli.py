@@ -30,11 +30,21 @@ def _pick(f: surface.SessionFile, name: str | None, *, dialect: str | None = Non
     return decls[0]
 
 
-def _fuel(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"fuel must be at least 1, not {n}")
-    return n
+def _at_least(low: int, what: str):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, not {n}")
+        return n
+
+    parse.__name__ = what  # argparse names the type in "invalid <what> value"
+    return parse
+
+
+_fuel = _at_least(1, "fuel")
+_count = _at_least(0, "count")
 
 
 def _emit(records: list[dict]) -> None:
@@ -265,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("fuzz", help="run a metatheory property suite")
     p.add_argument("--suite", default="all", choices=["all"] + harness.SUITE_NAMES)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fuzz)
 

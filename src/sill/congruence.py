@@ -5,15 +5,22 @@ pulled outermost (cut spines flattened for CP, scope extrusion for HCP),
 parallel structure flattened into a component multiset, inert units dropped.
 Equivalence is decided by matching prenex forms: multiset matching of
 components up to recursive equivalence, link symmetry, and backtracking over
-binder correspondences.  `neighbors` enumerates single-axiom rewrites; a
-bounded BFS over it is the independent oracle for equiv.
+binder correspondences.
+
+Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
+walks the term once and lists each rewrite as a site (the path to a node,
+the axiom's label and the rewritten node), and `rebuild_site` copies only the
+ancestors on one site's path.  `neighbors` rebuilds every site; a bounded BFS
+over it is the independent oracle for equiv.  `harness.scramble` rebuilds
+only the site it draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import cp, hcp
 from .names import Name
+from .terms import SUBTERM_FIELDS
 from .types import Type, dual
 
 
@@ -369,8 +376,8 @@ def _unify_comp(c1, c2, bij, o1, o2):
 # -- single-axiom rewriting (oracle support) ----------------------------------
 
 
-def cp_neighbors(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
-    """All terms one Def-2 axiom application away (either direction, any position)."""
+def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
+    """The Def-2 axioms applied at the root of t (either direction)."""
     out: list[tuple[str, cp.CpTerm]] = []
     match t:
         case cp.Link(x, y):
@@ -385,43 +392,12 @@ def cp_neighbors(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
                 x2, a2, p1, q1 = p.x, p.ty, p.left, p.right
                 if x2 not in cp.free_names(q) and x not in cp.free_names(p1):
                     out.append(("cut-assoc", cp.Cut(x2, a2, p1, cp.Cut(x, a, q1, q))))
-
-    def lift(label, rebuilt):
-        out.append((label, rebuilt))
-
-    match t:
-        case cp.Cut(x, a, p, q):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Cut(x, a, p2, q))
-            for lbl, q2 in cp_neighbors(q):
-                lift(lbl, cp.Cut(x, a, p, q2))
-        case cp.Send(x, y, p, q):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Send(x, y, p2, q))
-            for lbl, q2 in cp_neighbors(q):
-                lift(lbl, cp.Send(x, y, p, q2))
-        case cp.Recv(x, y, p):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Recv(x, y, p2))
-        case cp.Wait(x, p):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Wait(x, p2))
-        case cp.Inl(x, p):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Inl(x, p2))
-        case cp.Inr(x, p):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Inr(x, p2))
-        case cp.Case(x, p, q):
-            for lbl, p2 in cp_neighbors(p):
-                lift(lbl, cp.Case(x, p2, q))
-            for lbl, q2 in cp_neighbors(q):
-                lift(lbl, cp.Case(x, p, q2))
     return out
 
 
-def hcp_neighbors(t: hcp.HcpTerm, allow_unit_intro: bool = True) -> list[tuple[str, hcp.HcpTerm]]:
-    """All terms one Def-10 axiom application away (either direction, any position)."""
+def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, hcp.HcpTerm]]:
+    """The Def-10 axioms applied at the root of t (either direction), except
+    the introduction of a `| 0`, which `sites` adds."""
     out: list[tuple[str, hcp.HcpTerm]] = []
     match t:
         case hcp.Link(x, y):
@@ -448,41 +424,47 @@ def hcp_neighbors(t: hcp.HcpTerm, allow_unit_intro: bool = True) -> list[tuple[s
                     out.append(("scope-ext", hcp.Par(p.left, hcp.New(x, a, p.right))))
                 if x not in hcp.free_names(p.right):
                     out.append(("scope-ext", hcp.Par(hcp.New(x, a, p.left), p.right)))
-    if allow_unit_intro:
-        out.append(("mix-unit", hcp.Par(t, hcp.Inert())))
-
-    def recurse(build, p):
-        for lbl, p2 in hcp_neighbors(p, allow_unit_intro):
-            out.append((lbl, build(p2)))
-
-    match t:
-        case hcp.New(x, a, p):
-            recurse(lambda p2: hcp.New(x, a, p2), p)
-        case hcp.Par(p, q):
-            recurse(lambda p2: hcp.Par(p2, q), p)
-            recurse(lambda q2: hcp.Par(p, q2), q)
-        case hcp.BoundOut(x, y, p):
-            recurse(lambda p2: hcp.BoundOut(x, y, p2), p)
-        case hcp.In(x, y, p):
-            recurse(lambda p2: hcp.In(x, y, p2), p)
-        case hcp.OutUnit(x, p):
-            recurse(lambda p2: hcp.OutUnit(x, p2), p)
-        case hcp.InUnit(x, p):
-            recurse(lambda p2: hcp.InUnit(x, p2), p)
-        case hcp.Inl(x, p):
-            recurse(lambda p2: hcp.Inl(x, p2), p)
-        case hcp.Inr(x, p):
-            recurse(lambda p2: hcp.Inr(x, p2), p)
-        case hcp.Case(x, p, q):
-            recurse(lambda p2: hcp.Case(x, p2, q), p)
-            recurse(lambda q2: hcp.Case(x, p, q2), q)
     return out
 
 
+# each term class's positional constructor fields (all but `loc`)
+_ARGS = {cls: tuple(f.name for f in fields(cls) if not f.kw_only) for cls in SUBTERM_FIELDS}
+
+
+def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
+    """Every single-axiom rewrite of t, as a site (path, label, rewritten node),
+    without rebuilding t around it.  Sites come in pre-order: a node's own
+    rewrites, then each child's, left to right.  A path is a linked chain
+    (parent's path, parent, field), None at the root."""
+    rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
+    unit_intro = allow_unit_intro and rewrites is _hcp_rewrites
+    out: list[tuple] = []
+    stack = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        for label, new in rewrites(node):
+            out.append((path, label, new))
+        if unit_intro:
+            out.append((path, "mix-unit", hcp.Par(node, hcp.Inert())))
+        for f in reversed(SUBTERM_FIELDS[type(node)]):  # popped first to last
+            stack.append((getattr(node, f), (path, node, f)))
+    return out
+
+
+def rebuild_site(site: tuple):
+    """The whole term with the site's rewrite in place.  Only the nodes on the
+    site's path are copied; like every rewritten node, the copies carry no loc."""
+    path, _, t = site
+    while path is not None:
+        path, parent, f = path
+        t = type(parent)(*[t if g == f else getattr(parent, g) for g in _ARGS[type(parent)]])
+    return t
+
+
 def neighbors(t, allow_unit_intro: bool = True):
-    if isinstance(t, cp.CpTerm):
-        return cp_neighbors(t)
-    return hcp_neighbors(t, allow_unit_intro)
+    """All terms one Def-2 (CP) or Def-10 (HCP) axiom application away, in
+    either direction and at any position, with their axiom labels."""
+    return [(site[1], rebuild_site(site)) for site in sites(t, allow_unit_intro)]
 
 
 def bfs_equiv(t1, t2, max_steps: int = 6, node_cap: int = 20000) -> bool:

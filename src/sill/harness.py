@@ -380,12 +380,18 @@ def gen_cp(cfg: GenConfig, index: int = 0):
 
 
 def scramble(t, rng: random.Random, steps: int):
-    """Apply a random sequence of structural-congruence axioms."""
+    """Apply a random sequence of structural-congruence axioms.
+
+    Each step lists the sites of every single-axiom rewrite (one walk, nothing
+    rebuilt), draws one and rebuilds the term around that site alone."""
     for _ in range(steps):
-        nbrs = congruence.neighbors(t, allow_unit_intro=False)
-        if not nbrs:
+        sites = congruence.sites(t, allow_unit_intro=False)
+        if not sites:
             break
-        t = rng.choice(nbrs)[1]
+        # on Python 3.10-3.12 randrange(n) makes the one _randbelow(n) call that
+        # choice() on a list of length n makes, so the random stream, and every
+        # sample, is the one drawing from the full neighbour list gave
+        t = congruence.rebuild_site(sites[rng.randrange(len(sites))])
     return t
 
 

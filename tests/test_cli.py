@@ -226,3 +226,12 @@ def test_fuel_below_one_is_a_usage_error(capsys):
         main(["reduce", fixture_path("tensor_unit.sill"), "--proc", "Main", "--fuel", "0"])
     assert e.value.code == 2
     assert "fuel must be at least 1" in capsys.readouterr().err
+
+
+def test_negative_fuzz_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["fuzz", "--suite", "progress", "--count", "-1"])
+    assert e.value.code == 2
+    assert "count must be at least 0, not -1" in capsys.readouterr().err
+    code, out = run(capsys, "fuzz", "--suite", "progress", "--count", "0")
+    assert code == 0 and "suite progress: 0/0 passed" in out

@@ -1,9 +1,13 @@
+import pathlib
 import random
+import sys
 
 from sill import congruence as cg
 from sill import cp, harness, hcp
-from sill.surface import parse_term
+from sill.names import Name
+from sill.surface import parse_term, print_term
 from sill.typecheck import check_cp, check_hcp, env_eq, hyper_eq
+from sill.types import dual
 
 
 def t(src, dialect="cp"):
@@ -139,3 +143,150 @@ def test_bfs_oracle_agrees_on_negatives():
     b = t("new x:1 (x[].0 | x().v[].0)")
     assert not cg.equiv(a, b)
     assert not cg.bfs_equiv(a, b, max_steps=4)
+
+
+# -- the neighbour enumeration and the scramble stream --------------------------
+
+
+def _ref_cp_neighbors(t):
+    """The recursive Def-2 enumeration `neighbors` replaced, kept as a reference."""
+    out = []
+    match t:
+        case cp.Link(x, y):
+            out.append(("link-sym", cp.Link(y, x)))
+        case cp.Cut(x, a, p, q):
+            out.append(("nu-comm", cp.Cut(x, dual(a), q, p)))
+            if isinstance(q, cp.Cut):
+                y, b, q1, r = q.x, q.ty, q.left, q.right
+                if x not in cp.free_names(r) and y not in cp.free_names(p):
+                    out.append(("cut-assoc", cp.Cut(y, b, cp.Cut(x, a, p, q1), r)))
+            if isinstance(p, cp.Cut):
+                x2, a2, p1, q1 = p.x, p.ty, p.left, p.right
+                if x2 not in cp.free_names(q) and x not in cp.free_names(p1):
+                    out.append(("cut-assoc", cp.Cut(x2, a2, p1, cp.Cut(x, a, q1, q))))
+    match t:
+        case cp.Cut(x, a, p, q):
+            out += [(lbl, cp.Cut(x, a, p2, q)) for lbl, p2 in _ref_cp_neighbors(p)]
+            out += [(lbl, cp.Cut(x, a, p, q2)) for lbl, q2 in _ref_cp_neighbors(q)]
+        case cp.Send(x, y, p, q):
+            out += [(lbl, cp.Send(x, y, p2, q)) for lbl, p2 in _ref_cp_neighbors(p)]
+            out += [(lbl, cp.Send(x, y, p, q2)) for lbl, q2 in _ref_cp_neighbors(q)]
+        case cp.Case(x, p, q):
+            out += [(lbl, cp.Case(x, p2, q)) for lbl, p2 in _ref_cp_neighbors(p)]
+            out += [(lbl, cp.Case(x, p, q2)) for lbl, q2 in _ref_cp_neighbors(q)]
+        case cp.Recv(x, y, p):
+            out += [(lbl, cp.Recv(x, y, p2)) for lbl, p2 in _ref_cp_neighbors(p)]
+        case cp.Wait(_, p) | cp.Inl(_, p) | cp.Inr(_, p):
+            out += [(lbl, type(t)(t.x, p2)) for lbl, p2 in _ref_cp_neighbors(p)]
+    return out
+
+
+def _ref_hcp_neighbors(t, allow_unit_intro):
+    """The recursive Def-10 enumeration `neighbors` replaced, kept as a reference."""
+    out = []
+    match t:
+        case hcp.Link(x, y):
+            out.append(("link-sym", hcp.Link(y, x)))
+        case hcp.Par(p, q):
+            out.append(("mix-comm", hcp.Par(q, p)))
+            if isinstance(q, hcp.Par):
+                out.append(("mix-assoc", hcp.Par(hcp.Par(p, q.left), q.right)))
+            if isinstance(p, hcp.Par):
+                out.append(("mix-assoc", hcp.Par(p.left, hcp.Par(p.right, q))))
+            if isinstance(q, hcp.Inert):
+                out.append(("mix-unit", p))
+            if isinstance(p, hcp.Inert):
+                out.append(("mix-unit", q))
+            if isinstance(q, hcp.New) and q.x not in hcp.free_names(p):
+                out.append(("scope-ext", hcp.New(q.x, q.ty, hcp.Par(p, q.body))))
+            if isinstance(p, hcp.New) and p.x not in hcp.free_names(q):
+                out.append(("scope-ext", hcp.New(p.x, p.ty, hcp.Par(p.body, q))))
+        case hcp.New(x, a, p):
+            if isinstance(p, hcp.New) and p.x != x:
+                out.append(("nu-comm", hcp.New(p.x, p.ty, hcp.New(x, a, p.body))))
+            if isinstance(p, hcp.Par):
+                if x not in hcp.free_names(p.left):
+                    out.append(("scope-ext", hcp.Par(p.left, hcp.New(x, a, p.right))))
+                if x not in hcp.free_names(p.right):
+                    out.append(("scope-ext", hcp.Par(hcp.New(x, a, p.left), p.right)))
+    if allow_unit_intro:
+        out.append(("mix-unit", hcp.Par(t, hcp.Inert())))
+    sub = lambda p: _ref_hcp_neighbors(p, allow_unit_intro)
+    match t:
+        case hcp.New(x, a, p):
+            out += [(lbl, hcp.New(x, a, p2)) for lbl, p2 in sub(p)]
+        case hcp.Par(p, q) | hcp.Case(_, p, q):
+            rest = (t.x,) if isinstance(t, hcp.Case) else ()
+            out += [(lbl, type(t)(*rest, p2, q)) for lbl, p2 in sub(p)]
+            out += [(lbl, type(t)(*rest, p, q2)) for lbl, q2 in sub(q)]
+        case hcp.BoundOut(x, y, p) | hcp.In(x, y, p):
+            out += [(lbl, type(t)(x, y, p2)) for lbl, p2 in sub(p)]
+        case hcp.OutUnit(x, p) | hcp.InUnit(x, p) | hcp.Inl(x, p) | hcp.Inr(x, p):
+            out += [(lbl, type(t)(x, p2)) for lbl, p2 in sub(p)]
+    return out
+
+
+# one letter per axiom label in the golden scramble stream
+_LABEL_CODES = {"link-sym": "l", "nu-comm": "n", "cut-assoc": "a", "mix-comm": "c",
+                "mix-assoc": "A", "mix-unit": "u", "scope-ext": "s"}
+SCRAMBLE_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "scramble.txt"
+
+
+def _golden_samples():
+    cfg = harness.GenConfig(seed=42)
+    for dialect, gen in (("cp", harness.gen_cp), ("hcp", harness.gen_hcp)):
+        for i in range(150):
+            yield dialect, i, gen(cfg, i)[0]
+
+
+def scramble_transcript() -> str:
+    """Samples 0-149 of gen_cp and gen_hcp at seed 42: per sample, the neighbour
+    labels in order (one letter each, see _LABEL_CODES) without and with unit
+    introduction, then the printed result of scramble(t, Random(i), 4).  After a
+    deliberate change, rewrite the golden with
+    `PYTHONPATH=src python tests/test_congruence.py`."""
+    lines = []
+    for dialect, i, term in _golden_samples():
+        for unit in (False, True):
+            labels = "".join(_LABEL_CODES[lbl] for lbl, _ in cg.neighbors(term, allow_unit_intro=unit))
+            lines.append(f"{dialect} {i} unit={int(unit)} {len(labels)} {labels}")
+        lines.append(f"{dialect} {i} scramble {print_term(harness.scramble(term, random.Random(i), 4))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_scramble_stream_matches_golden():
+    assert scramble_transcript() == SCRAMBLE_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_neighbors_agree_with_recursive_reference():
+    # equal terms (subterms are shared, so this is cheap) are in particular alpha-equal
+    checked = 0
+    for _, i, term in _golden_samples():
+        # the sample and a few of its neighbours, so rewritten shapes are covered too
+        for u in [term] + [v for _, v in cg.neighbors(term, allow_unit_intro=False)[i % 7::50]]:
+            for unit in (False, True) if u is term else (False,):
+                want = _ref_cp_neighbors(u) if isinstance(u, cp.CpTerm) else _ref_hcp_neighbors(u, unit)
+                assert cg.neighbors(u, allow_unit_intro=unit) == want
+                checked += len(want)
+    assert checked > 40000
+
+
+def test_deep_terms_neighbors_and_scramble_without_recursion():
+    n = 5000
+    x, y, w = Name("x", 1), Name("y", 2), Name("w", 3)
+    hcp_chain = hcp.Link(x, y)
+    cp_chain = cp.Link(x, y)
+    for _ in range(n):
+        hcp_chain = hcp.InUnit(w, hcp_chain)
+        cp_chain = cp.Wait(w, cp_chain)
+    for term, labels in ((hcp.Par(hcp_chain, hcp.Inert()), ["mix-comm", "mix-unit", "link-sym"]),
+                         (cp_chain, ["link-sym"])):
+        nbrs = cg.neighbors(term, allow_unit_intro=False)
+        assert [lbl for lbl, _ in nbrs] == labels
+        assert print_term(nbrs[-1][1]) == print_term(term).replace("x<->y", "y<->x")
+        assert print_term(harness.scramble(term, random.Random(0), 3)).count("w().") == n
+
+
+if __name__ == "__main__":
+    SCRAMBLE_GOLDEN.write_text(scramble_transcript(), encoding="utf-8")
+    print("wrote tests/golden/scramble.txt", file=sys.stderr)
