@@ -8,12 +8,13 @@ import sys
 import time
 
 from sill import harness
+from sill.cli import _at_least
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--count", type=int, default=500)
+    ap.add_argument("--count", type=_at_least(0, "count"), default=500)
     args = ap.parse_args()
     ok = True
     t0 = time.perf_counter()

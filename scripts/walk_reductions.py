@@ -7,12 +7,13 @@ import argparse
 import sys
 
 from sill import harness, reduction, surface
+from sill.cli import _at_least
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--count", type=int, default=5)
+    ap.add_argument("--count", type=_at_least(0, "count"), default=5)
     ap.add_argument("--dialect", choices=["cp", "hcp"], default="cp")
     args = ap.parse_args()
     cfg = harness.GenConfig(seed=args.seed, count=args.count)

@@ -43,6 +43,14 @@ def _at_least(low: int, what: str):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, `<prog>: error: <message>`, without
+    argparse's usage block.  Subcommand parsers are made of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 _fuel = _at_least(1, "fuel")
 _count = _at_least(0, "count")
 
@@ -225,7 +233,7 @@ def cmd_fuzz(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="sill", description="CP/HCP session-calculus toolkit")
+    ap = _Parser(prog="sill", description="CP/HCP session-calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="typecheck the declarations of a .sill file")

@@ -3,9 +3,20 @@
 Both calculi are handled through a prenex normal form: all restrictions
 pulled outermost (cut spines flattened for CP, scope extrusion for HCP),
 parallel structure flattened into a component multiset, inert units dropped.
-Equivalence is decided by matching prenex forms: multiset matching of
-components up to recursive equivalence, link symmetry, and backtracking over
-binder correspondences.
+
+`key` is an invariant of the congruence, computed in one walk: per prenex
+level, the sorted certificates of its components (constructor, subject names
+with bound ones blanked, the keys of the levels below) and the sorted classes
+{A, dual A} of its restrictions.  Congruent terms get equal keys; equal keys
+do not imply congruence.  It plays the part of the first round of colour
+refinement (McKay and Piperno, "Practical graph isomorphism, II", 2014): a
+cheap invariant that prunes the search, not a canonical form, which would
+need individualisation of the bound names.
+
+`equiv` decides congruence: it answers no when the keys differ, and otherwise
+matches the two terms' prenex levels, each built once: multiset matching of
+components with equal certificates, link symmetry, and backtracking over
+binder correspondences, kept in one name bijection with an undo trail.
 
 Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,
@@ -20,8 +31,8 @@ from dataclasses import dataclass, fields
 
 from . import cp, hcp
 from .names import Name
-from .terms import SUBTERM_FIELDS
-from .types import Type, dual
+from .terms import BINDERS, SUBTERM_FIELDS
+from .types import Type, dual, render
 
 
 class CongruenceError(Exception):
@@ -149,6 +160,135 @@ def rebuild_cp(binders: list[CpBinder], comps: list[cp.CpTerm]) -> cp.CpTerm:
     return build(list(binders), frozenset(range(len(comps))))
 
 
+# -- congruence keys ----------------------------------------------------------
+
+
+class _Level:
+    """One prenex level of a term: its restrictions in prenex order, its
+    components left to right, and per component a certificate and the
+    levels of its subterms.  `key` is the level's congruence key."""
+
+    __slots__ = ("binders", "spans", "comps", "certs", "children", "key", "groups", "cp_binders")
+
+    def __init__(self):
+        self.binders: list[tuple[Name, Type]] = []
+        self.spans: list[list[int]] = []  # CP: per cut, where its left and right components start and end
+        self.comps: list = []
+        # per component: constructor and subject names, then its subterms' keys
+        self.certs: list[tuple] = []
+        self.children: list[tuple[_Level, ...]] = []  # per component: its subterms' levels, in field order
+        self.groups: dict | None = None  # certificate -> component indices, built on first use
+        self.cp_binders: list[CpBinder] | None = None  # built on first use
+
+
+# walk stack entries: (_VISIT, term, level), (_EXIT, name, None), and
+# (_MID or _END, level, cut slot) where a cut's right side begins or ends
+_VISIT, _EXIT, _MID, _END = 0, 1, 2, 3
+
+
+def _component_plan(cls) -> tuple:
+    """A component class's constructor name, subterm fields, prefix binder
+    field (None if it binds nothing) and the order a walk pushes its subterm
+    indices in: those outside the binder's scope, -1 where the scope ends
+    (popped after the subterms inside it), then those inside."""
+    fs = SUBTERM_FIELDS[cls]
+    bound, scoped = BINDERS.get(cls, (None, ()))
+    outside = tuple(k for k in reversed(range(len(fs))) if fs[k] not in scoped)
+    inside = tuple(k for k in reversed(range(len(fs))) if fs[k] in scoped)
+    return cls.__name__, fs, bound, outside + (-1,) + inside if bound else outside
+
+
+_COMPONENTS = {cls: _component_plan(cls) for cls in SUBTERM_FIELDS
+               if cls not in (cp.Cut, hcp.New, hcp.Par, hcp.Inert)}
+
+
+def _levels(t) -> tuple[_Level, set[Name]]:
+    """Every prenex level of t, keys included, in one explicit-stack walk;
+    and the names t's restrictions bind.
+
+    A subject name is written as its surface when free and as `•` when a
+    binder of that name is in scope, so the keys need no freshening."""
+    scope: dict[Name, int] = {}  # name -> binders of it in scope
+    restricted: set[Name] = set()
+    root = _Level()
+    levels = [root]
+    stack: list[tuple] = [(_VISIT, t, root)]
+    push = stack.append
+    while stack:
+        op, node, level = stack.pop()
+        if op:
+            if op == _EXIT:
+                scope[node] -= 1
+            else:  # _MID or _END
+                node.spans[level][op - 1] = len(node.comps)
+            continue
+        cls = type(node)
+        if cls is cp.Cut or cls is hcp.New:
+            x = node.x
+            level.binders.append((x, node.ty))
+            restricted.add(x)
+            scope[x] = scope.get(x, 0) + 1
+            push((_EXIT, x, None))
+            if cls is cp.Cut:
+                slot = len(level.spans)
+                level.spans.append([len(level.comps), 0, 0])
+                stack += ((_END, level, slot), (_VISIT, node.right, level),
+                          (_MID, level, slot), (_VISIT, node.left, level))
+            else:
+                push((_VISIT, node.body, level))
+        elif cls is hcp.Par:
+            stack += ((_VISIT, node.right, level), (_VISIT, node.left, level))
+        elif cls is not hcp.Inert:
+            ctor, fs, bound, order = _COMPONENTS[cls]
+            x = node.x
+            x = "•" if scope.get(x) else x.surface
+            if cls is cp.Link or cls is hcp.Link:
+                y = node.y
+                y = "•" if scope.get(y) else y.surface
+                level.certs.append((ctor, x, y) if x <= y else (ctor, y, x))
+            else:
+                level.certs.append((ctor, x))
+            level.comps.append(node)
+            subs = tuple([_Level() for _ in fs])
+            level.children.append(subs)
+            levels += subs
+            for k in order:
+                if k < 0:  # the subterms pushed next are in the binder's scope
+                    y = getattr(node, bound)
+                    scope[y] = scope.get(y, 0) + 1
+                    push((_EXIT, y, None))
+                else:
+                    push((_VISIT, getattr(node, fs[k]), subs[k]))
+    # a level is made before its components' subterm levels, so reversed
+    # creation order finishes every level after the levels below it
+    for level in reversed(levels):
+        certs = level.certs
+        for i, subs in enumerate(level.children):
+            if subs:
+                certs[i] += tuple([s.key for s in subs])
+        classes = tuple(sorted([_type_class(a) for _, a in level.binders])) if level.binders else ()
+        level.key = (tuple(sorted(certs)) if len(certs) > 1 else tuple(certs), classes)
+    return root, restricted
+
+
+def _type_class(a: Type) -> str:
+    """The same for A and dual A: a restriction may be written either way round."""
+    return min(render(a), render(dual(a)))
+
+
+def key(t) -> tuple:
+    """An invariant of structural congruence: congruent terms get equal keys.
+
+    Per prenex level, the key holds the sorted certificates of the level's
+    components and the sorted classes {A, dual A} of its restrictions.  A
+    component's certificate is its constructor, its subject names (a link's
+    two ends sorted; a free name by surface, a bound one as `•`) and the
+    keys of its subterms' levels.  The value is nested tuples of strings, the
+    same in every process.  Terms with equal keys need not be congruent:
+    `equiv` decides."""
+    return _levels(t)[0].key
+
+
 # -- the decision procedure ---------------------------------------------------
 
 
@@ -157,126 +297,188 @@ def equiv(t1, t2) -> bool:
     c1, c2 = isinstance(t1, cp.CpTerm), isinstance(t2, cp.CpTerm)
     if c1 != c2:
         raise ValueError("cannot compare terms of different dialects")
-    for _ in _match_terms(t1, t2, ({}, {}), frozenset(), frozenset()):
+    freshen = cp.freshen_if_needed if c1 else hcp.freshen_if_needed
+    l1, restricted1 = _levels(freshen(t1))
+    l2, restricted2 = _levels(freshen(t2))
+    if l1.key != l2.key:
+        return False
+    for _ in _match_level(l1, l2, _Bijection(restricted1, restricted2)):
         return True
     return False
 
 
-def _pair(n1: Name, n2: Name, bij, open1, open2):
-    l2r, r2l = bij
-    if n1 in l2r:
-        return bij if l2r[n1] == n2 else None
-    if n2 in r2l:
-        return None
-    if n1 in open1 and n2 in open2:
-        return (l2r | {n1: n2}, r2l | {n2: n1})
-    if n1 not in open1 and n2 not in open2:
-        if n1.surface == n2.surface:
-            return (l2r | {n1: n2}, r2l | {n2: n1})
-    return None
+class _Bijection:
+    """The name correspondence built while matching two freshened terms: one
+    dict pair, and a trail of the pairs made, so backtracking can undo them.
+    A name some restriction binds pairs only with such a name, and any other
+    name not paired on entering its binder's scope only with a name of the
+    same surface.  The restricted sets hold every restriction's name in the
+    whole term: binders of a fresh term are distinct and no free name equals
+    one, so a name occurring at a level is in the set exactly when a
+    restriction around that level binds it."""
+
+    __slots__ = ("l2r", "r2l", "trail", "restricted1", "restricted2")
+
+    def __init__(self, restricted1: set[Name], restricted2: set[Name]):
+        self.l2r: dict[Name, Name] = {}
+        self.r2l: dict[Name, Name] = {}
+        self.trail: list[tuple[Name, Name]] = []
+        self.restricted1 = restricted1
+        self.restricted2 = restricted2
+
+    def pair(self, n1: Name, n2: Name) -> bool:
+        m = self.l2r.get(n1)
+        if m is not None:
+            return m == n2
+        if n2 in self.r2l:
+            return False
+        r1, r2 = n1 in self.restricted1, n2 in self.restricted2
+        if (r1 and r2) or (not r1 and not r2 and n1.surface == n2.surface):
+            self.bind(n1, n2)
+            return True
+        return False
+
+    def bind(self, n1: Name, n2: Name) -> None:
+        """Pair two names neither of which is paired yet."""
+        self.l2r[n1] = n2
+        self.r2l[n2] = n1
+        self.trail.append((n1, n2))
+
+    def undo(self, mark: int) -> None:
+        """Take back every pair made since the trail was mark long."""
+        trail = self.trail
+        while len(trail) > mark:
+            n1, n2 = trail.pop()
+            del self.l2r[n1], self.r2l[n2]
 
 
-def _sig(c) -> str:
-    return type(c).__name__
+_DONE = object()
 
 
-def _match_terms(t1, t2, bij, open1, open2):
-    """Yield every name bijection under which t1 ≡ t2."""
-    is_cp = isinstance(t1, cp.CpTerm)
-    p1 = prenex_cp(t1) if is_cp else prenex_hcp(t1)
-    p2 = prenex_cp(t2) if is_cp else prenex_hcp(t2)
-    if len(p1.comps) != len(p2.comps) or len(p1.binders) != len(p2.binders):
-        return
-    if is_cp:
-        names1 = [b.name for b in p1.binders]
-        names2 = [b.name for b in p2.binders]
-    else:
-        names1 = [b[0] for b in p1.binders]
-        names2 = [b[0] for b in p2.binders]
-    o1 = open1 | set(names1)
-    o2 = open2 | set(names2)
-    n = len(p1.comps)
+def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
+    """Yield once per extension of bij under which two levels with equal keys
+    match: each component of l1 paired with one of l2 with the same
+    certificate, then the restrictions checked.  The extension holds while
+    the generator is suspended and is undone when it resumes."""
+    n = len(l1.comps)
+    if l2.groups is None:
+        l2.groups = {}
+        for j, c in enumerate(l2.certs):
+            l2.groups.setdefault(c, []).append(j)
     used = [False] * n
     sigma: dict[int, int] = {}
 
-    def assign(i, bij):
-        if i == n:
-            yield from _check_binders(p1, p2, bij, sigma, is_cp, o1, o2)
-            return
-        c1 = p1.comps[i]
-        s = _sig(c1)
-        for j in range(n):
-            if used[j] or _sig(p2.comps[j]) != s:
+    def pairings(i: int):
+        """Yield once per way of matching component i with a free one of l2:
+        subject names (a link either way round), prefix binder, subterms."""
+        c1, subs1 = l1.comps[i], l1.children[i]
+        link = type(c1) is cp.Link or type(c1) is hcp.Link
+        bound = BINDERS.get(type(c1))
+        mark = len(bij.trail)
+        for j in l2.groups[l1.certs[i]]:
+            if used[j]:
                 continue
             used[j] = True
             sigma[i] = j
-            for bij2 in _unify_comp(c1, p2.comps[j], bij, o1, o2):
-                yield from assign(i + 1, bij2)
+            c2, subs2 = l2.comps[j], l2.children[j]
+            if link:
+                for a, b in ((c2.x, c2.y), (c2.y, c2.x)):
+                    if bij.pair(c1.x, a) and bij.pair(c1.y, b):
+                        yield
+                    bij.undo(mark)
+            elif bij.pair(c1.x, c2.x):
+                if bound is not None:
+                    bij.bind(getattr(c1, bound[0]), getattr(c2, bound[0]))
+                if not subs1:
+                    yield
+                elif len(subs1) == 1:
+                    yield from _match_level(subs1[0], subs2[0], bij)
+                else:  # Send and Case: the first subterm, then the second
+                    for _ in _match_level(subs1[0], subs2[0], bij):
+                        yield from _match_level(subs1[1], subs2[1], bij)
+                bij.undo(mark)
             used[j] = False
             del sigma[i]
 
-    yield from assign(0, bij)
+    if n == 0:
+        if _binders_match(l1, l2, bij, sigma):
+            yield
+        return
+    # one suspended generator per component paired so far, so that a level's
+    # width costs no recursion
+    stack = [pairings(0)]
+    while stack:
+        if next(stack[-1], _DONE) is _DONE:
+            stack.pop()
+        elif len(stack) == n:
+            if _binders_match(l1, l2, bij, sigma):
+                yield
+        else:
+            stack.append(pairings(len(stack)))
 
 
-def _check_binders(p1, p2, bij, sigma, is_cp, o1, o2):
-    l2r, r2l = bij
-    if is_cp:
-        by_name2 = {b.name: b for b in p2.binders}
+def _cp_binders(level: _Level) -> list[CpBinder]:
+    """The level's cuts with the component that holds each endpoint, as
+    `prenex_cp` finds them."""
+    if level.cp_binders is None:
+        fvs = [cp.free_names(c) for c in level.comps]
+        level.cp_binders = []
+        for (x, a), (start, mid, end) in zip(level.binders, level.spans):
+            la = [i for i in range(start, mid) if x in fvs[i]]
+            ra = [i for i in range(mid, end) if x in fvs[i]]
+            level.cp_binders.append(CpBinder(x, a, la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None))
+    return level.cp_binders
+
+
+def _binders_match(l1: _Level, l2: _Level, bij: _Bijection, sigma: dict[int, int]) -> bool:
+    """Whether the restrictions of two levels correspond under bij, once
+    sigma pairs every component of l1 with one of l2."""
+    l2r, r2l = bij.l2r, bij.r2l
+    if l1.spans:  # CP cuts, which know their endpoint components
+        by_name2 = {b.name: b for b in _cp_binders(l2)}
         unmatched2 = dict(by_name2)
         deferred1 = []
-        for b1 in p1.binders:
+        for b1 in _cp_binders(l1):
             n2 = l2r.get(b1.name)
             if n2 is None:
-                deferred1.append(b1)
+                deferred1.append(b1.ty)
                 continue
             b2 = by_name2.get(n2)
             if b2 is None:
-                return
+                return False
             unmatched2.pop(n2, None)
             if not _cp_binder_compat(b1, b2, sigma):
-                return
-        # binders with no occurrences anywhere: pair by type compatibility
-        rest2 = [b for b in unmatched2.values() if b.name not in r2l]
-        if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
-            return
-        for b1 in deferred1:
-            ok = None
-            for k, b2 in enumerate(rest2):
-                if b1.ty in (b2.ty, dual(b2.ty)):
-                    ok = k
-                    break
-            if ok is None:
-                return
-            rest2.pop(ok)
-        yield bij
+                return False
+        rest2 = [b.ty for b in unmatched2.values() if b.name not in r2l]
     else:
-        by_name2 = {b[0]: b for b in p2.binders}
+        by_name2 = dict(l2.binders)
         unmatched2 = dict(by_name2)
         deferred1 = []
-        for x1, ty1 in p1.binders:
+        for x1, ty1 in l1.binders:
             n2 = l2r.get(x1)
             if n2 is None:
-                deferred1.append((x1, ty1))
+                deferred1.append(ty1)
                 continue
-            b2 = by_name2.get(n2)
-            if b2 is None:
-                return
+            ty2 = by_name2.get(n2)
+            if ty2 is None:
+                return False
             unmatched2.pop(n2, None)
-            if ty1 not in (b2[1], dual(b2[1])):
-                return
-        rest2 = [b for b in unmatched2.values() if b[0] not in r2l]
-        if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
-            return
-        for _, ty1 in deferred1:
-            ok = None
-            for k, (_, ty2) in enumerate(rest2):
-                if ty1 in (ty2, dual(ty2)):
-                    ok = k
-                    break
-            if ok is None:
-                return
-            rest2.pop(ok)
-        yield bij
+            if ty1 not in (ty2, dual(ty2)):
+                return False
+        rest2 = [ty2 for x2, ty2 in unmatched2.items() if x2 not in r2l]
+    # binders with no occurrences anywhere: pair by type compatibility
+    if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
+        return False
+    for ty1 in deferred1:
+        ok = None
+        for k, ty2 in enumerate(rest2):
+            if ty1 in (ty2, dual(ty2)):
+                ok = k
+                break
+        if ok is None:
+            return False
+        rest2.pop(ok)
+    return True
 
 
 def _cp_binder_compat(b1: CpBinder, b2: CpBinder, sigma) -> bool:
@@ -289,88 +491,6 @@ def _cp_binder_compat(b1: CpBinder, b2: CpBinder, sigma) -> bool:
             return b1.ty == dual(b2.ty)
         return False
     return b1.ty in (b2.ty, dual(b2.ty))
-
-
-def _unify_comp(c1, c2, bij, o1, o2):
-    is_cp = isinstance(c1, cp.CpTerm)
-    if is_cp:
-        match c1, c2:
-            case cp.Link(x1, y1), cp.Link(x2, y2):
-                for a, b in ((x2, y2), (y2, x2)):
-                    bij2 = _pair(x1, a, bij, o1, o2)
-                    if bij2 is None:
-                        continue
-                    bij3 = _pair(y1, b, bij2, o1, o2)
-                    if bij3 is not None:
-                        yield bij3
-                return
-            case (cp.Halt(x1), cp.Halt(x2)) | (cp.Absurd(x1), cp.Absurd(x2)):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    yield bij2
-                return
-            case (cp.Wait(x1, p1), cp.Wait(x2, p2)) | (cp.Inl(x1, p1), cp.Inl(x2, p2)) | (cp.Inr(x1, p1), cp.Inr(x2, p2)):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    yield from _match_terms(p1, p2, bij2, o1, o2)
-                return
-            case cp.Recv(x1, y1, p1), cp.Recv(x2, y2, p2):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    l2r, r2l = bij2
-                    bij3 = (l2r | {y1: y2}, r2l | {y2: y1})
-                    yield from _match_terms(p1, p2, bij3, o1, o2)
-                return
-            case cp.Send(x1, y1, p1, q1), cp.Send(x2, y2, p2, q2):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    l2r, r2l = bij2
-                    bij3 = (l2r | {y1: y2}, r2l | {y2: y1})
-                    for bij4 in _match_terms(p1, p2, bij3, o1, o2):
-                        yield from _match_terms(q1, q2, bij4, o1, o2)
-                return
-            case cp.Case(x1, p1, q1), cp.Case(x2, p2, q2):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    for bij3 in _match_terms(p1, p2, bij2, o1, o2):
-                        yield from _match_terms(q1, q2, bij3, o1, o2)
-                return
-    else:
-        match c1, c2:
-            case hcp.Link(x1, y1), hcp.Link(x2, y2):
-                for a, b in ((x2, y2), (y2, x2)):
-                    bij2 = _pair(x1, a, bij, o1, o2)
-                    if bij2 is None:
-                        continue
-                    bij3 = _pair(y1, b, bij2, o1, o2)
-                    if bij3 is not None:
-                        yield bij3
-                return
-            case hcp.Absurd(x1), hcp.Absurd(x2):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    yield bij2
-                return
-            case (hcp.OutUnit(x1, p1), hcp.OutUnit(x2, p2)) | (hcp.InUnit(x1, p1), hcp.InUnit(x2, p2)) | \
-                 (hcp.Inl(x1, p1), hcp.Inl(x2, p2)) | (hcp.Inr(x1, p1), hcp.Inr(x2, p2)):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    yield from _match_terms(p1, p2, bij2, o1, o2)
-                return
-            case (hcp.BoundOut(x1, y1, p1), hcp.BoundOut(x2, y2, p2)) | (hcp.In(x1, y1, p1), hcp.In(x2, y2, p2)):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    l2r, r2l = bij2
-                    bij3 = (l2r | {y1: y2}, r2l | {y2: y1})
-                    yield from _match_terms(p1, p2, bij3, o1, o2)
-                return
-            case hcp.Case(x1, p1, q1), hcp.Case(x2, p2, q2):
-                bij2 = _pair(x1, x2, bij, o1, o2)
-                if bij2 is not None:
-                    for bij3 in _match_terms(p1, p2, bij2, o1, o2):
-                        yield from _match_terms(q1, q2, bij3, o1, o2)
-                return
-    return
 
 
 # -- single-axiom rewriting (oracle support) ----------------------------------

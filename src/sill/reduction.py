@@ -9,7 +9,7 @@ multiset of restriction-formula sizes; every step strictly decreases it.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import congruence, cp, hcp
@@ -169,7 +169,10 @@ def _step_cp(t: cp.CpTerm, r: Redex) -> cp.CpTerm:
             if k == r.i:
                 continue
             index_of[k] = len(new_comps)
-            new_comps.append(cp.substitute(c, w, r.channel))
+            # a component without the channel would come back equal: the term
+            # is fresh, so no binder in it equals w and substitute would
+            # rename nothing and draw no fresh name
+            new_comps.append(cp.substitute(c, w, r.channel) if r.channel in cp.free_names(c) else c)
         new_binders = []
         for b in p.binders:
             if b.name == r.channel:
@@ -272,7 +275,9 @@ def _step_hcp(t: hcp.HcpTerm, r: Redex) -> hcp.HcpTerm:
     if r.rule == RULE_LINK:
         link = p.comps[r.i]
         w = link.y if link.x == r.channel else link.x
-        comps = [hcp.substitute(c, w, r.channel) for k, c in enumerate(p.comps) if k != r.i]
+        # only components that mention the channel change (see _step_cp)
+        comps = [hcp.substitute(c, w, r.channel) if r.channel in hcp.free_names(c) else c
+                 for k, c in enumerate(p.comps) if k != r.i]
         binders = [(n, a) for n, a in p.binders if n != r.channel]
         return congruence.rebuild_hcp(binders, comps)
 
@@ -482,29 +487,23 @@ class ReductionGraph:
         return all(outs[i] <= 1 for i in range(len(self.nodes)))
 
 
-def _bucket(t):
-    is_cp = isinstance(t, cp.CpTerm)
-    p = congruence.prenex_cp(t) if is_cp else congruence.prenex_hcp(t)
-    return (len(p.binders), tuple(sorted(type(c).__name__ for c in p.comps)))
-
-
 def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
     """BFS over all redexes of all reachable terms, nodes quotiented by
     structural congruence."""
     nodes = [t]
-    buckets: dict = {_bucket(t): [0]}
+    buckets: dict = {congruence.key(t): [0]}  # congruence key -> nodes with it
     edges: list = []
     terminals: list = []
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        i = frontier.pop(0)
+        i = frontier.popleft()
         rs = find_redexes(nodes[i])
         if not rs:
             terminals.append(i)
             continue
         for r in rs:
             t2 = step(nodes[i], r)
-            k = _bucket(t2)
+            k = congruence.key(t2)
             found = None
             for j in buckets.get(k, []):
                 if congruence.equiv(nodes[j], t2):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -235,3 +239,28 @@ def test_negative_fuzz_count_is_a_usage_error(capsys):
     assert "count must be at least 0, not -1" in capsys.readouterr().err
     code, out = run(capsys, "fuzz", "--suite", "progress", "--count", "0")
     assert code == 0 and "suite progress: 0/0 passed" in out
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["fuzz", "--count", "-1"], "sill fuzz: error: argument --count: count must be at least 0, not -1"),
+    (["reduce", fixture_path("tensor_unit.sill"), "--proc", "Main", "--fuel", "0"],
+     "sill reduce: error: argument --fuel: fuel must be at least 1, not 0"),
+    (["frobnicate"], "sill: error: argument command: invalid choice: 'frobnicate'"),
+])
+def test_usage_error_is_one_line(capsys, argv, line):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(line)
+
+
+@pytest.mark.parametrize("script", ["run_suites.py", "walk_reductions.py"])
+def test_scripts_reject_a_negative_count(script):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script), "--count", "-1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "count must be at least 0, not -1" in proc.stderr

@@ -1,0 +1,376 @@
+"""Congruence keys and the key-pruned matcher.
+
+`congruence.key` must agree on congruent terms (every single-axiom rewrite
+keeps it), and `equiv`, which answers no when keys differ and only pairs
+components with equal certificates, must answer exactly as the unpruned
+backtracking matcher it replaced.  That matcher is kept below as a
+reference copy.
+"""
+import dataclasses
+import random
+
+from sill import congruence as cg
+from sill import cp, harness, hcp, reduction
+from sill.names import Name
+from sill.terms import BINDERS, SUBTERM_FIELDS
+from sill.types import ONE, dual
+
+# -- the matcher before keys, kept as a reference ------------------------------
+
+
+def ref_equiv(t1, t2) -> bool:
+    for _ in _ref_match_terms(t1, t2, ({}, {}), frozenset(), frozenset()):
+        return True
+    return False
+
+
+def _ref_pair(n1: Name, n2: Name, bij, open1, open2):
+    l2r, r2l = bij
+    if n1 in l2r:
+        return bij if l2r[n1] == n2 else None
+    if n2 in r2l:
+        return None
+    if n1 in open1 and n2 in open2:
+        return (l2r | {n1: n2}, r2l | {n2: n1})
+    if n1 not in open1 and n2 not in open2:
+        if n1.surface == n2.surface:
+            return (l2r | {n1: n2}, r2l | {n2: n1})
+    return None
+
+
+def _ref_sig(c) -> str:
+    return type(c).__name__
+
+
+def _ref_match_terms(t1, t2, bij, open1, open2):
+    """Yield every name bijection under which t1 ≡ t2."""
+    is_cp = isinstance(t1, cp.CpTerm)
+    p1 = cg.prenex_cp(t1) if is_cp else cg.prenex_hcp(t1)
+    p2 = cg.prenex_cp(t2) if is_cp else cg.prenex_hcp(t2)
+    if len(p1.comps) != len(p2.comps) or len(p1.binders) != len(p2.binders):
+        return
+    if is_cp:
+        names1 = [b.name for b in p1.binders]
+        names2 = [b.name for b in p2.binders]
+    else:
+        names1 = [b[0] for b in p1.binders]
+        names2 = [b[0] for b in p2.binders]
+    o1 = open1 | set(names1)
+    o2 = open2 | set(names2)
+    n = len(p1.comps)
+    used = [False] * n
+    sigma: dict[int, int] = {}
+
+    def assign(i, bij):
+        if i == n:
+            yield from _ref_check_binders(p1, p2, bij, sigma, is_cp, o1, o2)
+            return
+        c1 = p1.comps[i]
+        s = _ref_sig(c1)
+        for j in range(n):
+            if used[j] or _ref_sig(p2.comps[j]) != s:
+                continue
+            used[j] = True
+            sigma[i] = j
+            for bij2 in _ref_unify_comp(c1, p2.comps[j], bij, o1, o2):
+                yield from assign(i + 1, bij2)
+            used[j] = False
+            del sigma[i]
+
+    yield from assign(0, bij)
+
+
+def _ref_check_binders(p1, p2, bij, sigma, is_cp, o1, o2):
+    l2r, r2l = bij
+    if is_cp:
+        by_name2 = {b.name: b for b in p2.binders}
+        unmatched2 = dict(by_name2)
+        deferred1 = []
+        for b1 in p1.binders:
+            n2 = l2r.get(b1.name)
+            if n2 is None:
+                deferred1.append(b1)
+                continue
+            b2 = by_name2.get(n2)
+            if b2 is None:
+                return
+            unmatched2.pop(n2, None)
+            if not _ref_cp_binder_compat(b1, b2, sigma):
+                return
+        # binders with no occurrences anywhere: pair by type compatibility
+        rest2 = [b for b in unmatched2.values() if b.name not in r2l]
+        if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
+            return
+        for b1 in deferred1:
+            ok = None
+            for k, b2 in enumerate(rest2):
+                if b1.ty in (b2.ty, dual(b2.ty)):
+                    ok = k
+                    break
+            if ok is None:
+                return
+            rest2.pop(ok)
+        yield bij
+    else:
+        by_name2 = {b[0]: b for b in p2.binders}
+        unmatched2 = dict(by_name2)
+        deferred1 = []
+        for x1, ty1 in p1.binders:
+            n2 = l2r.get(x1)
+            if n2 is None:
+                deferred1.append((x1, ty1))
+                continue
+            b2 = by_name2.get(n2)
+            if b2 is None:
+                return
+            unmatched2.pop(n2, None)
+            if ty1 not in (b2[1], dual(b2[1])):
+                return
+        rest2 = [b for b in unmatched2.values() if b[0] not in r2l]
+        if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
+            return
+        for _, ty1 in deferred1:
+            ok = None
+            for k, (_, ty2) in enumerate(rest2):
+                if ty1 in (ty2, dual(ty2)):
+                    ok = k
+                    break
+            if ok is None:
+                return
+            rest2.pop(ok)
+        yield bij
+
+
+def _ref_cp_binder_compat(b1: cg.CpBinder, b2: cg.CpBinder, sigma) -> bool:
+    if b1.left is not None and b1.right is not None and b2.left is not None and b2.right is not None:
+        sl = sigma.get(b1.left)
+        sr = sigma.get(b1.right)
+        if sl == b2.left and sr == b2.right:
+            return b1.ty == b2.ty
+        if sl == b2.right and sr == b2.left:
+            return b1.ty == dual(b2.ty)
+        return False
+    return b1.ty in (b2.ty, dual(b2.ty))
+
+
+def _ref_unify_comp(c1, c2, bij, o1, o2):
+    is_cp = isinstance(c1, cp.CpTerm)
+    if is_cp:
+        match c1, c2:
+            case cp.Link(x1, y1), cp.Link(x2, y2):
+                for a, b in ((x2, y2), (y2, x2)):
+                    bij2 = _ref_pair(x1, a, bij, o1, o2)
+                    if bij2 is None:
+                        continue
+                    bij3 = _ref_pair(y1, b, bij2, o1, o2)
+                    if bij3 is not None:
+                        yield bij3
+                return
+            case (cp.Halt(x1), cp.Halt(x2)) | (cp.Absurd(x1), cp.Absurd(x2)):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    yield bij2
+                return
+            case (cp.Wait(x1, p1), cp.Wait(x2, p2)) | (cp.Inl(x1, p1), cp.Inl(x2, p2)) | (cp.Inr(x1, p1), cp.Inr(x2, p2)):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    yield from _ref_match_terms(p1, p2, bij2, o1, o2)
+                return
+            case cp.Recv(x1, y1, p1), cp.Recv(x2, y2, p2):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    l2r, r2l = bij2
+                    bij3 = (l2r | {y1: y2}, r2l | {y2: y1})
+                    yield from _ref_match_terms(p1, p2, bij3, o1, o2)
+                return
+            case cp.Send(x1, y1, p1, q1), cp.Send(x2, y2, p2, q2):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    l2r, r2l = bij2
+                    bij3 = (l2r | {y1: y2}, r2l | {y2: y1})
+                    for bij4 in _ref_match_terms(p1, p2, bij3, o1, o2):
+                        yield from _ref_match_terms(q1, q2, bij4, o1, o2)
+                return
+            case cp.Case(x1, p1, q1), cp.Case(x2, p2, q2):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    for bij3 in _ref_match_terms(p1, p2, bij2, o1, o2):
+                        yield from _ref_match_terms(q1, q2, bij3, o1, o2)
+                return
+    else:
+        match c1, c2:
+            case hcp.Link(x1, y1), hcp.Link(x2, y2):
+                for a, b in ((x2, y2), (y2, x2)):
+                    bij2 = _ref_pair(x1, a, bij, o1, o2)
+                    if bij2 is None:
+                        continue
+                    bij3 = _ref_pair(y1, b, bij2, o1, o2)
+                    if bij3 is not None:
+                        yield bij3
+                return
+            case hcp.Absurd(x1), hcp.Absurd(x2):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    yield bij2
+                return
+            case (hcp.OutUnit(x1, p1), hcp.OutUnit(x2, p2)) | (hcp.InUnit(x1, p1), hcp.InUnit(x2, p2)) | \
+                 (hcp.Inl(x1, p1), hcp.Inl(x2, p2)) | (hcp.Inr(x1, p1), hcp.Inr(x2, p2)):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    yield from _ref_match_terms(p1, p2, bij2, o1, o2)
+                return
+            case (hcp.BoundOut(x1, y1, p1), hcp.BoundOut(x2, y2, p2)) | (hcp.In(x1, y1, p1), hcp.In(x2, y2, p2)):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    l2r, r2l = bij2
+                    bij3 = (l2r | {y1: y2}, r2l | {y2: y1})
+                    yield from _ref_match_terms(p1, p2, bij3, o1, o2)
+                return
+            case hcp.Case(x1, p1, q1), hcp.Case(x2, p2, q2):
+                bij2 = _ref_pair(x1, x2, bij, o1, o2)
+                if bij2 is not None:
+                    for bij3 in _ref_match_terms(p1, p2, bij2, o1, o2):
+                        yield from _ref_match_terms(q1, q2, bij3, o1, o2)
+                return
+    return
+
+
+# -- soundness: congruent terms have equal keys ----------------------------------
+
+SEED42 = harness.GenConfig(seed=42)
+
+
+def _samples(count: int):
+    for gen in (harness.gen_cp, harness.gen_hcp):
+        for i in range(count):
+            yield gen(SEED42, i)[0]
+
+
+def test_every_neighbour_has_the_same_key():
+    checked = 0
+    for term in _samples(300):
+        want = cg.key(term)
+        for label, other in cg.neighbors(term):
+            assert cg.key(other) == want, label
+            checked += 1
+    assert checked > 40000
+
+
+def test_key_ignores_binder_spelling_and_link_direction():
+    a = cg.key(hcp.New(Name("x", 1), dual(ONE), hcp.Par(hcp.Link(Name("x", 1), Name("w", 2)), hcp.Inert())))
+    b = cg.key(hcp.New(Name("q", 7), ONE, hcp.Link(Name("w", 3), Name("q", 7))))
+    assert a == b
+    # a free name counts by surface, a bound one not at all
+    c = cg.key(hcp.New(Name("x", 1), ONE, hcp.Link(Name("x", 1), Name("v", 2))))
+    assert c != b
+
+
+def test_key_is_a_value_of_strings():
+    def atoms(k):
+        stack = [k]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, tuple):
+                stack.extend(v)
+            else:
+                yield v
+
+    for term in _samples(20):
+        assert all(type(v) is str for v in atoms(cg.key(term)))
+
+
+# -- agreement: the pruned matcher answers as the reference does -------------------
+
+
+def _rebind_one_subject(t):
+    """t with the subject of its first component on a bound name moved to
+    another bound name in scope there: same key, and usually not congruent.
+    None if t has no such component."""
+    stack = [(t, None, ())]
+    while stack:
+        node, path, scope = stack.pop()
+        x = getattr(node, "x", None)
+        if type(node) not in (cp.Cut, hcp.New) and x in scope:
+            others = [n for n in scope if n != x]
+            if others:
+                return cg.rebuild_site((path, "", dataclasses.replace(node, x=others[-1])))
+        bound = BINDERS.get(type(node))
+        for f in SUBTERM_FIELDS[type(node)]:
+            inner = scope + (getattr(node, bound[0]),) if bound and f in bound[1] else scope
+            stack.append((getattr(node, f), (path, node, f), inner))
+    return None
+
+
+def _dualise_first_cut(t):
+    """t with its first cut annotated by the dual type: same key."""
+    stack = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        if type(node) is cp.Cut:
+            return cg.rebuild_site((path, "", dataclasses.replace(node, ty=dual(node.ty))))
+        stack += [(getattr(node, f), (path, node, f)) for f in SUBTERM_FIELDS[type(node)]]
+    return None
+
+
+def _pairs(count: int):
+    """Congruent pairs (scrambles) and others: reducts against their source,
+    and key-preserving rewrites that break congruence."""
+    rng = random.Random("key-agreement")
+    for term in _samples(count):
+        yield term, harness.scramble(term, rng, rng.randint(1, 4))
+        redexes = reduction.find_redexes(term)
+        if redexes:
+            yield reduction.step(term, redexes[0]), term
+        for mutate in (_rebind_one_subject, _dualise_first_cut):
+            other = mutate(term)
+            if other is not None:
+                yield term, other
+                yield harness.scramble(other, rng, 2), term
+
+
+def test_pruned_equiv_agrees_with_reference():
+    answers = {True: 0, False: 0}
+    same_key_no = 0
+    for a, b in _pairs(150):
+        want = ref_equiv(a, b)
+        assert cg.equiv(a, b) == want
+        assert cg.equiv(b, a) == want
+        answers[want] += 1
+        same_key_no += not want and cg.key(a) == cg.key(b)
+    # every scramble is a yes; most no-pairs get past the key to the matcher
+    assert answers[True] >= 300 and answers[False] > 600 and same_key_no > 500
+
+
+def test_equal_keys_in_reduction_graphs_agree_with_reference():
+    """Reduction graph nodes are pairwise non-congruent; where two share a key
+    the matcher decides, and must decide as the reference does."""
+    cfg = harness.GenConfig(seed=7, max_depth=3)
+    compared = 0
+    for gen in (harness.gen_cp, harness.gen_hcp):
+        for i in range(40):
+            g = reduction.reduction_graph(gen(cfg, i)[0], cap=200)
+            keys = [cg.key(n) for n in g.nodes]
+            for j, a in enumerate(g.nodes):
+                for k in range(j):
+                    if keys[j] == keys[k]:
+                        assert not ref_equiv(a, g.nodes[k])
+                        compared += 1
+    assert compared > 50
+
+
+# -- deep terms -----------------------------------------------------------------------
+
+
+def test_key_on_deep_chains_without_recursion():
+    n = 5000
+    x, y, w = Name("x", 1), Name("y", 2), Name("w", 3)
+    hcp_chain, cp_chain = hcp.Link(x, y), cp.Link(x, y)
+    for _ in range(n):
+        hcp_chain = hcp.InUnit(w, hcp_chain)
+        cp_chain = cp.Wait(w, cp_chain)
+    for term, ctor in ((hcp.Par(hcp_chain, hcp.Inert()), "InUnit"), (cp_chain, "Wait")):
+        k, depth = cg.key(term), 0
+        while k[0][0][0] == ctor:  # ((certificate,), ()) per level
+            assert k[0][0][1] == "w" and k[1] == ()
+            k, depth = k[0][0][2], depth + 1
+        assert depth == n and k == ((("Link", "x", "y"),), ())
