@@ -86,7 +86,7 @@ def simulate_forward(p: cp.CpTerm, trace: reduction.ReductionTrace) -> bool:
     for st in trace.steps:
         h = cp_to_hcp(cur)
         target = cp_to_hcp(st.term)
-        if not any(congruence.equiv(reduction.step(h, r), target) for r in reduction.find_redexes(h)):
+        if not any(congruence.equiv(t2, target) for _, t2 in reduction.successors(h)):
             return False
         cur = st.term
     return True
@@ -94,8 +94,7 @@ def simulate_forward(p: cp.CpTerm, trace: reduction.ReductionTrace) -> bool:
 
 def simulate_backward(p: cp.CpTerm, r: hcp.HcpTerm) -> cp.CpTerm:
     """Given an HCP step image(p) ⟹ r, find q with p ⟹ q and r ≡ image(q)."""
-    for rx in reduction.find_redexes(p):
-        q = reduction.step(p, rx)
+    for _, q in reduction.successors(p):
         if congruence.equiv(r, cp_to_hcp(q)):
             return q
     raise SimulationError("no CP step matches the HCP reduct; the reflection theorem would be violated")

@@ -27,6 +27,7 @@ only the site it draws.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, fields
 
 from . import cp, hcp
@@ -63,53 +64,74 @@ class HcpPrenex:
     comps: list[hcp.HcpTerm]
 
 
-def prenex_cp(t: cp.CpTerm) -> CpPrenex:
-    t = cp.freshen_if_needed(t)
-    binders: list[CpBinder] = []
+def spine_cp(t: cp.CpTerm) -> tuple[list[CpBinder], list[cp.CpTerm], list[frozenset[Name]], dict[Name, list[int]]]:
+    """The prenex form of a fresh CP term, without freshening it: its cuts
+    outermost first, its components left to right, each component's free
+    names, and per cut name the components it is free in.  A cut's endpoint
+    is the one component on that side of it in which its name is free (None
+    unless there is exactly one)."""
+    binders: list[tuple[Name, Type]] = []
+    spans: list[list[int]] = []  # per cut: where its left side starts, where its right side starts and ends
     comps: list[cp.CpTerm] = []
+    stack: list = [(None, t)]  # (None, term) to visit, or (cut slot, 1 or 2) where its side ends
+    while stack:
+        slot, node = stack.pop()
+        if slot is not None:
+            spans[slot][node] = len(comps)
+        elif type(node) is cp.Cut:
+            slot = len(spans)
+            binders.append((node.x, node.ty))
+            spans.append([len(comps), 0, 0])
+            stack += ((slot, 2), (None, node.right), (slot, 1), (None, node.left))
+        else:
+            comps.append(node)
+    fvs = [cp.free_names(c) for c in comps]
+    users = free_in([x for x, _ in binders], fvs)
+    out = []
+    for (x, a), (start, mid, end) in zip(binders, spans):
+        la = [k for k in users[x] if start <= k < mid]
+        ra = [k for k in users[x] if mid <= k < end]
+        out.append(CpBinder(x, a, la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None))
+    return out, comps, fvs, users
 
-    def go(t) -> list[int]:
-        if isinstance(t, cp.Cut):
-            slot = len(binders)
-            binders.append(None)  # keep outermost-first order
-            li = go(t.left)
-            ri = go(t.right)
-            la = [i for i in li if t.x in cp.free_names(comps[i])]
-            ra = [i for i in ri if t.x in cp.free_names(comps[i])]
-            binders[slot] = CpBinder(
-                t.x,
-                t.ty,
-                la[0] if len(la) == 1 else None,
-                ra[0] if len(ra) == 1 else None,
-            )
-            return li + ri
-        comps.append(t)
-        return [len(comps) - 1]
 
-    go(t)
+def free_in(names, fvs: list[frozenset[Name]]) -> dict[Name, list[int]]:
+    """Per name, the positions of the free-name sets in fvs that hold it."""
+    users: dict[Name, list[int]] = {x: [] for x in names}
+    for k, fv in enumerate(fvs):
+        for n in fv:
+            if n in users:
+                users[n].append(k)
+    return users
+
+
+def spine_hcp(t: hcp.HcpTerm) -> tuple[list[tuple[Name, Type]], list[hcp.HcpTerm]]:
+    """The prenex form of a fresh HCP term, without freshening it: its
+    restrictions outermost first and its components left to right, inert
+    ones dropped."""
+    binders: list[tuple[Name, Type]] = []
+    comps: list[hcp.HcpTerm] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is hcp.New:
+            binders.append((node.x, node.ty))
+            stack.append(node.body)
+        elif cls is hcp.Par:
+            stack += (node.right, node.left)
+        elif cls is not hcp.Inert:
+            comps.append(node)
+    return binders, comps
+
+
+def prenex_cp(t: cp.CpTerm) -> CpPrenex:
+    binders, comps, _, _ = spine_cp(cp.freshen_if_needed(t))
     return CpPrenex(binders, comps)
 
 
 def prenex_hcp(t: hcp.HcpTerm) -> HcpPrenex:
-    t = hcp.freshen_if_needed(t)
-    binders: list[tuple[Name, Type]] = []
-    comps: list[hcp.HcpTerm] = []
-
-    def go(t):
-        match t:
-            case hcp.New(x, a, p):
-                binders.append((x, a))
-                go(p)
-            case hcp.Par(p, q):
-                go(p)
-                go(q)
-            case hcp.Inert():
-                pass
-            case _:
-                comps.append(t)
-
-    go(t)
-    return HcpPrenex(binders, comps)
+    return HcpPrenex(*spine_hcp(hcp.freshen_if_needed(t)))
 
 
 def prenex(t):
@@ -128,36 +150,60 @@ def rebuild_hcp(binders: list[tuple[Name, Type]], comps: list[hcp.HcpTerm]) -> h
     return body
 
 
+def cut_order(binders: list[CpBinder], n: int) -> tuple[list[tuple[CpBinder, int, Type]], int]:
+    """The order in which `rebuild_cp` nests a cut tree over components
+    0..n-1: again and again the cut of least uid (the earlier one on a tie)
+    among those with a leaf end, which it cuts off.  Returns per cut, in that
+    order, the cut, its leaf and its formula on the leaf's side; and the
+    component left at the end.  A heap of the cuts with a leaf end makes it
+    O(n log n)."""
+    for b in binders:
+        if b.left is None or b.right is None or b.left == b.right:
+            raise CongruenceError(f"cannot rebuild: binder {b.name} lacks two endpoint components")
+    deg = [0] * n
+    incident = [0] * n  # per component, the xor of its remaining cuts' indices
+    for k, b in enumerate(binders):
+        for c in (b.left, b.right):
+            deg[c] += 1
+            incident[c] ^= k
+    heap = [(b.name.uid, k) for k, b in enumerate(binders) if deg[b.left] == 1 or deg[b.right] == 1]
+    heapq.heapify(heap)
+    done = [False] * len(binders)
+    order = []
+    while heap:
+        k = heapq.heappop(heap)[1]
+        if done[k]:
+            continue
+        done[k] = True
+        b = binders[k]
+        if deg[b.left] == 1:
+            leaf, other, ann = b.left, b.right, b.ty
+        else:
+            leaf, other, ann = b.right, b.left, dual(b.ty)
+        order.append((b, leaf, ann))
+        deg[leaf] = 0
+        deg[other] -= 1
+        incident[other] ^= k
+        if deg[other] == 1:
+            k2 = incident[other]
+            heapq.heappush(heap, (binders[k2].name.uid, k2))
+    if len(order) < len(binders):
+        raise CongruenceError("cannot rebuild: cyclic cut structure")
+    if n - len(order) != 1:
+        raise CongruenceError("cannot rebuild: components do not form a cut tree")
+    leaves = {leaf for _, leaf, _ in order}
+    return order, next(c for c in range(n) if c not in leaves)
+
+
 def rebuild_cp(binders: list[CpBinder], comps: list[cp.CpTerm]) -> cp.CpTerm:
     """Reassemble a cut spine.  Components and binders must form a tree
     (each binder connecting its two endpoint components), as any well-typed
     CP term does."""
-    for b in binders:
-        if b.left is None or b.right is None or b.left == b.right:
-            raise CongruenceError(f"cannot rebuild: binder {b.name} lacks two endpoint components")
-
-    def build(edges: list[CpBinder], alive: frozenset[int]) -> cp.CpTerm:
-        if not edges:
-            if len(alive) != 1:
-                raise CongruenceError("cannot rebuild: components do not form a cut tree")
-            return comps[next(iter(alive))]
-        deg: dict[int, int] = {}
-        for e in edges:
-            deg[e.left] = deg.get(e.left, 0) + 1
-            deg[e.right] = deg.get(e.right, 0) + 1
-        best = None
-        for e in edges:
-            leaf = e.left if deg[e.left] == 1 else (e.right if deg[e.right] == 1 else None)
-            if leaf is not None and (best is None or e.name.uid < best[0].name.uid):
-                best = (e, leaf)
-        if best is None:
-            raise CongruenceError("cannot rebuild: cyclic cut structure")
-        e, leaf = best
-        ann = e.ty if leaf == e.left else dual(e.ty)
-        rest = build([x for x in edges if x is not e], alive - {leaf})
-        return cp.Cut(e.name, ann, comps[leaf], rest)
-
-    return build(list(binders), frozenset(range(len(comps))))
+    order, last = cut_order(binders, len(comps))
+    body = comps[last]
+    for b, leaf, ann in reversed(order):
+        body = cp.Cut(b.name, ann, comps[leaf], body)
+    return body
 
 
 # -- congruence keys ----------------------------------------------------------

@@ -418,10 +418,12 @@ def _gen_hcp_cached(cfg: GenConfig, index: int):
         for p in reversed(parts[:-1]):
             term = hcp.Par(p, term)
         for _ in range(rng.randint(0, 2)):
-            rs = reduction.find_redexes(term)
+            c = reduction.Configuration(term)
+            rs = c.redexes()
             if not rs:
                 break
-            term = reduction.step(term, rng.choice(rs))
+            c.fire(rng.choice(rs))
+            term = c.term()
         term = scramble(term, rng, rng.randint(0, 5))
         d, part = check_hcp(term, env)
     return term, tuple(env.items()), d
@@ -600,8 +602,7 @@ def _prop_simulate_forward(t, env) -> str | None:
 
 def _prop_simulate_backward(t, env) -> str | None:
     image = cp_to_hcp(t)
-    for r in reduction.find_redexes(image)[:4]:
-        reduct = reduction.step(image, r)
+    for r, reduct in itertools.islice(reduction.successors(image), 4):
         try:
             q = bridge.simulate_backward(t, reduct)
         except bridge.SimulationError as e:

@@ -1,19 +1,49 @@
 """Reduction engines for CP and HCP.
 
-Redex search happens in prenex normal form, which realizes closure under
-structural congruence: every cut/parallel skeleton position is visible, and
-no redex under an action prefix is ever reported.  The deterministic strategy
-picks the redex with the smallest (bound-channel uid, rule tag) pair, so
-traces are reproducible byte for byte.  The termination measure is the
-multiset of restriction-formula sizes; every step strictly decreases it.
+Reduction runs on a configuration: a term in prenex normal form, which is
+Milner's standard form and the "solution" of Berry and Boudol's chemical
+abstract machine (TCS 1992).  Prenex form realizes closure under structural
+congruence (CP Def. 2, HCP Def. 10): every cut/parallel skeleton position is
+visible, and no redex under an action prefix is ever reported.  A
+`Configuration` holds the restrictions in prenex order (for CP, each cut
+with the positions of the components holding its two endpoints), the
+components left to right with their free names, an index from each
+restricted channel to the components it is free in, and the termination
+measure.  Its invariants make the configuration after a step equal, field
+for field, to the prenex form of the term the step denotes:
+
+- Fresh once.  A configuration freshens its term once.  Every rule keeps a
+  fresh term fresh (substitution renames no binder and draws no name), so no
+  step freshens again, and terms built from a configuration are marked clean.
+- Component order.  A step removes the redex's components and appends the
+  prenex levels of their continuations; that is the HCP order.  CP
+  components then take the order in which `congruence.rebuild_cp` nests the
+  cut tree (`congruence.cut_order`), so redex indices are those of the
+  rebuilt term.
+- Incremental measure.  The measure, the multiset of restriction-formula
+  sizes, is taken once; a step removes its channel's formula, adds the at
+  most two formulas it restricts, and for a selection removes those of the
+  restrictions inside the branch it discards.
+
+A step touches the redex's two components, the index entries of the names
+they mention and the levels it splices in; it never walks inside the other
+components.  A trace keeps each step's configuration fields and builds the
+step's term only when asked (`TraceStep.term`).
+
+The deterministic strategy picks the redex with the smallest (bound-channel
+uid, rule tag) pair, so traces are reproducible byte for byte.  Every step
+strictly decreases the measure.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import congruence, cp, hcp
 from . import types as ty
+from .congruence import CpBinder
 from .names import Name
 from .terms import SUBTERM_FIELDS
 from .types import dual, size
@@ -68,45 +98,7 @@ _HCP_BETA = {
 }
 
 
-def find_redexes(t) -> list[Redex]:
-    is_cp = isinstance(t, cp.CpTerm)
-    p = congruence.prenex_cp(t) if is_cp else congruence.prenex_hcp(t)
-    fv = cp.free_names if is_cp else hcp.free_names
-    beta = _CP_BETA if is_cp else _HCP_BETA
-    link_cls = cp.Link if is_cp else hcp.Link
-    if is_cp:
-        bound = [b.name for b in p.binders]
-    else:
-        bound = [b[0] for b in p.binders]
-    links: dict[Name, list[int]] = {}  # name -> indices of the links on it
-    acting: dict[Name, list[int]] = {}  # name -> indices of the actions on it
-    for i, c in enumerate(p.comps):
-        if isinstance(c, link_cls):
-            if c.x != c.y:
-                links.setdefault(c.x, []).append(i)
-                links.setdefault(c.y, []).append(i)
-        else:
-            acting.setdefault(c.x, []).append(i)
-    fvs = [fv(c) for c in p.comps] if links else []
-    out: list[Redex] = []
-    for b in bound:
-        for i in links.get(b, ()):
-            partners = [j for j, f in enumerate(fvs) if j != i and b in f]
-            if partners:
-                out.append(Redex(RULE_LINK, b, i, partners[0]))
-        subjects = acting.get(b, ())
-        for i in subjects:
-            for j in subjects:
-                if i == j:
-                    continue
-                tag = beta.get((type(p.comps[i]), type(p.comps[j])))
-                if tag is not None:
-                    out.append(Redex(tag, b, i, j))
-    out.sort(key=lambda r: (r.channel.uid, _TAG_ORDER[r.rule], r.i, r.j))
-    return out
-
-
-def _oriented(rec: congruence.CpBinder, send_idx: int, want) -> ty.Type:
+def _oriented(rec: CpBinder, send_idx: int, want) -> ty.Type:
     if rec.left == send_idx:
         s = rec.ty
     elif rec.right == send_idx:
@@ -118,196 +110,397 @@ def _oriented(rec: congruence.CpBinder, send_idx: int, want) -> ty.Type:
     return s
 
 
-def _the_comp_with(comps: list, base: int, name: Name, fv) -> int:
-    hits = [base + k for k, c in enumerate(comps) if name in fv(c)]
-    if len(hits) != 1:
-        raise ReductionError(f"channel {name} must occur in exactly one component, found {len(hits)}")
-    return hits[0]
+class Configuration:
+    """A term in prenex form, which `fire` rewrites in place (see the module
+    docstring).
+
+    `binders`: for CP a list of `CpBinder`s whose endpoints are component
+    positions; for HCP a dict from each restricted name to its type, in
+    prenex order.  `comps` and `fvs`: the components left to right and their
+    free names.  `users`: each restricted name's components, those it is
+    free in, as ascending slots.  `slots` holds each position's slot and
+    ascends too, so a slot's position is a bisection; CP renumbers the slots
+    after every step (its components move), HCP never does and gives each
+    component it adds the next unused slot.  `sizes`: the measure in
+    ascending order, if asked for.
+
+    `first_redex` keeps the uids of the restricted names that may have a
+    redex in a heap.  A name leaves it when found without one, and returns
+    when a component that mentions it is removed or added, the only events
+    that can give it one: a link step's substitution changes components only
+    in the link's two names, which the link's removal returns."""
+
+    __slots__ = ("is_cp", "binders", "comps", "fvs", "slots", "users", "sizes", "_next", "_heap", "_pending")
+
+    def __init__(self, t, with_measure: bool = False):
+        self.is_cp = isinstance(t, cp.CpTerm)
+        if self.is_cp:
+            t = cp.freshen_if_needed(t)
+            self.binders, comps, fvs, users = congruence.spine_cp(t)
+        else:
+            t = hcp.freshen_if_needed(t)
+            binders, comps = congruence.spine_hcp(t)
+            self.binders = dict(binders)
+            fvs = [hcp.free_names(c) for c in comps]
+            users = congruence.free_in(self.binders, fvs)
+        self.comps, self.fvs = comps, fvs
+        self.users = {n: tuple(us) for n, us in users.items()}
+        self.slots = list(range(len(comps)))
+        self._next = len(comps)
+        self.sizes = sorted(measure(t)) if with_measure else None
+        self._heap = None  # built by the first first_redex
+
+    def copy(self) -> Configuration:
+        c = object.__new__(Configuration)
+        c.is_cp, c._next, c._heap = self.is_cp, self._next, None
+        c.binders = list(self.binders) if self.is_cp else dict(self.binders)
+        c.comps, c.fvs, c.slots = list(self.comps), list(self.fvs), list(self.slots)
+        c.users = dict(self.users)
+        c.sizes = None if self.sizes is None else list(self.sizes)
+        return c
+
+    def names(self) -> list[Name]:
+        """The restricted names, in prenex order."""
+        return [b.name for b in self.binders] if self.is_cp else list(self.binders)
+
+    def measure(self) -> tuple[int, ...]:
+        """Multiset (sorted descending) of restriction-formula sizes."""
+        return tuple(reversed(self.sizes))
+
+    def redexes(self) -> list[Redex]:
+        """Every redex, in (channel uid, rule tag, i, j) order."""
+        out: list[Redex] = []
+        for b in self.names():
+            self._redexes_on(b, out)
+        out.sort(key=_redex_order)
+        return out
+
+    def first_redex(self) -> Redex | None:
+        """`redexes()[0]`, or None if there is no redex."""
+        if self._heap is None:
+            self._heap, self._pending = [], {}
+            self._touch(self.users)
+        heap, pending = self._heap, self._pending
+        while heap:
+            out: list[Redex] = []
+            for b in pending[heap[0]]:
+                if b in self.users:
+                    self._redexes_on(b, out)
+            if out:
+                return min(out, key=_redex_order)
+            del pending[heapq.heappop(heap)]
+        return None
+
+    def _touch(self, names) -> None:
+        """Put the restricted ones among names back among the candidates of
+        first_redex."""
+        if self._heap is None:
+            return
+        for n in names:
+            if n in self.users:
+                same_uid = self._pending.get(n.uid)
+                if same_uid is None:
+                    self._pending[n.uid] = same_uid = set()
+                    heapq.heappush(self._heap, n.uid)
+                same_uid.add(n)
+
+    def _redexes_on(self, b: Name, out: list[Redex]) -> None:
+        """Add the redexes on the restricted name b to out.  A link on b
+        pairs with the first other component b is free in."""
+        us = self.users[b]
+        if len(us) < 2:
+            return
+        comps, slots = self.comps, self.slots
+        link_cls = cp.Link if self.is_cp else hcp.Link
+        ps = [bisect_left(slots, s) for s in us]
+        acting = []  # positions of the components acting on b
+        for p in ps:
+            c = comps[p]
+            if type(c) is link_cls:
+                if c.x != c.y:
+                    out.append(Redex(RULE_LINK, b, p, ps[1] if p == ps[0] else ps[0]))
+            elif c.x == b:
+                acting.append(p)
+        beta = _CP_BETA if self.is_cp else _HCP_BETA
+        for i in acting:
+            for j in acting:
+                if i != j:
+                    tag = beta.get((type(comps[i]), type(comps[j])))
+                    if tag is not None:
+                        out.append(Redex(tag, b, i, j))
+
+    def fire(self, r: Redex) -> None:
+        """Take the step r in place."""
+        comps, n = self.comps, len(self.comps)
+        if not (0 <= r.i < n and 0 <= r.j < n and r.i != r.j):
+            raise StaleRedexError("redex indices out of range")
+        ci = comps[r.i]
+        if r.rule == RULE_LINK:
+            if not (type(ci) is (cp.Link if self.is_cp else hcp.Link) and r.channel in (ci.x, ci.y)):
+                raise StaleRedexError("link redex no longer matches")
+            if r.channel not in self.fvs[r.j]:
+                raise StaleRedexError("link partner no longer matches")
+        else:
+            cj = comps[r.j]
+            if getattr(ci, "x", None) != r.channel or getattr(cj, "x", None) != r.channel:
+                raise StaleRedexError("redex components no longer act on the channel")
+            if (_CP_BETA if self.is_cp else _HCP_BETA).get((type(ci), type(cj))) != r.rule:
+                raise StaleRedexError("redex components no longer match the rule")
+        if self.is_cp:
+            self._fire_cp(r)
+        else:
+            self._fire_hcp(r)
+
+    def _resize(self, out: ty.Type, ins: tuple, dropped=None) -> None:
+        """The formula out and the restrictions inside the dropped branch
+        leave the measure, the formulas ins enter it."""
+        sizes = self.sizes
+        if sizes is not None:
+            for k in [size(out)] + ([] if dropped is None else _cut_sizes(dropped)):
+                del sizes[bisect_left(sizes, k)]
+            for a in ins:
+                insort(sizes, size(a))
+
+    def _fire_hcp(self, r: Redex) -> None:
+        binders, comps, fvs, users = self.binders, self.comps, self.fvs, self.users
+        ch = r.channel
+        if ch not in binders:
+            raise StaleRedexError(f"channel {ch} is not restricted")
+        a = binders[ch]
+        ci, cj = comps[r.i], comps[r.j]
+        if r.rule == RULE_LINK:
+            w = ci.y if ci.x == ch else ci.x
+            self._drop(r.i)
+            # the components ch is free in now mention w instead
+            for s in users[ch]:
+                p = bisect_left(self.slots, s)
+                comps[p] = hcp.substitute(comps[p], w, ch)
+                fvs[p] = fvs[p] - {ch} | {w}
+            if w in users:
+                users[w] = tuple(sorted(set(users[w]).union(users[ch])))
+            del users[ch], binders[ch]
+            self._resize(a, ())
+            return
+        if r.rule == RULE_TENS:
+            s = a if isinstance(a, ty.Tensor) else dual(a)
+            if not isinstance(s, ty.Tensor):
+                raise ReductionError(f"restriction {ch} is not annotated with an output type")
+            cuts = ((ch, s.right), (ci.y, s.left))
+            pieces = (ci.body, hcp.substitute(cj.body, ci.y, cj.y))
+            dropped = None
+        elif r.rule == RULE_UNIT:
+            cuts, pieces, dropped = (), (ci.body, cj.body), None
+        else:
+            s = a if isinstance(a, ty.Plus) else dual(a)
+            if not isinstance(s, ty.Plus):
+                raise ReductionError(f"restriction {ch} is not annotated with a selection type")
+            cuts = ((ch, s.left if r.rule == RULE_PLUS1 else s.right),)
+            pieces = (ci.body, cj.left if r.rule == RULE_PLUS1 else cj.right)
+            dropped = cj.right if r.rule == RULE_PLUS1 else cj.left
+        for p in sorted((r.i, r.j), reverse=True):
+            self._drop(p)
+        del binders[ch]
+        if not cuts:
+            del users[ch]
+        for x, b in cuts:
+            binders[x] = b
+            users.setdefault(x, ())
+        for piece in pieces:
+            bs, cs = congruence.spine_hcp(piece)
+            for x, b in bs:
+                binders[x] = b
+                users[x] = ()
+            for c in cs:
+                self._append(c, hcp.free_names(c))
+        self._resize(a, tuple(b for _, b in cuts), dropped)
+
+    def _drop(self, p: int) -> None:
+        """Remove the component at position p (HCP)."""
+        s = self.slots.pop(p)
+        del self.comps[p]
+        users = self.users
+        fv = self.fvs.pop(p)
+        for n in fv:
+            us = users.get(n)
+            if us is not None:
+                users[n] = tuple([x for x in us if x != s])
+        self._touch(fv)
+
+    def _append(self, c, fv: frozenset[Name]) -> None:
+        """Add a component at the end, in a new slot (HCP)."""
+        s = self._next
+        self._next += 1
+        self.comps.append(c)
+        self.fvs.append(fv)
+        self.slots.append(s)
+        users = self.users
+        for n in fv:
+            us = users.get(n)
+            if us is not None:
+                users[n] = us + (s,)
+        self._touch(fv)
+
+    def _fire_cp(self, r: Redex) -> None:
+        comps, fvs, users = self.comps, self.fvs, self.users
+        ch, i, j = r.channel, r.i, r.j
+        rec = next((b for b in self.binders if b.name == ch), None)
+        if rec is None:
+            raise StaleRedexError(f"channel {ch} is not restricted")
+        ci, cj = comps[i], comps[j]
+        # the continuations to splice in, each with the position it comes
+        # from, and the cuts the step makes: (name, formula, the pieces
+        # holding its left and right endpoints)
+        cuts: tuple = ()
+        dropped = None  # the branch a selection discards
+        if r.rule == RULE_LINK:
+            pieces: tuple = ()
+            ins: tuple = ()
+        elif r.rule == RULE_TENS:
+            s = _oriented(rec, i, ty.Tensor)
+            pieces = ((ci.payload, i), (ci.cont, i), (cp.substitute(cj.body, ci.y, cj.y), j))
+            cuts = ((ci.y, s.left, 0, 2), (ch, s.right, 1, 2))
+            ins = (s.left, s.right)
+        elif r.rule == RULE_UNIT:
+            pieces, ins = ((cj.body, j),), ()
+        else:
+            s = _oriented(rec, i, ty.Plus)
+            a = s.left if r.rule == RULE_PLUS1 else s.right
+            pieces = ((ci.body, i), (cj.left if r.rule == RULE_PLUS1 else cj.right, j))
+            dropped = cj.right if r.rule == RULE_PLUS1 else cj.left
+            cuts = ((ch, a, 0, 1),)
+            ins = (a,)
+
+        # the components before reordering: the kept ones in order, then the pieces' levels
+        kept = [p for p in range(len(comps)) if p != i and (p != j or r.rule == RULE_LINK)]
+        index_of = {p: k for k, p in enumerate(kept)}
+        new_comps = [comps[p] for p in kept]
+        new_fvs = [fvs[p] for p in kept]
+        touched = [fvs[p] for p in range(len(comps)) if p not in index_of]  # free names of removed components
+        moved: dict[Name, list[int]] = {}  # a link's other end: the kept components it is now free in
+        if r.rule == RULE_LINK:
+            w = ci.y if ci.x == ch else ci.x
+            moved[w] = [p for p in users[ch] if p != i]
+            for p in moved[w]:
+                k = index_of[p]
+                new_comps[k] = cp.substitute(comps[p], w, ch)
+                new_fvs[k] = fvs[p] - {ch} | {w}
+        spliced: dict[Name, list[int]] = {}  # name -> the spliced components it is free in
+        regions: list[tuple[int, int]] = []
+        origins: dict[int, list[tuple[int, int]]] = {}
+        extra: list[CpBinder] = []
+        for piece, origin in pieces:
+            bs, cs, fs, _ = congruence.spine_cp(piece)
+            base = len(new_comps)
+            for b in bs:
+                extra.append(CpBinder(b.name, b.ty, None if b.left is None else base + b.left,
+                                      None if b.right is None else base + b.right))
+            new_comps += cs
+            new_fvs += fs
+            touched += fs
+            for k, fv in enumerate(fs, base):
+                for n in fv:
+                    spliced.setdefault(n, []).append(k)
+            regions.append((base, len(new_comps)))
+            origins.setdefault(origin, []).append(regions[-1])
+
+        def the_comp_with(piece: int, name: Name) -> int:
+            lo, hi = regions[piece]
+            hits = [k for k in spliced.get(name, ()) if lo <= k < hi]
+            if len(hits) != 1:
+                raise ReductionError(f"channel {name} must occur in exactly one component, found {len(hits)}")
+            return hits[0]
+
+        for x, a, left, right in cuts:
+            extra.append(CpBinder(x, a, the_comp_with(left, x), the_comp_with(right, x)))
+
+        def locate(p: int | None, name: Name) -> int | None:
+            # a link's endpoints move to its partner; those inside a consumed
+            # component move into the one component spliced from it that holds them
+            if p is None:
+                return None
+            if r.rule == RULE_LINK and p == i:
+                p = j
+            if p in index_of:
+                return index_of[p]
+            hits = [k for k in spliced.get(name, ()) if any(lo <= k < hi for lo, hi in origins.get(p, ()))]
+            return hits[0] if len(hits) == 1 else None
+
+        new_binders = [CpBinder(b.name, b.ty, locate(b.left, b.name), locate(b.right, b.name))
+                       for b in self.binders if b.name != ch]
+        order, last = congruence.cut_order(new_binders + extra, len(new_comps))
+
+        # reorder as the rebuilt term nests its cuts, as prenex_cp would find them
+        seq = [leaf for _, leaf, _ in order]
+        seq.append(last)
+        pos = [0] * len(seq)
+        for k, d in enumerate(seq):
+            pos[d] = k
+        self.comps = [new_comps[d] for d in seq]
+        self.fvs = fvs2 = [new_fvs[d] for d in seq]
+        self.binders = []
+        self.users = {}
+        for k, (b, _, ann) in enumerate(order):
+            x = b.name
+            us = {pos[index_of[p]] for p in users.get(x, ()) if p in index_of}
+            us.update(pos[index_of[p]] for p in moved.get(x, ()))
+            us.update(pos[q] for q in spliced.get(x, ()))
+            self.users[x] = us = tuple(sorted(us))
+            right = [q for q in us if q > k]
+            self.binders.append(CpBinder(x, ann, k if x in fvs2[k] else None, right[0] if len(right) == 1 else None))
+        self.slots = list(range(len(seq)))
+        for fv in touched:
+            self._touch(fv)
+        self._resize(rec.ty, ins, dropped)
+
+    def term(self):
+        """The term this configuration stands for.  For CP only once a step
+        has put the components in nesting order."""
+        return _build(self.snapshot())
+
+    def snapshot(self) -> tuple:
+        """What `term` needs, unaffected by later steps."""
+        if self.is_cp:
+            return True, tuple(self.binders), tuple(self.comps)
+        return False, (tuple(self.binders), tuple(self.binders.values())), tuple(self.comps)
+
+
+def _redex_order(r: Redex) -> tuple:
+    return r.channel.uid, _TAG_ORDER[r.rule], r.i, r.j
+
+
+def _build(snapshot: tuple):
+    is_cp, binders, comps = snapshot
+    if is_cp:
+        t = comps[-1]
+        for b, c in zip(reversed(binders), reversed(comps[:-1])):
+            t = cp.Cut(b.name, b.ty, c, t)
+    else:
+        names, types = binders
+        t = congruence.rebuild_hcp(list(zip(names, types)), comps)
+    object.__setattr__(t, "_clean", True)  # see the module docstring: fresh stays fresh
+    return t
+
+
+def find_redexes(t) -> list[Redex]:
+    return Configuration(t).redexes()
 
 
 def step(t, r: Redex):
     """Fire one redex; the contractum is re-wrapped under the remaining
     prenex binders and components."""
-    if isinstance(t, cp.CpTerm):
-        return _step_cp(t, r)
-    return _step_hcp(t, r)
+    c = Configuration(t)
+    c.fire(r)
+    return c.term()
 
 
-def _validate(comps, r: Redex, link_cls, fv, beta):
-    n = len(comps)
-    if not (0 <= r.i < n and 0 <= r.j < n and r.i != r.j):
-        raise StaleRedexError("redex indices out of range")
-    ci = comps[r.i]
-    if r.rule == RULE_LINK:
-        if not (isinstance(ci, link_cls) and r.channel in (ci.x, ci.y)):
-            raise StaleRedexError("link redex no longer matches")
-        if r.channel not in fv(comps[r.j]):
-            raise StaleRedexError("link partner no longer matches")
-    else:
-        cj = comps[r.j]
-        if getattr(ci, "x", None) != r.channel or getattr(cj, "x", None) != r.channel:
-            raise StaleRedexError("redex components no longer act on the channel")
-        if beta.get((type(ci), type(cj))) != r.rule:
-            raise StaleRedexError("redex components no longer match the rule")
-
-
-def _step_cp(t: cp.CpTerm, r: Redex) -> cp.CpTerm:
-    p = congruence.prenex_cp(t)
-    _validate(p.comps, r, cp.Link, cp.free_names, _CP_BETA)
-    rec = next((b for b in p.binders if b.name == r.channel), None)
-    if rec is None:
-        raise StaleRedexError(f"channel {r.channel} is not restricted")
-    comps = p.comps
-    new_comps: list[cp.CpTerm] = []
-    extra_binders: list[congruence.CpBinder] = []
-
-    if r.rule == RULE_LINK:
-        link = comps[r.i]
-        w = link.y if link.x == r.channel else link.x
-        index_of: dict[int, int] = {}
-        for k, c in enumerate(comps):
-            if k == r.i:
-                continue
-            index_of[k] = len(new_comps)
-            # a component without the channel would come back equal: the term
-            # is fresh, so no binder in it equals w and substitute would
-            # rename nothing and draw no fresh name
-            new_comps.append(cp.substitute(c, w, r.channel) if r.channel in cp.free_names(c) else c)
-        new_binders = []
-        for b in p.binders:
-            if b.name == r.channel:
-                continue
-            left = r.j if b.left == r.i else b.left
-            right = r.j if b.right == r.i else b.right
-            new_binders.append(congruence.CpBinder(b.name, b.ty, index_of.get(left), index_of.get(right)))
-        return congruence.rebuild_cp(new_binders, new_comps)
-
-    drop = {r.i, r.j}
-    index_of = {}
-    regions: dict[int, list[tuple[int, int]]] = {}
-    for k, c in enumerate(comps):
-        if k in drop:
-            continue
-        index_of[k] = len(new_comps)
-        new_comps.append(c)
-
-    def splice(term: cp.CpTerm, origin: int) -> tuple[int, int]:
-        sub = congruence.prenex_cp(term)
-        base = len(new_comps)
-        new_comps.extend(sub.comps)
-        regions.setdefault(origin, []).append((base, len(sub.comps)))
-        for b in sub.binders:
-            extra_binders.append(congruence.CpBinder(
-                b.name, b.ty,
-                None if b.left is None else base + b.left,
-                None if b.right is None else base + b.right,
-            ))
-        return base, len(sub.comps)
-
-    ci, cj = comps[r.i], comps[r.j]
-    if r.rule == RULE_TENS:
-        send, recv = ci, cj
-        s = _oriented(rec, r.i, ty.Tensor)
-        body = cp.substitute(recv.body, send.y, recv.y)
-        pb, pn = splice(send.payload, r.i)
-        qb, qn = splice(send.cont, r.i)
-        rb, rn = splice(body, r.j)
-        extra_binders.append(congruence.CpBinder(
-            send.y, s.left,
-            _the_comp_with(new_comps[pb:pb + pn], pb, send.y, cp.free_names),
-            _the_comp_with(new_comps[rb:rb + rn], rb, send.y, cp.free_names),
-        ))
-        extra_binders.append(congruence.CpBinder(
-            r.channel, s.right,
-            _the_comp_with(new_comps[qb:qb + qn], qb, r.channel, cp.free_names),
-            _the_comp_with(new_comps[rb:rb + rn], rb, r.channel, cp.free_names),
-        ))
-    elif r.rule == RULE_UNIT:
-        splice(cj.body, r.j)
-    elif r.rule in (RULE_PLUS1, RULE_PLUS2):
-        s = _oriented(rec, r.i, ty.Plus)
-        a = s.left if r.rule == RULE_PLUS1 else s.right
-        branch = cj.left if r.rule == RULE_PLUS1 else cj.right
-        pb, pn = splice(ci.body, r.i)
-        qb, qn = splice(branch, r.j)
-        extra_binders.append(congruence.CpBinder(
-            r.channel, a,
-            _the_comp_with(new_comps[pb:pb + pn], pb, r.channel, cp.free_names),
-            _the_comp_with(new_comps[qb:qb + qn], qb, r.channel, cp.free_names),
-        ))
-    else:
-        raise StaleRedexError(f"unknown rule {r.rule}")
-
-    def locate(old_idx: int | None, name: Name) -> int | None:
-        # spectator endpoints inside a consumed component moved into its splices
-        if old_idx is None:
-            return None
-        if old_idx in index_of:
-            return index_of[old_idx]
-        hits = []
-        for base, cnt in regions.get(old_idx, []):
-            for k in range(base, base + cnt):
-                if name in cp.free_names(new_comps[k]):
-                    hits.append(k)
-        return hits[0] if len(hits) == 1 else None
-
-    new_binders = []
-    for b in p.binders:
-        if b.name == r.channel:
-            continue
-        new_binders.append(congruence.CpBinder(b.name, b.ty, locate(b.left, b.name), locate(b.right, b.name)))
-    new_binders.extend(extra_binders)
-    return congruence.rebuild_cp(new_binders, new_comps)
-
-
-def _step_hcp(t: hcp.HcpTerm, r: Redex) -> hcp.HcpTerm:
-    p = congruence.prenex_hcp(t)
-    _validate(p.comps, r, hcp.Link, hcp.free_names, _HCP_BETA)
-    rec = next(((n, a) for n, a in p.binders if n == r.channel), None)
-    if rec is None:
-        raise StaleRedexError(f"channel {r.channel} is not restricted")
-
-    def splice(term, binders, comps):
-        sub = congruence.prenex_hcp(term)
-        binders.extend(sub.binders)
-        comps.extend(sub.comps)
-
-    if r.rule == RULE_LINK:
-        link = p.comps[r.i]
-        w = link.y if link.x == r.channel else link.x
-        # only components that mention the channel change (see _step_cp)
-        comps = [hcp.substitute(c, w, r.channel) if r.channel in hcp.free_names(c) else c
-                 for k, c in enumerate(p.comps) if k != r.i]
-        binders = [(n, a) for n, a in p.binders if n != r.channel]
-        return congruence.rebuild_hcp(binders, comps)
-
-    binders = [(n, a) for n, a in p.binders if n != r.channel]
-    comps = [c for k, c in enumerate(p.comps) if k not in (r.i, r.j)]
-    ci, cj = p.comps[r.i], p.comps[r.j]
-    if r.rule == RULE_TENS:
-        s = rec[1] if isinstance(rec[1], ty.Tensor) else dual(rec[1])
-        if not isinstance(s, ty.Tensor):
-            raise ReductionError(f"restriction {r.channel} is not annotated with an output type")
-        body = hcp.substitute(cj.body, ci.y, cj.y)
-        binders.append((r.channel, s.right))
-        binders.append((ci.y, s.left))
-        splice(ci.body, binders, comps)
-        splice(body, binders, comps)
-    elif r.rule == RULE_UNIT:
-        splice(ci.body, binders, comps)
-        splice(cj.body, binders, comps)
-    elif r.rule in (RULE_PLUS1, RULE_PLUS2):
-        s = rec[1] if isinstance(rec[1], ty.Plus) else dual(rec[1])
-        if not isinstance(s, ty.Plus):
-            raise ReductionError(f"restriction {r.channel} is not annotated with a selection type")
-        a = s.left if r.rule == RULE_PLUS1 else s.right
-        branch = cj.left if r.rule == RULE_PLUS1 else cj.right
-        binders.append((r.channel, a))
-        splice(ci.body, binders, comps)
-        splice(branch, binders, comps)
-    else:
-        raise StaleRedexError(f"unknown rule {r.rule}")
-    return congruence.rebuild_hcp(binders, comps)
+def successors(t):
+    """Yield (redex, reduct) for every redex of t, in order, all fired from
+    one configuration of t."""
+    c = Configuration(t)
+    for r in c.redexes():
+        c2 = c.copy()
+        c2.fire(r)
+        yield r, c2.term()
 
 
 # -- measure ------------------------------------------------------------------
@@ -315,6 +508,10 @@ def _step_hcp(t: hcp.HcpTerm, r: Redex) -> hcp.HcpTerm:
 
 def measure(t) -> tuple[int, ...]:
     """Multiset (sorted descending) of restriction-formula sizes."""
+    return tuple(sorted(_cut_sizes(t), reverse=True))
+
+
+def _cut_sizes(t) -> list[int]:
     sizes: list[int] = []
     stack = [t]
     while stack:
@@ -324,7 +521,7 @@ def measure(t) -> tuple[int, ...]:
             sizes.append(size(t.ty))
         for f in SUBTERM_FIELDS.get(cls, ()):
             stack.append(getattr(t, f))
-    return tuple(sorted(sizes, reverse=True))
+    return sizes
 
 
 def multiset_less(a, b) -> bool:
@@ -355,26 +552,27 @@ class CanonicalResult:
 
 
 def is_canonical(t) -> CanonicalResult:
-    is_cp = isinstance(t, cp.CpTerm)
-    p = congruence.prenex_cp(t) if is_cp else congruence.prenex_hcp(t)
-    link_cls = cp.Link if is_cp else hcp.Link
-    bound = set(b.name for b in p.binders) if is_cp else set(n for n, _ in p.binders)
-    names = [b.name for b in p.binders] if is_cp else [n for n, _ in p.binders]
-    res = CanonicalResult(True, names, list(p.comps))
-    if not is_cp and p.binders and len(p.comps) < len(p.binders) + 1:
-        return CanonicalResult(False, names, list(p.comps),
-                               "fewer components than restrictions: some channel is self-guarded")
+    return _canonical(Configuration(t))
+
+
+def _canonical(c: Configuration) -> CanonicalResult:
+    link_cls = cp.Link if c.is_cp else hcp.Link
+    names = c.names()
+    bound = set(names)
+    comps = list(c.comps)
+    if not c.is_cp and names and len(comps) < len(names) + 1:
+        return CanonicalResult(False, names, comps, "fewer components than restrictions: some channel is self-guarded")
     acting: dict[Name, int] = {}
-    for i, c in enumerate(p.comps):
-        for n in _acts_on(c):
+    for i, comp in enumerate(comps):
+        for n in _acts_on(comp):
             if n not in bound:
                 continue
-            if isinstance(c, link_cls):
-                return CanonicalResult(False, names, list(p.comps), f"a link acts on the bound channel {n}")
+            if isinstance(comp, link_cls):
+                return CanonicalResult(False, names, comps, f"a link acts on the bound channel {n}")
             if n in acting:
-                return CanonicalResult(False, names, list(p.comps), f"two components act on the bound channel {n}")
+                return CanonicalResult(False, names, comps, f"two components act on the bound channel {n}")
             acting[n] = i
-    return res
+    return CanonicalResult(True, names, comps)
 
 
 def check_blocked(t) -> bool:
@@ -395,11 +593,25 @@ def check_blocked(t) -> bool:
 # -- multi-step reduction -----------------------------------------------------
 
 
-@dataclass
 class TraceStep:
-    redex: Redex
-    term: object
-    measure: tuple[int, ...]
+    """One step of a trace: the redex fired, the measure after it, and the
+    term it leads to, built from the configuration's fields on first access
+    and then kept."""
+
+    __slots__ = ("redex", "measure", "_snapshot", "_term")
+
+    def __init__(self, redex: Redex, snapshot: tuple, measure: tuple[int, ...]):
+        self.redex = redex
+        self.measure = measure
+        self._snapshot = snapshot
+        self._term = None
+
+    @property
+    def term(self):
+        if self._term is None:
+            self._term = _build(self._snapshot)
+            self._snapshot = None
+        return self._term
 
 
 @dataclass
@@ -423,23 +635,22 @@ def reduce(t, fuel: int | None = None, strategy: str = "deterministic"):
         return reduction_graph(t)
     if strategy != "deterministic":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if fuel is None:
-        fuel = fuel_bound(t)
-    if fuel < 1:
+    if fuel is not None and fuel < 1:
         raise ValueError("fuel must be at least 1")
+    c = Configuration(t, with_measure=True)
+    if fuel is None:
+        fuel = 1 + sum(c.sizes)
     steps: list[TraceStep] = []
-    cur = t
     for _ in range(fuel):
-        rs = find_redexes(cur)
-        if not rs:
-            status = "canonical" if is_canonical(cur) else "stuck"
-            return ReductionTrace(t, steps, status)
-        r = rs[0]
-        cur = step(cur, r)
-        steps.append(TraceStep(r, cur, measure(cur)))
-    if find_redexes(cur):
-        return ReductionTrace(t, steps, "fuel-exhausted")
-    return ReductionTrace(t, steps, "canonical" if is_canonical(cur) else "stuck")
+        r = c.first_redex()
+        if r is None:
+            break
+        c.fire(r)
+        steps.append(TraceStep(r, c.snapshot(), c.measure()))
+    else:
+        if c.first_redex() is not None:
+            return ReductionTrace(t, steps, "fuel-exhausted")
+    return ReductionTrace(t, steps, "canonical" if _canonical(c).ok else "stuck")
 
 
 def render_trace(trace: ReductionTrace) -> str:
@@ -497,12 +708,9 @@ def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
     frontier = deque([0])
     while frontier:
         i = frontier.popleft()
-        rs = find_redexes(nodes[i])
-        if not rs:
-            terminals.append(i)
-            continue
-        for r in rs:
-            t2 = step(nodes[i], r)
+        terminal = True
+        for r, t2 in successors(nodes[i]):
+            terminal = False
             k = congruence.key(t2)
             found = None
             for j in buckets.get(k, []):
@@ -517,4 +725,6 @@ def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
                 buckets.setdefault(k, []).append(found)
                 frontier.append(found)
             edges.append((i, found, r.rule, r.channel.surface))
+        if terminal:
+            terminals.append(i)
     return ReductionGraph(nodes, edges, terminals)

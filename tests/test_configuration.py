@@ -1,0 +1,261 @@
+"""Reduction on configurations, checked against the reducer it replaced.
+
+`reference_reduction` keeps the term-level reducer verbatim: it takes the
+prenex form of the whole term again at every step.  Both run on samples
+0-299 of `gen_cp`/`gen_hcp` at seed 42, on every fixture declaration and on
+unit-cut chains and mixes of the sizes the benchmark uses.  Per step they
+must agree on the redex list, the reduct (`==`), the measure and the
+configuration's fields against the prenex form of the reduct; per run on
+the trace, the status and the name supply's counter afterwards.  Single
+steps are compared on every redex of every sample.
+"""
+import pathlib
+import random
+from collections import Counter
+
+import pytest
+
+import reference_reduction as ref
+from sill import congruence as cg
+from sill import cp, harness, hcp, names, surface
+from sill import reduction as rd
+from sill.names import Name
+from sill.types import BOT, ONE, Plus, Tensor
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _redex(r) -> tuple:
+    return (r.rule, r.channel, r.i, r.j)
+
+
+def _new_redex(r) -> rd.Redex:
+    return rd.Redex(r.rule, r.channel, r.i, r.j)
+
+
+def _outcome(fn):
+    """fn's value, or the class name and message of what it raised."""
+    try:
+        return fn(), None
+    except Exception as e:  # the two reducers must fail alike
+        return None, (type(e).__name__, str(e))
+
+
+def _ref_fields(t) -> tuple:
+    if isinstance(t, cp.CpTerm):
+        p = ref.prenex_cp(t)
+        return [(b.name, b.ty, b.left, b.right) for b in p.binders], list(p.comps)
+    p = ref.prenex_hcp(t)
+    return list(p.binders), list(p.comps)
+
+
+def _fields(c: rd.Configuration) -> tuple:
+    if c.is_cp:
+        return [(b.name, b.ty, b.left, b.right) for b in c.binders], list(c.comps)
+    return list(c.binders.items()), list(c.comps)
+
+
+def _ref_walk(t) -> list:
+    out, cur = [], t
+    for _ in range(ref.fuel_bound(t)):
+        rs = ref.find_redexes(cur)
+        out.append([_redex(r) for r in rs])
+        if not rs:
+            break
+        cur = ref.step(cur, rs[0])
+        out.append((cur, ref.measure(cur), _ref_fields(cur)))
+    return out
+
+
+def _walk(t) -> list:
+    out, c = [], rd.Configuration(t, with_measure=True)
+    for _ in range(rd.fuel_bound(t)):
+        rs = c.redexes()
+        out.append([_redex(r) for r in rs])
+        assert c.first_redex() == (rs[0] if rs else None)
+        if not rs:
+            break
+        c.fire(rs[0])
+        out.append((c.term(), c.measure(), _fields(c)))
+    return out
+
+
+def _trace(tr) -> tuple:
+    return [(_redex(s.redex), s.term, s.measure) for s in tr.steps], tr.status, tr.final
+
+
+def _canonical(res) -> tuple:
+    return res.ok, res.binders, res.comps, res.reason
+
+
+def _same_runs(ref_fn, new_fn):
+    """Run both from the same name supply; they must agree on the value (or
+    the error) and leave the supply in the same place."""
+    start = names._counter
+    want = _outcome(ref_fn), names._counter
+    names._counter = start
+    got = _outcome(new_fn), names._counter
+    assert got == want
+
+
+def _check_term(t):
+    _same_runs(lambda: _ref_walk(t), lambda: _walk(t))
+    _same_runs(lambda: _trace(ref.reduce(t)), lambda: _trace(rd.reduce(t)))
+    _same_runs(lambda: _canonical(ref.is_canonical(t)), lambda: _canonical(rd.is_canonical(t)))
+
+
+def _check_single_steps(t):
+    rs = ref.find_redexes(t)
+    assert [_redex(r) for r in rd.find_redexes(t)] == [_redex(r) for r in rs]
+    for r in rs:
+        _same_runs(lambda: ref.step(t, r), lambda: rd.step(t, _new_redex(r)))
+    assert [(_redex(r), t2) for r, t2 in rd.successors(t)] == [(_redex(r), ref.step(t, r)) for r in rs]
+    if rs:
+        # the first redex again, on its own reduct: stale or not, both agree
+        t2 = ref.step(t, rs[0])
+        _same_runs(lambda: ref.step(t2, rs[0]), lambda: rd.step(t2, _new_redex(rs[0])))
+
+
+@pytest.mark.parametrize("gen", [harness.gen_cp, harness.gen_hcp], ids=["cp", "hcp"])
+def test_agrees_with_reference_on_generated_samples(gen):
+    cfg = harness.GenConfig(seed=42, count=300)
+    rules = Counter()
+    for i in range(300):
+        t = gen(cfg, i)[0]
+        _check_term(t)
+        _check_single_steps(t)
+        rules.update(s.redex.rule for s in rd.reduce(t).steps)
+    # every rule fired somewhere
+    assert set(rules) == {rd.RULE_LINK, rd.RULE_TENS, rd.RULE_UNIT, rd.RULE_PLUS1, rd.RULE_PLUS2}
+
+
+def test_agrees_with_reference_on_fixtures():
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.sill")):
+        for d in surface.parse_file(path.read_text(), filename=str(path)).decls:
+            _check_term(d.term)
+            _check_single_steps(d.term)
+            checked += 1
+    assert checked >= 10
+
+
+def _chain(n: int, hcp_: bool) -> str:
+    body = "w[].0"
+    for i in range(n, 0, -1):
+        body = f"new x{i}:1{'.' if hcp_ else ''} (x{i}[].0 | x{i}().{body})"
+    return body
+
+
+def _mix(w: int) -> str:
+    order = list(range(1, w + 1))
+    random.Random(f"configuration-mix:{w}").shuffle(order)
+    parts = [f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)" for i in order]
+    term = parts[-1]
+    for p in reversed(parts[:-1]):
+        term = f"({p} | {term})"
+    return term
+
+
+SHAPES = ([("cp", _chain(n, False)) for n in (25, 50, 100, 200)]
+          + [("hcp", _chain(n, True)) for n in (25, 50, 100, 150)]
+          + [("hcp", _mix(w)) for w in (16, 32, 64)])
+
+
+@pytest.mark.parametrize("dialect,src", SHAPES, ids=[f"{d}-{len(s)}" for d, s in SHAPES])
+def test_agrees_with_reference_on_chains_and_mixes(dialect, src):
+    t = surface.parse_term(src, dialect)
+    _check_term(t)
+    _check_single_steps(t)
+
+
+def test_trace_terms_are_built_once_and_marked_fresh():
+    tr = rd.reduce(surface.parse_term(_chain(5, False), "cp"))
+    first = tr.steps[2].term
+    assert tr.steps[2].term is first and first._clean
+    assert cp.freshen_if_needed(first) is first
+
+
+# -- whole-term walks per reduce ------------------------------------------------
+
+
+@pytest.mark.parametrize("mod", [cp, hcp], ids=["cp", "hcp"])
+def test_whole_term_walks_do_not_grow_with_the_term(mod, monkeypatch):
+    """One `reduce` of a unit-cut chain: the calls of freshen_if_needed,
+    binders and measure that receive the whole term (at least half of its
+    cuts) are as many for 25 cuts as for 150."""
+    cuts = rd._cut_sizes
+    counts = {}
+    for n in (25, 150):
+        t = surface.parse_term(_chain(n, mod is hcp), "cp" if mod is cp else "hcp")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(arg, *rest):
+                if len(cuts(arg)) >= n // 2:
+                    calls[name] += 1
+                return fn(arg, *rest)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(mod, "freshen_if_needed", counted("freshen_if_needed", mod.freshen_if_needed))
+            m.setattr(mod, "binders", counted("binders", mod.binders))
+            m.setattr(rd, "measure", counted("measure", rd.measure))
+            trace = rd.reduce(t)
+            assert trace.status == "canonical" and len(trace.steps) == n
+        counts[n] = calls
+    assert counts[25] == counts[150]
+    assert set(counts[25]) == {"freshen_if_needed", "binders", "measure"}
+
+
+# -- rebuild_cp -----------------------------------------------------------------
+
+
+def _tree(rng: random.Random, n: int, shape: str) -> tuple[list[cg.CpBinder], list[cp.CpTerm]]:
+    """n cuts over n + 1 components joined as a path, a star or a random tree;
+    distinct random uids, random orientation and formulas."""
+    comps = [cp.Halt(Name(f"c{k}", 1_000_000 + k)) for k in range(n + 1)]
+    order = list(range(n + 1))
+    rng.shuffle(order)
+    edges = []
+    for k in range(1, n + 1):
+        parent = {"path": k - 1, "star": 0}.get(shape, rng.randrange(k))
+        edges.append((order[k], order[parent]))
+    rng.shuffle(edges)
+    uids = rng.sample(range(1, 10 * n + 10), n)
+    binders = []
+    for (a, b), uid in zip(edges, uids):
+        if rng.random() < 0.5:
+            a, b = b, a
+        ty = rng.choice([ONE, BOT, Tensor(ONE, BOT), Plus(BOT, ONE)])
+        binders.append(cg.CpBinder(Name(f"x{uid}", uid), ty, a, b))
+    return binders, comps
+
+
+def test_rebuild_cp_matches_the_recursive_one():
+    rng = random.Random("rebuild-cp")
+    cases = []
+    for n in list(range(0, 12)) + [50, 100, 200, 300]:
+        for shape in ("path", "star", "random", "random"):
+            cases.append(_tree(rng, n, shape))
+    for i in range(300):
+        for gen in (harness.gen_cp,):
+            p = cg.prenex_cp(gen(harness.GenConfig(seed=42, count=300), i)[0])
+            cases.append((p.binders, p.comps))
+    # broken trees: a missing endpoint, a self-loop, a cycle, two trees
+    b, c = _tree(rng, 6, "random")
+    cases.append(([*b[:-1], cg.CpBinder(b[-1].name, ONE, None, 0)], c))
+    cases.append(([*b[:-1], cg.CpBinder(b[-1].name, ONE, 2, 2)], c))
+    cases.append(([*b, cg.CpBinder(Name("loop", 1), ONE, b[0].left, b[1].right)], c + [c[0]]))
+    cases.append((b[:-1], c))
+    for binders, comps in cases:
+        _same_runs(lambda: ref.rebuild_cp(binders, comps), lambda: cg.rebuild_cp(binders, comps))
+
+
+def test_rebuild_cp_takes_a_long_spine():
+    binders, comps = _tree(random.Random("spine"), 5000, "path")
+    t = cg.rebuild_cp(binders, comps)
+    depth = 0
+    while isinstance(t, cp.Cut):
+        depth += 1
+        t = t.right
+    assert depth == 5000
