@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import congruence, cp, hcp, reduction
+from . import congruence, cp, hcp, reduction, terms
 from . import types as ty
 from .names import Name, fresh
 from .translate import cp_to_hcp
@@ -333,7 +333,7 @@ def parr_collapse(d: Derivation) -> Derivation:
 
 
 def _rename_free(d: Derivation, old: Name, new: Name) -> Derivation:
-    term = cp.substitute(d.term, new, old)
+    term = terms.substitute(d.term, new, old)
     env = {(new if n == old else n): a for n, a in d.env.items()}
     return Derivation(d.rule, term, env, tuple(_rename_free(c, old, new) for c in d.premises))
 

@@ -2,8 +2,9 @@
 
 Subcommands: check, reduce, graph, translate, disentangle, internalize, fuzz.
 Exit codes: 0 success / all-pass, 1 type or simulation failure, 2 usage or
-parse error, 3 budget exhausted.  --json switches to JSON-lines output where
-available.
+parse error, 3 budget exhausted, or an input nested too deeply for the
+recursive layers (one line, `RecursionError: input nests too deeply`).
+--json switches to JSON-lines output where available.
 """
 from __future__ import annotations
 
@@ -304,5 +305,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run(argv: list[str] | None = None) -> int:
+    """The `sill` command: `main`, except that an input nested too deeply for
+    the layers that still recurse (the parser, the checkers, free names)
+    exits 3 with one line instead of a traceback.  `main` lets the
+    RecursionError out, so that in-process callers see it as an exception."""
+    try:
+        return main(argv)
+    except RecursionError:
+        print("RecursionError: input nests too deeply")
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -28,11 +28,11 @@ only the site it draws.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from . import cp, hcp
+from . import cp, hcp, terms
 from .names import Name
-from .terms import BINDERS, SUBTERM_FIELDS
+from .terms import SCHEMA
 from .types import Type, dual, render
 
 
@@ -126,12 +126,12 @@ def spine_hcp(t: hcp.HcpTerm) -> tuple[list[tuple[Name, Type]], list[hcp.HcpTerm
 
 
 def prenex_cp(t: cp.CpTerm) -> CpPrenex:
-    binders, comps, _, _ = spine_cp(cp.freshen_if_needed(t))
+    binders, comps, _, _ = spine_cp(terms.freshen_if_needed(t))
     return CpPrenex(binders, comps)
 
 
 def prenex_hcp(t: hcp.HcpTerm) -> HcpPrenex:
-    return HcpPrenex(*spine_hcp(hcp.freshen_if_needed(t)))
+    return HcpPrenex(*spine_hcp(terms.freshen_if_needed(t)))
 
 
 def prenex(t):
@@ -237,14 +237,14 @@ def _component_plan(cls) -> tuple:
     field (None if it binds nothing) and the order a walk pushes its subterm
     indices in: those outside the binder's scope, -1 where the scope ends
     (popped after the subterms inside it), then those inside."""
-    fs = SUBTERM_FIELDS[cls]
-    bound, scoped = BINDERS.get(cls, (None, ()))
-    outside = tuple(k for k in reversed(range(len(fs))) if fs[k] not in scoped)
-    inside = tuple(k for k in reversed(range(len(fs))) if fs[k] in scoped)
-    return cls.__name__, fs, bound, outside + (-1,) + inside if bound else outside
+    s = SCHEMA[cls]
+    fs = s.subterms
+    outside = tuple(k for k in reversed(range(len(fs))) if fs[k] in s.outside)
+    inside = tuple(k for k in reversed(range(len(fs))) if fs[k] in s.inside)
+    return cls.__name__, fs, s.binder, outside + (-1,) + inside if s.binder else outside
 
 
-_COMPONENTS = {cls: _component_plan(cls) for cls in SUBTERM_FIELDS
+_COMPONENTS = {cls: _component_plan(cls) for cls in SCHEMA
                if cls not in (cp.Cut, hcp.New, hcp.Par, hcp.Inert)}
 
 
@@ -343,9 +343,8 @@ def equiv(t1, t2) -> bool:
     c1, c2 = isinstance(t1, cp.CpTerm), isinstance(t2, cp.CpTerm)
     if c1 != c2:
         raise ValueError("cannot compare terms of different dialects")
-    freshen = cp.freshen_if_needed if c1 else hcp.freshen_if_needed
-    l1, restricted1 = _levels(freshen(t1))
-    l2, restricted2 = _levels(freshen(t2))
+    l1, restricted1 = _levels(terms.freshen_if_needed(t1))
+    l2, restricted2 = _levels(terms.freshen_if_needed(t2))
     if l1.key != l2.key:
         return False
     for _ in _match_level(l1, l2, _Bijection(restricted1, restricted2)):
@@ -419,7 +418,7 @@ def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
         subject names (a link either way round), prefix binder, subterms."""
         c1, subs1 = l1.comps[i], l1.children[i]
         link = type(c1) is cp.Link or type(c1) is hcp.Link
-        bound = BINDERS.get(type(c1))
+        bound = SCHEMA[type(c1)].binder
         mark = len(bij.trail)
         for j in l2.groups[l1.certs[i]]:
             if used[j]:
@@ -434,7 +433,7 @@ def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
                     bij.undo(mark)
             elif bij.pair(c1.x, c2.x):
                 if bound is not None:
-                    bij.bind(getattr(c1, bound[0]), getattr(c2, bound[0]))
+                    bij.bind(getattr(c1, bound), getattr(c2, bound))
                 if not subs1:
                     yield
                 elif len(subs1) == 1:
@@ -593,10 +592,6 @@ def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, hcp.HcpTerm]]:
     return out
 
 
-# each term class's positional constructor fields (all but `loc`)
-_ARGS = {cls: tuple(f.name for f in fields(cls) if not f.kw_only) for cls in SUBTERM_FIELDS}
-
-
 def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
     """Every single-axiom rewrite of t, as a site (path, label, rewritten node),
     without rebuilding t around it.  Sites come in pre-order: a node's own
@@ -612,7 +607,7 @@ def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
             out.append((path, label, new))
         if unit_intro:
             out.append((path, "mix-unit", hcp.Par(node, hcp.Inert())))
-        for f in reversed(SUBTERM_FIELDS[type(node)]):  # popped first to last
+        for f in reversed(SCHEMA[type(node)].subterms):  # popped first to last
             stack.append((getattr(node, f), (path, node, f)))
     return out
 
@@ -623,7 +618,7 @@ def rebuild_site(site: tuple):
     path, _, t = site
     while path is not None:
         path, parent, f = path
-        t = type(parent)(*[t if g == f else getattr(parent, g) for g in _ARGS[type(parent)]])
+        t = type(parent)(*[t if g == f else getattr(parent, g) for g in SCHEMA[type(parent)].args])
     return t
 
 
@@ -635,8 +630,7 @@ def neighbors(t, allow_unit_intro: bool = True):
 
 def bfs_equiv(t1, t2, max_steps: int = 6, node_cap: int = 20000) -> bool:
     """Oracle: breadth-first closure over single-axiom rewrites, up to alpha."""
-    is_cp = isinstance(t1, cp.CpTerm)
-    key = cp.alpha_key if is_cp else hcp.alpha_key
+    key = terms.alpha_key
     target = key(t2)
     frontier = [t1]
     seen = {key(t1)}

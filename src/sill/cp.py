@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .names import KEEP_FREE_NAMES_UP_TO, Loc, Name, ensure_above, fresh, union
+from .names import Loc, Name
 from .types import Type
 
 
@@ -82,245 +82,11 @@ class Absurd(CpTerm):
     x: Name
 
 
+# the schema and the traversals over these classes live in `terms`, which reads them
+from . import terms  # noqa: E402
+
+
 def free_names(t: CpTerm) -> frozenset[Name]:
     """The names occurring free in t, as an immutable set that callers may
-    share.  A node with two subterms computes its set once and keeps it
-    (unless it exceeds KEEP_FREE_NAMES_UP_TO names); any other node derives
-    its set from its subterm's on each call."""
-    fv = getattr(t, "_fv", None)
-    if fv is not None:
-        return fv
-    match t:
-        case Link(x, y):
-            return frozenset((x, y))
-        case Halt(x) | Absurd(x):
-            return frozenset((x,))
-        case Recv(x, y, p):
-            return (free_names(p) - {y}) | {x}
-        case Wait(x, p) | Inl(x, p) | Inr(x, p):
-            return free_names(p) | {x}
-        case Cut(x, _, p, q):
-            fv = (free_names(p) | free_names(q)) - {x}
-        case Send(x, y, p, q):
-            fv = union(free_names(p) - {y}, free_names(q) | {x})
-        case Case(x, p, q):
-            fv = union(free_names(p) | {x}, free_names(q))
-        case _:
-            raise TypeError(f"not a cp term: {t!r}")
-    if len(fv) <= KEEP_FREE_NAMES_UP_TO:
-        object.__setattr__(t, "_fv", fv)
-    return fv
-
-
-def _sub_name(n: Name, w: Name, x: Name) -> Name:
-    return w if n == x else n
-
-
-def substitute(t: CpTerm, w: Name, x: Name) -> CpTerm:
-    """Replace every free occurrence of x by w, renaming binders equal to w."""
-    if w == x:
-        return t
-
-    def go(t: CpTerm) -> CpTerm:
-        match t:
-            case Link(a, b):
-                return Link(_sub_name(a, w, x), _sub_name(b, w, x))
-            case Cut(y, ty, p, q):
-                if y == x:
-                    return t
-                if y == w:
-                    y2 = fresh(y.surface)
-                    p, q = substitute(p, y2, y), substitute(q, y2, y)
-                    y = y2
-                return Cut(y, ty, go(p), go(q))
-            case Send(a, y, p, q):
-                a = _sub_name(a, w, x)
-                if y == w:
-                    y2 = fresh(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                if y != x:
-                    p = go(p)
-                return Send(a, y, p, go(q))
-            case Recv(a, y, p):
-                a = _sub_name(a, w, x)
-                if y == w:
-                    y2 = fresh(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                if y != x:
-                    p = go(p)
-                return Recv(a, y, p)
-            case Halt(a):
-                return Halt(_sub_name(a, w, x))
-            case Absurd(a):
-                return Absurd(_sub_name(a, w, x))
-            case Wait(a, p):
-                return Wait(_sub_name(a, w, x), go(p))
-            case Inl(a, p):
-                return Inl(_sub_name(a, w, x), go(p))
-            case Inr(a, p):
-                return Inr(_sub_name(a, w, x), go(p))
-            case Case(a, p, q):
-                return Case(_sub_name(a, w, x), go(p), go(q))
-        raise TypeError(f"not a cp term: {t!r}")
-
-    return go(t)
-
-
-def alpha_eq(t1: CpTerm, t2: CpTerm) -> bool:
-    """Alpha equivalence; free names must agree on surface spelling."""
-
-    def names_eq(a: Name, b: Name, l2r: dict, r2l: dict) -> bool:
-        if a in l2r:
-            return l2r[a] == b and r2l.get(b) == a
-        if b in r2l:
-            return False
-        return a.surface == b.surface
-
-    def go(t1, t2, l2r, r2l) -> bool:
-        if type(t1) is not type(t2):
-            return False
-        ne = lambda a, b: names_eq(a, b, l2r, r2l)
-        match t1, t2:
-            case Link(a, b), Link(c, d):
-                return ne(a, c) and ne(b, d)
-            case Cut(x1, ty1, p1, q1), Cut(x2, ty2, p2, q2):
-                if ty1 != ty2:
-                    return False
-                l, r = l2r | {x1: x2}, r2l | {x2: x1}
-                return go(p1, p2, l, r) and go(q1, q2, l, r)
-            case Send(x1, y1, p1, q1), Send(x2, y2, p2, q2):
-                l, r = l2r | {y1: y2}, r2l | {y2: y1}
-                return ne(x1, x2) and go(p1, p2, l, r) and go(q1, q2, l2r, r2l)
-            case Recv(x1, y1, p1), Recv(x2, y2, p2):
-                l, r = l2r | {y1: y2}, r2l | {y2: y1}
-                return ne(x1, x2) and go(p1, p2, l, r)
-            case (Halt(a), Halt(b)) | (Absurd(a), Absurd(b)):
-                return ne(a, b)
-            case (Wait(a, p1), Wait(b, p2)) | (Inl(a, p1), Inl(b, p2)) | (Inr(a, p1), Inr(b, p2)):
-                return ne(a, b) and go(p1, p2, l2r, r2l)
-            case Case(a, p1, q1), Case(b, p2, q2):
-                return ne(a, b) and go(p1, p2, l2r, r2l) and go(q1, q2, l2r, r2l)
-        return False
-
-    return go(t1, t2, {}, {})
-
-
-def alpha_key(t: CpTerm):
-    """Hashable key identical for alpha-equivalent terms (canonical binder indices)."""
-    from .types import render
-
-    def nk(n: Name, env: dict):
-        return ("b", env[n]) if n in env else ("f", n.surface)
-
-    def go(t, env, depth):
-        match t:
-            case Link(x, y):
-                return ("link", nk(x, env), nk(y, env))
-            case Cut(x, ty, p, q):
-                e = env | {x: depth}
-                return ("cut", render(ty), go(p, e, depth + 1), go(q, e, depth + 1))
-            case Send(x, y, p, q):
-                e = env | {y: depth}
-                return ("send", nk(x, env), go(p, e, depth + 1), go(q, env, depth + 1))
-            case Recv(x, y, p):
-                e = env | {y: depth}
-                return ("recv", nk(x, env), go(p, e, depth + 1))
-            case Halt(x):
-                return ("halt", nk(x, env))
-            case Wait(x, p):
-                return ("wait", nk(x, env), go(p, env, depth))
-            case Inl(x, p):
-                return ("inl", nk(x, env), go(p, env, depth))
-            case Inr(x, p):
-                return ("inr", nk(x, env), go(p, env, depth))
-            case Case(x, p, q):
-                return ("case", nk(x, env), go(p, env, depth), go(q, env, depth))
-            case Absurd(x):
-                return ("absurd", nk(x, env))
-        raise TypeError(f"not a cp term: {t!r}")
-
-    return go(t, {}, 0)
-
-
-def binders(t: CpTerm) -> list[Name]:
-    """Every binder of t, in pre-order."""
-    out: list[Name] = []
-    stack = [t]
-    while stack:
-        match stack.pop():
-            case Cut(x, _, p, q) | Send(_, x, p, q):
-                out.append(x)
-                stack += (q, p)
-            case Recv(_, y, p):
-                out.append(y)
-                stack.append(p)
-            case Wait(_, p) | Inl(_, p) | Inr(_, p):
-                stack.append(p)
-            case Case(_, p, q):
-                stack += (q, p)
-    return out
-
-
-def freshen_if_needed(t: CpTerm) -> CpTerm:
-    """Rename binders so all binders are distinct and disjoint from free names.
-
-    Stable: renaming draws uids just above the largest uid in the term, so
-    repeated calls on the same term give the same result.
-
-    A term found clean is marked as such, so asking again costs nothing.
-    """
-    if getattr(t, "_clean", False):
-        return t
-    bs = binders(t)
-    fv = free_names(t)
-    seen: set[Name] = set()
-    clashes = set()
-    for b in bs:
-        if b in seen or b in fv:
-            clashes.add(b)
-        seen.add(b)
-    if not clashes:
-        object.__setattr__(t, "_clean", True)
-        return t
-    top = max(n.uid for n in (set(bs) | fv))
-    counter = [top]
-
-    def fresh_local(surface: str) -> Name:
-        counter[0] += 1
-        return Name(surface, counter[0])
-
-    def go(t, seen: set[Name]):
-        match t:
-            case Cut(x, ty, p, q):
-                if x in seen or x in fv:
-                    x2 = fresh_local(x.surface)
-                    p, q = substitute(p, x2, x), substitute(q, x2, x)
-                    x = x2
-                seen.add(x)
-                return Cut(x, ty, go(p, seen), go(q, seen))
-            case Send(a, y, p, q):
-                if y in seen or y in fv:
-                    y2 = fresh_local(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                seen.add(y)
-                return Send(a, y, go(p, seen), go(q, seen))
-            case Recv(a, y, p):
-                if y in seen or y in fv:
-                    y2 = fresh_local(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                seen.add(y)
-                return Recv(a, y, go(p, seen))
-            case Wait(a, p):
-                return Wait(a, go(p, seen))
-            case Inl(a, p):
-                return Inl(a, go(p, seen))
-            case Inr(a, p):
-                return Inr(a, go(p, seen))
-            case Case(a, p, q):
-                return Case(a, go(p, seen), go(q, seen))
-            case _:
-                return t
-
-    out = go(t, set())
-    ensure_above(counter[0])
-    return out
+    share: the set t keeps, if any, else `terms.FREE_NAMES`' rule for t."""
+    return getattr(t, "_fv", None) or terms.FREE_NAMES[t.__class__](t, free_names)

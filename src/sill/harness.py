@@ -19,7 +19,7 @@ from . import bridge, congruence, cp, hcp, reduction, surface
 from . import names as nm
 from . import types as ty
 from .translate import cp_to_hcp
-from .terms import SUBTERM_FIELDS
+from .terms import SCHEMA
 from .typecheck import TypeCheckError, check_cp, check_hcp, hyper_eq, revalidate
 from .types import BOT, ONE, TOP, ZERO, dual
 
@@ -519,12 +519,13 @@ def _prop_preservation_hcp(t, env) -> str | None:
 
 
 def _prop_progress(t, env) -> str | None:
-    if reduction.find_redexes(t):
+    c = reduction.Configuration(t)
+    if c.redexes():
         return None
-    res = reduction.is_canonical(t)
+    res = reduction.canonical(c)
     if not res.ok:
         return f"stuck: no redex and not canonical ({res.reason})"
-    if not reduction.check_blocked(t):
+    if not reduction.check_blocked(res):
         return "canonical but not blocked on external communication"
     return None
 
@@ -699,7 +700,7 @@ def _replace_at(t, path):
     """Return a function rebuilding t with the subterm at path replaced."""
     if not path:
         return lambda new: new
-    fields = SUBTERM_FIELDS[type(t)]
+    fields = SCHEMA[type(t)].subterms
     f = fields[path[0]]
     inner = _replace_at(getattr(t, f), path[1:])
 
@@ -751,7 +752,7 @@ def _shrink(t, env, prop, detail):
             leaf = _leaf_for(node.env, dialect)
             if leaf is not None and path and leaf != node.term:
                 candidates.append((path, leaf))
-            fields = SUBTERM_FIELDS.get(type(node.term), ())
+            fields = SCHEMA[type(node.term)].subterms
             for k, c in enumerate(node.premises):
                 if k < len(fields):
                     walk(c, path + (k,))

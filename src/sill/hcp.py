@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .names import KEEP_FREE_NAMES_UP_TO, Loc, Name, ensure_above, fresh, union
+from .names import Loc, Name
 from .types import Type
 
 
@@ -91,252 +91,11 @@ class Absurd(HcpTerm):
     x: Name
 
 
+# the schema and the traversals over these classes live in `terms`, which reads them
+from . import terms  # noqa: E402
+
+
 def free_names(t: HcpTerm) -> frozenset[Name]:
     """The names occurring free in t, as an immutable set that callers may
-    share.  A node with two subterms computes its set once and keeps it
-    (unless it exceeds KEEP_FREE_NAMES_UP_TO names); any other node derives
-    its set from its subterm's on each call."""
-    fv = getattr(t, "_fv", None)
-    if fv is not None:
-        return fv
-    match t:
-        case Link(x, y):
-            return frozenset((x, y))
-        case Inert():
-            return frozenset()
-        case New(x, _, p):
-            return free_names(p) - {x}
-        case BoundOut(x, y, p) | In(x, y, p):
-            return (free_names(p) - {y}) | {x}
-        case OutUnit(x, p) | InUnit(x, p) | Inl(x, p) | Inr(x, p):
-            return free_names(p) | {x}
-        case Absurd(x):
-            return frozenset((x,))
-        case Par(p, q):
-            fv = union(free_names(p), free_names(q))
-        case Case(x, p, q):
-            fv = union(free_names(p) | {x}, free_names(q))
-        case _:
-            raise TypeError(f"not an hcp term: {t!r}")
-    if len(fv) <= KEEP_FREE_NAMES_UP_TO:
-        object.__setattr__(t, "_fv", fv)
-    return fv
-
-
-def _sub_name(n: Name, w: Name, x: Name) -> Name:
-    return w if n == x else n
-
-
-def substitute(t: HcpTerm, w: Name, x: Name) -> HcpTerm:
-    """Replace every free occurrence of x by w, renaming binders equal to w."""
-    if w == x:
-        return t
-
-    def go(t: HcpTerm) -> HcpTerm:
-        match t:
-            case Link(a, b):
-                return Link(_sub_name(a, w, x), _sub_name(b, w, x))
-            case Inert():
-                return t
-            case New(y, ty, p):
-                if y == x:
-                    return t
-                if y == w:
-                    y2 = fresh(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                return New(y, ty, go(p))
-            case Par(p, q):
-                return Par(go(p), go(q))
-            case BoundOut(a, y, p):
-                a = _sub_name(a, w, x)
-                if y == w:
-                    y2 = fresh(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                if y != x:
-                    p = go(p)
-                return BoundOut(a, y, p)
-            case In(a, y, p):
-                a = _sub_name(a, w, x)
-                if y == w:
-                    y2 = fresh(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                if y != x:
-                    p = go(p)
-                return In(a, y, p)
-            case OutUnit(a, p):
-                return OutUnit(_sub_name(a, w, x), go(p))
-            case InUnit(a, p):
-                return InUnit(_sub_name(a, w, x), go(p))
-            case Inl(a, p):
-                return Inl(_sub_name(a, w, x), go(p))
-            case Inr(a, p):
-                return Inr(_sub_name(a, w, x), go(p))
-            case Case(a, p, q):
-                return Case(_sub_name(a, w, x), go(p), go(q))
-            case Absurd(a):
-                return Absurd(_sub_name(a, w, x))
-        raise TypeError(f"not an hcp term: {t!r}")
-
-    return go(t)
-
-
-def alpha_eq(t1: HcpTerm, t2: HcpTerm) -> bool:
-    """Alpha equivalence; free names must agree on surface spelling."""
-
-    def names_eq(a: Name, b: Name, l2r: dict, r2l: dict) -> bool:
-        if a in l2r:
-            return l2r[a] == b and r2l.get(b) == a
-        if b in r2l:
-            return False
-        return a.surface == b.surface
-
-    def go(t1, t2, l2r, r2l) -> bool:
-        if type(t1) is not type(t2):
-            return False
-        ne = lambda a, b: names_eq(a, b, l2r, r2l)
-        match t1, t2:
-            case Link(a, b), Link(c, d):
-                return ne(a, c) and ne(b, d)
-            case Inert(), Inert():
-                return True
-            case New(x1, ty1, p1), New(x2, ty2, p2):
-                if ty1 != ty2:
-                    return False
-                return go(p1, p2, l2r | {x1: x2}, r2l | {x2: x1})
-            case Par(p1, q1), Par(p2, q2):
-                return go(p1, p2, l2r, r2l) and go(q1, q2, l2r, r2l)
-            case (BoundOut(x1, y1, p1), BoundOut(x2, y2, p2)) | (In(x1, y1, p1), In(x2, y2, p2)):
-                if not ne(x1, x2):
-                    return False
-                return go(p1, p2, l2r | {y1: y2}, r2l | {y2: y1})
-            case (OutUnit(a, p1), OutUnit(b, p2)) | (InUnit(a, p1), InUnit(b, p2)) | \
-                 (Inl(a, p1), Inl(b, p2)) | (Inr(a, p1), Inr(b, p2)):
-                return ne(a, b) and go(p1, p2, l2r, r2l)
-            case Case(a, p1, q1), Case(b, p2, q2):
-                return ne(a, b) and go(p1, p2, l2r, r2l) and go(q1, q2, l2r, r2l)
-            case Absurd(a), Absurd(b):
-                return ne(a, b)
-        return False
-
-    return go(t1, t2, {}, {})
-
-
-def alpha_key(t: HcpTerm):
-    """Hashable key identical for alpha-equivalent terms."""
-    from .types import render
-
-    def nk(n: Name, env: dict):
-        return ("b", env[n]) if n in env else ("f", n.surface)
-
-    def go(t, env, depth):
-        match t:
-            case Link(x, y):
-                return ("link", nk(x, env), nk(y, env))
-            case Inert():
-                return ("inert",)
-            case New(x, ty, p):
-                return ("new", render(ty), go(p, env | {x: depth}, depth + 1))
-            case Par(p, q):
-                return ("par", go(p, env, depth), go(q, env, depth))
-            case BoundOut(x, y, p):
-                return ("bout", nk(x, env), go(p, env | {y: depth}, depth + 1))
-            case In(x, y, p):
-                return ("in", nk(x, env), go(p, env | {y: depth}, depth + 1))
-            case OutUnit(x, p):
-                return ("outu", nk(x, env), go(p, env, depth))
-            case InUnit(x, p):
-                return ("inu", nk(x, env), go(p, env, depth))
-            case Inl(x, p):
-                return ("inl", nk(x, env), go(p, env, depth))
-            case Inr(x, p):
-                return ("inr", nk(x, env), go(p, env, depth))
-            case Case(x, p, q):
-                return ("case", nk(x, env), go(p, env, depth), go(q, env, depth))
-            case Absurd(x):
-                return ("absurd", nk(x, env))
-        raise TypeError(f"not an hcp term: {t!r}")
-
-    return go(t, {}, 0)
-
-
-def binders(t: HcpTerm) -> list[Name]:
-    """Every binder of t, in pre-order."""
-    out: list[Name] = []
-    stack = [t]
-    while stack:
-        match stack.pop():
-            case New(x, _, p) | BoundOut(_, x, p) | In(_, x, p):
-                out.append(x)
-                stack.append(p)
-            case Par(p, q) | Case(_, p, q):
-                stack += (q, p)
-            case OutUnit(_, p) | InUnit(_, p) | Inl(_, p) | Inr(_, p):
-                stack.append(p)
-    return out
-
-
-def freshen_if_needed(t: HcpTerm) -> HcpTerm:
-    """Rename binders so all binders are distinct and disjoint from free names.
-
-    Stable: renaming draws uids just above the largest uid in the term.
-
-    A term found clean is marked as such, so asking again costs nothing.
-    """
-    if getattr(t, "_clean", False):
-        return t
-    bs = binders(t)
-    fv = free_names(t)
-    seen: set[Name] = set()
-    clashes = set()
-    for b in bs:
-        if b in seen or b in fv:
-            clashes.add(b)
-        seen.add(b)
-    if not clashes:
-        object.__setattr__(t, "_clean", True)
-        return t
-    top = max(n.uid for n in (set(bs) | fv))
-    counter = [top]
-
-    def fresh_local(surface: str) -> Name:
-        counter[0] += 1
-        return Name(surface, counter[0])
-
-    def go(t, seen: set[Name]):
-        match t:
-            case New(x, ty, p):
-                if x in seen or x in fv:
-                    x2 = fresh_local(x.surface)
-                    p, x = substitute(p, x2, x), x2
-                seen.add(x)
-                return New(x, ty, go(p, seen))
-            case Par(p, q):
-                return Par(go(p, seen), go(q, seen))
-            case BoundOut(a, y, p):
-                if y in seen or y in fv:
-                    y2 = fresh_local(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                seen.add(y)
-                return BoundOut(a, y, go(p, seen))
-            case In(a, y, p):
-                if y in seen or y in fv:
-                    y2 = fresh_local(y.surface)
-                    p, y = substitute(p, y2, y), y2
-                seen.add(y)
-                return In(a, y, go(p, seen))
-            case OutUnit(a, p):
-                return OutUnit(a, go(p, seen))
-            case InUnit(a, p):
-                return InUnit(a, go(p, seen))
-            case Inl(a, p):
-                return Inl(a, go(p, seen))
-            case Inr(a, p):
-                return Inr(a, go(p, seen))
-            case Case(a, p, q):
-                return Case(a, go(p, seen), go(q, seen))
-            case _:
-                return t
-
-    out = go(t, set())
-    ensure_above(counter[0])
-    return out
+    share: the set t keeps, if any, else `terms.FREE_NAMES`' rule for t."""
+    return getattr(t, "_fv", None) or terms.FREE_NAMES[t.__class__](t, free_names)

@@ -38,21 +38,6 @@ class Loc:
         return f"{self.line}:{self.col}"
 
 
-# A term node keeps its free-name set only while the set is this small, so
-# the sets a term keeps cost at most a constant per node: a spine of n
-# parallel components would otherwise keep sets of n, n-1, ... names.
-KEEP_FREE_NAMES_UP_TO = 8
-
-
-def union(a: frozenset, b: frozenset) -> frozenset:
-    """a | b, reusing a or b when it already holds the other."""
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
 def fresh(surface: str) -> Name:
     global _counter
     _counter += 1

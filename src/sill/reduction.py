@@ -41,11 +41,11 @@ from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from . import congruence, cp, hcp
+from . import congruence, cp, hcp, terms
 from . import types as ty
 from .congruence import CpBinder
 from .names import Name
-from .terms import SUBTERM_FIELDS
+from .terms import SCHEMA
 from .types import dual, size
 
 RULE_LINK = "κ↔"
@@ -134,11 +134,10 @@ class Configuration:
 
     def __init__(self, t, with_measure: bool = False):
         self.is_cp = isinstance(t, cp.CpTerm)
+        t = terms.freshen_if_needed(t)
         if self.is_cp:
-            t = cp.freshen_if_needed(t)
             self.binders, comps, fvs, users = congruence.spine_cp(t)
         else:
-            t = hcp.freshen_if_needed(t)
             binders, comps = congruence.spine_hcp(t)
             self.binders = dict(binders)
             fvs = [hcp.free_names(c) for c in comps]
@@ -274,7 +273,7 @@ class Configuration:
             # the components ch is free in now mention w instead
             for s in users[ch]:
                 p = bisect_left(self.slots, s)
-                comps[p] = hcp.substitute(comps[p], w, ch)
+                comps[p] = terms.substitute(comps[p], w, ch)
                 fvs[p] = fvs[p] - {ch} | {w}
             if w in users:
                 users[w] = tuple(sorted(set(users[w]).union(users[ch])))
@@ -286,7 +285,7 @@ class Configuration:
             if not isinstance(s, ty.Tensor):
                 raise ReductionError(f"restriction {ch} is not annotated with an output type")
             cuts = ((ch, s.right), (ci.y, s.left))
-            pieces = (ci.body, hcp.substitute(cj.body, ci.y, cj.y))
+            pieces = (ci.body, terms.substitute(cj.body, ci.y, cj.y))
             dropped = None
         elif r.rule == RULE_UNIT:
             cuts, pieces, dropped = (), (ci.body, cj.body), None
@@ -357,7 +356,7 @@ class Configuration:
             ins: tuple = ()
         elif r.rule == RULE_TENS:
             s = _oriented(rec, i, ty.Tensor)
-            pieces = ((ci.payload, i), (ci.cont, i), (cp.substitute(cj.body, ci.y, cj.y), j))
+            pieces = ((ci.payload, i), (ci.cont, i), (terms.substitute(cj.body, ci.y, cj.y), j))
             cuts = ((ci.y, s.left, 0, 2), (ch, s.right, 1, 2))
             ins = (s.left, s.right)
         elif r.rule == RULE_UNIT:
@@ -382,7 +381,7 @@ class Configuration:
             moved[w] = [p for p in users[ch] if p != i]
             for p in moved[w]:
                 k = index_of[p]
-                new_comps[k] = cp.substitute(comps[p], w, ch)
+                new_comps[k] = terms.substitute(comps[p], w, ch)
                 new_fvs[k] = fvs[p] - {ch} | {w}
         spliced: dict[Name, list[int]] = {}  # name -> the spliced components it is free in
         regions: list[tuple[int, int]] = []
@@ -519,7 +518,7 @@ def _cut_sizes(t) -> list[int]:
         cls = type(t)
         if cls is cp.Cut or cls is hcp.New:
             sizes.append(size(t.ty))
-        for f in SUBTERM_FIELDS.get(cls, ()):
+        for f in SCHEMA[cls].subterms:
             stack.append(getattr(t, f))
     return sizes
 
@@ -552,10 +551,11 @@ class CanonicalResult:
 
 
 def is_canonical(t) -> CanonicalResult:
-    return _canonical(Configuration(t))
+    return canonical(Configuration(t))
 
 
-def _canonical(c: Configuration) -> CanonicalResult:
+def canonical(c: Configuration) -> CanonicalResult:
+    """Whether the configuration c is in canonical form (see is_canonical)."""
     link_cls = cp.Link if c.is_cp else hcp.Link
     names = c.names()
     bound = set(names)
@@ -575,17 +575,17 @@ def _canonical(c: Configuration) -> CanonicalResult:
     return CanonicalResult(True, names, comps)
 
 
-def check_blocked(t) -> bool:
-    """For canonical t: every obligation of the canonical-form corollary holds,
-    i.e. enough components act on free channels."""
-    res = is_canonical(t)
+def check_blocked(res: CanonicalResult) -> bool:
+    """For the result of a canonical term: every obligation of the
+    canonical-form corollary holds, i.e. enough components act on free
+    channels."""
     if not res.ok:
         raise ValueError(f"check_blocked requires a canonical term: {res.reason}")
+    if not res.comps:
+        return True
     bound = set(res.binders)
     free_acting = sum(1 for c in res.comps if all(n not in bound for n in _acts_on(c)))
-    if isinstance(t, cp.CpTerm):
-        if not res.comps:
-            return True
+    if isinstance(res.comps[0], cp.CpTerm):
         return free_acting >= 1
     return free_acting >= len(res.comps) - len(res.binders)
 
@@ -650,7 +650,7 @@ def reduce(t, fuel: int | None = None, strategy: str = "deterministic"):
     else:
         if c.first_redex() is not None:
             return ReductionTrace(t, steps, "fuel-exhausted")
-    return ReductionTrace(t, steps, "canonical" if _canonical(c).ok else "stuck")
+    return ReductionTrace(t, steps, "canonical" if canonical(c).ok else "stuck")
 
 
 def render_trace(trace: ReductionTrace) -> str:

@@ -8,12 +8,12 @@ value (terms: alpha-equal with the same surface names).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import cp, hcp
 from . import types as ty
 from .names import Loc, Name, fresh
-from .terms import BINDERS, SUBTERM_FIELDS
+from .terms import SCHEMA
 
 KEYWORDS = {"new", "proc", "hproc", "inl", "inr", "par", "bot", "top"}
 _PUNCT = ["<->", "(", ")", "[", "]", ".", "|", ":", ",", "=", "!", "?", "{", "}", ";", "*", "+", "&", "~"]
@@ -444,10 +444,14 @@ _LITERAL, _NAME, _TYPE, _TERM = range(4)
 
 def _form(cls, pieces: tuple) -> tuple:
     """The (kind, text or field) pieces of a printed form, last piece first."""
+    shape = SCHEMA[cls]
+
     def kind(piece: str) -> int:
-        if piece in SUBTERM_FIELDS[cls]:
+        if piece in shape.subterms:
             return _TERM
-        return _TYPE if piece == "ty" else _NAME if piece in ("x", "y") else _LITERAL
+        if piece in shape.names or piece == shape.binder:
+            return _NAME
+        return _TYPE if shape.typed and piece == "ty" else _LITERAL
 
     return tuple((kind(p), p) for p in reversed(pieces))
 
@@ -455,17 +459,10 @@ def _form(cls, pieces: tuple) -> tuple:
 _FORMS = {cls: _form(cls, pieces) for classes, pieces in _FORM_PIECES for cls in classes}
 
 
-def _scoping(cls) -> tuple:
-    """What the name choice reads of a term class: the name fields it uses
-    (all but its binder), its binder field (or None), and its subterms inside
-    and outside the binder's scope, each last first."""
-    binder, scoped = BINDERS.get(cls, (None, ()))
-    uses = tuple(f.name for f in fields(cls) if f.name in ("x", "y") and f.name != binder)
-    subs = SUBTERM_FIELDS[cls][::-1]
-    return uses, binder, tuple(f for f in subs if f in scoped), tuple(f for f in subs if f not in scoped)
-
-
-_SCOPING = {cls: _scoping(cls) for cls in SUBTERM_FIELDS}
+# what the name choice reads of each term class: its subject-name fields, its
+# binder field (or None), and its subterms inside and outside the binder's
+# scope, each last first
+_SCOPING = {cls: (s.names, s.binder, s.inside[::-1], s.outside[::-1]) for cls, s in SCHEMA.items()}
 
 
 def _print_names(t) -> dict[Name, str]:

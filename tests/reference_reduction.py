@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from sill import cp, hcp
+from sill import cp, hcp, terms
 from sill import types as ty
 from sill.congruence import CongruenceError
 from sill.names import Name
-from sill.terms import SUBTERM_FIELDS
+from sill.terms import SCHEMA
 from sill.types import Type, dual, size
 
 
@@ -38,7 +38,7 @@ class HcpPrenex:
 
 
 def prenex_cp(t: cp.CpTerm) -> CpPrenex:
-    t = cp.freshen_if_needed(t)
+    t = terms.freshen_if_needed(t)
     binders: list[CpBinder] = []
     comps: list[cp.CpTerm] = []
 
@@ -65,7 +65,7 @@ def prenex_cp(t: cp.CpTerm) -> CpPrenex:
 
 
 def prenex_hcp(t: hcp.HcpTerm) -> HcpPrenex:
-    t = hcp.freshen_if_needed(t)
+    t = terms.freshen_if_needed(t)
     binders: list[tuple[Name, Type]] = []
     comps: list[hcp.HcpTerm] = []
 
@@ -282,7 +282,7 @@ def _step_cp(t: cp.CpTerm, r: Redex) -> cp.CpTerm:
             # a component without the channel would come back equal: the term
             # is fresh, so no binder in it equals w and substitute would
             # rename nothing and draw no fresh name
-            new_comps.append(cp.substitute(c, w, r.channel) if r.channel in cp.free_names(c) else c)
+            new_comps.append(terms.substitute(c, w, r.channel) if r.channel in cp.free_names(c) else c)
         new_binders = []
         for b in p.binders:
             if b.name == r.channel:
@@ -318,7 +318,7 @@ def _step_cp(t: cp.CpTerm, r: Redex) -> cp.CpTerm:
     if r.rule == RULE_TENS:
         send, recv = ci, cj
         s = _oriented(rec, r.i, ty.Tensor)
-        body = cp.substitute(recv.body, send.y, recv.y)
+        body = terms.substitute(recv.body, send.y, recv.y)
         pb, pn = splice(send.payload, r.i)
         qb, qn = splice(send.cont, r.i)
         rb, rn = splice(body, r.j)
@@ -386,7 +386,7 @@ def _step_hcp(t: hcp.HcpTerm, r: Redex) -> hcp.HcpTerm:
         link = p.comps[r.i]
         w = link.y if link.x == r.channel else link.x
         # only components that mention the channel change (see _step_cp)
-        comps = [hcp.substitute(c, w, r.channel) if r.channel in hcp.free_names(c) else c
+        comps = [terms.substitute(c, w, r.channel) if r.channel in hcp.free_names(c) else c
                  for k, c in enumerate(p.comps) if k != r.i]
         binders = [(n, a) for n, a in p.binders if n != r.channel]
         return congruence.rebuild_hcp(binders, comps)
@@ -398,7 +398,7 @@ def _step_hcp(t: hcp.HcpTerm, r: Redex) -> hcp.HcpTerm:
         s = rec[1] if isinstance(rec[1], ty.Tensor) else dual(rec[1])
         if not isinstance(s, ty.Tensor):
             raise ReductionError(f"restriction {r.channel} is not annotated with an output type")
-        body = hcp.substitute(cj.body, ci.y, cj.y)
+        body = terms.substitute(cj.body, ci.y, cj.y)
         binders.append((r.channel, s.right))
         binders.append((ci.y, s.left))
         splice(ci.body, binders, comps)
@@ -432,7 +432,7 @@ def measure(t) -> tuple[int, ...]:
         cls = type(t)
         if cls is cp.Cut or cls is hcp.New:
             sizes.append(size(t.ty))
-        for f in SUBTERM_FIELDS.get(cls, ()):
+        for f in SCHEMA[cls].subterms:
             stack.append(getattr(t, f))
     return tuple(sorted(sizes, reverse=True))
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FIXTURES, load_fixture
 
-from sill import bridge, congruence as cg, cp, harness, hcp, reduction as rd, surface
+from sill import bridge, congruence as cg, harness, reduction as rd, surface, terms
 from sill.harness import GenConfig, run_suite
 from sill.typecheck import TypeCheckError, check_cp, check_hcp
 from sill.types import BOT, ONE
@@ -120,7 +120,7 @@ def test_criterion_7_determinism_and_roundtrip():
         for d in f.decls:
             printed = surface.print_term(d.term)
             again = surface.parse_term(printed, d.dialect)
-            eq = cp.alpha_eq if d.dialect == "cp" else hcp.alpha_eq
+            eq = terms.alpha_eq
             assert eq(d.term, again), f"{path.name}:{d.name}"
             count += 1
 

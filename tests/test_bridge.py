@@ -2,7 +2,7 @@ import pytest
 
 from conftest import load_fixture
 
-from sill import bridge, congruence as cg, cp, harness, hcp, reduction as rd
+from sill import bridge, congruence as cg, cp, harness, hcp, reduction as rd, terms
 from sill import types as ty
 from sill.names import Name, fresh
 from sill.surface import parse_term, print_term
@@ -34,7 +34,7 @@ def test_translate_cut_becomes_mix_under_hypercut():
     hd = bridge.translate_typed(deriv)
     assert hd.rule == "H-Cut" and hd.premises[0].rule == "H-Mix"
     assert revalidate(hd)
-    assert hcp.alpha_eq(hd.term, cp_to_hcp(d.term))
+    assert terms.alpha_eq(hd.term, cp_to_hcp(d.term))
 
 
 def test_translate_halt_becomes_inert_axiom_under_unit():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import fixture_path
 
+from sill import cli
 from sill.cli import main
 
 
@@ -264,3 +265,18 @@ def test_scripts_reject_a_negative_count(script):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "count must be at least 0, not -1" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_too_deep_input_exits_in_one_line(tmp_path, capsys, command):
+    body = "w[].0"
+    for i in range(2000, 0, -1):
+        body = f"x{i}().{body}"
+    env = ", ".join(f"x{i}:bot" for i in range(1, 2001))
+    path = tmp_path / "deep.sill"
+    path.write_text(f"hproc Main : w:1, {env} = {body}\n", encoding="utf-8")
+    argv = [command, str(path)] + (["--proc", "Main"] if command == "reduce" else [])
+    code = cli.run(argv)
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out == "RecursionError: input nests too deeply\n"

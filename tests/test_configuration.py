@@ -17,7 +17,7 @@ import pytest
 
 import reference_reduction as ref
 from sill import congruence as cg
-from sill import cp, harness, hcp, names, surface
+from sill import cp, harness, hcp, names, surface, terms
 from sill import reduction as rd
 from sill.names import Name
 from sill.types import BOT, ONE, Plus, Tensor
@@ -172,7 +172,7 @@ def test_trace_terms_are_built_once_and_marked_fresh():
     tr = rd.reduce(surface.parse_term(_chain(5, False), "cp"))
     first = tr.steps[2].term
     assert tr.steps[2].term is first and first._clean
-    assert cp.freshen_if_needed(first) is first
+    assert terms.freshen_if_needed(first) is first
 
 
 # -- whole-term walks per reduce ------------------------------------------------
@@ -197,8 +197,8 @@ def test_whole_term_walks_do_not_grow_with_the_term(mod, monkeypatch):
             return wrapper
 
         with monkeypatch.context() as m:
-            m.setattr(mod, "freshen_if_needed", counted("freshen_if_needed", mod.freshen_if_needed))
-            m.setattr(mod, "binders", counted("binders", mod.binders))
+            m.setattr(terms, "freshen_if_needed", counted("freshen_if_needed", terms.freshen_if_needed))
+            m.setattr(terms, "binders", counted("binders", terms.binders))
             m.setattr(rd, "measure", counted("measure", rd.measure))
             trace = rd.reduce(t)
             assert trace.status == "canonical" and len(trace.steps) == n

@@ -12,7 +12,7 @@ import random
 from sill import congruence as cg
 from sill import cp, harness, hcp, reduction
 from sill.names import Name
-from sill.terms import BINDERS, SUBTERM_FIELDS
+from sill.terms import SCHEMA
 from sill.types import ONE, dual
 
 # -- the matcher before keys, kept as a reference ------------------------------
@@ -294,9 +294,9 @@ def _rebind_one_subject(t):
             others = [n for n in scope if n != x]
             if others:
                 return cg.rebuild_site((path, "", dataclasses.replace(node, x=others[-1])))
-        bound = BINDERS.get(type(node))
-        for f in SUBTERM_FIELDS[type(node)]:
-            inner = scope + (getattr(node, bound[0]),) if bound and f in bound[1] else scope
+        shape = SCHEMA[type(node)]
+        for f in shape.subterms:
+            inner = scope + (getattr(node, shape.binder),) if f in shape.inside else scope
             stack.append((getattr(node, f), (path, node, f), inner))
     return None
 
@@ -308,7 +308,7 @@ def _dualise_first_cut(t):
         node, path = stack.pop()
         if type(node) is cp.Cut:
             return cg.rebuild_site((path, "", dataclasses.replace(node, ty=dual(node.ty))))
-        stack += [(getattr(node, f), (path, node, f)) for f in SUBTERM_FIELDS[type(node)]]
+        stack += [(getattr(node, f), (path, node, f)) for f in SCHEMA[type(node)].subterms]
     return None
 
 

@@ -180,3 +180,21 @@ def test_reduction_graph_budget():
     term = load_fixture("tensor_unit.sill").decls[0].term
     with pytest.raises(rd.BudgetExceeded):
         rd.reduction_graph(term, cap=2)
+
+
+def test_progress_builds_one_configuration_per_sample(monkeypatch):
+    builds = 0
+    init = rd.Configuration.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    cfg = GenConfig(seed=42, count=1)
+    samples = [gen(cfg, i)[:2] for gen in (gen_cp, gen_hcp) for i in range(100)]
+    monkeypatch.setattr(rd.Configuration, "__init__", counted)
+    for t, env in samples:
+        builds = 0
+        assert harness._prop_progress(t, env) is None
+        assert builds == 1

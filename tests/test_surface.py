@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture
+from conftest import clash_heavy_terms, load_fixture
 
-from sill import cp, harness, hcp, surface
+from sill import cp, harness, hcp, surface, terms
 from sill import types as ty
 from sill.names import Name
 from sill.surface import ParseError, parse_file, parse_term, parse_type, print_term
@@ -83,7 +83,7 @@ def test_roundtrip_corpus():
     for d in f.decls:
         printed = print_term(d.term)
         again = parse_term(printed, d.dialect)
-        eq = cp.alpha_eq if d.dialect == "cp" else hcp.alpha_eq
+        eq = terms.alpha_eq
         assert eq(d.term, again), d.name
 
 
@@ -91,7 +91,7 @@ def test_roundtrip_counterexample_fixture():
     f = load_fixture("with_counterexample.sill")
     d = f.decls[0]
     printed = print_term(d.term)
-    assert hcp.alpha_eq(d.term, parse_term(printed, "hcp"))
+    assert terms.alpha_eq(d.term, parse_term(printed, "hcp"))
 
 
 def test_file_roundtrip():
@@ -102,7 +102,7 @@ def test_file_roundtrip():
     for d1, d2 in zip(f.decls, again.decls):
         assert d1.dialect == d2.dialect
         assert surface.print_env(d1.env) == surface.print_env(d2.env)
-        eq = cp.alpha_eq if d1.dialect == "cp" else hcp.alpha_eq
+        eq = terms.alpha_eq
         assert eq(d1.term, d2.term)
 
 
@@ -117,7 +117,7 @@ def test_printer_renames_captured_binders():
     term = cp.Cut(binder, ONE, cp.Halt(binder), cp.Wait(binder, cp.Halt(w_free)))
     printed = print_term(term)
     again = parse_term(printed, "cp")
-    assert cp.alpha_eq(term, again)
+    assert terms.alpha_eq(term, again)
     assert "w1" in printed  # the binder got a fresh spelling, the free name kept its own
 
 
@@ -183,27 +183,11 @@ def test_print_names_agree_with_reference_on_samples(gen):
         twice = cp.Case(Name("s", 0), term, term) if isinstance(term, cp.CpTerm) else hcp.Par(term, term)
         for t in (term, twice):
             assert surface._print_names(t) == _reference_names(t)
-            dialect, eq = ("cp", cp.alpha_eq) if isinstance(t, cp.CpTerm) else ("hcp", hcp.alpha_eq)
+            dialect, eq = ("cp", terms.alpha_eq) if isinstance(t, cp.CpTerm) else ("hcp", terms.alpha_eq)
             assert eq(t, parse_term(print_term(t), dialect))
 
 
-_NAMES = st.builds(Name, st.sampled_from("ab"), st.integers(1, 3))
-_TYPES = st.sampled_from([ONE, BOT, Tensor(ONE, BOT)])
-_CP_TERMS = st.recursive(
-    st.one_of(st.builds(cp.Link, _NAMES, _NAMES), st.builds(cp.Halt, _NAMES), st.builds(cp.Absurd, _NAMES)),
-    lambda kids: st.one_of(
-        st.builds(cp.Cut, _NAMES, _TYPES, kids, kids), st.builds(cp.Send, _NAMES, _NAMES, kids, kids),
-        st.builds(cp.Recv, _NAMES, _NAMES, kids), st.builds(cp.Wait, _NAMES, kids),
-        st.builds(cp.Inl, _NAMES, kids), st.builds(cp.Inr, _NAMES, kids), st.builds(cp.Case, _NAMES, kids, kids)),
-    max_leaves=10)
-_HCP_TERMS = st.recursive(
-    st.one_of(st.builds(hcp.Link, _NAMES, _NAMES), st.builds(hcp.Absurd, _NAMES), st.just(hcp.Inert())),
-    lambda kids: st.one_of(
-        st.builds(hcp.New, _NAMES, _TYPES, kids), st.builds(hcp.Par, kids, kids),
-        st.builds(hcp.BoundOut, _NAMES, _NAMES, kids), st.builds(hcp.In, _NAMES, _NAMES, kids),
-        st.builds(hcp.OutUnit, _NAMES, kids), st.builds(hcp.InUnit, _NAMES, kids),
-        st.builds(hcp.Inl, _NAMES, kids), st.builds(hcp.Inr, _NAMES, kids), st.builds(hcp.Case, _NAMES, kids, kids)),
-    max_leaves=10)
+_CP_TERMS, _HCP_TERMS = clash_heavy_terms()
 
 
 @settings(max_examples=400, deadline=None)

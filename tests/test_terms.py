@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sill import congruence, cp, harness, hcp, reduction, surface
 from sill.names import Name
+from sill.terms import SCHEMA, alpha_eq, alpha_key, binders, freshen_if_needed, substitute
 from sill.translate import cp_to_hcp
 from sill.types import ONE
 
@@ -33,7 +34,7 @@ def test_free_names_send_payload_bound():
 def test_substitute_subject():
     x, z, w = Name("x", 9001), Name("z", 9002), Name("w", 9003)
     term = cp.Wait(x, cp.Halt(z))
-    out = cp.substitute(term, w, x)
+    out = substitute(term, w, x)
     assert out == cp.Wait(w, cp.Halt(z))
 
 
@@ -41,7 +42,7 @@ def test_substitute_bound_name_is_identity():
     term = t("new x:1 (x[].0 | x().w[].0)")
     x = term.x
     w = Name("fresh_w", 9100)
-    assert cp.substitute(term, w, x) == term
+    assert substitute(term, w, x) == term
 
 
 def test_substitute_renames_colliding_binder():
@@ -49,11 +50,11 @@ def test_substitute_renames_colliding_binder():
     # renamed first; reference answer substitutes on a pre-freshened term
     x, w = Name("x", 9201), Name("w", 9202)
     body = cp.Cut(w, ONE, cp.Halt(w), cp.Wait(w, cp.Halt(x)))
-    got = cp.substitute(body, w, x)
+    got = substitute(body, w, x)
     freshened = cp.Cut(Name("w", 9999), ONE, cp.Halt(Name("w", 9999)),
                        cp.Wait(Name("w", 9999), cp.Halt(x)))
-    want = cp.substitute(freshened, w, x)
-    assert cp.alpha_eq(got, want)
+    want = substitute(freshened, w, x)
+    assert alpha_eq(got, want)
 
 
 @given(st.integers(0, 60))
@@ -62,35 +63,35 @@ def test_substitute_noop_when_not_free(i):
     term, env, _ = harness.gen_cp(cfg, i)
     w, x = Name("w", 1), Name("nowhere", 2)
     assert x not in cp.free_names(term)
-    assert cp.substitute(term, w, x) == term
+    assert substitute(term, w, x) == term
 
 
 def test_alpha_eq_is_equivalence_on_corpus():
     cfg = harness.GenConfig(seed=6, count=1)
     terms = [harness.gen_cp(cfg, i)[0] for i in range(10)]
     for a in terms:
-        assert cp.alpha_eq(a, a)
-    renamed = [cp.freshen_if_needed(a) for a in terms]
+        assert alpha_eq(a, a)
+    renamed = [freshen_if_needed(a) for a in terms]
     for a, b in zip(terms, renamed):
-        assert cp.alpha_eq(a, b) and cp.alpha_eq(b, a)
+        assert alpha_eq(a, b) and alpha_eq(b, a)
 
 
 def test_alpha_key_identifies_alpha_classes():
     a = t("new x:1 (x[].0 | x().w[].0)")
     b = t("new q:1 (q[].0 | q().w[].0)")
     c = t("new x:1 (x[].0 | x().v[].0)")
-    assert cp.alpha_key(a) == cp.alpha_key(b)
-    assert cp.alpha_key(a) != cp.alpha_key(c)
-    assert cp.alpha_eq(a, b) and not cp.alpha_eq(a, c)
+    assert alpha_key(a) == alpha_key(b)
+    assert alpha_key(a) != alpha_key(c)
+    assert alpha_eq(a, b) and not alpha_eq(a, c)
 
 
 def test_translation_clauses():
-    assert hcp.alpha_eq(cp_to_hcp(t("x<->y")), t("x<->y", "hcp"))
+    assert alpha_eq(cp_to_hcp(t("x<->y")), t("x<->y", "hcp"))
     halt = t("x[].0")
     assert cp_to_hcp(halt) == hcp.OutUnit(halt.x, hcp.Inert())
     got = cp_to_hcp(t("new x:1 (x[].0 | x().w[].0)"))
     want = t("new x:1. (x[].0 | x().w[].0)", "hcp")
-    assert hcp.alpha_eq(got, want)
+    assert alpha_eq(got, want)
 
 
 def test_translation_preserves_free_names():
@@ -102,16 +103,16 @@ def test_translation_preserves_free_names():
 
 def test_freshen_if_needed_keeps_clean_terms():
     term = t("new x:1 (x[].0 | x().w[].0)")
-    assert cp.freshen_if_needed(term) is term
+    assert freshen_if_needed(term) is term
 
 
 def test_freshen_if_needed_is_stable():
     x, w = Name("x", 9301), Name("w", 9302)
     dup = cp.Cut(x, ONE, cp.Halt(x), cp.Wait(x, cp.Cut(x, ONE, cp.Halt(x), cp.Wait(x, cp.Halt(w)))))
-    once = cp.freshen_if_needed(dup)
-    twice = cp.freshen_if_needed(dup)
+    once = freshen_if_needed(dup)
+    twice = freshen_if_needed(dup)
     assert once == twice
-    assert cp.alpha_eq(once, dup)
+    assert alpha_eq(once, dup)
 
 
 def _fv_reference(t) -> set:
@@ -157,14 +158,14 @@ def _derived(term):
     out += [n for _, n in congruence.neighbors(term)[:12]]
     free = sorted(mod.free_names(term), key=lambda n: n.uid)
     if free:
-        out.append(mod.substitute(term, Name("w", 7_000_001), free[0]))
-    bound = mod.binders(term)
+        out.append(substitute(term, Name("w", 7_000_001), free[0]))
+    bound = binders(term)
     if free and bound:
         # the incoming name is a binder of the term, which must be renamed
-        out.append(mod.substitute(term, bound[0], free[-1]))
+        out.append(substitute(term, bound[0], free[-1]))
     # both copies share every binder, so the second is renamed
     twice = cp.Case(free[0], term, term) if mod is cp else hcp.Par(term, term)
-    out += [twice, mod.freshen_if_needed(twice)]
+    out += [twice, freshen_if_needed(twice)]
     return out
 
 
@@ -198,3 +199,54 @@ def test_free_names_cannot_be_mutated():
         widened = fv | {Name("intruder", 7_000_002)}
         assert Name("intruder", 7_000_002) in widened
         assert mod.free_names(term) == _fv_reference(term)
+
+
+# -- the schema ---------------------------------------------------------------------
+
+
+def test_schema_covers_every_field_of_every_term_class_once():
+    classes = cp.CpTerm.__subclasses__() + hcp.HcpTerm.__subclasses__()
+    assert set(SCHEMA) == set(classes)
+    for cls in classes:
+        s = SCHEMA[cls]
+        declared = list(s.names) + [s.binder] * (s.binder is not None) + list(s.inside) + list(s.outside)
+        declared += ["ty"] * s.typed
+        assert sorted(declared) == sorted(f.name for f in fields(cls) if f.name != "loc"), cls
+        assert bool(s.inside) == (s.binder is not None), cls
+
+
+# -- deep terms ---------------------------------------------------------------------
+
+_DEPTH = 5000
+
+
+def _chain(kind: str):
+    """A term _DEPTH prefixes deep, all on the free name x, each binding a
+    name of its own where the prefix binds one."""
+    x, w = Name("x", 7_100_000), Name("w", 7_100_001)
+    t = cp.Halt(w) if kind.startswith("cp") else hcp.OutUnit(w, hcp.Inert())
+    for i in range(_DEPTH):
+        y = Name("y", 7_100_002 + i)
+        if kind == "cp-recv":
+            t = cp.Recv(x, y, t)
+        elif kind == "cp-wait":
+            t = cp.Wait(x, t)
+        elif kind == "hcp-in":
+            t = hcp.In(x, y, t)
+        elif kind == "hcp-inunit":
+            t = hcp.InUnit(x, t)
+        else:
+            t = hcp.New(y, ONE, hcp.Par(hcp.OutUnit(y, hcp.Inert()), hcp.InUnit(y, hcp.InUnit(x, t))))
+    return t
+
+
+@pytest.mark.parametrize("kind", ["cp-recv", "cp-wait", "hcp-in", "hcp-inunit", "hcp-new"])
+def test_shared_walkers_take_deep_terms(kind):
+    # (terms this deep are compared by alpha key: dataclass == recurses)
+    t, x, v = _chain(kind), Name("x", 7_100_000), Name("v", 7_200_000)
+    moved = substitute(t, v, x)
+    key = alpha_key(t)
+    assert alpha_key(_chain(kind)) == key and alpha_key(moved) != key
+    assert alpha_key(substitute(moved, x, v)) == key
+    assert alpha_eq(t, _chain(kind)) and not alpha_eq(t, moved)
+    assert len(binders(t)) == (0 if kind in ("cp-wait", "hcp-inunit") else _DEPTH)
