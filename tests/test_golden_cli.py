@@ -1,10 +1,12 @@
-"""Golden CLI text: the human-readable output of every fixture, byte for byte.
+"""Golden CLI output of every fixture, byte for byte.
 
-Each fixture's transcript runs `check --show-derivation`, then for every
+Each fixture's text transcript runs `check --show-derivation`, then for every
 declaration `reduce --trace` and `graph`, and `translate` (CP) or
-`disentangle` and `internalize` (HCP) with `--show-derivation`.  The expected
-transcripts live in tests/golden/; after a deliberate change to CLI text,
-rewrite them with `PYTHONPATH=src python tests/test_golden_cli.py`.
+`disentangle` and `internalize` (HCP) with `--show-derivation`; it lives in
+tests/golden/.  Its machine transcript runs `check --show-derivation --json`,
+then for every declaration `reduce --trace --json` and `graph --dot`; it lives
+in tests/golden/json_dot/.  After a deliberate change to CLI output, rewrite
+both with `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
 import contextlib
 import io
@@ -16,14 +18,21 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_JSON_DOT = GOLDEN / "json_dot"
 FIXTURES = sorted(p.name for p in (ROOT / "fixtures").glob("*.sill"))
 
 
-def _commands(fixture: str) -> list[list[str]]:
+def _commands(fixture: str, machine: bool = False) -> list[list[str]]:
     from sill import surface
 
     path = f"fixtures/{fixture}"
     decls = surface.parse_file((ROOT / path).read_text(), filename=path).decls
+    if machine:
+        out = [["check", path, "--show-derivation", "--json"]]
+        for d in decls:
+            out.append(["reduce", path, "--proc", d.name, "--trace", "--json"])
+            out.append(["graph", path, "--proc", d.name, "--dot"])
+        return out
     out = [["check", path, "--show-derivation"]]
     for d in decls:
         out.append(["reduce", path, "--proc", d.name, "--trace"])
@@ -33,16 +42,17 @@ def _commands(fixture: str) -> list[list[str]]:
     return out
 
 
-def transcript(fixture: str) -> str:
-    """Run the fixture's commands from the repository root, as `$ sill ...`
-    lines each followed by the command's output and exit code."""
+def transcript(fixture: str, machine: bool = False) -> str:
+    """Run the fixture's text (or, with `machine`, JSON and dot) commands from
+    the repository root, as `$ sill ...` lines each followed by the command's
+    output and exit code."""
     from sill.cli import main
 
     parts = []
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        for argv in _commands(fixture):
+        for argv in _commands(fixture, machine):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = main(argv)
@@ -58,15 +68,24 @@ def test_cli_text_matches_golden(fixture):
     assert transcript(fixture) == expected
 
 
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_cli_json_and_dot_match_golden(fixture):
+    expected = (GOLDEN_JSON_DOT / fixture.replace(".sill", ".txt")).read_text(encoding="utf-8")
+    assert transcript(fixture, machine=True) == expected
+
+
 def test_every_fixture_has_a_golden():
-    assert len(FIXTURES) == 5
+    assert len(FIXTURES) == 6
     # scramble.txt is test_congruence's golden, not a CLI transcript
     cli_goldens = sorted(p.name for p in GOLDEN.glob("*.txt") if p.name != "scramble.txt")
     assert cli_goldens == [f.replace(".sill", ".txt") for f in FIXTURES]
+    assert sorted(p.name for p in GOLDEN_JSON_DOT.glob("*.txt")) == cli_goldens
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    GOLDEN_JSON_DOT.mkdir(parents=True, exist_ok=True)
     for fixture in FIXTURES:
-        (GOLDEN / fixture.replace(".sill", ".txt")).write_text(transcript(fixture), encoding="utf-8")
-        print(f"wrote tests/golden/{fixture.replace('.sill', '.txt')}", file=sys.stderr)
+        name = fixture.replace(".sill", ".txt")
+        (GOLDEN / name).write_text(transcript(fixture), encoding="utf-8")
+        (GOLDEN_JSON_DOT / name).write_text(transcript(fixture, machine=True), encoding="utf-8")
+        print(f"wrote tests/golden/{name} and tests/golden/json_dot/{name}", file=sys.stderr)
