@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Time `reduce` on growing inputs and fit how its cost scales.
+"""Time `reduce` and the rendering of derivations and traces on growing
+inputs, and fit how their cost scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
-Workloads: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
+Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`) and HCP mixes of independent unit cuts, at n = 25, 50, 100, ...
 doubling up to --max (default 200).  Each size is parsed afresh before every
-run, so a run includes freshening, and the best of --repeat runs (default
-3) is reported in milliseconds.  A workload stops at the first size that
-raises.  Its slope is the least-squares fit of log(time) against log(n)
-over the sizes that ran: the empirical computational complexity of
-Goldsmith, Aiken and Wilkerson (trend-prof, FSE 2007), where 1 means
-linear and 2 quadratic.
+run.  A `reduce` run times `reduction.reduce` (so it includes freshening); a
+`render derivation` run times only `typecheck.render_derivation` of the
+input's typing derivation, and a `render trace` run only
+`reduction.render_trace` of its reduction trace with every reduct already
+built.  The best of --repeat runs (default 3) is reported in milliseconds.
+A workload stops at the first size that raises.  Its slope is the
+least-squares fit of log(time) against log(n) over the sizes that ran: the
+empirical computational complexity of Goldsmith, Aiken and Wilkerson
+(trend-prof, FSE 2007), where 1 means linear and 2 quadratic.  A rendered
+derivation or trace of a chain has O(n^2) characters (n judgements or
+reducts of size O(n)), so those slopes cannot fall to 1 however the printer
+shares work: compare their milliseconds.
 """
 import argparse
 import math
 import sys
 import time
 
-from sill import reduction, surface
+from sill import reduction, surface, typecheck
 from sill.cli import _at_least
 
 
@@ -26,7 +33,7 @@ def chain(n: int, hcp: bool) -> str:
     body = "w[].0"
     for i in range(n, 0, -1):
         body = f"new x{i}:1{'.' if hcp else ''} (x{i}[].0 | x{i}().{body})"
-    return body
+    return f"{'hproc' if hcp else 'proc'} Main : w:1 = {body}\n"
 
 
 def mix(n: int) -> str:
@@ -34,22 +41,44 @@ def mix(n: int) -> str:
     term = parts[-1]
     for p in reversed(parts[:-1]):
         term = f"({p} | {term})"
-    return term
+    env = ", ".join(f"o{i}:1" for i in range(1, n + 1))
+    return f"hproc Main : {env} = {term}\n"
 
 
+def _reduce(d):
+    return lambda: reduction.reduce(d.term)
+
+
+def _render_derivation(d):
+    deriv = typecheck.check_cp(d.term, d.env) if d.dialect == "cp" else typecheck.check_hcp(d.term, d.env)[0]
+    return lambda: typecheck.render_derivation(deriv)
+
+
+def _render_trace(d):
+    trace = reduction.reduce(d.term)
+    for st in trace.steps:
+        st.term  # build every reduct before the clock starts
+    return lambda: reduction.render_trace(trace)
+
+
+# label -> (source of size n, what to time, given the parsed declaration)
 WORKLOADS = {
-    "reduce cp chain": (lambda n: chain(n, False), "cp"),
-    "reduce hcp chain": (lambda n: chain(n, True), "hcp"),
-    "reduce hcp mix": (mix, "hcp"),
+    "reduce cp chain": (lambda n: chain(n, False), _reduce),
+    "reduce hcp chain": (lambda n: chain(n, True), _reduce),
+    "reduce hcp mix": (mix, _reduce),
+    "render derivation cp chain": (lambda n: chain(n, False), _render_derivation),
+    "render derivation hcp chain": (lambda n: chain(n, True), _render_derivation),
+    "render trace cp chain": (lambda n: chain(n, False), _render_trace),
+    "render trace hcp chain": (lambda n: chain(n, True), _render_trace),
 }
 
 
-def best_ms(src: str, dialect: str, repeat: int) -> float:
+def best_ms(src: str, prepare, repeat: int) -> float:
     best = math.inf
     for _ in range(repeat):
-        term = surface.parse_term(src, dialect)
+        run = prepare(surface.parse_file(src).decls[0])
         t0 = time.perf_counter()
-        reduction.reduce(term)
+        run()
         best = min(best, time.perf_counter() - t0)
     return best * 1000
 
@@ -66,12 +95,12 @@ def main() -> int:
     ap.add_argument("--max", type=_at_least(25, "max"), default=200)
     ap.add_argument("--repeat", type=_at_least(1, "repeat"), default=3)
     args = ap.parse_args()
-    for label, (make, dialect) in WORKLOADS.items():
+    for label, (make, prepare) in WORKLOADS.items():
         points = []
         n = 25
         while n <= args.max:
             try:
-                ms = best_ms(make(n), dialect, args.repeat)
+                ms = best_ms(make(n), prepare, args.repeat)
             except Exception as e:  # RecursionError on deep input, among others
                 print(f"{label} n={n}: raised {type(e).__name__}")
                 break

@@ -124,24 +124,25 @@ def cmd_graph(args) -> int:
         print(e.render(args.file))
         return 1
     g = reduction.reduction_graph(d.term, cap=args.cap)
+    printed = surface.print_terms(g.nodes)
     if args.dot:
         print("digraph reduction {")
-        for i, t in enumerate(g.nodes):
+        for i, term in enumerate(printed):
             shape = "doublecircle" if i in g.terminals else "circle"
-            label = surface.print_term(t).replace('"', "'")
+            label = term.replace('"', "'")
             print(f'  n{i} [shape={shape}, label="{label}"];')
         for src, dst, rule, chan in g.edges:
             print(f'  n{src} -> n{dst} [label="{rule} {chan}"];')
         print("}")
     elif args.json:
-        recs = [{"node": i, "term": surface.print_term(t), "terminal": i in g.terminals}
-                for i, t in enumerate(g.nodes)]
+        recs = [{"node": i, "term": term, "terminal": i in g.terminals}
+                for i, term in enumerate(printed)]
         recs += [{"edge": [src, dst], "rule": rule, "channel": chan} for src, dst, rule, chan in g.edges]
         _emit(recs)
     else:
-        for i, t in enumerate(g.nodes):
+        for i, term in enumerate(printed):
             mark = " (terminal)" if i in g.terminals else ""
-            print(f"node {i}{mark}: {surface.print_term(t)}")
+            print(f"node {i}{mark}: {term}")
         for src, dst, rule, chan in g.edges:
             print(f"edge {src} -> {dst}: {rule} on {chan}")
         print(f"{len(g.nodes)} nodes, {len(g.edges)} edges, {len(g.terminals)} terminal")

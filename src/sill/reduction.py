@@ -653,31 +653,36 @@ def reduce(t, fuel: int | None = None, strategy: str = "deterministic"):
     return ReductionTrace(t, steps, "canonical" if canonical(c).ok else "stuck")
 
 
-def render_trace(trace: ReductionTrace) -> str:
+def _printed(trace: ReductionTrace) -> list[str]:
+    """Every reduct, then the final term, printed together: a reduct shares
+    most nodes with the one before it, and the final term is the last one."""
     from . import surface
 
+    return surface.print_terms([*(st.term for st in trace.steps), trace.final])
+
+
+def render_trace(trace: ReductionTrace) -> str:
+    printed = _printed(trace)
     lines = []
-    for k, st in enumerate(trace.steps, 1):
+    for k, (st, term) in enumerate(zip(trace.steps, printed), 1):
         m = "{" + ", ".join(str(v) for v in st.measure) + "}"
-        lines.append(f"step {k}: {st.redex.rule} on {st.redex.channel.surface} ⇒ {surface.print_term(st.term)} [measure: {m}]")
-    lines.append(f"{trace.status} after {len(trace.steps)} steps: {surface.print_term(trace.final)}")
+        lines.append(f"step {k}: {st.redex.rule} on {st.redex.channel.surface} ⇒ {term} [measure: {m}]")
+    lines.append(f"{trace.status} after {len(trace.steps)} steps: {printed[-1]}")
     return "\n".join(lines)
 
 
 def trace_json_lines(trace: ReductionTrace) -> list[dict]:
-    from . import surface
-
+    printed = _printed(trace)
     out = []
-    for k, st in enumerate(trace.steps, 1):
+    for k, (st, term) in enumerate(zip(trace.steps, printed), 1):
         out.append({
             "step": k,
             "rule": st.redex.rule,
             "channel": st.redex.channel.surface,
-            "term": surface.print_term(st.term),
+            "term": term,
             "measure": list(st.measure),
         })
-    out.append({"status": trace.status, "steps": len(trace.steps),
-                "term": surface.print_term(trace.final)})
+    out.append({"status": trace.status, "steps": len(trace.steps), "term": printed[-1]})
     return out
 
 

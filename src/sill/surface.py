@@ -9,6 +9,7 @@ value (terms: alpha-equal with the same surface names).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import cp, hcp
 from . import types as ty
@@ -537,26 +538,75 @@ def _print_names(t) -> dict[Name, str]:
     return out
 
 
-def print_term(t) -> str:
-    names = _print_names(t)
-    parts: list[str] = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if type(t) is str:
-            parts.append(t)
+def print_terms(terms) -> list[str]:
+    """`[print_term(t) for t in terms]`, printing each shared node once.
+
+    A root whose name choice renames nothing prints every binder with its
+    own surface, so its text is a plain concatenation and each node's span
+    in it is that node's text.  The emitter records those spans (for every
+    root but the last) and, from the next root on, emits any node already
+    recorded as a slice of the text it was met in: a root met before costs
+    no name walk, and a new root runs `_print_names` once and slices the
+    nodes it shares.  That is sound because a binder clashes iff a use in
+    its scope refers to a distinct name with the same surface that is bound
+    outside the binder or free, in any context; a subterm holds each of its
+    binders with the whole scope, so every subterm of a root that renames
+    nothing also renames nothing when printed alone.  A root that does
+    rename something prints from scratch and records nothing, since the
+    spellings inside its subterms depend on it.  Memo entries keep their
+    node alive, so no `id` is reused."""
+    terms = list(terms)
+    out: list[str] = []
+    memo: dict[int, tuple] = {}  # id(node) -> (node, text it was met in, start, end)
+    last = len(terms) - 1
+    for k, root in enumerate(terms):
+        hit = memo.get(id(root))
+        if hit is not None:
+            out.append(hit[1][hit[2]:hit[3]])
             continue
-        for kind, piece in _FORMS[type(t)]:
-            if kind is _LITERAL:
-                stack.append(piece)
-            elif kind is _TERM:
-                stack.append(getattr(t, piece))
-            elif kind is _NAME:
-                n = getattr(t, piece)
-                stack.append(names.get(n, n.surface))
-            else:
-                stack.append(ty.render(getattr(t, piece)))
-    return "".join(parts)
+        names = _print_names(root)
+        lookup = memo.get if memo and not names else None
+        spans: list[list] | None = [] if k < last and not names else None  # [node, first part, end part]
+        parts: list[str] = []
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            if cls is str:
+                parts.append(t)
+                continue
+            if cls is int:  # the node spans[t] ends
+                spans[t].append(len(parts))
+                continue
+            if lookup is not None:
+                hit = lookup(id(t))
+                if hit is not None:
+                    parts.append(hit[1][hit[2]:hit[3]])
+                    continue
+            if spans is not None:
+                stack.append(len(spans))
+                spans.append([t, len(parts)])
+            for kind, piece in _FORMS[cls]:
+                if kind is _LITERAL:
+                    stack.append(piece)
+                elif kind is _TERM:
+                    stack.append(getattr(t, piece))
+                elif kind is _NAME:
+                    n = getattr(t, piece)
+                    stack.append(names.get(n, n.surface))
+                else:
+                    stack.append(ty.render(getattr(t, piece)))
+        text = "".join(parts)
+        out.append(text)
+        if spans:
+            at = [0, *accumulate(map(len, parts))]  # part index -> text offset
+            for t, a, b in spans:
+                memo[id(t)] = (t, text, at[a], at[b])
+    return out
+
+
+def print_term(t) -> str:
+    return print_terms([t])[0]
 
 
 def print_env(env: dict[Name, ty.Type]) -> str:

@@ -821,15 +821,20 @@ def render_derivation(d: Derivation) -> str:
 
 
 def derivation_json_lines(d: Derivation) -> list[dict]:
-    """One record per derivation node, in pre-order."""
+    """One record per derivation node, in pre-order.  The nodes' terms are
+    printed together, so each subterm they share is printed once."""
     from . import surface
 
-    out = []
+    nodes = []
     stack = [(d, 0)]
     while stack:
         d, depth = stack.pop()
-        envs = surface.print_env(d.env) if isinstance(d.env, dict) else surface.print_hyper_env(d.env)
-        out.append({"rule": d.rule, "conclusion": f"⊢ {surface.print_term(d.term)} : {envs}",
-                    "children": len(d.premises), "depth": depth})
+        nodes.append((d, depth))
         stack += [(c, depth + 1) for c in reversed(d.premises)]
+    printed = surface.print_terms([d.term for d, _ in nodes])
+    out = []
+    for (d, depth), term in zip(nodes, printed):
+        envs = surface.print_env(d.env) if isinstance(d.env, dict) else surface.print_hyper_env(d.env)
+        out.append({"rule": d.rule, "conclusion": f"⊢ {term} : {envs}",
+                    "children": len(d.premises), "depth": depth})
     return out

@@ -21,6 +21,17 @@ def load_fixture(name: str):
     return surface.parse_file(path.read_text(), filename=str(path))
 
 
+def subterms(t):
+    """Every subterm object of t, t first."""
+    from sill.terms import SCHEMA
+
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [getattr(node, f) for f in SCHEMA[type(node)].subterms]
+
+
 def clash_heavy_terms():
     """Hypothesis strategies (CP, HCP) for terms over two spellings and three
     uids, so that clashes, shadowing and rebinding are common."""

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clash_heavy_terms, load_fixture
+from conftest import clash_heavy_terms, load_fixture, subterms
 
-from sill import cp, harness, hcp, surface, terms
+from sill import cp, harness, hcp, reduction, surface, terms, typecheck
 from sill import types as ty
 from sill.names import Name
 from sill.surface import ParseError, parse_file, parse_term, parse_type, print_term
@@ -209,3 +209,82 @@ def test_deep_chains_print_without_recursion():
         for i in range(n):
             t = wrap(i, t)
         assert print_term(t) == prefix * n + print_term(leaf)
+
+
+# -- printing many terms at once ----------------------------------------------
+
+
+def _derivation_terms(d) -> list:
+    out, stack = [], [d]
+    while stack:
+        d = stack.pop()
+        out.append(d.term)
+        stack += reversed(d.premises)
+    return out
+
+
+def _assert_prints_alike(ts):
+    assert surface.print_terms(ts) == [print_term(t) for t in ts]
+
+
+@pytest.mark.parametrize("gen", [harness.gen_cp, harness.gen_hcp], ids=["cp", "hcp"])
+def test_print_terms_matches_print_term_on_derivations_and_traces(gen):
+    cfg = harness.GenConfig(seed=7, count=80)
+    for i in range(80):
+        term, _, d = gen(cfg, i)
+        _assert_prints_alike(_derivation_terms(d))
+        trace = reduction.reduce(term)
+        _assert_prints_alike([*(st.term for st in trace.steps), trace.final])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_CP_TERMS, _HCP_TERMS), st.one_of(_CP_TERMS, _HCP_TERMS))
+def test_print_terms_matches_print_term_on_clash_heavy_terms(t, u):
+    # t's subterm objects, then roots that hold t under a clash-prone binder
+    wrap = (lambda b, p: cp.Cut(b, ONE, p, p)) if isinstance(t, cp.CpTerm) else (lambda b, p: hcp.New(b, ONE, p))
+    held = [wrap(Name(s, k), t) for s in "ab" for k in (1, 2, 3)]
+    _assert_prints_alike([*subterms(t), *held, u, t])
+    _assert_prints_alike([*held, *subterms(t)])
+
+
+def test_print_terms_does_not_slice_into_a_renaming_root():
+    x, y = Name("x", 1), Name("y", 2)
+    inner = cp.Wait(x, cp.Halt(y))  # clash-free alone
+    # the binder x sees a distinct free x, so it and its use inside `inner` print as x1
+    clash = cp.Cut(x, ONE, inner, cp.Halt(Name("x", 9)))
+    assert surface.print_terms([inner, clash, inner]) == [
+        "x().y[].0", "new x1:1 (x1().y[].0 | x[].0)", "x().y[].0"]
+
+
+def test_print_terms_deep_chain_without_recursion():
+    n = 5000
+    x = Name("x", 1)
+    t = cp.Halt(x)
+    for i in range(n):
+        t = cp.Recv(x, Name("y", 10 + i), t)
+    mid = t
+    for _ in range(n // 2):
+        mid = mid.body
+    whole, half = "x(y)." * n + "x[].0", "x(y)." * (n // 2) + "x[].0"
+    assert surface.print_terms([t, mid, cp.Wait(x, t), mid, t]) == [whole, half, "x()." + whole, half, whole]
+
+
+def _unit_chain(n: int) -> str:
+    body = "w[].0"
+    for i in range(n, 0, -1):
+        body = f"new x{i}:1 (x{i}[].0 | x{i}().{body})"
+    return f"proc Main : w:1 = {body}\n"
+
+
+@pytest.mark.parametrize("n", [25, 200])
+def test_rendering_walks_names_once_per_new_root(monkeypatch, n):
+    walks = []
+    real = surface._print_names
+    monkeypatch.setattr(surface, "_print_names", lambda t: walks.append(t) or real(t))
+    d = parse_file(_unit_chain(n)).decls[0]
+    typecheck.render_derivation(typecheck.check_cp(d.term, d.env))
+    assert len(walks) == 1
+    trace = reduction.reduce(d.term)
+    walks.clear()
+    reduction.render_trace(trace)
+    assert len(walks) <= n + 1

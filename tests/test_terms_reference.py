@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_terms as ref
-from conftest import clash_heavy_terms
+from conftest import clash_heavy_terms, subterms
 
 from sill import congruence, cp, harness, hcp, names, terms
 from sill.names import Name
@@ -26,14 +26,6 @@ def _old(t, fn: str):
 
 def _free_names(t):
     return (cp.free_names if isinstance(t, cp.CpTerm) else hcp.free_names)(t)
-
-
-def _subterms(t):
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += [getattr(node, f) for f in terms.SCHEMA[type(node)].subterms]
 
 
 def _same_supply(old, new):
@@ -118,7 +110,7 @@ def _samples():
 def test_walkers_agree_with_the_reference_on_samples_and_their_subterms():
     checked = 0
     for t in _samples():
-        for sub in _subterms(t):
+        for sub in subterms(t):
             _check_walkers(sub, turn=checked)
             checked += 1
         twice = _twice(t)
