@@ -15,7 +15,7 @@ from . import congruence, cp, hcp, reduction, terms
 from . import types as ty
 from .names import Name, fresh
 from .translate import cp_to_hcp
-from .typecheck import Derivation, env_eq, revalidate
+from .typecheck import Derivation, env_key, revalidate
 from .types import BOT, ONE, Type
 
 
@@ -184,7 +184,7 @@ def _split(d: Derivation, log: list[str]) -> list[Derivation]:
             comps = _split(d.premises[0], log)
             (ie,) = [i for i, e in enumerate(d.env) if t.x in e]
             gamma = {n: a for n, a in d.env[ie].items() if n != t.x}
-            i = next((k for k, c in enumerate(comps) if env_eq(c.env[0], gamma)), None)
+            i = next((k for k, c in enumerate(comps) if c.env[0] == gamma), None)
             if i is None:
                 raise BridgeError(f"no component matches the environment extended by the wait on {t.x}")
             others = [c for k, c in enumerate(comps) if k != i]
@@ -295,16 +295,12 @@ def bigparr(env: dict) -> Type:
     return out
 
 
-def _member_key(e: dict):
-    return tuple(sorted((n.uid, n.surface, ty.render(a)) for n, a in e.items()))
-
-
 def bigtens(part: list) -> Type:
     """Collapse a hyper-environment to one tensor formula; the empty
     hyper-environment gives 1."""
     if not part:
         return ONE
-    envs = sorted(part, key=_member_key)
+    envs = sorted(part, key=env_key)
     parts = [bigparr(e) for e in envs]
     out = parts[-1]
     for a in reversed(parts[:-1]):
@@ -355,7 +351,7 @@ def tens_internalize(d: Derivation) -> Derivation:
         return Derivation("1", cp.Halt(z), {z: ONE}, ())
     res = disentangle(d)
     collapsed = [parr_collapse(c) for c in res.components]
-    order = sorted(range(len(collapsed)), key=lambda i: _member_key(res.components[i].env))
+    order = sorted(range(len(collapsed)), key=lambda i: env_key(res.components[i].env))
     ds = [collapsed[i] for i in order]
     if len(ds) == 1:
         return ds[0]

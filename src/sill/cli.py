@@ -22,15 +22,6 @@ def _load(path: str) -> surface.SessionFile:
         return surface.parse_file(fh.read(), filename=path)
 
 
-def _pick(f: surface.SessionFile, name: str | None, *, dialect: str | None = None) -> surface.Decl:
-    decls = f.decls if name is None else [f.get(name)]
-    if dialect is not None:
-        decls = [d for d in decls if d.dialect == dialect]
-    if not decls:
-        raise KeyError(name or "<any>")
-    return decls[0]
-
-
 def _at_least(low: int, what: str):
     """An argparse type: an integer no smaller than low."""
 
@@ -69,6 +60,32 @@ def _check_decl(d: surface.Decl):
     return deriv, part
 
 
+class _Refused(Exception):
+    """An input a command declines: `main` prints the message and exits with
+    the code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+_DIALECT_NAMES = {"cp": "a CP", "hcp": "an HCP"}
+
+
+def _checked(args, dialect: str | None = None):
+    """Load args.file, take its declaration args.proc and typecheck it:
+    (declaration, derivation, hyper-environment or None for CP).  A
+    declaration not of the given dialect is refused with exit 2, one that
+    does not typecheck with exit 1, each in one line."""
+    d = _load(args.file).get(args.proc)
+    if dialect is not None and d.dialect != dialect:
+        raise _Refused(f"{args.file}: {d.name} is not {_DIALECT_NAMES[dialect]} declaration", 2)
+    try:
+        return (d, *_check_decl(d))
+    except TypeCheckError as e:
+        raise _Refused(e.render(args.file), 1) from None
+
+
 def cmd_check(args) -> int:
     f = _load(args.file)
     decls = f.decls if args.proc is None else [f.get(args.proc)]
@@ -97,13 +114,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f = _load(args.file)
-    d = f.get(args.proc)
-    try:
-        _check_decl(d)
-    except TypeCheckError as e:
-        print(e.render(args.file))
-        return 1
+    d, _, _ = _checked(args)
     fuel = args.fuel if args.fuel is not None else reduction.fuel_bound(d.term)
     trace = reduction.reduce(d.term, fuel=fuel)
     if args.json:
@@ -116,13 +127,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    f = _load(args.file)
-    d = f.get(args.proc)
-    try:
-        _check_decl(d)
-    except TypeCheckError as e:
-        print(e.render(args.file))
-        return 1
+    d, _, _ = _checked(args)
     g = reduction.reduction_graph(d.term, cap=args.cap)
     printed = surface.print_terms(g.nodes)
     if args.dot:
@@ -150,16 +155,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    f = _load(args.file)
-    d = f.get(args.proc)
-    if d.dialect != "cp":
-        print(f"{args.file}: {d.name} is not a CP declaration")
-        return 2
-    try:
-        deriv = check_cp(d.term, d.env)
-    except TypeCheckError as e:
-        print(e.render(args.file))
-        return 1
+    d, deriv, _ = _checked(args, "cp")
     image = cp_to_hcp(d.term)
     hd = bridge.translate_typed(deriv)
     if args.json:
@@ -173,16 +169,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_disentangle(args) -> int:
-    f = _load(args.file)
-    d = f.get(args.proc)
-    if d.dialect != "hcp":
-        print(f"{args.file}: {d.name} is not an HCP declaration")
-        return 2
-    try:
-        deriv, part = check_hcp(d.term, d.env)
-    except TypeCheckError as e:
-        print(e.render(args.file))
-        return 1
+    _, deriv, _ = _checked(args, "hcp")
     res = bridge.disentangle(deriv)
     if args.json:
         recs = [{"component": i, "term": surface.print_term(c.term), "env": surface.print_env(c.env)}
@@ -200,16 +187,7 @@ def cmd_disentangle(args) -> int:
 
 
 def cmd_internalize(args) -> int:
-    f = _load(args.file)
-    d = f.get(args.proc)
-    if d.dialect != "hcp":
-        print(f"{args.file}: {d.name} is not an HCP declaration")
-        return 2
-    try:
-        deriv, part = check_hcp(d.term, d.env)
-    except TypeCheckError as e:
-        print(e.render(args.file))
-        return 1
+    d, deriv, _ = _checked(args, "hcp")
     out = bridge.tens_internalize(deriv)
     if args.json:
         _emit([{"proc": d.name, "term": surface.print_term(out.term), "env": surface.print_env(out.env)}])
@@ -292,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except _Refused as e:
+        print(str(e))
+        return e.code
     except surface.ParseError as e:
         print(str(e))
         return 2

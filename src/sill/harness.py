@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bridge, congruence, cp, hcp, reduction, surface
 from . import names as nm
@@ -72,20 +72,8 @@ def _sample_type(rng: random.Random, budget: int) -> ty.Type:
     return cls(_sample_type(rng, lb), _sample_type(rng, budget - 1 - lb))
 
 
-class _Multiset(tuple):
-    """A multiset of types sorted by rendering, hashed by the renderings.  A
-    type's own hash depends only on its shape (every atom hashes alike, and
-    a connective hashes as the pair of its operands), so multisets of types
-    of one shape would all collide in `provable`'s cache."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(tuple(map(ty.render, self)))
-
-
 def _canon(ts) -> tuple:
-    return _Multiset(sorted(ts, key=ty.render))
+    return tuple(sorted(ts, key=ty.render))
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -370,12 +358,21 @@ def _gen_cp_cached(cfg: GenConfig, index: int):
     raise GeneratorStuck(f"no well-typed CP term found for sample {index}")
 
 
+def _stream(cfg: GenConfig) -> GenConfig:
+    """The cache key of cfg's samples: every field but `count`, which only
+    says how many of them a suite draws."""
+    return replace(cfg, count=0)
+
+
 def gen_cp(cfg: GenConfig, index: int = 0):
     """One well-typed CP sample: (term, environment, derivation).
 
-    Samples are pure functions of (config, index); results are cached so
-    different suites over the same stream share generation work."""
-    t, env, d = _gen_cp_cached(cfg, index)
+    Samples are pure functions of (config without its count, index); results
+    are cached so different suites over the same stream share generation work.
+    A cached sample leaves the name supply where generating it again would:
+    `supply_from` resumes above max(saved, the sample's own uids), and those
+    were already folded in when the sample was first made."""
+    t, env, d = _gen_cp_cached(_stream(cfg), index)
     return t, dict(env), d
 
 
@@ -435,7 +432,7 @@ def gen_hcp(cfg: GenConfig, index: int = 0):
     Built as a root-level mix of translated CP samples, reduced a few steps
     and scrambled by congruence axioms, so samples include processes outside
     the direct image of the translation."""
-    t, env, d = _gen_hcp_cached(cfg, index)
+    t, env, d = _gen_hcp_cached(_stream(cfg), index)
     return t, dict(env), d
 
 
@@ -705,7 +702,6 @@ def _replace_at(t, path):
     inner = _replace_at(getattr(t, f), path[1:])
 
     def rebuild(new):
-        from dataclasses import replace
         return replace(t, **{f: inner(new)})
 
     return rebuild

@@ -7,26 +7,20 @@ cannot capture, and alpha-comparison reduces to walking two binder maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 _counter = 0
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
+    """A (surface, uid) tuple, so that hashing and equality are tuple's own:
+    a name hashes as hash((surface, uid))."""
+
     surface: str
     uid: int
 
     def __str__(self) -> str:
         return self.surface
-
-    def __hash__(self) -> int:
-        # the dataclass hash, computed once: names key most dicts and sets
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.surface, self.uid))
-            object.__setattr__(self, "_hash", h)
-            return h
 
 
 @dataclass(frozen=True)

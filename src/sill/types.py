@@ -3,120 +3,117 @@
 Grammar (ASCII): 1, bot, 0, top, A * B, A par B, A + B, A & B.
 Binary operators are right-associative; * and par share one precedence
 level, + and & share a looser one, and levels never mix without parens.
+
+Types are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): a constructor returns the one object with its class
+and operands, so equal types are the same object, and `==` and `hash` are
+the interpreter's identity defaults.  A connective is built together with
+its dual, and each object carries its dual, size and rendering as fields
+set when it is made.  Types are never mutated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class Type:
+    __slots__ = ("dual", "size", "text")
+
+
+_UNITS: dict[type, Type] = {}
+
+
+class _Unit(Type):
     __slots__ = ()
+
+    def __new__(cls):
+        return _UNITS[cls]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class One(_Unit):
+    __slots__ = ()
+
+
+class Bot(_Unit):
+    __slots__ = ()
+
+
+class Zero(_Unit):
+    __slots__ = ()
+
+
+class Top(_Unit):
+    __slots__ = ()
+
+
+def _unit(cls: type, text: str) -> Type:
+    a = object.__new__(cls)
+    a.size, a.text = 1, text
+    _UNITS[cls] = a
+    return a
+
+
+ONE, BOT, ZERO, TOP = _unit(One, "1"), _unit(Bot, "bot"), _unit(Zero, "0"), _unit(Top, "top")
+ONE.dual, BOT.dual, ZERO.dual, TOP.dual = BOT, ONE, TOP, ZERO
+
+
+# (class, left, right) -> the connective; operands are interned, so the key
+# hashes and compares by identity
+_TABLE: dict[tuple, Type] = {}
 
 
 class _Binary(Type):
-    """A connective over (left, right).  Equality and hashing are those a
-    frozen dataclass generates, except that the hash is computed once per
-    object (types are compared and hashed far more often than built)."""
+    """A connective over (left, right)."""
 
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Type, right: Type):
+        try:
+            return _TABLE[cls, left, right]
+        except KeyError:
+            pass
+        if not (isinstance(left, Type) and isinstance(right, Type)):
+            raise TypeError(f"not a type: {left!r} or {right!r}")
+        a = _connective(cls, left, right)
+        d = _connective(_DUAL[cls], left.dual, right.dual)
+        a.dual, d.dual = d, a
+        return a
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
+
+
+class Tensor(_Binary):
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor(_Binary):
-    left: Type
-    right: Type
-
-
-@dataclass(frozen=True, eq=False)
 class Par(_Binary):
-    left: Type
-    right: Type
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Plus(_Binary):
-    left: Type
-    right: Type
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class With(_Binary):
-    left: Type
-    right: Type
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class One(Type):
-    pass
-
-
-@dataclass(frozen=True)
-class Bot(Type):
-    pass
-
-
-@dataclass(frozen=True)
-class Zero(Type):
-    pass
-
-
-@dataclass(frozen=True)
-class Top(Type):
-    pass
-
-
-ONE = One()
-BOT = Bot()
-ZERO = Zero()
-TOP = Top()
-
-
-_ATOM_DUAL = {One: BOT, Bot: ONE, Zero: TOP, Top: ZERO}
-_CONNECTIVE_DUAL = {Tensor: Par, Par: Tensor, With: Plus, Plus: With}
-
-
-def dual(a: Type) -> Type:
-    """The dual type.  A connective's dual is built once and kept on it (and
-    the dual's dual is the connective itself)."""
-    cls = a.__class__
-    if cls in _ATOM_DUAL:
-        return _ATOM_DUAL[cls]
-    try:
-        return a._dual
-    except AttributeError:
-        pass
-    if cls not in _CONNECTIVE_DUAL:
-        raise TypeError(f"not a type: {a!r}")
-    d = _CONNECTIVE_DUAL[cls](dual(a.left), dual(a.right))
-    object.__setattr__(a, "_dual", d)
-    object.__setattr__(d, "_dual", a)
-    return d
-
-
-def size(a: Type) -> int:
-    """Formula size; the unit of the cut-reduction termination measure."""
-    match a:
-        case Tensor(l, r) | Par(l, r) | Plus(l, r) | With(l, r):
-            return size(l) + size(r) + 1
-        case _:
-            return 1
-
-
-_ATOMS = {One: "1", Bot: "bot", Zero: "0", Top: "top"}
+_DUAL = {Tensor: Par, Par: Tensor, With: Plus, Plus: With}
 _OPS = {Tensor: "*", Par: "par", Plus: "+", With: "&"}
+
+
+def _connective(cls: type, left: Type, right: Type) -> Type:
+    a = object.__new__(cls)
+    a.left, a.right = left, right
+    a.size = left.size + right.size + 1
+    a.text = f"{_sub(left, a, False)} {_OPS[cls]} {_sub(right, a, True)}"
+    _TABLE[cls, left, right] = a
+    return a
 
 
 def _level(a: Type) -> int:
@@ -127,25 +124,15 @@ def _level(a: Type) -> int:
     return 2
 
 
-def render(a: Type) -> str:
-    """Canonical ASCII form with minimal parentheses, computed once per object."""
-    try:
-        return a._text
-    except AttributeError:
-        pass
-    cls = type(a)
-    if cls in _ATOMS:
-        text = _ATOMS[cls]
-    else:
-        text = f"{_sub(a.left, a, False)} {_OPS[cls]} {_sub(a.right, a, True)}"
-    object.__setattr__(a, "_text", text)
-    return text
-
-
 def _sub(child: Type, parent: Type, is_right: bool) -> str:
-    s = render(child)
     if _level(child) > _level(parent):
-        return s
+        return child.text
     if is_right and type(child) is type(parent):
-        return s
-    return f"({s})"
+        return child.text
+    return f"({child.text})"
+
+
+# field reads, kept as functions for the callers that map or pass them
+dual = attrgetter("dual")  # the dual type; dual(dual(a)) is a
+size = attrgetter("size")  # formula size, the unit of the cut-reduction termination measure
+render = attrgetter("text")  # canonical ASCII form with minimal parentheses

@@ -280,3 +280,17 @@ def test_too_deep_input_exits_in_one_line(tmp_path, capsys, command):
     out = capsys.readouterr().out
     assert code == 3
     assert out == "RecursionError: input nests too deeply\n"
+
+
+def test_fuzz_output_does_not_depend_on_the_hash_seed():
+    # string hashes vary with the seed and type hashes with object addresses;
+    # neither may reach the reports
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "sill.cli", "fuzz", "--suite", "all", "--seed", "42",
+                               "--count", "10", "--json"], capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -6,7 +6,7 @@ from sill import congruence as cg
 from sill import cp, harness, hcp
 from sill.names import Name
 from sill.surface import parse_term, print_term
-from sill.typecheck import check_cp, check_hcp, env_eq, hyper_eq
+from sill.typecheck import check_cp, check_hcp, hyper_eq
 from sill.types import dual
 
 

@@ -186,6 +186,13 @@ def test_free_names_agree_with_plain_recursion_on_derived_terms(gen):
     assert checked > 1000
 
 
+def test_name_hashes_as_its_pair():
+    # name-keyed sets iterate in an order fixed by these hash values
+    for s, u in [("x", 1), ("c0", 1_000_000_001), ("", 0)]:
+        assert hash(Name(s, u)) == hash((s, u))
+        assert Name(s, u) == Name(s, u) and str(Name(s, u)) == s
+
+
 def test_free_names_cannot_be_mutated():
     cfg = harness.GenConfig(seed=11, count=5)
     for term in (harness.gen_cp(cfg, 0)[0], harness.gen_hcp(cfg, 0)[0]):

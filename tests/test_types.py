@@ -33,7 +33,7 @@ def test_dual_involution_example():
 
 @given(types)
 def test_dual_involution(a):
-    assert dual(dual(a)) == a
+    assert dual(dual(a)) is a
 
 
 @given(types)
@@ -50,7 +50,7 @@ def test_size_positive_and_compositional(a):
 
 @given(types)
 def test_render_parse_roundtrip(a):
-    assert surface.parse_type(ty.render(a)) == a
+    assert surface.parse_type(ty.render(a)) is a
 
 
 def test_dual_is_bijective_on_small_grammar():
@@ -62,3 +62,16 @@ def test_dual_is_bijective_on_small_grammar():
                 small.append(cls(l, r))
     images = {ty.render(dual(a)) for a in small}
     assert len(images) == len(small)
+
+
+def test_units_and_connectives_hash_apart():
+    assert len({hash(a) for a in (ONE, BOT, ZERO, TOP)}) == 4
+    for l, r in [(ONE, ONE), (BOT, TOP), (Tensor(ONE, BOT), ZERO)]:
+        assert len({hash(cls(l, r)) for cls in (Tensor, Par, Plus, With)}) == 4
+
+
+def test_constructors_return_the_interned_type():
+    assert Tensor(ONE, Par(BOT, TOP)) is Tensor(ONE, Par(BOT, TOP))
+    assert ty.One() is ONE and ty.Top() is TOP
+    assert Plus(ONE, BOT) is not With(ONE, BOT)
+    assert repr(Tensor(ONE, Par(BOT, TOP))) == "Tensor(left=One(), right=Par(left=Bot(), right=Top()))"
