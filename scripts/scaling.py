@@ -11,21 +11,23 @@ run.  A `reduce` run times `reduction.reduce` (so it includes freshening); a
 `render derivation` run times only `typecheck.render_derivation` of the
 input's typing derivation, and a `render trace` run only
 `reduction.render_trace` of its reduction trace with every reduct already
-built.  The best of --repeat runs (default 3) is reported in milliseconds.
-A workload stops at the first size that raises.  Its slope is the
-least-squares fit of log(time) against log(n) over the sizes that ran: the
-empirical computational complexity of Goldsmith, Aiken and Wilkerson
-(trend-prof, FSE 2007), where 1 means linear and 2 quadratic.  A rendered
-derivation or trace of a chain has O(n^2) characters (n judgements or
-reducts of size O(n)), so those slopes cannot fall to 1 however the printer
-shares work: compare their milliseconds.
+built.  A `translate` run times `bridge.translate_typed` of the input's
+typing derivation, and a `disentangle` run `bridge.disentangle` and then
+`bridge.tens_internalize` of it.  The best of --repeat runs (default 3) is
+reported in milliseconds.  A workload stops at the first size that raises.
+Its slope is the least-squares fit of log(time) against log(n) over the sizes
+that ran: the empirical computational complexity of Goldsmith, Aiken and
+Wilkerson (trend-prof, FSE 2007), where 1 means linear and 2 quadratic.  A
+rendered derivation or trace of a chain has O(n^2) characters (n judgements
+or reducts of size O(n)), so those slopes cannot fall to 1 however the
+printer shares work: compare their milliseconds.
 """
 import argparse
 import math
 import sys
 import time
 
-from sill import reduction, surface, typecheck
+from sill import bridge, reduction, surface, typecheck
 from sill.cli import _at_least
 
 
@@ -61,6 +63,16 @@ def _render_trace(d):
     return lambda: reduction.render_trace(trace)
 
 
+def _translate(d):
+    deriv = typecheck.check_cp(d.term, d.env)
+    return lambda: bridge.translate_typed(deriv)
+
+
+def _disentangle(d):
+    deriv = typecheck.check_hcp(d.term, d.env)[0]
+    return lambda: (bridge.disentangle(deriv), bridge.tens_internalize(deriv))
+
+
 # label -> (source of size n, what to time, given the parsed declaration)
 WORKLOADS = {
     "reduce cp chain": (lambda n: chain(n, False), _reduce),
@@ -70,6 +82,8 @@ WORKLOADS = {
     "render derivation hcp chain": (lambda n: chain(n, True), _render_derivation),
     "render trace cp chain": (lambda n: chain(n, False), _render_trace),
     "render trace hcp chain": (lambda n: chain(n, True), _render_trace),
+    "translate cp chain": (lambda n: chain(n, False), _translate),
+    "disentangle hcp mix": (mix, _disentangle),
 }
 
 

@@ -1,20 +1,23 @@
 """Executable relations between CP and HCP.
 
-translate_typed maps CP derivations to HCP derivations (cut becomes mix then
-hyper-cut, output becomes mix then output, halt becomes the inert axiom under
-the unit rule).  Disentanglement normalizes an HCP derivation so that every
-mix is fused with its hyper-cut or output, or sits at the root; the fused
-subtrees read back as CP derivations.  Internalization collapses environments
-to single formulas with process witnesses.
+translate_typed pairs each node of a CP derivation with its image under the
+term translation (`translate`), giving the HCP derivation of the image: a
+cut becomes a mix under a hyper-cut, an output a mix under an output, a halt
+the inert axiom under the unit rule.  Disentanglement reads an HCP
+derivation back as CP derivations, one per member environment, in one pass:
+every mix is pushed to the root or under the hyper-cut or output it feeds,
+which becomes a CP cut or output.  Internalization collapses environments to
+single formulas with process witnesses.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import congruence, cp, hcp, reduction, terms
 from . import types as ty
 from .names import Name, fresh
-from .translate import cp_to_hcp
+from .translate import MIXED, cp_to_hcp, from_image
 from .typecheck import Derivation, env_key, revalidate
 from .types import BOT, ONE, Type
 
@@ -35,45 +38,21 @@ def translate_typed(d: Derivation) -> Derivation:
     derivation of the same (single-sequent) environment."""
     if not revalidate(d):
         raise BridgeError("translate_typed requires a locally valid CP derivation")
-    return _tt(d)
+    return _tt(d, cp_to_hcp(d.term))
 
 
-def _tt(d: Derivation) -> Derivation:
-    t, env = d.term, d.env
-    match d.rule:
-        case "Ax":
-            return Derivation("Ax", hcp.Link(t.x, t.y), [dict(env)], ())
-        case "Cut":
-            d1, d2 = _tt(d.premises[0]), _tt(d.premises[1])
-            par = hcp.Par(d1.term, d2.term)
-            mix = Derivation("H-Mix", par, [d1.env[0], d2.env[0]], (d1, d2))
-            return Derivation("H-Cut", hcp.New(t.x, t.ty, par), [dict(env)], (mix,))
-        case "⊗":
-            d1, d2 = _tt(d.premises[0]), _tt(d.premises[1])
-            par = hcp.Par(d1.term, d2.term)
-            mix = Derivation("H-Mix", par, [d1.env[0], d2.env[0]], (d1, d2))
-            return Derivation("⊗", hcp.BoundOut(t.x, t.y, par), [dict(env)], (mix,))
-        case "1":
-            mix0 = Derivation("H-Mix₀", hcp.Inert(), [], ())
-            return Derivation("1", hcp.OutUnit(t.x, hcp.Inert()), [dict(env)], (mix0,))
-        case "⅋":
-            d1 = _tt(d.premises[0])
-            return Derivation("⅋", hcp.In(t.x, t.y, d1.term), [dict(env)], (d1,))
-        case "⊥":
-            d1 = _tt(d.premises[0])
-            return Derivation("⊥", hcp.InUnit(t.x, d1.term), [dict(env)], (d1,))
-        case "⊕₁":
-            d1 = _tt(d.premises[0])
-            return Derivation("⊕₁", hcp.Inl(t.x, d1.term), [dict(env)], (d1,))
-        case "⊕₂":
-            d1 = _tt(d.premises[0])
-            return Derivation("⊕₂", hcp.Inr(t.x, d1.term), [dict(env)], (d1,))
-        case "&":
-            d1, d2 = _tt(d.premises[0]), _tt(d.premises[1])
-            return Derivation("&", hcp.Case(t.x, d1.term, d2.term), [dict(env)], (d1, d2))
-        case "⊤":
-            return Derivation("⊤", hcp.Absurd(t.x), [dict(env)], ())
-    raise BridgeError(f"unknown CP rule {d.rule}")
+def _tt(d: Derivation, h: hcp.HcpTerm) -> Derivation:
+    """The HCP derivation of h, the image of d's term: d's rule (a cut's is
+    H-Cut) over its premises paired with h's subterms (`body`, or `left` and
+    `right`), or, for a `MIXED` constructor, over the mix of them in h.body."""
+    rule, env, ps = "H-Cut" if d.rule == "Cut" else d.rule, [dict(d.env)], d.premises
+    if d.term.__class__ in MIXED:
+        m = h.body
+        ps = (_tt(ps[0], m.left), _tt(ps[1], m.right)) if ps else ()
+        return Derivation(rule, h, env, (Derivation("H-Mix" if ps else "H-Mix₀", m, [c.env[0] for c in ps], ps),))
+    if len(ps) == 2:
+        return Derivation(rule, h, env, (_tt(ps[0], h.left), _tt(ps[1], h.right)))
+    return Derivation(rule, h, env, (_tt(ps[0], h.body),) if ps else ())
 
 
 # -- operational correspondence -----------------------------------------------
@@ -82,13 +61,12 @@ def _tt(d: Derivation) -> Derivation:
 def simulate_forward(p: cp.CpTerm, trace: reduction.ReductionTrace) -> bool:
     """Each CP step of the trace is matched by an HCP step of the image,
     up to structural congruence."""
-    cur = p
+    h = cp_to_hcp(p)
     for st in trace.steps:
-        h = cp_to_hcp(cur)
         target = cp_to_hcp(st.term)
         if not any(congruence.equiv(t2, target) for _, t2 in reduction.successors(h)):
             return False
-        cur = st.term
+        h = target
     return True
 
 
@@ -115,197 +93,107 @@ def disentangle(d: Derivation) -> DisentangleResult:
         raise BridgeError("disentangle requires a locally valid HCP derivation")
     log: list[str] = []
     comps = _split(d, log)
-    cp_derivs = [_invert(c) for c in comps]
-    images = [cp_to_hcp(c.term) for c in cp_derivs]
-    if not images:
-        recombined: hcp.HcpTerm = hcp.Inert()
-    else:
-        recombined = images[-1]
-        for t in reversed(images[:-1]):
-            recombined = hcp.Par(t, recombined)
-    return DisentangleResult(cp_derivs, recombined, log)
+    return DisentangleResult(comps, congruence.rebuild_hcp([], [cp_to_hcp(c.term) for c in comps]), log)
 
 
 def _split(d: Derivation, log: list[str]) -> list[Derivation]:
-    """Normalize into pure single-sequent components: every H-Mix is pushed to
-    the root or fused under its H-Cut / output; each returned derivation has a
-    single member environment."""
+    """Read d back as CP derivations, one per member environment, in post-order:
+    every H-Mix is pushed to the root or under the hyper-cut or output that
+    joins its two sides, which becomes a CP cut or output."""
     t = d.term
     match d.rule:
-        case "Ax" | "⊤":
-            return [d]
         case "H-Mix₀":
             return []
         case "H-Mix":
             return _split(d.premises[0], log) + _split(d.premises[1], log)
-        case "H-Cut":
-            comps = _split(d.premises[0], log)
-            idxs = [i for i, c in enumerate(comps) if t.x in c.env[0]]
-            if len(idxs) != 2:
-                raise BridgeError(f"hyper-cut on {t.x} does not connect two components")
-            i, j = idxs
-            left, right = comps[i], comps[j]
-            others = [c for k, c in enumerate(comps) if k not in (i, j)]
-            for c in others:
-                log.append(f"pushed a mix below the cut on {t.x}")
-            par = hcp.Par(left.term, right.term)
-            mix = Derivation("H-Mix", par, [left.env[0], right.env[0]], (left, right))
-            merged = {n: a for n, a in left.env[0].items() if n != t.x}
-            merged.update((n, a) for n, a in right.env[0].items() if n != t.x)
-            node = Derivation("H-Cut", hcp.New(t.x, t.ty, par), [merged], (mix,))
-            return others + [node]
-        case "⊗":
-            comps = _split(d.premises[0], log)
-            iy = next((i for i, c in enumerate(comps) if t.y in c.env[0]), None)
-            ix = next((i for i, c in enumerate(comps) if t.x in c.env[0]), None)
-            if iy is None or ix is None:
-                raise BridgeError(f"output on {t.x} lost its payload or continuation component")
-            if iy == ix:
-                raise BridgeError(f"output on {t.x} has entangled payload and continuation")
-            left, right = comps[iy], comps[ix]
-            others = [c for k, c in enumerate(comps) if k not in (iy, ix)]
-            for c in others:
-                log.append(f"pushed a mix below the output on {t.x}")
-            par = hcp.Par(left.term, right.term)
-            mix = Derivation("H-Mix", par, [left.env[0], right.env[0]], (left, right))
-            merged = {n: a for n, a in left.env[0].items() if n != t.y}
-            merged.update((n, a) for n, a in right.env[0].items() if n != t.x)
-            merged[t.x] = ty.Tensor(left.env[0][t.y], right.env[0][t.x])
-            node = Derivation("⊗", hcp.BoundOut(t.x, t.y, par), [merged], (mix,))
-            return others + [node]
+        case "Ax" | "⊤":
+            return [Derivation(d.rule, from_image(t), dict(d.env[0]), ())]
+        case "&":
+            c1, c2 = _split(d.premises[0], log), _split(d.premises[1], log)
+            if len(c1) != 1 or len(c2) != 1:
+                raise BridgeError("offer branches must be single sequents")
+            return [Derivation("&", from_image(t, c1[0].term, c2[0].term), dict(d.env[0]), (c1[0], c2[0]))]
         case "1":
             comps = _split(d.premises[0], log)
             if comps:
                 log.append(f"split the unit output on {t.x} from its continuation (non-congruent)")
-            mix0 = Derivation("H-Mix₀", hcp.Inert(), [], ())
-            node = Derivation("1", hcp.OutUnit(t.x, hcp.Inert()), [{t.x: ONE}], (mix0,))
-            return comps + [node]
-        case "⊥":
-            comps = _split(d.premises[0], log)
-            (ie,) = [i for i, e in enumerate(d.env) if t.x in e]
-            gamma = {n: a for n, a in d.env[ie].items() if n != t.x}
-            i = next((k for k, c in enumerate(comps) if c.env[0] == gamma), None)
-            if i is None:
-                raise BridgeError(f"no component matches the environment extended by the wait on {t.x}")
-            others = [c for k, c in enumerate(comps) if k != i]
-            if others:
-                log.append(f"pushed a mix out of the wait on {t.x} (non-congruent)")
-            inner = comps[i]
-            env2 = dict(inner.env[0])
-            env2[t.x] = BOT
-            node = Derivation("⊥", hcp.InUnit(t.x, inner.term), [env2], (inner,))
-            return others + [node]
-        case "⅋":
-            comps = _split(d.premises[0], log)
-            i = next((k for k, c in enumerate(comps) if t.y in c.env[0]), None)
-            if i is None:
-                raise BridgeError(f"input on {t.x} lost its payload component")
-            inner = comps[i]
-            if t.x not in inner.env[0]:
-                raise BridgeError(f"input on {t.x} has split payload and continuation")
-            others = [c for k, c in enumerate(comps) if k != i]
-            if others:
-                log.append(f"pushed a mix out of the input on {t.x} (non-congruent)")
-            env2 = {n: a for n, a in inner.env[0].items() if n not in (t.x, t.y)}
-            env2[t.x] = ty.Par(inner.env[0][t.y], inner.env[0][t.x])
-            node = Derivation("⅋", hcp.In(t.x, t.y, inner.term), [env2], (inner,))
-            return others + [node]
-        case "⊕₁" | "⊕₂":
-            comps = _split(d.premises[0], log)
-            i = next((k for k, c in enumerate(comps) if t.x in c.env[0]), None)
-            if i is None:
-                raise BridgeError(f"selection on {t.x} lost its continuation component")
-            inner = comps[i]
-            others = [c for k, c in enumerate(comps) if k != i]
-            if others:
-                log.append(f"pushed a mix out of the selection on {t.x} (non-congruent)")
-            (ic,) = [k for k, e in enumerate(d.env) if t.x in e]
-            env2 = dict(inner.env[0])
-            env2[t.x] = d.env[ic][t.x]
-            cls = hcp.Inl if d.rule == "⊕₁" else hcp.Inr
-            node = Derivation(d.rule, cls(t.x, inner.term), [env2], (inner,))
-            return others + [node]
-        case "&":
-            c1 = _split(d.premises[0], log)
-            c2 = _split(d.premises[1], log)
-            if len(c1) != 1 or len(c2) != 1:
-                raise BridgeError("offer branches must be single sequents")
-            node = Derivation("&", hcp.Case(t.x, c1[0].term, c2[0].term), [dict(d.env[0])], (c1[0], c2[0]))
-            return [node]
-    raise BridgeError(f"unknown HCP rule {d.rule}")
-
-
-def _invert(d: Derivation) -> Derivation:
-    """Read a fused (translation-image) HCP derivation back as a CP derivation."""
-    t = d.term
-    env = dict(d.env[0])
-    match d.rule:
-        case "Ax":
-            return Derivation("Ax", cp.Link(t.x, t.y), env, ())
-        case "⊤":
-            return Derivation("⊤", cp.Absurd(t.x), env, ())
+            return comps + [Derivation("1", cp.Halt(t.x), {t.x: ONE}, ())]
         case "H-Cut":
-            (mix,) = d.premises
-            if mix.rule != "H-Mix":
-                raise BridgeError("hyper-cut not fused with a mix")
-            left, right = (_invert(c) for c in mix.premises)
-            a = left.env[t.x]
-            return Derivation("Cut", cp.Cut(t.x, a, left.term, right.term), env, (left, right))
+            comps = _split(d.premises[0], log)
+            idxs = [i for i, c in enumerate(comps) if t.x in c.env]
+            if len(idxs) != 2:
+                raise BridgeError(f"hyper-cut on {t.x} does not connect two components")
+            others = [c for k, c in enumerate(comps) if k not in idxs]
+            log.extend(f"pushed a mix below the cut on {t.x}" for _ in others)
+            left, right = (comps[i] for i in idxs)
+            env = {n: a for c in (left, right) for n, a in c.env.items() if n != t.x}
+            return others + [Derivation("Cut", cp.Cut(t.x, left.env[t.x], left.term, right.term), env, (left, right))]
         case "⊗":
-            (mix,) = d.premises
-            if mix.rule != "H-Mix":
-                raise BridgeError("output not fused with a mix")
-            left, right = (_invert(c) for c in mix.premises)
-            return Derivation("⊗", cp.Send(t.x, t.y, left.term, right.term), env, (left, right))
-        case "1":
-            (mix0,) = d.premises
-            if mix0.rule != "H-Mix₀":
-                raise BridgeError("unit output not fused with the inert axiom")
-            return Derivation("1", cp.Halt(t.x), env, ())
-        case "⅋":
-            inner = _invert(d.premises[0])
-            return Derivation("⅋", cp.Recv(t.x, t.y, inner.term), env, (inner,))
+            comps = _split(d.premises[0], log)
+            iy = next((i for i, c in enumerate(comps) if t.y in c.env), None)
+            ix = next((i for i, c in enumerate(comps) if t.x in c.env), None)
+            if iy is None or ix is None:
+                raise BridgeError(f"output on {t.x} lost its payload or continuation component")
+            if iy == ix:
+                raise BridgeError(f"output on {t.x} has entangled payload and continuation")
+            others = [c for k, c in enumerate(comps) if k not in (iy, ix)]
+            log.extend(f"pushed a mix below the output on {t.x}" for _ in others)
+            left, right = comps[iy], comps[ix]
+            env = {n: a for c, x in ((left, t.y), (right, t.x)) for n, a in c.env.items() if n != x}
+            env[t.x] = ty.Tensor(left.env[t.y], right.env[t.x])
+            return others + [Derivation("⊗", cp.Send(t.x, t.y, left.term, right.term), env, (left, right))]
         case "⊥":
-            inner = _invert(d.premises[0])
-            return Derivation("⊥", cp.Wait(t.x, inner.term), env, (inner,))
-        case "⊕₁":
-            inner = _invert(d.premises[0])
-            return Derivation("⊕₁", cp.Inl(t.x, inner.term), env, (inner,))
-        case "⊕₂":
-            inner = _invert(d.premises[0])
-            return Derivation("⊕₂", cp.Inr(t.x, inner.term), env, (inner,))
-        case "&":
-            d1, d2 = (_invert(c) for c in d.premises)
-            return Derivation("&", cp.Case(t.x, d1.term, d2.term), env, (d1, d2))
-    raise BridgeError(f"rule {d.rule} is not in the image of the translation")
+            gamma = {n: a for e in d.env if t.x in e for n, a in e.items() if n != t.x}
+            others, inner = _unary(d, "wait", lambda e: e == gamma, log,
+                                   f"no component matches the environment extended by the wait on {t.x}")
+            env = {**inner.env, t.x: BOT}
+        case "⅋":
+            others, inner = _unary(d, "input", lambda e: t.y in e, log, f"input on {t.x} lost its payload component")
+            if t.x not in inner.env:
+                raise BridgeError(f"input on {t.x} has split payload and continuation")
+            env = {n: a for n, a in inner.env.items() if n not in (t.x, t.y)}
+            env[t.x] = ty.Par(inner.env[t.y], inner.env[t.x])
+        case "⊕₁" | "⊕₂":
+            others, inner = _unary(d, "selection", lambda e: t.x in e, log,
+                                   f"selection on {t.x} lost its continuation component")
+            env = {**inner.env, t.x: next(e[t.x] for e in d.env if t.x in e)}
+        case _:
+            raise BridgeError(f"unknown HCP rule {d.rule}")
+    return others + [Derivation(d.rule, from_image(t, inner.term), env, (inner,))]
+
+
+def _unary(d: Derivation, what: str, holds, log: list[str], missing: str):
+    """Split d's premise and take out the first component whose environment
+    holds: (the other components, it), logging the mix pushed out of the
+    `what` on d's subject if others remain."""
+    comps = _split(d.premises[0], log)
+    i = next((k for k, c in enumerate(comps) if holds(c.env)), None)
+    if i is None:
+        raise BridgeError(missing)
+    others = comps[:i] + comps[i + 1:]
+    if others:
+        log.append(f"pushed a mix out of the {what} on {d.term.x} (non-congruent)")
+    return others, comps[i]
 
 
 # -- internalization ----------------------------------------------------------
 
 
+def _fold(connective, parts: list, unit: Type) -> Type:
+    """The parts joined by the connective, right-associated; unit if none."""
+    return functools.reduce(lambda acc, a: connective(a, acc), reversed(parts[:-1]), parts[-1]) if parts else unit
+
+
 def bigparr(env: dict) -> Type:
     """Collapse an environment to one par formula, right-associated over the
     canonical (internal index) name order; the empty environment gives bot."""
-    if not env:
-        return BOT
-    names = sorted(env, key=lambda n: n.uid)
-    out = env[names[-1]]
-    for n in reversed(names[:-1]):
-        out = ty.Par(env[n], out)
-    return out
+    return _fold(ty.Par, [env[n] for n in sorted(env, key=lambda n: n.uid)], BOT)
 
 
 def bigtens(part: list) -> Type:
     """Collapse a hyper-environment to one tensor formula; the empty
     hyper-environment gives 1."""
-    if not part:
-        return ONE
-    envs = sorted(part, key=env_key)
-    parts = [bigparr(e) for e in envs]
-    out = parts[-1]
-    for a in reversed(parts[:-1]):
-        out = ty.Tensor(a, out)
-    return out
+    return _fold(ty.Tensor, [bigparr(e) for e in sorted(part, key=env_key)], ONE)
 
 
 def parr_collapse(d: Derivation) -> Derivation:
@@ -317,14 +205,12 @@ def parr_collapse(d: Derivation) -> Derivation:
         raise BridgeError("parr_collapse requires a locally valid derivation")
     if not d.env:
         raise BridgeError("parr_collapse requires a nonempty environment")
-    names = sorted(d.env, key=lambda n: n.uid)
-    z = names[-1]
+    *names, z = sorted(d.env, key=lambda n: n.uid)
     cur = d
-    for n in reversed(names[:-1]):
-        a, b = cur.env[n], cur.env[z]
-        env2 = {k: v for k, v in cur.env.items() if k not in (n, z)}
-        env2[z] = ty.Par(a, b)
-        cur = Derivation("⅋", cp.Recv(z, n, cur.term), env2, (cur,))
+    for n in reversed(names):
+        env = {k: v for k, v in cur.env.items() if k not in (n, z)}
+        env[z] = ty.Par(cur.env[n], cur.env[z])
+        cur = Derivation("⅋", cp.Recv(z, n, cur.term), env, (cur,))
     return cur
 
 
@@ -332,11 +218,6 @@ def _rename_free(d: Derivation, old: Name, new: Name) -> Derivation:
     term = terms.substitute(d.term, new, old)
     env = {(new if n == old else n): a for n, a in d.env.items()}
     return Derivation(d.rule, term, env, tuple(_rename_free(c, old, new) for c in d.premises))
-
-
-def carrier(d: Derivation) -> Name:
-    (n,) = d.env
-    return n
 
 
 def tens_internalize(d: Derivation) -> Derivation:
@@ -349,21 +230,16 @@ def tens_internalize(d: Derivation) -> Derivation:
     if not d.env:
         z = fresh("z")
         return Derivation("1", cp.Halt(z), {z: ONE}, ())
-    res = disentangle(d)
-    collapsed = [parr_collapse(c) for c in res.components]
-    order = sorted(range(len(collapsed)), key=lambda i: env_key(res.components[i].env))
-    ds = [collapsed[i] for i in order]
-    if len(ds) == 1:
-        return ds[0]
+    comps = sorted(disentangle(d).components, key=lambda c: env_key(c.env))
+    *firsts, last = [parr_collapse(c) for c in comps]
+    if not firsts:
+        return last
     z = fresh("z")
-    last = ds[-1]
-    cur = _rename_free(last, carrier(last), z)
-    for dd in reversed(ds[:-1]):
-        zi = carrier(dd)
+    (zl,) = last.env
+    cur = _rename_free(last, zl, z)
+    for dd in reversed(firsts):
+        (zi,) = dd.env
         y = fresh(zi.surface)
         dl = _rename_free(dd, zi, y)
-        a = dl.env[y]
-        b = cur.env[z]
-        term = cp.Send(z, y, dl.term, cur.term)
-        cur = Derivation("⊗", term, {z: ty.Tensor(a, b)}, (dl, cur))
+        cur = Derivation("⊗", cp.Send(z, y, dl.term, cur.term), {z: ty.Tensor(dl.env[y], cur.env[z])}, (dl, cur))
     return cur

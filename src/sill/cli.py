@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import bridge, congruence, harness, reduction, surface
-from .translate import cp_to_hcp
 from .typecheck import TypeCheckError, check_cp, check_hcp, derivation_json_lines, render_derivation
 
 
@@ -44,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _fuel = _at_least(1, "fuel")
+_cap = _at_least(1, "cap")
 _count = _at_least(0, "count")
 
 
@@ -156,13 +156,12 @@ def cmd_graph(args) -> int:
 
 def cmd_translate(args) -> int:
     d, deriv, _ = _checked(args, "cp")
-    image = cp_to_hcp(d.term)
     hd = bridge.translate_typed(deriv)
     if args.json:
-        _emit([{"proc": d.name, "term": surface.print_term(image),
+        _emit([{"proc": d.name, "term": surface.print_term(hd.term),
                 "env": surface.print_hyper_env(hd.env)}])
     else:
-        print(surface.print_term(image))
+        print(surface.print_term(hd.term))
         if args.show_derivation:
             print(render_derivation(hd))
     return 0
@@ -234,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("graph", help="explore the full reduction graph")
     p.add_argument("file")
     p.add_argument("--proc", required=True)
-    p.add_argument("--cap", type=int, default=10000)
+    p.add_argument("--cap", type=_cap, default=10000)
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_graph)

@@ -411,9 +411,7 @@ def _gen_hcp_cached(cfg: GenConfig, index: int):
                     break
             else:
                 raise GeneratorStuck(f"no well-typed HCP component found for sample {index}")
-        term = parts[-1]
-        for p in reversed(parts[:-1]):
-            term = hcp.Par(p, term)
+        term = congruence.rebuild_hcp([], parts)
         for _ in range(rng.randint(0, 2)):
             c = reduction.Configuration(term)
             rs = c.redexes()
@@ -722,15 +720,8 @@ def _leaf_for(env_or_part, dialect: str):
     part = env_or_part
     if not part:
         return hcp.Inert()
-    if len(part) == 1:
-        leaf = _leaf_for(part[0], "cp")
-        if isinstance(leaf, cp.Link):
-            return hcp.Link(leaf.x, leaf.y)
-        if isinstance(leaf, cp.Halt):
-            return hcp.OutUnit(leaf.x, hcp.Inert())
-        if isinstance(leaf, cp.Absurd):
-            return hcp.Absurd(leaf.x)
-    return None
+    leaf = _leaf_for(part[0], "cp") if len(part) == 1 else None
+    return None if leaf is None else cp_to_hcp(leaf)
 
 
 def _shrink(t, env, prop, detail):

@@ -706,6 +706,8 @@ class ReductionGraph:
 def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
     """BFS over all redexes of all reachable terms, nodes quotiented by
     structural congruence."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     nodes = [t]
     buckets: dict = {congruence.key(t): [0]}  # congruence key -> nodes with it
     edges: list = []

@@ -1,35 +1,70 @@
-"""Homomorphic translation of CP terms into HCP terms.
+"""The homomorphic translation of CP terms into HCP terms, declared once.
 
-Cut becomes restriction over a parallel pair, bound output becomes output
-over a parallel pair, halt becomes output-unit over the inert process; every
-other constructor maps one-to-one.  Names are preserved, so the translation
-commutes with substitution and preserves free names.
+`SAME` pairs each CP constructor whose HCP image has the same fields with
+that image.  `MIXED` pairs cut, output and halt with the HCP restriction,
+output and unit output whose body is the mix of the translated subterms: a
+parallel pair, or the inert process for halt.  Subterms are the last fields
+of every constructor.  Names are preserved, so the translation commutes with
+substitution and preserves free names.  `bridge` reads the same tables: typed
+translation pairs each CP derivation node with its image, and
+disentanglement reads HCP nodes back through `from_image`.
 """
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import cp, hcp
+from .terms import SCHEMA
+
+SAME = {cp.Link: hcp.Link, cp.Recv: hcp.In, cp.Wait: hcp.InUnit, cp.Inl: hcp.Inl,
+        cp.Inr: hcp.Inr, cp.Case: hcp.Case, cp.Absurd: hcp.Absurd}
+MIXED = {cp.Cut: hcp.New, cp.Send: hcp.BoundOut, cp.Halt: hcp.OutUnit}
+_PREIMAGE = {image: src for src, image in SAME.items()}
+
+
+def _heads(cls) -> tuple[str, ...]:
+    s = SCHEMA[cls]
+    return s.args[:len(s.args) - len(s.subterms)]
+
+
+def _plan(src, image):
+    """The image of a node of class src.  It translates the subterms through
+    `_PLANS` directly, so each level of a term costs one frame."""
+    names = _heads(src)
+    get = attrgetter(*names)
+    head = get if len(names) > 1 else (lambda t: (get(t),))
+    subs = [attrgetter(f) for f in SCHEMA[src].subterms]
+    mixed = src in MIXED
+    if not subs:
+        return (lambda t: image(*head(t), hcp.Inert())) if mixed else (lambda t: image(*head(t)))
+    if len(subs) == 1:
+        (sub,) = subs
+
+        def unary(t):
+            p = sub(t)
+            return image(*head(t), _PLANS[p.__class__](p))
+
+        return unary
+    left, right = subs
+
+    def binary(t):
+        p, q = left(t), right(t)
+        p, q = _PLANS[p.__class__](p), _PLANS[q.__class__](q)
+        return image(*head(t), hcp.Par(p, q)) if mixed else image(*head(t), p, q)
+
+    return binary
+
+
+_PLANS = {src: _plan(src, image) for src, image in (SAME | MIXED).items()}
 
 
 def cp_to_hcp(t: cp.CpTerm) -> hcp.HcpTerm:
-    match t:
-        case cp.Link(x, y):
-            return hcp.Link(x, y)
-        case cp.Cut(x, ty, p, q):
-            return hcp.New(x, ty, hcp.Par(cp_to_hcp(p), cp_to_hcp(q)))
-        case cp.Send(x, y, p, q):
-            return hcp.BoundOut(x, y, hcp.Par(cp_to_hcp(p), cp_to_hcp(q)))
-        case cp.Recv(x, y, p):
-            return hcp.In(x, y, cp_to_hcp(p))
-        case cp.Halt(x):
-            return hcp.OutUnit(x, hcp.Inert())
-        case cp.Wait(x, p):
-            return hcp.InUnit(x, cp_to_hcp(p))
-        case cp.Inl(x, p):
-            return hcp.Inl(x, cp_to_hcp(p))
-        case cp.Inr(x, p):
-            return hcp.Inr(x, cp_to_hcp(p))
-        case cp.Case(x, p, q):
-            return hcp.Case(x, cp_to_hcp(p), cp_to_hcp(q))
-        case cp.Absurd(x):
-            return hcp.Absurd(x)
-    raise TypeError(f"not a cp term: {t!r}")
+    plan = _PLANS.get(t.__class__)
+    if plan is None:
+        raise TypeError(f"not a cp term: {t!r}")
+    return plan(t)
+
+
+def from_image(h: hcp.HcpTerm, *subterms: cp.CpTerm) -> cp.CpTerm:
+    """The CP node whose image is h, of a `SAME` class, over the CP subterms."""
+    return _PREIMAGE[h.__class__](*[getattr(h, f) for f in _heads(h.__class__)], *subterms)

@@ -247,6 +247,10 @@ def test_negative_fuzz_count_is_a_usage_error(capsys):
     (["reduce", fixture_path("tensor_unit.sill"), "--proc", "Main", "--fuel", "0"],
      "sill reduce: error: argument --fuel: fuel must be at least 1, not 0"),
     (["frobnicate"], "sill: error: argument command: invalid choice: 'frobnicate'"),
+    (["graph", fixture_path("corpus.sill"), "--proc", "Pair", "--cap", "0"],
+     "sill graph: error: argument --cap: cap must be at least 1, not 0"),
+    (["graph", fixture_path("unit_cut.sill"), "--proc", "Main", "--cap", "-3"],
+     "sill graph: error: argument --cap: cap must be at least 1, not -3"),
 ])
 def test_usage_error_is_one_line(capsys, argv, line):
     with pytest.raises(SystemExit) as e:

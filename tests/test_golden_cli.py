@@ -4,8 +4,9 @@ Each fixture's text transcript runs `check --show-derivation`, then for every
 declaration `reduce --trace` and `graph`, and `translate` (CP) or
 `disentangle` and `internalize` (HCP) with `--show-derivation`; it lives in
 tests/golden/.  Its machine transcript runs `check --show-derivation --json`,
-then for every declaration `reduce --trace --json` and `graph --dot`; it lives
-in tests/golden/json_dot/.  After a deliberate change to CLI output, rewrite
+then for every declaration `reduce --trace --json`, `graph --dot`, and
+`translate` (CP) or `disentangle` and `internalize` (HCP) with `--json`; it
+lives in tests/golden/json_dot/.  After a deliberate change to CLI output, rewrite
 both with `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
 import contextlib
@@ -22,6 +23,10 @@ GOLDEN_JSON_DOT = GOLDEN / "json_dot"
 FIXTURES = sorted(p.name for p in (ROOT / "fixtures").glob("*.sill"))
 
 
+def _bridge_commands(dialect: str) -> list[str]:
+    return ["translate"] if dialect == "cp" else ["disentangle", "internalize"]
+
+
 def _commands(fixture: str, machine: bool = False) -> list[list[str]]:
     from sill import surface
 
@@ -32,12 +37,14 @@ def _commands(fixture: str, machine: bool = False) -> list[list[str]]:
         for d in decls:
             out.append(["reduce", path, "--proc", d.name, "--trace", "--json"])
             out.append(["graph", path, "--proc", d.name, "--dot"])
+            for cmd in _bridge_commands(d.dialect):
+                out.append([cmd, path, "--proc", d.name, "--json"])
         return out
     out = [["check", path, "--show-derivation"]]
     for d in decls:
         out.append(["reduce", path, "--proc", d.name, "--trace"])
         out.append(["graph", path, "--proc", d.name])
-        for cmd in (["translate"] if d.dialect == "cp" else ["disentangle", "internalize"]):
+        for cmd in _bridge_commands(d.dialect):
             out.append([cmd, path, "--proc", d.name, "--show-derivation"])
     return out
 

@@ -174,6 +174,18 @@ def test_shrinking_produces_smaller_counterexample():
         pytest.skip("no large sample found")
 
 
+def test_hcp_shrink_leaves_are_images_of_cp_leaves():
+    from sill.names import Name
+
+    x, y = Name("x", 1), Name("y", 2)
+    assert harness._leaf_for([], "hcp") == hcp.Inert()
+    assert harness._leaf_for([{x: ONE}], "hcp") == hcp.OutUnit(x, hcp.Inert())
+    assert harness._leaf_for([{x: ONE, y: BOT}], "hcp") == hcp.Link(x, y)
+    assert harness._leaf_for([{x: ONE, y: TOP}], "hcp") == hcp.Absurd(y)
+    assert harness._leaf_for([{x: ONE}, {y: ONE}], "hcp") is None
+    assert harness._leaf_for([{x: Tensor(ONE, ONE)}], "hcp") is None
+
+
 def test_reduction_graph_budget():
     from conftest import load_fixture
 

@@ -156,6 +156,12 @@ def test_fuel_exhaustion_reported():
     assert trace.status == "fuel-exhausted" and len(trace.steps) == 1
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_graph_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        rd.reduction_graph(t("x[].0", "hcp"), cap=cap)
+
+
 def test_trace_rendering_formats():
     term = load_fixture("unit_cut.sill").decls[0].term
     trace = rd.reduce(term)
