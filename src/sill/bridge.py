@@ -205,6 +205,11 @@ def parr_collapse(d: Derivation) -> Derivation:
         raise BridgeError("parr_collapse requires a locally valid derivation")
     if not d.env:
         raise BridgeError("parr_collapse requires a nonempty environment")
+    return _parr_collapse(d)
+
+
+def _parr_collapse(d: Derivation) -> Derivation:
+    """parr_collapse of a valid CP derivation with a nonempty environment."""
     *names, z = sorted(d.env, key=lambda n: n.uid)
     cur = d
     for n in reversed(names):
@@ -230,8 +235,10 @@ def tens_internalize(d: Derivation) -> Derivation:
     if not d.env:
         z = fresh("z")
         return Derivation("1", cp.Halt(z), {z: ONE}, ())
-    comps = sorted(disentangle(d).components, key=lambda c: env_key(c.env))
-    *firsts, last = [parr_collapse(c) for c in comps]
+    # d is valid, so its components are valid CP derivations with nonempty
+    # environments: they go to the unchecked helpers
+    comps = sorted(_split(d, []), key=lambda c: env_key(c.env))
+    *firsts, last = [_parr_collapse(c) for c in comps]
     if not firsts:
         return last
     z = fresh("z")

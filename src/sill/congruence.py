@@ -134,10 +134,6 @@ def prenex_hcp(t: hcp.HcpTerm) -> HcpPrenex:
     return HcpPrenex(*spine_hcp(terms.freshen_if_needed(t)))
 
 
-def prenex(t):
-    return prenex_cp(t) if isinstance(t, cp.CpTerm) else prenex_hcp(t)
-
-
 def rebuild_hcp(binders: list[tuple[Name, Type]], comps: list[hcp.HcpTerm]) -> hcp.HcpTerm:
     if not comps:
         body: hcp.HcpTerm = hcp.Inert()
@@ -463,15 +459,17 @@ def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
 
 
 def _cp_binders(level: _Level) -> list[CpBinder]:
-    """The level's cuts with the component that holds each endpoint, as
-    `prenex_cp` finds them."""
+    """The level's restrictions with the component that holds each endpoint:
+    for CP cuts as `prenex_cp` finds them, while an HCP restriction's
+    endpoints are unknown (None)."""
     if level.cp_binders is None:
-        fvs = [cp.free_names(c) for c in level.comps]
-        level.cp_binders = []
-        for (x, a), (start, mid, end) in zip(level.binders, level.spans):
-            la = [i for i in range(start, mid) if x in fvs[i]]
-            ra = [i for i in range(mid, end) if x in fvs[i]]
-            level.cp_binders.append(CpBinder(x, a, la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None))
+        level.cp_binders = [CpBinder(x, a, None, None) for x, a in level.binders]
+        if level.spans:
+            fvs = [cp.free_names(c) for c in level.comps]
+            for b, (start, mid, end) in zip(level.cp_binders, level.spans):
+                la = [i for i in range(start, mid) if b.name in fvs[i]]
+                ra = [i for i in range(mid, end) if b.name in fvs[i]]
+                b.left, b.right = la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None
     return level.cp_binders
 
 
@@ -479,38 +477,21 @@ def _binders_match(l1: _Level, l2: _Level, bij: _Bijection, sigma: dict[int, int
     """Whether the restrictions of two levels correspond under bij, once
     sigma pairs every component of l1 with one of l2."""
     l2r, r2l = bij.l2r, bij.r2l
-    if l1.spans:  # CP cuts, which know their endpoint components
-        by_name2 = {b.name: b for b in _cp_binders(l2)}
-        unmatched2 = dict(by_name2)
-        deferred1 = []
-        for b1 in _cp_binders(l1):
-            n2 = l2r.get(b1.name)
-            if n2 is None:
-                deferred1.append(b1.ty)
-                continue
-            b2 = by_name2.get(n2)
-            if b2 is None:
-                return False
-            unmatched2.pop(n2, None)
-            if not _cp_binder_compat(b1, b2, sigma):
-                return False
-        rest2 = [b.ty for b in unmatched2.values() if b.name not in r2l]
-    else:
-        by_name2 = dict(l2.binders)
-        unmatched2 = dict(by_name2)
-        deferred1 = []
-        for x1, ty1 in l1.binders:
-            n2 = l2r.get(x1)
-            if n2 is None:
-                deferred1.append(ty1)
-                continue
-            ty2 = by_name2.get(n2)
-            if ty2 is None:
-                return False
-            unmatched2.pop(n2, None)
-            if ty1 not in (ty2, dual(ty2)):
-                return False
-        rest2 = [ty2 for x2, ty2 in unmatched2.items() if x2 not in r2l]
+    by_name2 = {b.name: b for b in _cp_binders(l2)}
+    unmatched2 = dict(by_name2)
+    deferred1 = []
+    for b1 in _cp_binders(l1):
+        n2 = l2r.get(b1.name)
+        if n2 is None:
+            deferred1.append(b1.ty)
+            continue
+        b2 = by_name2.get(n2)
+        if b2 is None:
+            return False
+        unmatched2.pop(n2, None)
+        if not _cp_binder_compat(b1, b2, sigma):
+            return False
+    rest2 = [b.ty for b in unmatched2.values() if b.name not in r2l]
     # binders with no occurrences anywhere: pair by type compatibility
     if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
         return False

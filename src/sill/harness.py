@@ -20,7 +20,7 @@ from . import names as nm
 from . import types as ty
 from .translate import cp_to_hcp
 from .terms import SCHEMA
-from .typecheck import TypeCheckError, check_cp, check_hcp, hyper_eq, revalidate
+from .typecheck import Derivation, TypeCheckError, check_cp, check_hcp, hyper_eq, revalidate
 from .types import BOT, ONE, TOP, ZERO, dual
 
 
@@ -48,11 +48,6 @@ class GenConfig:
     count: int = 500
     max_type_size: int = 5
     max_depth: int = 5
-    dialect: str = "cp"
-    weights: tuple = tuple(sorted(DEFAULT_WEIGHTS.items()))
-
-    def weight(self, kind: str) -> float:
-        return dict(self.weights).get(kind, 1.0)
 
 
 def _rng(cfg: GenConfig, *parts) -> random.Random:
@@ -173,7 +168,7 @@ class _CpGen:
             candidates.append(("cut", None))
         if not candidates:
             return self._finish(env)
-        weights = [self.cfg.weight(kind) for kind, _ in candidates]
+        weights = [DEFAULT_WEIGHTS[kind] for kind, _ in candidates]
         order = []
         pool = list(zip(candidates, weights))
         while pool:
@@ -486,34 +481,24 @@ def _fmt_sample(t, env) -> str:
     return f"{surface.print_term(t)}  [{surface.print_env(env)}]"
 
 
-def _prop_preservation_cp(t, env) -> str | None:
-    trace = reduction.reduce(t)
-    for k, st in enumerate(trace.steps, 1):
-        try:
-            check_cp(st.term, env)
-        except TypeCheckError as e:
-            return f"step {k} ({st.redex.rule} on {st.redex.channel}) broke typing: {e.render()}"
-    return None
+def _check(dialect: str, t, env) -> Derivation:
+    """t's derivation in env, by the checker of the dialect."""
+    return check_cp(t, env) if dialect == "cp" else check_hcp(t, env)[0]
 
 
-def _prop_preservation_hcp(t, env) -> str | None:
-    try:
-        _, part0 = check_hcp(t, env)
-    except TypeCheckError as e:
-        return f"sample does not typecheck: {e.render()}"
-    trace = reduction.reduce(t)
-    for k, st in enumerate(trace.steps, 1):
+def _prop_preservation(t, env, d, index) -> str | None:
+    for k, st in enumerate(reduction.reduce(t).steps, 1):
         try:
-            _, part = check_hcp(st.term, env)
+            part = _check(d.dialect, st.term, env).env
         except TypeCheckError as e:
             return f"step {k} ({st.redex.rule} on {st.redex.channel}) broke typing: {e.render()}"
-        if not hyper_eq(part, part0):
+        if d.dialect == "hcp" and not hyper_eq(part, d.env):
             return (f"step {k} changed the hyper-environment: "
-                    f"{surface.print_hyper_env(part)} vs {surface.print_hyper_env(part0)}")
+                    f"{surface.print_hyper_env(part)} vs {surface.print_hyper_env(d.env)}")
     return None
 
 
-def _prop_progress(t, env) -> str | None:
+def _prop_progress(t, env, d, index) -> str | None:
     c = reduction.Configuration(t)
     if c.redexes():
         return None
@@ -525,7 +510,7 @@ def _prop_progress(t, env) -> str | None:
     return None
 
 
-def _prop_termination(t, env) -> str | None:
+def _prop_termination(t, env, d, index) -> str | None:
     bound = sum(reduction.measure(t))
     trace = reduction.reduce(t, fuel=1 + bound)
     if trace.status != "canonical":
@@ -540,38 +525,21 @@ def _prop_termination(t, env) -> str | None:
     return None
 
 
-def _scrambled(t, env, seed_parts) -> object:
-    rng = random.Random(":".join(str(p) for p in seed_parts))
-    return scramble(t, rng, rng.randint(1, 4))
-
-
-def _prop_equiv_preservation_cp(t, env, index=0) -> str | None:
-    t2 = _scrambled(t, env, ("equiv-cp", index, surface.print_term(t)))
+def _prop_equiv_preservation(t, env, d, index) -> str | None:
+    rng = random.Random(f"equiv-{d.dialect}:{index}:{surface.print_term(t)}")
+    t2 = scramble(t, rng, rng.randint(1, 4))
     if not congruence.equiv(t, t2):
         return f"scrambled term not congruent: {surface.print_term(t2)}"
     try:
-        check_cp(t2, env)
+        part = _check(d.dialect, t2, env).env
     except TypeCheckError as e:
         return f"congruent term failed to typecheck: {e.render()}"
-    return None
-
-
-def _prop_equiv_preservation_hcp(t, env, index=0) -> str | None:
-    t2 = _scrambled(t, env, ("equiv-hcp", index, surface.print_term(t)))
-    if not congruence.equiv(t, t2):
-        return f"scrambled term not congruent: {surface.print_term(t2)}"
-    try:
-        _, part0 = check_hcp(t, env)
-        _, part = check_hcp(t2, env)
-    except TypeCheckError as e:
-        return f"congruent term failed to typecheck: {e.render()}"
-    if not hyper_eq(part, part0):
+    if d.dialect == "hcp" and not hyper_eq(part, d.env):
         return "congruent term typed at a different hyper-environment"
     return None
 
 
-def _prop_translate_typing(t, env) -> str | None:
-    d = check_cp(t, env)
+def _prop_translate_typing(t, env, d, index) -> str | None:
     hd = bridge.translate_typed(d)
     if not revalidate(hd):
         return "translated derivation fails local validation"
@@ -589,14 +557,14 @@ def _prop_translate_typing(t, env) -> str | None:
     return None
 
 
-def _prop_simulate_forward(t, env) -> str | None:
+def _prop_simulate_forward(t, env, d, index) -> str | None:
     trace = reduction.reduce(t)
     if not bridge.simulate_forward(t, trace):
         return "a CP step has no matching HCP step modulo congruence"
     return None
 
 
-def _prop_simulate_backward(t, env) -> str | None:
+def _prop_simulate_backward(t, env, d, index) -> str | None:
     image = cp_to_hcp(t)
     for r, reduct in itertools.islice(reduction.successors(image), 4):
         try:
@@ -608,8 +576,7 @@ def _prop_simulate_backward(t, env) -> str | None:
     return None
 
 
-def _prop_disentangle(t, env) -> str | None:
-    d, part = check_hcp(t, env)
+def _prop_disentangle(t, env, d, index) -> str | None:
     res = bridge.disentangle(d)
     for c in res.components:
         if not revalidate(c):
@@ -618,19 +585,18 @@ def _prop_disentangle(t, env) -> str | None:
             check_cp(c.term, c.env)
         except TypeCheckError as e:
             return f"an extracted component fails to typecheck: {e.render()}"
-    if not hyper_eq([c.env for c in res.components], part):
+    if not hyper_eq([c.env for c in res.components], d.env):
         return "component environments do not match the hyper-environment"
     if not congruence.equiv(res.recombined, t):
         return f"recombined term not congruent to the input: {surface.print_term(res.recombined)}"
     return None
 
 
-def _prop_internalize(t, env) -> str | None:
-    d, part = check_hcp(t, env)
+def _prop_internalize(t, env, d, index) -> str | None:
     out = bridge.tens_internalize(d)
     if not revalidate(out):
         return "internalized derivation fails local validation"
-    want = bridge.bigtens(part)
+    want = bridge.bigtens(d.env)
     (z,) = out.env
     if out.env[z] != want:
         return f"internalized type is {ty.render(out.env[z])}, expected {ty.render(want)}"
@@ -641,17 +607,21 @@ def _prop_internalize(t, env) -> str | None:
     return None
 
 
+# suite name -> (the dialects its samples alternate over, its property).  A
+# property receives the sample as generated, (term, env, derivation, index),
+# and reads the derivation without changing it: samples are cached and shared
+# between suites.
 _SUITES = {
-    "preservation-cp": ("cp", _prop_preservation_cp),
-    "preservation-hcp": ("hcp", _prop_preservation_hcp),
-    "progress": ("both", _prop_progress),
-    "termination": ("both", _prop_termination),
-    "equiv-preservation": ("both", None),  # dialect-specific, handled below
-    "translate-typing": ("cp", _prop_translate_typing),
-    "simulate-forward": ("cp", _prop_simulate_forward),
-    "simulate-backward": ("cp", _prop_simulate_backward),
-    "disentangle": ("hcp", _prop_disentangle),
-    "internalize": ("hcp", _prop_internalize),
+    "preservation-cp": (("cp",), _prop_preservation),
+    "preservation-hcp": (("hcp",), _prop_preservation),
+    "progress": (("cp", "hcp"), _prop_progress),
+    "termination": (("cp", "hcp"), _prop_termination),
+    "equiv-preservation": (("cp", "hcp"), _prop_equiv_preservation),
+    "translate-typing": (("cp",), _prop_translate_typing),
+    "simulate-forward": (("cp",), _prop_simulate_forward),
+    "simulate-backward": (("cp",), _prop_simulate_backward),
+    "disentangle": (("hcp",), _prop_disentangle),
+    "internalize": (("hcp",), _prop_internalize),
 }
 
 SUITE_NAMES = list(_SUITES)
@@ -660,31 +630,21 @@ SUITE_NAMES = list(_SUITES)
 def run_suite(name: str, cfg: GenConfig) -> SuiteReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITE_NAMES)})")
-    kind, prop = _SUITES[name]
+    dialects, prop = _SUITES[name]
     results = []
     for i in range(cfg.count):
-        dialect = kind if kind != "both" else ("cp" if i % 2 == 0 else "hcp")
+        gen = gen_cp if dialects[i % len(dialects)] == "cp" else gen_hcp
         try:
-            if dialect == "cp":
-                t, env, _ = gen_cp(cfg, i)
-            else:
-                t, env, _ = gen_hcp(cfg, i)
+            t, env, d = gen(cfg, i)
         except (GeneratorStuck, TypeCheckError) as e:
             results.append(SampleResult(i, "fail", f"generator failure: {e}", None))
             continue
-        if name == "equiv-preservation":
-            fn = _prop_equiv_preservation_cp if dialect == "cp" else _prop_equiv_preservation_hcp
-            detail = fn(t, env, index=i)
-        else:
-            detail = prop(t, env)
+        detail = prop(t, env, d, i)
         if detail is None:
             results.append(SampleResult(i, "pass"))
         else:
-            if name == "equiv-preservation":
-                shrunk, shrunk_detail = (t, env), detail
-            else:
-                shrunk, shrunk_detail = _shrink(t, env, prop, detail)
-            results.append(SampleResult(i, "fail", shrunk_detail, _fmt_sample(shrunk[0], shrunk[1])))
+            t, detail = _shrink(t, env, d, i, prop, detail)
+            results.append(SampleResult(i, "fail", detail, _fmt_sample(t, env)))
     return SuiteReport(name, cfg.seed, cfg.count, results)
 
 
@@ -724,19 +684,14 @@ def _leaf_for(env_or_part, dialect: str):
     return None if leaf is None else cp_to_hcp(leaf)
 
 
-def _shrink(t, env, prop, detail):
-    """Greedily replace subderivations by leaves while the failure persists."""
-    dialect = "cp" if isinstance(t, cp.CpTerm) else "hcp"
-    check = (lambda tt: check_cp(tt, env)) if dialect == "cp" else (lambda tt: check_hcp(tt, env)[0])
+def _shrink(t, env, d, index, prop, detail):
+    """Greedily replace subderivations of d, t's derivation, by leaves while
+    the failure persists: (the smallest failing term found, its failure)."""
     for _ in range(40):
-        try:
-            d = check(t)
-        except TypeCheckError:
-            break
         candidates: list[tuple[tuple, object]] = []
 
         def walk(node, path):
-            leaf = _leaf_for(node.env, dialect)
+            leaf = _leaf_for(node.env, d.dialect)
             if leaf is not None and path and leaf != node.term:
                 candidates.append((path, leaf))
             fields = SCHEMA[type(node.term)].subterms
@@ -745,18 +700,16 @@ def _shrink(t, env, prop, detail):
                     walk(c, path + (k,))
 
         walk(d, ())
-        improved = False
         for path, leaf in candidates:
             t2 = _replace_at(t, path)(leaf)
             try:
-                check(t2)
+                d2 = _check(d.dialect, t2, env)
             except TypeCheckError:
                 continue
-            d2 = prop(t2, env)
-            if d2 is not None:
-                t, detail = t2, d2
-                improved = True
+            detail2 = prop(t2, env, d2, index)
+            if detail2 is not None:
+                t, d, detail = t2, d2, detail2
                 break
-        if not improved:
+        else:
             break
-    return (t, env), detail
+    return t, detail

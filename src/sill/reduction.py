@@ -629,12 +629,8 @@ def fuel_bound(t) -> int:
     return 1 + sum(measure(t))
 
 
-def reduce(t, fuel: int | None = None, strategy: str = "deterministic"):
-    """Run the deterministic strategy to a trace, or explore the full graph."""
-    if strategy == "all":
-        return reduction_graph(t)
-    if strategy != "deterministic":
-        raise ValueError(f"unknown strategy {strategy!r}")
+def reduce(t, fuel: int | None = None) -> ReductionTrace:
+    """Run the deterministic strategy to a trace."""
     if fuel is not None and fuel < 1:
         raise ValueError("fuel must be at least 1")
     c = Configuration(t, with_measure=True)

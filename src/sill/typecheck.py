@@ -621,8 +621,17 @@ def revalidate(d: Derivation) -> bool:
     try:
         _revalidate(d)
         return True
-    except (AssertionError, TypeCheckError, KeyError, IndexError, ValueError, StopIteration):
+    except _Invalid:
         return False
+
+
+class _Invalid(Exception):
+    """A derivation node whose conclusion does not follow by its rule."""
+
+
+def _require(ok: bool) -> None:
+    if not ok:
+        raise _Invalid
 
 
 def _without(e: Env, *names: Name) -> Env:
@@ -632,183 +641,189 @@ def _without(e: Env, *names: Name) -> Env:
 def _disjoint_union(e1: Env, e2: Env) -> Env:
     out = dict(e1)
     for n, v in e2.items():
-        assert n not in out
+        _require(n not in out)
         out[n] = v
     return out
 
 
 def _revalidate(d: Derivation) -> None:
-    for c in d.premises:
-        _revalidate(c)
-    if isinstance(d.env, dict):
-        _revalidate_cp(d)
-    else:
-        _revalidate_hcp(d)
+    """Check every node of d.  Each check reads only a node and its
+    premises, so the visit order does not matter."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        stack += d.premises
+        if isinstance(d.env, dict):
+            _revalidate_cp(d)
+        else:
+            _revalidate_hcp(d)
 
 
 def _revalidate_cp(d: Derivation) -> None:
     t, env = d.term, d.env
     match d.rule:
         case "Ax":
-            assert isinstance(t, cp.Link) and not d.premises
-            assert set(env) == {t.x, t.y} and env[t.y] == dual(env[t.x])
+            _require(isinstance(t, cp.Link) and not d.premises)
+            _require(set(env) == {t.x, t.y} and env[t.y] == dual(env[t.x]))
         case "Cut":
-            assert isinstance(t, cp.Cut) and len(d.premises) == 2
+            _require(isinstance(t, cp.Cut) and len(d.premises) == 2)
             d1, d2 = d.premises
-            assert d1.term == t.left and d2.term == t.right
-            assert d1.env.get(t.x) == t.ty and d2.env.get(t.x) == dual(t.ty)
-            assert env == _disjoint_union(_without(d1.env, t.x), _without(d2.env, t.x))
+            _require(d1.term == t.left and d2.term == t.right)
+            _require(d1.env.get(t.x) == t.ty and d2.env.get(t.x) == dual(t.ty))
+            _require(env == _disjoint_union(_without(d1.env, t.x), _without(d2.env, t.x)))
         case "⊗":
-            assert isinstance(t, cp.Send) and len(d.premises) == 2
+            _require(isinstance(t, cp.Send) and len(d.premises) == 2)
             d1, d2 = d.premises
-            assert d1.term == t.payload and d2.term == t.cont
+            _require(d1.term == t.payload and d2.term == t.cont)
             a, b = d1.env.get(t.y), d2.env.get(t.x)
-            assert a is not None and b is not None
-            assert env.get(t.x) == ty.Tensor(a, b)
-            assert _without(env, t.x) == _disjoint_union(_without(d1.env, t.y), _without(d2.env, t.x))
+            _require(a is not None and b is not None)
+            _require(env.get(t.x) == ty.Tensor(a, b))
+            _require(_without(env, t.x) == _disjoint_union(_without(d1.env, t.y), _without(d2.env, t.x)))
         case "⅋":
-            assert isinstance(t, cp.Recv) and len(d.premises) == 1
+            _require(isinstance(t, cp.Recv) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
+            _require(d1.term == t.body)
             a, b = d1.env.get(t.y), d1.env.get(t.x)
-            assert a is not None and b is not None
-            assert env.get(t.x) == ty.Par(a, b)
-            assert _without(env, t.x) == _without(d1.env, t.y, t.x)
+            _require(a is not None and b is not None)
+            _require(env.get(t.x) == ty.Par(a, b))
+            _require(_without(env, t.x) == _without(d1.env, t.y, t.x))
         case "1":
-            assert isinstance(t, cp.Halt) and not d.premises
-            assert env == {t.x: ONE}
+            _require(isinstance(t, cp.Halt) and not d.premises)
+            _require(env == {t.x: ONE})
         case "⊥":
-            assert isinstance(t, cp.Wait) and len(d.premises) == 1
+            _require(isinstance(t, cp.Wait) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            assert env.get(t.x) == BOT and t.x not in d1.env
-            assert _without(env, t.x) == d1.env
+            _require(d1.term == t.body)
+            _require(env.get(t.x) == BOT and t.x not in d1.env)
+            _require(_without(env, t.x) == d1.env)
         case "⊕₁" | "⊕₂":
-            assert isinstance(t, (cp.Inl, cp.Inr)) and len(d.premises) == 1
+            _require(isinstance(t, (cp.Inl, cp.Inr)) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
+            _require(d1.term == t.body)
             s = env.get(t.x)
-            assert isinstance(s, ty.Plus)
+            _require(isinstance(s, ty.Plus))
             branch = s.left if d.rule == "⊕₁" else s.right
-            assert d1.env.get(t.x) == branch
-            assert _without(env, t.x) == _without(d1.env, t.x)
+            _require(d1.env.get(t.x) == branch)
+            _require(_without(env, t.x) == _without(d1.env, t.x))
         case "&":
-            assert isinstance(t, cp.Case) and len(d.premises) == 2
+            _require(isinstance(t, cp.Case) and len(d.premises) == 2)
             d1, d2 = d.premises
-            assert d1.term == t.left and d2.term == t.right
+            _require(d1.term == t.left and d2.term == t.right)
             s = env.get(t.x)
-            assert isinstance(s, ty.With)
-            assert d1.env.get(t.x) == s.left and d2.env.get(t.x) == s.right
-            assert _without(d1.env, t.x) == _without(d2.env, t.x)
-            assert _without(env, t.x) == _without(d1.env, t.x)
+            _require(isinstance(s, ty.With))
+            _require(d1.env.get(t.x) == s.left and d2.env.get(t.x) == s.right)
+            _require(_without(d1.env, t.x) == _without(d2.env, t.x))
+            _require(_without(env, t.x) == _without(d1.env, t.x))
         case "⊤":
-            assert isinstance(t, cp.Absurd) and not d.premises
-            assert env.get(t.x) == TOP
+            _require(isinstance(t, cp.Absurd) and not d.premises)
+            _require(env.get(t.x) == TOP)
         case _:
-            raise ValueError(f"unknown CP rule {d.rule}")
+            raise _Invalid
 
 
-def _one_env_with(part: HyperEnv, x: Name) -> list[int]:
+def _envs_with(part: HyperEnv, x: Name) -> list[int]:
     return [i for i, e in enumerate(part) if x in e]
+
+
+def _env_with(part: HyperEnv, x: Name) -> int:
+    """The index of the one member environment of part that holds x."""
+    idxs = _envs_with(part, x)
+    _require(len(idxs) == 1)
+    return idxs[0]
 
 
 def _revalidate_hcp(d: Derivation) -> None:
     t, part = d.term, d.env
     match d.rule:
         case "Ax":
-            assert isinstance(t, hcp.Link) and not d.premises
-            assert len(part) == 1 and set(part[0]) == {t.x, t.y}
-            assert part[0][t.y] == dual(part[0][t.x])
+            _require(isinstance(t, hcp.Link) and not d.premises)
+            _require(len(part) == 1 and set(part[0]) == {t.x, t.y})
+            _require(part[0][t.y] == dual(part[0][t.x]))
         case "H-Mix₀":
-            assert isinstance(t, hcp.Inert) and not d.premises
-            assert part == []
+            _require(isinstance(t, hcp.Inert) and not d.premises)
+            _require(part == [])
         case "H-Mix":
-            assert isinstance(t, hcp.Par) and len(d.premises) == 2
+            _require(isinstance(t, hcp.Par) and len(d.premises) == 2)
             d1, d2 = d.premises
-            assert d1.term == t.left and d2.term == t.right
-            assert hyper_eq(part, list(d1.env) + list(d2.env))
+            _require(d1.term == t.left and d2.term == t.right)
+            _require(hyper_eq(part, list(d1.env) + list(d2.env)))
         case "H-Cut":
-            assert isinstance(t, hcp.New) and len(d.premises) == 1
+            _require(isinstance(t, hcp.New) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            idxs = _one_env_with(d1.env, t.x)
-            assert len(idxs) == 2
+            _require(d1.term == t.body)
+            idxs = _envs_with(d1.env, t.x)
+            _require(len(idxs) == 2)
             i, j = idxs
             t1, t2 = d1.env[i][t.x], d1.env[j][t.x]
-            assert t2 == dual(t1) and t1 in (t.ty, dual(t.ty))
+            _require(t2 == dual(t1) and t1 in (t.ty, dual(t.ty)))
             merged = _disjoint_union(_without(d1.env[i], t.x), _without(d1.env[j], t.x))
             rest = [e for k, e in enumerate(d1.env) if k not in (i, j)]
-            assert hyper_eq(part, rest + [merged])
+            _require(hyper_eq(part, rest + [merged]))
         case "⊗":
-            assert isinstance(t, hcp.BoundOut) and len(d.premises) == 1
+            _require(isinstance(t, hcp.BoundOut) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            (iy,) = _one_env_with(d1.env, t.y)
-            (ix,) = _one_env_with(d1.env, t.x)
-            assert iy != ix
+            _require(d1.term == t.body)
+            iy, ix = _env_with(d1.env, t.y), _env_with(d1.env, t.x)
+            _require(iy != ix)
             a, b = d1.env[iy][t.y], d1.env[ix][t.x]
             merged = _disjoint_union(_without(d1.env[iy], t.y), _without(d1.env[ix], t.x))
             merged[t.x] = ty.Tensor(a, b)
             rest = [e for k, e in enumerate(d1.env) if k not in (iy, ix)]
-            assert hyper_eq(part, rest + [merged])
+            _require(hyper_eq(part, rest + [merged]))
         case "⅋":
-            assert isinstance(t, hcp.In) and len(d.premises) == 1
+            _require(isinstance(t, hcp.In) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            (iy,) = _one_env_with(d1.env, t.y)
-            idxs = _one_env_with(d1.env, t.x)
-            assert idxs == [iy]
+            _require(d1.term == t.body)
+            iy = _env_with(d1.env, t.y)
+            _require(_envs_with(d1.env, t.x) == [iy])
             a, b = d1.env[iy][t.y], d1.env[iy][t.x]
             e2 = _without(d1.env[iy], t.y, t.x)
             e2[t.x] = ty.Par(a, b)
             rest = [e for k, e in enumerate(d1.env) if k != iy]
-            assert hyper_eq(part, rest + [e2])
+            _require(hyper_eq(part, rest + [e2]))
         case "1":
-            assert isinstance(t, hcp.OutUnit) and len(d.premises) == 1
+            _require(isinstance(t, hcp.OutUnit) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            assert not _one_env_with(d1.env, t.x)
-            assert hyper_eq(part, list(d1.env) + [{t.x: ONE}])
+            _require(d1.term == t.body)
+            _require(not _envs_with(d1.env, t.x))
+            _require(hyper_eq(part, list(d1.env) + [{t.x: ONE}]))
         case "⊥":
-            assert isinstance(t, hcp.InUnit) and len(d.premises) == 1
+            _require(isinstance(t, hcp.InUnit) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            assert not _one_env_with(d1.env, t.x)
-            idxs = _one_env_with(part, t.x)
-            assert len(idxs) == 1
-            i = idxs[0]
-            assert part[i].get(t.x) == BOT
+            _require(d1.term == t.body)
+            _require(not _envs_with(d1.env, t.x))
+            i = _env_with(part, t.x)
+            _require(part[i][t.x] == BOT)
             rest = [e for k, e in enumerate(part) if k != i]
-            assert hyper_eq(list(d1.env), rest + [_without(part[i], t.x)])
+            _require(hyper_eq(list(d1.env), rest + [_without(part[i], t.x)]))
         case "⊕₁" | "⊕₂":
-            assert isinstance(t, (hcp.Inl, hcp.Inr)) and len(d.premises) == 1
+            _require(isinstance(t, (hcp.Inl, hcp.Inr)) and len(d.premises) == 1)
             (d1,) = d.premises
-            assert d1.term == t.body
-            (i,) = _one_env_with(d1.env, t.x)
-            (ic,) = _one_env_with(part, t.x)
+            _require(d1.term == t.body)
+            i, ic = _env_with(d1.env, t.x), _env_with(part, t.x)
             s = part[ic][t.x]
-            assert isinstance(s, ty.Plus)
+            _require(isinstance(s, ty.Plus))
             branch = s.left if d.rule == "⊕₁" else s.right
-            assert d1.env[i][t.x] == branch
+            _require(d1.env[i][t.x] == branch)
             e2 = dict(d1.env[i])
             e2[t.x] = s
             rest = [e for k, e in enumerate(d1.env) if k != i]
-            assert hyper_eq(part, rest + [e2])
+            _require(hyper_eq(part, rest + [e2]))
         case "&":
-            assert isinstance(t, hcp.Case) and len(d.premises) == 2
+            _require(isinstance(t, hcp.Case) and len(d.premises) == 2)
             d1, d2 = d.premises
-            assert d1.term == t.left and d2.term == t.right
-            assert len(part) == 1 and len(d1.env) == 1 and len(d2.env) == 1
+            _require(d1.term == t.left and d2.term == t.right)
+            _require(len(part) == 1 and len(d1.env) == 1 and len(d2.env) == 1)
             s = part[0].get(t.x)
-            assert isinstance(s, ty.With)
-            assert d1.env[0].get(t.x) == s.left and d2.env[0].get(t.x) == s.right
-            assert _without(d1.env[0], t.x) == _without(d2.env[0], t.x)
-            assert _without(part[0], t.x) == _without(d1.env[0], t.x)
+            _require(isinstance(s, ty.With))
+            _require(d1.env[0].get(t.x) == s.left and d2.env[0].get(t.x) == s.right)
+            _require(_without(d1.env[0], t.x) == _without(d2.env[0], t.x))
+            _require(_without(part[0], t.x) == _without(d1.env[0], t.x))
         case "⊤":
-            assert isinstance(t, hcp.Absurd) and not d.premises
-            assert len(part) == 1 and part[0].get(t.x) == TOP
+            _require(isinstance(t, hcp.Absurd) and not d.premises)
+            _require(len(part) == 1 and part[0].get(t.x) == TOP)
         case _:
-            raise ValueError(f"unknown HCP rule {d.rule}")
+            raise _Invalid
 
 
 def render_derivation(d: Derivation) -> str:

@@ -161,13 +161,13 @@ def test_shrinking_produces_smaller_counterexample():
 
     cfg = GenConfig(seed=42, count=1)
 
-    def bogus(term, env):
+    def bogus(term, env, d, index):
         return "always fails" if isinstance(term, cp.CpTerm) else None
 
     for i in range(40):
-        term, env, _ = gen_cp(cfg, i)
+        term, env, d = gen_cp(cfg, i)
         if len(print_term(term)) > 60:
-            (small, _), detail = harness._shrink(term, env, bogus, "always fails")
+            small, detail = harness._shrink(term, env, d, i, bogus, "always fails")
             assert len(print_term(small)) <= len(print_term(term))
             break
     else:
@@ -204,9 +204,35 @@ def test_progress_builds_one_configuration_per_sample(monkeypatch):
         init(self, *args, **kwargs)
 
     cfg = GenConfig(seed=42, count=1)
-    samples = [gen(cfg, i)[:2] for gen in (gen_cp, gen_hcp) for i in range(100)]
+    samples = [(*gen(cfg, i), i) for gen in (gen_cp, gen_hcp) for i in range(100)]
     monkeypatch.setattr(rd.Configuration, "__init__", counted)
-    for t, env in samples:
+    for sample in samples:
         builds = 0
-        assert harness._prop_progress(t, env) is None
+        assert harness._prop_progress(*sample) is None
         assert builds == 1
+
+
+def test_properties_leave_the_sample_derivations_unchanged():
+    # samples are cached and every suite reads the same derivation objects
+    from sill.typecheck import render_derivation
+
+    cfg = GenConfig(seed=42, count=12)
+    samples = {(gen, i): gen(cfg, i)[2] for gen in (gen_cp, gen_hcp) for i in range(cfg.count)}
+    before = {k: render_derivation(d) for k, d in samples.items()}
+    for name in harness.SUITE_NAMES:
+        assert run_suite(name, cfg).ok
+    assert all(gen(cfg, i)[2] is d for (gen, i), d in samples.items())
+    assert {k: render_derivation(d) for k, d in samples.items()} == before
+
+
+def test_equiv_preservation_failures_are_shrunk(monkeypatch):
+    cfg = GenConfig(seed=42, count=6)
+    monkeypatch.setattr(cg, "equiv", lambda t1, t2: False)
+    rep = run_suite("equiv-preservation", cfg)
+    assert len(rep.failures) == cfg.count
+    sizes = []
+    for r in rep.failures:
+        t, env, _ = (gen_cp if r.index % 2 == 0 else gen_hcp)(cfg, r.index)
+        sizes.append((len(r.counterexample), len(harness._fmt_sample(t, env))))
+    assert all(shrunk <= full for shrunk, full in sizes)
+    assert any(shrunk < full for shrunk, full in sizes)

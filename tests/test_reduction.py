@@ -182,7 +182,7 @@ def test_deterministic_traces_are_reproducible():
 
 def test_reduce_all_matches_graph():
     term = load_fixture("tensor_unit.sill").decls[0].term
-    g = rd.reduce(term, strategy="all")
+    g = rd.reduction_graph(term)
     assert isinstance(g, rd.ReductionGraph) and len(g.nodes) == 4
 
 

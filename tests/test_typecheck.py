@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from conftest import load_fixture
@@ -206,6 +212,60 @@ def test_revalidate_hcp_corruption():
     (d, part) = check_src("(x[].0 | w[].0)", "x:1, w:1", "hcp")[0:2]
     bad = Derivation(d.rule, d.term, [part[0]], d.premises)
     assert not revalidate(bad)
+
+
+def test_revalidate_does_not_rest_on_asserts():
+    # `python -O` strips assert statements; revalidate must still reject a
+    # link whose environment was changed to top
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from sill import cp\n"
+            "from sill.names import Name\n"
+            "from sill.typecheck import Derivation, check_cp, revalidate\n"
+            "from sill.types import BOT, ONE, TOP\n"
+            "x, y = Name('x', 1), Name('y', 2)\n"
+            "d = check_cp(cp.Link(x, y), {x: ONE, y: BOT})\n"
+            "bad = Derivation(d.rule, d.term, {x: ONE, y: TOP}, d.premises)\n"
+            "print(sys.flags.optimize, revalidate(d), revalidate(bad))\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 True False\n"
+
+
+def test_revalidate_deep_derivation_at_default_recursion_limit():
+    # the checker recurses, so the 2000-deep derivation is built in a thread
+    # with a big stack and a raised limit; revalidate runs at the default one
+    w = Name("w", 0)
+    xs = [Name(f"x{i}", i) for i in range(1, 2001)]
+    term = cp.Halt(w)
+    for x in reversed(xs):
+        term = cp.Wait(x, term)
+    env = {w: ONE, **{x: BOT for x in xs}}
+    out = {}
+
+    def build():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(50_000)
+        try:
+            out["d"] = check_cp(term, env)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    size = threading.stack_size(256 << 20)
+    try:
+        thread = threading.Thread(target=build)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+    d, depth = out["d"], 0
+    while d.premises:
+        (d,) = d.premises
+        depth += 1
+    assert depth == 2000
+    assert revalidate(out["d"])
+    assert not revalidate(Derivation(d.rule, d.term, {w: BOT}, ()))
 
 
 def test_derivation_rendering():
