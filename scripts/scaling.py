@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Time `reduce` and the rendering of derivations and traces on growing
-inputs, and fit how their cost scales.
+"""Time parsing, `reduce` and the rendering of derivations and traces on
+growing inputs, and fit how their cost scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`) and HCP mixes of independent unit cuts, at n = 25, 50, 100, ...
-doubling up to --max (default 200).  Each size is parsed afresh before every
-run.  A `reduce` run times `reduction.reduce` (so it includes freshening); a
-`render derivation` run times only `typecheck.render_derivation` of the
-input's typing derivation, and a `render trace` run only
-`reduction.render_trace` of its reduction trace with every reduct already
-built.  A `translate` run times `bridge.translate_typed` of the input's
+doubling up to --max (default 200).  A `parse` run times
+`surface.parse_file` of the input's text alone; every other run parses the
+input afresh first, outside the clock.  A `reduce` run times
+`reduction.reduce` (so it includes freshening); a `render derivation` run
+times only `typecheck.render_derivation` of the input's typing derivation,
+and a `render trace` run only `reduction.render_trace` of its reduction
+trace with every reduct already built.  A `translate` run times `bridge.translate_typed` of the input's
 typing derivation, and a `disentangle` run `bridge.disentangle` and then
 `bridge.tens_internalize` of it.  The best of --repeat runs (default 3) is
 reported in milliseconds.  A workload stops at the first size that raises.
@@ -47,34 +48,49 @@ def mix(n: int) -> str:
     return f"hproc Main : {env} = {term}\n"
 
 
-def _reduce(d):
+def _main(src: str):
+    return surface.parse_file(src).decls[0]
+
+
+def _parse(src: str):
+    return lambda: surface.parse_file(src)
+
+
+def _reduce(src: str):
+    d = _main(src)
     return lambda: reduction.reduce(d.term)
 
 
-def _render_derivation(d):
+def _render_derivation(src: str):
+    d = _main(src)
     deriv = typecheck.check_cp(d.term, d.env) if d.dialect == "cp" else typecheck.check_hcp(d.term, d.env)[0]
     return lambda: typecheck.render_derivation(deriv)
 
 
-def _render_trace(d):
-    trace = reduction.reduce(d.term)
+def _render_trace(src: str):
+    trace = reduction.reduce(_main(src).term)
     for st in trace.steps:
         st.term  # build every reduct before the clock starts
     return lambda: reduction.render_trace(trace)
 
 
-def _translate(d):
+def _translate(src: str):
+    d = _main(src)
     deriv = typecheck.check_cp(d.term, d.env)
     return lambda: bridge.translate_typed(deriv)
 
 
-def _disentangle(d):
+def _disentangle(src: str):
+    d = _main(src)
     deriv = typecheck.check_hcp(d.term, d.env)[0]
     return lambda: (bridge.disentangle(deriv), bridge.tens_internalize(deriv))
 
 
-# label -> (source of size n, what to time, given the parsed declaration)
+# label -> (source of size n, what to time, given that source)
 WORKLOADS = {
+    "parse cp chain": (lambda n: chain(n, False), _parse),
+    "parse hcp chain": (lambda n: chain(n, True), _parse),
+    "parse hcp mix": (mix, _parse),
     "reduce cp chain": (lambda n: chain(n, False), _reduce),
     "reduce hcp chain": (lambda n: chain(n, True), _reduce),
     "reduce hcp mix": (mix, _reduce),
@@ -90,7 +106,7 @@ WORKLOADS = {
 def best_ms(src: str, prepare, repeat: int) -> float:
     best = math.inf
     for _ in range(repeat):
-        run = prepare(surface.parse_file(src).decls[0])
+        run = prepare(src)
         t0 = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - t0)

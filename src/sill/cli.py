@@ -288,9 +288,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     """The `sill` command: `main`, except that an input nested too deeply for
-    the layers that still recurse (the parser, the checkers, free names)
-    exits 3 with one line instead of a traceback.  `main` lets the
-    RecursionError out, so that in-process callers see it as an exception."""
+    the layers that still recurse (the checkers, free names) exits 3 with
+    one line instead of a traceback.  `main` lets the RecursionError out, so
+    that in-process callers see it as an exception.  The parser reads any
+    depth; a parse error exits 2 with the one line
+    `FILE:LINE:COL: syntax error: expected …, found …` (or a CP-only hint)."""
     try:
         return main(argv)
     except RecursionError:

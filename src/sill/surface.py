@@ -5,9 +5,14 @@ units, ~A for duality (expanded eagerly).  CP terms write the cut as
 `new x:A (P | Q)`; HCP terms write `new x:A. P` and bare `(P | Q)`, `0`.
 Line comments start with --.  parse(print(v)) returns a structurally equal
 value (terms: alpha-equal with the same surface names).
+
+`_FORM_PIECES` is the one table of term syntax: the printer emits each form
+in it, and a trie per dialect built from it reads them back.  Neither
+recurses, so neither has a depth limit.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -17,7 +22,6 @@ from .names import Loc, Name, fresh
 from .terms import SCHEMA
 
 KEYWORDS = {"new", "proc", "hproc", "inl", "inr", "par", "bot", "top"}
-_PUNCT = ["<->", "(", ")", "[", "]", ".", "|", ":", ",", "=", "!", "?", "{", "}", ";", "*", "+", "&", "~"]
 
 
 class ParseError(Exception):
@@ -28,350 +32,342 @@ class ParseError(Exception):
         super().__init__(f"{filename}:{loc}: syntax error: {message}")
 
 
-@dataclass
-class Token:
-    kind: str  # 'ident', 'kw', '0', '1', punct literal, 'eof'
-    text: str
-    loc: Loc
+# Each constructor's printed form: its field names ("x", "y", "ty" and its
+# subterm fields) and the literal text between them.
+_FORM_PIECES = [
+    ((cp.Link, hcp.Link), ("x", "<->", "y")),
+    ((cp.Recv, hcp.In), ("x", "(", "y", ").", "body")),
+    ((cp.Wait, hcp.InUnit), ("x", "().", "body")),
+    ((cp.Inl, hcp.Inl), ("x", "!inl.", "body")),
+    ((cp.Inr, hcp.Inr), ("x", "!inr.", "body")),
+    ((cp.Case, hcp.Case), ("x", "?{inl: ", "left", "; inr: ", "right", "}")),
+    ((cp.Absurd, hcp.Absurd), ("x", "?{}")),
+    ((cp.Cut,), ("new ", "x", ":", "ty", " (", "left", " | ", "right", ")")),
+    ((cp.Send,), ("x", "[", "y", "].(", "payload", " | ", "cont", ")")),
+    ((cp.Halt,), ("x", "[].0")),
+    ((hcp.Inert,), ("0",)),
+    ((hcp.New,), ("new ", "x", ":", "ty", ". ", "body")),
+    ((hcp.Par,), ("(", "left", " | ", "right", ")")),
+    ((hcp.BoundOut,), ("x", "[", "y", "].", "body")),
+    ((hcp.OutUnit,), ("x", "[].", "body")),
+]
+_LITERAL, _NAME, _BINDER, _TYPE, _TERM = range(5)
 
 
-def _lex(src: str, filename: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        loc = Loc(line, col)
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident", word, loc))
-            col += j - i
-            i = j
-            continue
-        if c in "01":
-            if i + 1 < n and src[i + 1].isdigit():
-                raise ParseError(f"unexpected number starting {src[i:i+2]!r}", loc, filename)
-            toks.append(Token(c, c, loc))
-            i += 1
-            col += 1
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token(p, p, loc))
-                i += len(p)
-                col += len(p)
+def _form(cls, pieces: tuple) -> tuple:
+    """The (kind, text or field) pieces of a printed form, last piece first."""
+    shape = SCHEMA[cls]
+
+    def kind(piece: str) -> int:
+        if piece in shape.subterms:
+            return _TERM
+        if piece == shape.binder:
+            return _BINDER
+        if piece in shape.names:
+            return _NAME
+        return _TYPE if shape.typed and piece == "ty" else _LITERAL
+
+    return tuple((kind(p), p) for p in reversed(pieces))
+
+
+_FORMS = {cls: _form(cls, pieces) for classes, pieces in _FORM_PIECES for cls in classes}
+
+
+# -- lexing -----------------------------------------------------------------
+
+# After blanks and a comment: a punctuation mark, a word, the digit 0 or 1,
+# any other character (an error), or the end of the line.
+_TOKEN = re.compile(r"[ \t\r]*(?:--.*)?(?:(<->|[][().|:,=!?{};*+&~])|([^\W\d][\w']*)|([01])|(.)|\Z)")
+_PUNCT, _WORD, _DIGIT = range(1, 4)
+
+
+def _lex(src: str, filename: str) -> list[tuple]:
+    """src as (kind, text, line, col) tokens, ending with an "eof" token.  A
+    word is a letter or "_" and then letters, digits, "_" and "'"; its kind
+    is "ident" unless it is a keyword.  Any other token's kind is its text."""
+    toks: list[tuple] = []
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group is None:
                 break
-        else:
-            raise ParseError(f"unexpected character {c!r}", loc, filename)
-    toks.append(Token("eof", "", Loc(line, col)))
+            tok, col, end = m.group(group), m.start(group) + 1, m.end()
+            if group == _WORD and (tok[0].isalpha() or tok[0] == "_"):
+                toks.append((tok if tok in KEYWORDS else "ident", tok, line, col))
+            elif group == _PUNCT or group == _DIGIT and not text[end:end + 1].isdigit():
+                toks.append((tok, tok, line, col))
+            else:
+                bad = f"number starting {text[end - 1:end + 1]!r}" if group == _DIGIT else f"character {tok[0]!r}"
+                raise ParseError(f"unexpected {bad}", Loc(line, col), filename)
+    end = text.find("--")  # a comment on the last line does not move the end
+    toks.append(("eof", "", line, (len(text) if end < 0 else end) + 1))
     return toks
 
 
-class _Scope:
-    """Lexical scoping for term names: binders shadow, free names are shared."""
+# -- the term reader ----------------------------------------------------------
 
-    def __init__(self, free: dict[str, Name]):
-        self.free = free
-        self.stack: list[dict[str, Name]] = []
+
+class _Node:
+    """A state of a dialect's term reader.  It reads a token (`edges`: its kind
+    -> what the token is and the next state), or takes a `step`: a type or a
+    subterm, then `then`; or a term class, the form read.  `hints` replace the
+    error message for a token kind (None: for any token)."""
+
+    step = then = None
+    ends_scope = False  # after the subterm, the form's binder goes out of scope
+
+    def __init__(self):
+        self.edges: dict[str, tuple] = {}
+        self.hints: dict = {}
+
+    def grow(self, key, what, ends_scope: bool) -> _Node:
+        """The state after key (a token kind, or a step), added if new."""
+        if isinstance(key, str) and self.step is None:
+            was, node = self.edges.setdefault(key, (what, _Node()))
+            if was == what:
+                return node
+        elif self.step is None and not self.edges:
+            self.step, self.ends_scope, self.then = key, ends_scope, _Node()
+            return self.then
+        elif (self.step, self.ends_scope) == (key, ends_scope):
+            return self.then
+        raise ValueError(f"two forms of the table clash at {key!r}")
+
+
+def _items(cls):
+    """Reading a form of cls: (token kind, what it is, False) per token, and
+    (_TYPE or _TERM, None, whether the binder's scope ends after it)."""
+    inside = SCHEMA[cls].inside
+    for kind, piece in reversed(_FORMS[cls]):
+        if kind is _LITERAL:
+            for tok in _lex(piece, "<forms>")[:-1]:
+                yield tok[0], _LITERAL, False
+        elif kind is _NAME or kind is _BINDER:
+            yield "ident", kind, False
+        else:
+            yield kind, None, bool(inside) and piece == inside[-1]
+
+
+# What the CP reader says where it stops reading an HCP-only form.
+_CP_HINTS = {
+    hcp.Par: "bare parallel composition '(P | Q)' is not a CP construct (use 'new x:A (P | Q)')",
+    hcp.Inert: "the inert process '0' is not a CP construct",
+    hcp.New: "CP cut is written 'new x:A (P | Q)', not 'new x:A. P'",
+    hcp.BoundOut: "CP output requires a '(P | Q)' body: the payload and continuation are separate processes",
+    hcp.OutUnit: "expected '0' (CP halt is 'x[].0'), found {found}",
+}
+
+
+def _reader(base: type, hints: dict) -> _Node:
+    """The trie of the forms of base's subclasses, with each hint's message
+    where the trie stops reading the form of the hint's class."""
+    root = _Node()
+    for cls in (c for c in _FORMS if issubclass(c, base)):
+        node = root
+        for item in _items(cls):
+            node = node.grow(*item)
+        node.grow(cls, None, False)
+    for cls, message in hints.items():
+        node = root
+        for key, _, _ in _items(cls):
+            if key in node.edges:
+                node = node.edges[key][1]
+            elif key == node.step:
+                node = node.then
+            else:
+                node.hints[key if isinstance(key, str) else None] = message
+                break
+    return root
+
+
+_READERS = {"cp": _reader(cp.CpTerm, _CP_HINTS), "hcp": _reader(hcp.HcpTerm, {})}
+
+
+# -- parsing ----------------------------------------------------------------
+
+# The binary type connectives, one level per row from the loosest: a level's
+# operators associate to the right and never mix without parentheses.
+_TYPE_LEVELS = ({"+": ty.Plus, "&": ty.With}, {"*": ty.Tensor, "par": ty.Par})
+_LEVEL_OF = {op: i for i, level in enumerate(_TYPE_LEVELS) for op in level}
+_TYPE_UNITS = {"1": ty.ONE, "0": ty.ZERO, "bot": ty.BOT, "top": ty.TOP}
+
+
+class _Scope:
+    """Lexical scoping for term names: per surface, its free name (None until
+    used) and then its binders in scope, innermost last."""
+
+    def __init__(self):
+        self.names: dict[str, list] = {}
+        self.order: list[str] = []  # the surfaces of the binders in scope, innermost last
 
     def push(self, surface: str) -> Name:
         n = fresh(surface)
-        self.stack.append({surface: n})
+        self.names.setdefault(surface, [None]).append(n)
+        self.order.append(surface)
         return n
 
     def pop(self) -> None:
-        self.stack.pop()
+        self.names[self.order.pop()].pop()
 
     def lookup(self, surface: str) -> Name:
-        for frame in reversed(self.stack):
-            if surface in frame:
-                return frame[surface]
-        if surface not in self.free:
-            self.free[surface] = fresh(surface)
-        return self.free[surface]
+        names = self.names.setdefault(surface, [None])
+        if names[-1] is None:
+            names[-1] = fresh(surface)
+        return names[-1]
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], filename: str):
-        self.toks = toks
+    def __init__(self, src: str, filename: str):
+        self.toks = _lex(src, filename)
         self.pos = 0
         self.filename = filename
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def whole(self, read, *args):
+        """read(self, *args), which must take every token."""
+        out = read(self, *args)
+        self.expect("eof", "end of input")
+        return out
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.toks[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            expected = what or repr(kind)
-            found = repr(t.text) if t.text else "end of input"
-            raise self.err(f"expected {expected}, found {found}")
+    def expect(self, kind: str, what: str | None = None) -> tuple:
+        t = self.toks[self.pos]
+        if t[0] != kind:
+            raise self.unexpected(what or repr(kind), t)
         return self.next()
 
-    def err(self, message: str, loc: Loc | None = None) -> ParseError:
-        return ParseError(message, loc or self.peek().loc, self.filename)
+    def err(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, Loc(tok[2], tok[3]), self.filename)
 
-    # -- types ------------------------------------------------------------
+    def unexpected(self, what: str, tok: tuple, message: str | None = None) -> ParseError:
+        found = repr(tok[1]) if tok[1] else "end of input"
+        return self.err((message or "expected {what}, found {found}").format(what=what, found=found), tok)
 
     def type_(self) -> ty.Type:
-        return self._type_additive()
-
-    def _type_additive(self) -> ty.Type:
-        parts = [self._type_mult()]
-        op = None
-        while self.peek().kind in ("+", "&"):
+        """A type, read with an explicit stack of open parentheses."""
+        stack = []  # per open parenthesis: the runs outside it and the '~'s before it
+        runs = [[None] for _ in _TYPE_LEVELS]  # per level: its operator so far, then its operands
+        while True:
+            duals = 0
+            while self.accept("~"):
+                duals += 1
             t = self.next()
-            if op is None:
-                op = t.kind
-            elif t.kind != op:
-                raise self.err("cannot mix '+' and '&' without parentheses", t.loc)
-            parts.append(self._type_mult())
-        if op is None:
-            return parts[0]
-        cls = ty.Plus if op == "+" else ty.With
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = cls(p, out)
-        return out
-
-    def _type_mult(self) -> ty.Type:
-        parts = [self._type_atom()]
-        op = None
-        while self.peek().kind == "*" or (self.peek().kind == "kw" and self.peek().text == "par"):
-            t = self.next()
-            kind = "*" if t.kind == "*" else "par"
-            if op is None:
-                op = kind
-            elif kind != op:
-                raise self.err("cannot mix '*' and 'par' without parentheses", t.loc)
-            parts.append(self._type_atom())
-        if op is None:
-            return parts[0]
-        cls = ty.Tensor if op == "*" else ty.Par
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = cls(p, out)
-        return out
-
-    def _type_atom(self) -> ty.Type:
-        t = self.peek()
-        if t.kind == "~":
-            self.next()
-            return ty.dual(self._type_atom())
-        if t.kind == "1":
-            self.next()
-            return ty.ONE
-        if t.kind == "0":
-            self.next()
-            return ty.ZERO
-        if t.kind == "kw" and t.text == "bot":
-            self.next()
-            return ty.BOT
-        if t.kind == "kw" and t.text == "top":
-            self.next()
-            return ty.TOP
-        if t.kind == "(":
-            self.next()
-            inner = self.type_()
-            self.expect(")")
-            return inner
-        found = repr(t.text) if t.text else "end of input"
-        raise self.err(f"expected a type, found {found}")
-
-    # -- terms ------------------------------------------------------------
-
-    def term(self, dialect: str, scope: _Scope):
-        t = self.peek()
-        if t.kind == "(":
-            if dialect == "cp":
-                raise self.err("bare parallel composition '(P | Q)' is not a CP construct (use 'new x:A (P | Q)')", t.loc)
-            self.next()
-            p = self.term(dialect, scope)
-            self.expect("|")
-            q = self.term(dialect, scope)
-            self.expect(")")
-            return hcp.Par(p, q, loc=t.loc)
-        if t.kind == "0":
-            if dialect == "cp":
-                raise self.err("the inert process '0' is not a CP construct", t.loc)
-            self.next()
-            return hcp.Inert(loc=t.loc)
-        if t.kind == "kw" and t.text == "new":
-            return self._new(dialect, scope, self.next().loc)
-        if t.kind == "ident":
-            return self._action(dialect, scope)
-        found = repr(t.text) if t.text else "end of input"
-        raise self.err(f"expected a {dialect} term, found {found}")
-
-    def _new(self, dialect: str, scope: _Scope, loc: Loc):
-        name_tok = self.expect("ident", "a channel name")
-        self.expect(":")
-        a = self.type_()
-        x = scope.push(name_tok.text)
-        try:
-            if dialect == "cp":
-                if self.peek().kind == ".":
-                    raise self.err("CP cut is written 'new x:A (P | Q)', not 'new x:A. P'")
-                self.expect("(", "'(' opening the cut body")
-                p = self.term("cp", scope)
-                self.expect("|")
-                q = self.term("cp", scope)
-                self.expect(")")
-                return cp.Cut(x, a, p, q, loc=loc)
-            self.expect(".", "'.' after the restriction type")
-            return hcp.New(x, a, self.term("hcp", scope), loc=loc)
-        finally:
-            scope.pop()
-
-    def _action(self, dialect: str, scope: _Scope):
-        name_tok = self.next()
-        loc = name_tok.loc
-        t = self.peek()
-        if t.kind == "<->":
-            self.next()
-            other = self.expect("ident", "a channel name")
-            x, y = scope.lookup(name_tok.text), scope.lookup(other.text)
-            return (cp.Link if dialect == "cp" else hcp.Link)(x, y, loc=loc)
-        x = scope.lookup(name_tok.text)
-        if t.kind == "[":
-            self.next()
-            if self.accept("]"):
-                self.expect(".")
-                if dialect == "cp":
-                    self.expect("0", "'0' (CP halt is 'x[].0')")
-                    return cp.Halt(x, loc=loc)
-                return hcp.OutUnit(x, self.term("hcp", scope), loc=loc)
-            payload_tok = self.expect("ident", "a channel name")
-            self.expect("]")
-            self.expect(".")
-            y = scope.push(payload_tok.text)
-            if dialect == "cp":
-                try:
-                    if self.peek().kind != "(":
-                        raise self.err("CP output requires a '(P | Q)' body: the payload and continuation are separate processes")
+            if t[0] == "(":
+                stack.append((runs, duals))
+                runs = [[None] for _ in _TYPE_LEVELS]
+                continue
+            a = _TYPE_UNITS.get(t[0])
+            if a is None:
+                raise self.unexpected("a type", t)
+            while True:  # a is a whole operand: an atom, or a closed parenthesis
+                if duals % 2:
+                    a = a.dual
+                op = self.toks[self.pos][0]
+                level = _LEVEL_OF.get(op, -1)
+                for k in range(len(runs) - 1, level, -1):  # the runs that a ends
+                    run = runs[k]
+                    for b in reversed(run[1:]):
+                        a = _TYPE_LEVELS[k][run[0]](b, a)
+                    runs[k] = [None]
+                if level >= 0:
+                    run = runs[level]
+                    if run[0] not in (None, op):
+                        ops = " and ".join(map(repr, _TYPE_LEVELS[level]))
+                        raise self.err(f"cannot mix {ops} without parentheses", self.toks[self.pos])
+                    run[0] = op
+                    run.append(a)
                     self.next()
-                    p = self.term("cp", scope)
-                    self.expect("|")
-                finally:
-                    scope.pop()
-                q = self.term("cp", scope)
+                    break
+                if not stack:
+                    return a
                 self.expect(")")
-                return cp.Send(x, y, p, q, loc=loc)
-            try:
-                body = self.term("hcp", scope)
-            finally:
-                scope.pop()
-            return hcp.BoundOut(x, y, body, loc=loc)
-        if t.kind == "(":
-            self.next()
-            if self.accept(")"):
-                self.expect(".")
-                body = self.term(dialect, scope)
-                return (cp.Wait if dialect == "cp" else hcp.InUnit)(x, body, loc=loc)
-            payload_tok = self.expect("ident", "a channel name")
-            self.expect(")")
-            self.expect(".")
-            y = scope.push(payload_tok.text)
-            try:
-                body = self.term(dialect, scope)
-            finally:
-                scope.pop()
-            return (cp.Recv if dialect == "cp" else hcp.In)(x, y, body, loc=loc)
-        if t.kind == "!":
-            self.next()
-            sel = self.expect("kw", "'inl' or 'inr'")
-            if sel.text not in ("inl", "inr"):
-                raise self.err("expected 'inl' or 'inr'", sel.loc)
-            self.expect(".")
-            body = self.term(dialect, scope)
-            if dialect == "cp":
-                cls = cp.Inl if sel.text == "inl" else cp.Inr
-            else:
-                cls = hcp.Inl if sel.text == "inl" else hcp.Inr
-            return cls(x, body, loc=loc)
-        if t.kind == "?":
-            self.next()
-            self.expect("{")
-            if self.accept("}"):
-                return (cp.Absurd if dialect == "cp" else hcp.Absurd)(x, loc=loc)
-            sel = self.expect("kw", "'inl'")
-            if sel.text != "inl":
-                raise self.err("offer branches must be written inl first, then inr", sel.loc)
-            self.expect(":")
-            p = self.term(dialect, scope)
-            self.expect(";")
-            sel = self.expect("kw", "'inr'")
-            if sel.text != "inr":
-                raise self.err("offer branches must be written inl first, then inr", sel.loc)
-            self.expect(":")
-            q = self.term(dialect, scope)
-            self.expect("}")
-            return (cp.Case if dialect == "cp" else hcp.Case)(x, p, q, loc=loc)
-        found = repr(t.text) if t.text else "end of input"
-        raise self.err(f"expected an action after {name_tok.text!r}, found {found}")
+                runs, duals = stack.pop()
+
+    def process(self, dialect: str, scope: _Scope):
+        """A term of the dialect, read by walking its trie, with an explicit
+        stack of the forms whose subterm is being read."""
+        root = _READERS[dialect]
+        toks, pos = self.toks, self.pos
+        frames = []  # per form being read: the state reading its subterm, its fields so far, its first token
+        node, values, first = root, [], toks[pos]
+        while True:
+            step = node.step
+            if step is None:
+                tok = toks[pos]
+                hit = node.edges.get(tok[0])
+                if hit is None:
+                    hint = node.hints.get(tok[0]) or node.hints.get(None)
+                    kinds = " or ".join("a channel name" if k == "ident" else repr(k) for k in node.edges)
+                    raise self.unexpected(f"a {dialect} term" if node is root else kinds, tok, hint)
+                what, node = hit
+                if what is _NAME:
+                    values.append(scope.lookup(tok[1]))
+                elif what is _BINDER:
+                    values.append(scope.push(tok[1]))
+                pos += 1
+            elif step is _TERM:
+                frames.append((node, values, first))
+                node, values, first = root, [], toks[pos]
+            elif step is _TYPE:
+                self.pos = pos
+                values.append(self.type_())
+                pos = self.pos
+                node = node.then
+            else:  # step is the class of the form read
+                t = step(*values, loc=Loc(first[2], first[3]))
+                if not frames:
+                    self.pos = pos
+                    return t
+                node, values, first = frames.pop()  # the form waiting for t
+                values.append(t)
+                if node.ends_scope:
+                    scope.pop()
+                node = node.then
 
     # -- declarations -----------------------------------------------------
 
     def env(self, scope: _Scope) -> dict[Name, ty.Type]:
         out: dict[Name, ty.Type] = {}
-        if self.peek().kind != "ident":
+        if self.toks[self.pos][0] != "ident":
             return out
         while True:
             name_tok = self.expect("ident", "a channel name")
-            if any(n.surface == name_tok.text for n in out):
-                raise self.err(f"duplicate name {name_tok.text!r} in environment", name_tok.loc)
+            n = scope.lookup(name_tok[1])  # the one name of that spelling: no binder is in scope
+            if n in out:
+                raise self.err(f"duplicate name {name_tok[1]!r} in environment", name_tok)
             self.expect(":")
-            t = self.type_()
-            out[scope.lookup(name_tok.text)] = t
+            out[n] = self.type_()
             if not self.accept(","):
                 return out
 
     def file(self) -> "SessionFile":
         decls: list[Decl] = []
         seen: set[str] = set()
-        while self.peek().kind != "eof":
-            kw = self.peek()
-            if not (kw.kind == "kw" and kw.text in ("proc", "hproc")):
-                raise self.err("expected a 'proc' or 'hproc' declaration")
-            self.next()
-            dialect = "cp" if kw.text == "proc" else "hcp"
+        while self.toks[self.pos][0] != "eof":
+            kw = self.next()
+            if kw[0] not in ("proc", "hproc"):
+                raise self.unexpected("a 'proc' or 'hproc' declaration", kw)
+            dialect = "cp" if kw[0] == "proc" else "hcp"
             name_tok = self.expect("ident", "a declaration name")
-            if name_tok.text in seen:
-                raise self.err(f"duplicate declaration {name_tok.text!r}", name_tok.loc)
-            seen.add(name_tok.text)
+            if name_tok[1] in seen:
+                raise self.err(f"duplicate declaration {name_tok[1]!r}", name_tok)
+            seen.add(name_tok[1])
             self.expect(":")
-            scope = _Scope({})
+            scope = _Scope()
             declared = self.env(scope)
             self.expect("=")
-            term = self.term(dialect, scope)
-            decls.append(Decl(name_tok.text, dialect, declared, term, kw.loc))
+            term = self.process(dialect, scope)
+            decls.append(Decl(name_tok[1], dialect, declared, term, Loc(kw[2], kw[3])))
         return SessionFile(decls, self.filename)
 
 
@@ -397,68 +393,20 @@ class SessionFile:
 
 
 def parse_type(src: str, filename: str = "<input>") -> ty.Type:
-    p = _Parser(_lex(src, filename), filename)
-    out = p.type_()
-    p.expect("eof", "end of input")
-    return out
+    return _Parser(src, filename).whole(_Parser.type_)
 
 
 def parse_term(src: str, dialect: str, filename: str = "<input>"):
     if dialect not in ("cp", "hcp"):
         raise ValueError(f"dialect must be 'cp' or 'hcp', not {dialect!r}")
-    p = _Parser(_lex(src, filename), filename)
-    out = p.term(dialect, _Scope({}))
-    p.expect("eof", "end of input")
-    return out
+    return _Parser(src, filename).whole(_Parser.process, dialect, _Scope())
 
 
 def parse_file(src: str, filename: str = "<input>") -> SessionFile:
-    return _Parser(_lex(src, filename), filename).file()
+    return _Parser(src, filename).whole(_Parser.file)
 
 
 # -- printing ---------------------------------------------------------------
-
-print_type = ty.render
-
-
-# Each constructor's printed form: its field names ("x", "y", "ty" and its
-# subterm fields) and the literal text between them.
-_FORM_PIECES = [
-    ((cp.Link, hcp.Link), ("x", "<->", "y")),
-    ((cp.Recv, hcp.In), ("x", "(", "y", ").", "body")),
-    ((cp.Wait, hcp.InUnit), ("x", "().", "body")),
-    ((cp.Inl, hcp.Inl), ("x", "!inl.", "body")),
-    ((cp.Inr, hcp.Inr), ("x", "!inr.", "body")),
-    ((cp.Case, hcp.Case), ("x", "?{inl: ", "left", "; inr: ", "right", "}")),
-    ((cp.Absurd, hcp.Absurd), ("x", "?{}")),
-    ((cp.Cut,), ("new ", "x", ":", "ty", " (", "left", " | ", "right", ")")),
-    ((cp.Send,), ("x", "[", "y", "].(", "payload", " | ", "cont", ")")),
-    ((cp.Halt,), ("x", "[].0")),
-    ((hcp.Inert,), ("0",)),
-    ((hcp.New,), ("new ", "x", ":", "ty", ". ", "body")),
-    ((hcp.Par,), ("(", "left", " | ", "right", ")")),
-    ((hcp.BoundOut,), ("x", "[", "y", "].", "body")),
-    ((hcp.OutUnit,), ("x", "[].", "body")),
-]
-_LITERAL, _NAME, _TYPE, _TERM = range(4)
-
-
-def _form(cls, pieces: tuple) -> tuple:
-    """The (kind, text or field) pieces of a printed form, last piece first."""
-    shape = SCHEMA[cls]
-
-    def kind(piece: str) -> int:
-        if piece in shape.subterms:
-            return _TERM
-        if piece in shape.names or piece == shape.binder:
-            return _NAME
-        return _TYPE if shape.typed and piece == "ty" else _LITERAL
-
-    return tuple((kind(p), p) for p in reversed(pieces))
-
-
-_FORMS = {cls: _form(cls, pieces) for classes, pieces in _FORM_PIECES for cls in classes}
-
 
 # what the name choice reads of each term class: its subject-name fields, its
 # binder field (or None), and its subterms inside and outside the binder's
@@ -591,11 +539,11 @@ def print_terms(terms) -> list[str]:
                     stack.append(piece)
                 elif kind is _TERM:
                     stack.append(getattr(t, piece))
-                elif kind is _NAME:
+                elif kind is _TYPE:
+                    stack.append(ty.render(getattr(t, piece)))
+                else:
                     n = getattr(t, piece)
                     stack.append(names.get(n, n.surface))
-                else:
-                    stack.append(ty.render(getattr(t, piece)))
         text = "".join(parts)
         out.append(text)
         if spans:

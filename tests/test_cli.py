@@ -279,6 +279,7 @@ def test_too_deep_input_exits_in_one_line(tmp_path, capsys, command):
     env = ", ".join(f"x{i}:bot" for i in range(1, 2001))
     path = tmp_path / "deep.sill"
     path.write_text(f"hproc Main : w:1, {env} = {body}\n", encoding="utf-8")
+    cli._load(str(path))  # the parser reads any depth: the checker and free names are what recurse
     argv = [command, str(path)] + (["--proc", "Main"] if command == "reduce" else [])
     code = cli.run(argv)
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,15 @@ def test_binary_operators_right_associative():
     assert parse_type("(1 * bot) * 1") == Tensor(Tensor(ONE, BOT), ONE)
 
 
+def test_deeply_nested_types_parse_without_recursion():
+    n = 5000
+    assert parse_type("(" * n + "1" + ")" * n) == ONE
+    assert parse_type("~" * n + "(~" * n + "bot" + ")" * n) == BOT
+    with pytest.raises(ParseError) as e:
+        parse_type("(" * n + "1 * bot" + ")" * (n - 1))
+    assert e.value.loc.col == 2 * n + 7  # the end of input, where the last ")" is missing
+
+
 def test_parse_cp_cut():
     term = parse_term("new x:1 (x[].0 | x().w[].0)", "cp")
     assert isinstance(term, cp.Cut) and term.ty == ONE
@@ -61,6 +72,24 @@ def test_parse_errors_carry_position():
         parse_file("proc Broken : w:1 = new x:1 (x[].0 | )\n")
     assert e.value.loc.line == 1
     assert e.value.loc.col > 30
+
+
+def test_cp_only_hints_and_table_built_messages():
+    hints = {"(x[].0 | y[].0)": "1:1: syntax error: bare parallel composition '(P | Q)' is not a CP construct",
+             "0": "1:1: syntax error: the inert process '0' is not a CP construct",
+             "new x:1. x[].0": "1:8: syntax error: CP cut is written 'new x:A (P | Q)', not 'new x:A. P'",
+             "x[y].y[].0": "1:6: syntax error: CP output requires a '(P | Q)' body",
+             "x[].y[].0": "1:5: syntax error: expected '0' (CP halt is 'x[].0'), found 'y'"}
+    for src, message in hints.items():
+        with pytest.raises(ParseError) as e:
+            parse_term(src, "cp")
+        assert str(e.value).startswith(f"<input>:{message}")
+    with pytest.raises(ParseError) as e:
+        parse_term("x y", "hcp")
+    assert e.value.message == "expected '<->' or '(' or '!' or '?' or '[', found 'y'"
+    with pytest.raises(ParseError) as e:
+        parse_term("x[].0 |", "hcp")
+    assert e.value.message == "expected end of input, found '|'"
 
 
 def test_lexer_rejects_unknown_character():
@@ -195,6 +224,39 @@ _CP_TERMS, _HCP_TERMS = clash_heavy_terms()
 def test_print_names_agree_with_reference_on_clash_heavy_terms(t):
     # two spellings and three uids: clashes, shadowing and rebinding are common
     assert surface._print_names(t) == _reference_names(t)
+
+
+def test_every_term_class_has_one_form_naming_each_field_once():
+    classes = [cls for classes, _ in surface._FORM_PIECES for cls in classes]
+    assert len(classes) == len(set(classes)) and set(classes) == set(terms.SCHEMA)
+    for classes, pieces in surface._FORM_PIECES:
+        for cls in classes:
+            # in constructor order, as the reader builds each node from its fields as read
+            assert [p for p in pieces if p in terms.SCHEMA[cls].args] == list(terms.SCHEMA[cls].args), cls
+
+
+def _deep_inputs(n: int) -> dict[str, str]:
+    """Files holding one term nested n deep (chains) or n wide (the mix)."""
+    units = [f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)" for i in range(1, n + 1)]
+    return {
+        "cp chain": "proc M : w:1 = " + "".join(f"new x{i}:1 (x{i}[].0 | x{i}()." for i in range(1, n + 1))
+        + "w[].0" + ")" * n,
+        "hcp chain": "hproc M : w:1 = " + "".join(f"new x{i}:1. (x{i}[].0 | x{i}()." for i in range(1, n + 1))
+        + "w[].0" + ")" * n,
+        "waits": "hproc M : w:1, " + ", ".join(f"x{i}:bot" for i in range(1, n + 1)) + " = "
+        + "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0",
+        "mix": "hproc M : " + ", ".join(f"o{i}:1" for i in range(1, n + 1)) + " = "
+        + "".join(f"({u} | " for u in units[:-1]) + units[-1] + ")" * (n - 1),
+    }
+
+
+@pytest.mark.parametrize("shape", ["cp chain", "hcp chain", "waits", "mix"])
+def test_deep_and_wide_inputs_parse_without_recursion(shape):
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    src = _deep_inputs(n)[shape]
+    d = parse_file(src).decls[0]
+    assert print_term(d.term) == src.split(" = ", 1)[1]
 
 
 def test_deep_chains_print_without_recursion():
