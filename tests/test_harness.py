@@ -1,3 +1,5 @@
+import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from sill import congruence as cg
 from sill import cp, harness, hcp, reduction as rd
 from sill.harness import GenConfig, gen_cp, gen_hcp, provable, run_suite
+from sill.surface import print_env, print_term
 from sill.typecheck import TypeCheckError, check_cp, check_hcp
 from sill.types import BOT, ONE, TOP, ZERO, Par, Plus, Tensor, With, dual
 
@@ -236,3 +239,35 @@ def test_equiv_preservation_failures_are_shrunk(monkeypatch):
         sizes.append((len(r.counterexample), len(harness._fmt_sample(t, env))))
     assert all(shrunk <= full for shrunk, full in sizes)
     assert any(shrunk < full for shrunk, full in sizes)
+
+
+GENERATOR_GOLDEN = pathlib.Path(__file__).parent / "golden" / "generator" / "samples.txt"
+# between them these reach every rule of both `inhabit` and `_finish`
+GOLDEN_CONFIGS = (GenConfig(seed=42), GenConfig(seed=7, max_depth=2, max_type_size=3),
+                  GenConfig(seed=1234, max_depth=6, max_type_size=6))
+
+
+def generator_transcript() -> str:
+    """Samples 0-19 of gen_cp and gen_hcp at each of GOLDEN_CONFIGS: per
+    sample, its printed term and its printed environment.  After a deliberate
+    change to the generator, rewrite the golden with
+    `PYTHONPATH=src python tests/test_harness.py`."""
+    lines = []
+    for cfg in GOLDEN_CONFIGS:
+        label = f"seed={cfg.seed} max_depth={cfg.max_depth} max_type_size={cfg.max_type_size}"
+        for gen, dialect in ((gen_cp, "cp"), (gen_hcp, "hcp")):
+            for i in range(20):
+                t, env, _ = gen(cfg, i)
+                lines.append(f"{label} {dialect} {i} term {print_term(t)}")
+                lines.append(f"{label} {dialect} {i} env {print_env(env)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_generated_samples_match_golden():
+    assert generator_transcript() == GENERATOR_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GENERATOR_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GENERATOR_GOLDEN.write_text(generator_transcript(), encoding="utf-8")
+    print("wrote tests/golden/generator/samples.txt", file=sys.stderr)
