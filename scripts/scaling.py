@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Time parsing, `reduce` and the rendering of derivations and traces on
-growing inputs, and fit how their cost scales.
+"""Time parsing, `reduce`, the rendering of derivations and traces,
+translation, disentangling and random generation on growing inputs, and fit
+how their cost scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`) and HCP mixes of independent unit cuts, at n = 25, 50, 100, ...
-doubling up to --max (default 200).  A `parse` run times
-`surface.parse_file` of the input's text alone; every other run parses the
-input afresh first, outside the clock.  A `reduce` run times
-`reduction.reduce` (so it includes freshening); a `render derivation` run
+doubling up to --max (default 200); for generation, n samples.  A `parse` run
+times `surface.parse_file` of the input's text alone; every other run on a
+chain or mix parses the input afresh first, outside the clock.  A `reduce`
+run times `reduction.reduce` (so it includes freshening); a `render derivation` run
 times only `typecheck.render_derivation` of the input's typing derivation,
 and a `render trace` run only `reduction.render_trace` of its reduction
 trace with every reduct already built.  A `translate` run times `bridge.translate_typed` of the input's
 typing derivation, and a `disentangle` run `bridge.disentangle` and then
-`bridge.tens_internalize` of it.  The best of --repeat runs (default 3) is
+`bridge.tens_internalize` of it.  A `generate` run times `harness.gen_cp` or
+`harness.gen_hcp` of samples 0..n-1 at seed 42, with the sample caches and the
+`provable` cache cleared first.  The best of --repeat runs (default 3) is
 reported in milliseconds.  A workload stops at the first size that raises.
 Its slope is the least-squares fit of log(time) against log(n) over the sizes
 that ran: the empirical computational complexity of Goldsmith, Aiken and
@@ -28,7 +31,7 @@ import math
 import sys
 import time
 
-from sill import bridge, reduction, surface, typecheck
+from sill import bridge, harness, reduction, surface, typecheck
 from sill.cli import _at_least
 
 
@@ -86,7 +89,18 @@ def _disentangle(src: str):
     return lambda: (bridge.disentangle(deriv), bridge.tens_internalize(deriv))
 
 
-# label -> (source of size n, what to time, given that source)
+def _generate(gen):
+    def prepare(n: int):
+        harness._gen_cp_cached.cache_clear()
+        harness._gen_hcp_cached.cache_clear()
+        harness.provable.cache_clear()
+        cfg = harness.GenConfig(seed=42)
+        return lambda: [gen(cfg, i) for i in range(n)]
+
+    return prepare
+
+
+# label -> (input of size n, what to time, given that input)
 WORKLOADS = {
     "parse cp chain": (lambda n: chain(n, False), _parse),
     "parse hcp chain": (lambda n: chain(n, True), _parse),
@@ -100,10 +114,12 @@ WORKLOADS = {
     "render trace hcp chain": (lambda n: chain(n, True), _render_trace),
     "translate cp chain": (lambda n: chain(n, False), _translate),
     "disentangle hcp mix": (mix, _disentangle),
+    "generate cp": (lambda n: n, _generate(harness.gen_cp)),
+    "generate hcp": (lambda n: n, _generate(harness.gen_hcp)),
 }
 
 
-def best_ms(src: str, prepare, repeat: int) -> float:
+def best_ms(src, prepare, repeat: int) -> float:
     best = math.inf
     for _ in range(repeat):
         run = prepare(src)

@@ -9,6 +9,7 @@ recursive layers (one line, `RecursionError: input nests too deeply`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -211,7 +212,10 @@ def cmd_fuzz(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The `sill` argument parser, built on first use: parsing leaves it
+    unchanged, so every `main` call shares it."""
     ap = _Parser(prog="sill", description="CP/HCP session-calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -265,8 +269,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--count", type=_count, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fuzz)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _Refused as e:

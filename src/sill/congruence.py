@@ -87,12 +87,21 @@ def spine_cp(t: cp.CpTerm) -> tuple[list[CpBinder], list[cp.CpTerm], list[frozen
             comps.append(node)
     fvs = [cp.free_names(c) for c in comps]
     users = free_in([x for x, _ in binders], fvs)
+    return _cut_binders(binders, spans, users), comps, fvs, users
+
+
+def _cut_binders(binders: list[tuple[Name, Type]], spans: list[list[int]],
+                 users: dict[Name, list[int]]) -> list[CpBinder]:
+    """Each cut with its endpoints, given where its two sides' components
+    start and end and, per cut name, the components it is free in: on each
+    side, the one component holding the name (None unless there is exactly
+    one)."""
     out = []
     for (x, a), (start, mid, end) in zip(binders, spans):
         la = [k for k in users[x] if start <= k < mid]
         ra = [k for k in users[x] if mid <= k < end]
         out.append(CpBinder(x, a, la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None))
-    return out, comps, fvs, users
+    return out
 
 
 def free_in(names, fvs: list[frozenset[Name]]) -> dict[Name, list[int]]:
@@ -463,13 +472,11 @@ def _cp_binders(level: _Level) -> list[CpBinder]:
     for CP cuts as `prenex_cp` finds them, while an HCP restriction's
     endpoints are unknown (None)."""
     if level.cp_binders is None:
-        level.cp_binders = [CpBinder(x, a, None, None) for x, a in level.binders]
         if level.spans:
-            fvs = [cp.free_names(c) for c in level.comps]
-            for b, (start, mid, end) in zip(level.cp_binders, level.spans):
-                la = [i for i in range(start, mid) if b.name in fvs[i]]
-                ra = [i for i in range(mid, end) if b.name in fvs[i]]
-                b.left, b.right = la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None
+            users = free_in([x for x, _ in level.binders], [cp.free_names(c) for c in level.comps])
+            level.cp_binders = _cut_binders(level.binders, level.spans, users)
+        else:
+            level.cp_binders = [CpBinder(x, a, None, None) for x, a in level.binders]
     return level.cp_binders
 
 

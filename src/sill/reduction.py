@@ -649,35 +649,24 @@ def reduce(t, fuel: int | None = None) -> ReductionTrace:
     return ReductionTrace(t, steps, "canonical" if canonical(c).ok else "stuck")
 
 
-def _printed(trace: ReductionTrace) -> list[str]:
-    """Every reduct, then the final term, printed together: a reduct shares
-    most nodes with the one before it, and the final term is the last one."""
-    from . import surface
-
-    return surface.print_terms([*(st.term for st in trace.steps), trace.final])
-
-
 def render_trace(trace: ReductionTrace) -> str:
-    printed = _printed(trace)
-    lines = []
-    for k, (st, term) in enumerate(zip(trace.steps, printed), 1):
-        m = "{" + ", ".join(str(v) for v in st.measure) + "}"
-        lines.append(f"step {k}: {st.redex.rule} on {st.redex.channel.surface} ⇒ {term} [measure: {m}]")
-    lines.append(f"{trace.status} after {len(trace.steps)} steps: {printed[-1]}")
+    *steps, last = trace_json_lines(trace)
+    lines = [f"step {r['step']}: {r['rule']} on {r['channel']} ⇒ {r['term']} "
+             f"[measure: {{{', '.join(map(str, r['measure']))}}}]" for r in steps]
+    lines.append(f"{last['status']} after {last['steps']} steps: {last['term']}")
     return "\n".join(lines)
 
 
 def trace_json_lines(trace: ReductionTrace) -> list[dict]:
-    printed = _printed(trace)
-    out = []
-    for k, (st, term) in enumerate(zip(trace.steps, printed), 1):
-        out.append({
-            "step": k,
-            "rule": st.redex.rule,
-            "channel": st.redex.channel.surface,
-            "term": term,
-            "measure": list(st.measure),
-        })
+    """One record per step, then one for the outcome.  Every reduct and the
+    final term are printed together: a reduct shares most nodes with the one
+    before it, and the final term is the last one."""
+    from . import surface
+
+    printed = surface.print_terms([*(st.term for st in trace.steps), trace.final])
+    out = [{"step": k, "rule": st.redex.rule, "channel": st.redex.channel.surface, "term": term,
+            "measure": list(st.measure)}
+           for k, (st, term) in enumerate(zip(trace.steps, printed), 1)]
     out.append({"status": trace.status, "steps": len(trace.steps), "term": printed[-1]})
     return out
 

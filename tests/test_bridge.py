@@ -58,6 +58,7 @@ def test_translated_environment_preserved():
         hd = bridge.translate_typed(deriv)
         assert revalidate(hd)
         assert hyper_eq(hd.env, [env])
+        assert hd.term == cp_to_hcp(term)
 
 
 def test_translation_respects_congruence():

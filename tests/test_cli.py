@@ -24,6 +24,20 @@ def test_check_unit_cut(capsys):
     assert out == "⊢ Main : w:1\n"
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "check", fixture_path("unit_cut.sill"))
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run(capsys, "check", fixture_path("unit_cut.sill")) == (0, "⊢ Main : w:1\n")
+    assert built == []
+
+
 def test_check_corpus_all_pass(capsys):
     code, out = run(capsys, "check", fixture_path("corpus.sill"))
     assert code == 0
