@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time parsing, `reduce`, the rendering of derivations and traces,
-translation, disentangling and random generation on growing inputs, and fit
-how their cost scales.
+"""Time parsing, `reduce`, congruence keys and `equiv`, the rendering of
+derivations and traces, translation, disentangling and random generation on
+growing inputs, and fit how their cost scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
@@ -13,7 +13,10 @@ chain or mix parses the input afresh first, outside the clock.  A `reduce`
 run times `reduction.reduce` (so it includes freshening); a `render derivation` run
 times only `typecheck.render_derivation` of the input's typing derivation,
 and a `render trace` run only `reduction.render_trace` of its reduction
-trace with every reduct already built.  A `translate` run times `bridge.translate_typed` of the input's
+trace with every reduct already built.  A `key` run times
+`congruence.key` of the input's term, and an `equiv` run `congruence.equiv`
+of it against a fresh parse of the same text (so it includes freshening, and
+the matcher runs, since the keys are equal).  A `translate` run times `bridge.translate_typed` of the input's
 typing derivation, and a `disentangle` run `bridge.disentangle` and then
 `bridge.tens_internalize` of it.  A `generate` run times `harness.gen_cp` or
 `harness.gen_hcp` of samples 0..n-1 at seed 42, with the sample caches and the
@@ -31,7 +34,7 @@ import math
 import sys
 import time
 
-from sill import bridge, harness, reduction, surface, typecheck
+from sill import bridge, congruence, harness, reduction, surface, typecheck
 from sill.cli import _at_least
 
 
@@ -62,6 +65,16 @@ def _parse(src: str):
 def _reduce(src: str):
     d = _main(src)
     return lambda: reduction.reduce(d.term)
+
+
+def _key(src: str):
+    t = _main(src).term
+    return lambda: congruence.key(t)
+
+
+def _equiv(src: str):
+    t1, t2 = _main(src).term, _main(src).term
+    return lambda: congruence.equiv(t1, t2)
 
 
 def _render_derivation(src: str):
@@ -108,6 +121,12 @@ WORKLOADS = {
     "reduce cp chain": (lambda n: chain(n, False), _reduce),
     "reduce hcp chain": (lambda n: chain(n, True), _reduce),
     "reduce hcp mix": (mix, _reduce),
+    "key cp chain": (lambda n: chain(n, False), _key),
+    "key hcp chain": (lambda n: chain(n, True), _key),
+    "key hcp mix": (mix, _key),
+    "equiv cp chain": (lambda n: chain(n, False), _equiv),
+    "equiv hcp chain": (lambda n: chain(n, True), _equiv),
+    "equiv hcp mix": (mix, _equiv),
     "render derivation cp chain": (lambda n: chain(n, False), _render_derivation),
     "render derivation hcp chain": (lambda n: chain(n, True), _render_derivation),
     "render trace cp chain": (lambda n: chain(n, False), _render_trace),

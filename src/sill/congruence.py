@@ -5,18 +5,21 @@ pulled outermost (cut spines flattened for CP, scope extrusion for HCP),
 parallel structure flattened into a component multiset, inert units dropped.
 
 `key` is an invariant of the congruence, computed in one walk: per prenex
-level, the sorted certificates of its components (constructor, subject names
-with bound ones blanked, the keys of the levels below) and the sorted classes
-{A, dual A} of its restrictions.  Congruent terms get equal keys; equal keys
-do not imply congruence.  It plays the part of the first round of colour
-refinement (McKay and Piperno, "Practical graph isomorphism, II", 2014): a
-cheap invariant that prunes the search, not a canonical form, which would
-need individualisation of the bound names.
+level, the sorted certificates of its components (constructor, subject names'
+labels, the keys of the levels below) and the sorted classes {A, dual A} of
+its restrictions.  A bound name's label is its binder's: for a CP cut, the
+type of the endpoint on that side, which every axiom keeps.  Congruent terms
+get equal keys; equal keys do not imply congruence.  It plays the part of the
+first round of colour refinement (McKay and Piperno, "Practical graph
+isomorphism, II", 2014): a cheap invariant that prunes the search, not a
+canonical form, which would need individualisation of the bound names.
 
 `equiv` decides congruence: it answers no when the keys differ, and otherwise
 matches the two terms' prenex levels, each built once: multiset matching of
-components with equal certificates, link symmetry, and backtracking over
-binder correspondences, kept in one name bijection with an undo trail.
+components with equal certificates, link symmetry where both ends' labels
+are equal, and backtracking over name correspondences, kept in one bijection
+with an undo trail.  Equal certificates pair only names with equal labels,
+so the restrictions need no check beyond pairing with restrictions.
 
 Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,
@@ -87,21 +90,12 @@ def spine_cp(t: cp.CpTerm) -> tuple[list[CpBinder], list[cp.CpTerm], list[frozen
             comps.append(node)
     fvs = [cp.free_names(c) for c in comps]
     users = free_in([x for x, _ in binders], fvs)
-    return _cut_binders(binders, spans, users), comps, fvs, users
-
-
-def _cut_binders(binders: list[tuple[Name, Type]], spans: list[list[int]],
-                 users: dict[Name, list[int]]) -> list[CpBinder]:
-    """Each cut with its endpoints, given where its two sides' components
-    start and end and, per cut name, the components it is free in: on each
-    side, the one component holding the name (None unless there is exactly
-    one)."""
     out = []
     for (x, a), (start, mid, end) in zip(binders, spans):
         la = [k for k in users[x] if start <= k < mid]
         ra = [k for k in users[x] if mid <= k < end]
         out.append(CpBinder(x, a, la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None))
-    return out
+    return out, comps, fvs, users
 
 
 def free_in(names, fvs: list[frozenset[Name]]) -> dict[Name, list[int]]:
@@ -215,26 +209,26 @@ def rebuild_cp(binders: list[CpBinder], comps: list[cp.CpTerm]) -> cp.CpTerm:
 
 
 class _Level:
-    """One prenex level of a term: its restrictions in prenex order, its
-    components left to right, and per component a certificate and the
-    levels of its subterms.  `key` is the level's congruence key."""
+    """One prenex level of a term: its restrictions in prenex order, each
+    with its class, and per component, left to right, a certificate, its
+    names and the levels of its subterms.  `key` is the level's congruence
+    key."""
 
-    __slots__ = ("binders", "spans", "comps", "certs", "children", "key", "groups", "cp_binders")
+    __slots__ = ("binders", "certs", "names", "children", "key", "groups")
 
     def __init__(self):
-        self.binders: list[tuple[Name, Type]] = []
-        self.spans: list[list[int]] = []  # CP: per cut, where its left and right components start and end
-        self.comps: list = []
-        # per component: constructor and subject names, then its subterms' keys
+        self.binders: list[tuple[Name, str]] = []
+        # per component: constructor and subject labels, then its subterms' keys
         self.certs: list[tuple] = []
+        # per component: subject names in certificate order, then the name its prefix binds
+        self.names: list[tuple[Name, ...]] = []
         self.children: list[tuple[_Level, ...]] = []  # per component: its subterms' levels, in field order
         self.groups: dict | None = None  # certificate -> component indices, built on first use
-        self.cp_binders: list[CpBinder] | None = None  # built on first use
 
 
-# walk stack entries: (_VISIT, term, level), (_EXIT, name, None), and
-# (_MID or _END, level, cut slot) where a cut's right side begins or ends
-_VISIT, _EXIT, _MID, _END = 0, 1, 2, 3
+# walk stack entries: (_VISIT, term, level), and (_LABEL, name, label) where a
+# cut's right side begins or a binder's scope ends (label None: no binder)
+_VISIT, _LABEL = 0, 1
 
 
 def _component_plan(cls) -> tuple:
@@ -253,61 +247,64 @@ _COMPONENTS = {cls: _component_plan(cls) for cls in SCHEMA
                if cls not in (cp.Cut, hcp.New, hcp.Par, hcp.Inert)}
 
 
-def _levels(t) -> tuple[_Level, set[Name]]:
-    """Every prenex level of t, keys included, in one explicit-stack walk;
-    and the names t's restrictions bind.
+def _levels(t) -> _Level:
+    """Every prenex level of t, keys included, in one explicit-stack walk.
 
-    A subject name is written as its surface when free and as `•` when a
-    binder of that name is in scope, so the keys need no freshening."""
-    scope: dict[Name, int] = {}  # name -> binders of it in scope
-    restricted: set[Name] = set()
+    A subject name is written as its surface when free and otherwise as the
+    label of its innermost binder: `•` for a prefix binder, `•` and the
+    endpoint's type for a CP cut (A on its left side, dual A on its right),
+    and `•` and the class {A, dual A} for an HCP restriction.  So the keys
+    need no freshening."""
+    scope: dict[Name, str | None] = {}  # name -> the label of its innermost binder in scope
     root = _Level()
     levels = [root]
     stack: list[tuple] = [(_VISIT, t, root)]
     push = stack.append
     while stack:
         op, node, level = stack.pop()
-        if op:
-            if op == _EXIT:
-                scope[node] -= 1
-            else:  # _MID or _END
-                node.spans[level][op - 1] = len(node.comps)
+        if op:  # _LABEL
+            scope[node] = level
             continue
         cls = type(node)
         if cls is cp.Cut or cls is hcp.New:
-            x = node.x
-            level.binders.append((x, node.ty))
-            restricted.add(x)
-            scope[x] = scope.get(x, 0) + 1
-            push((_EXIT, x, None))
+            x, a = node.x, node.ty
+            left, right = render(a), render(dual(a))
+            c = min(left, right)  # the class {A, dual A}: the same either way round
+            level.binders.append((x, c))
+            push((_LABEL, x, scope.get(x)))
             if cls is cp.Cut:
-                slot = len(level.spans)
-                level.spans.append([len(level.comps), 0, 0])
-                stack += ((_END, level, slot), (_VISIT, node.right, level),
-                          (_MID, level, slot), (_VISIT, node.left, level))
-            else:
+                scope[x] = "•" + left
+                stack += ((_VISIT, node.right, level), (_LABEL, x, "•" + right),
+                          (_VISIT, node.left, level))
+            else:  # an HCP restriction may be annotated either way round
+                scope[x] = "•" + c
                 push((_VISIT, node.body, level))
         elif cls is hcp.Par:
             stack += ((_VISIT, node.right, level), (_VISIT, node.left, level))
         elif cls is not hcp.Inert:
             ctor, fs, bound, order = _COMPONENTS[cls]
             x = node.x
-            x = "•" if scope.get(x) else x.surface
+            lx = scope.get(x) or x.surface
             if cls is cp.Link or cls is hcp.Link:
                 y = node.y
-                y = "•" if scope.get(y) else y.surface
-                level.certs.append((ctor, x, y) if x <= y else (ctor, y, x))
+                ly = scope.get(y) or y.surface
+                if lx <= ly:
+                    level.certs.append((ctor, lx, ly))
+                    level.names.append((x, y))
+                else:
+                    level.certs.append((ctor, ly, lx))
+                    level.names.append((y, x))
             else:
-                level.certs.append((ctor, x))
-            level.comps.append(node)
+                level.certs.append((ctor, lx))
+                level.names.append((x, getattr(node, bound)) if bound else (x,))
             subs = tuple([_Level() for _ in fs])
             level.children.append(subs)
             levels += subs
             for k in order:
                 if k < 0:  # the subterms pushed next are in the binder's scope
                     y = getattr(node, bound)
-                    scope[y] = scope.get(y, 0) + 1
-                    push((_EXIT, y, None))
+                    push((_LABEL, y, scope.get(y)))
+                    scope[y] = "•"
                 else:
                     push((_VISIT, getattr(node, fs[k]), subs[k]))
     # a level is made before its components' subterm levels, so reversed
@@ -317,14 +314,9 @@ def _levels(t) -> tuple[_Level, set[Name]]:
         for i, subs in enumerate(level.children):
             if subs:
                 certs[i] += tuple([s.key for s in subs])
-        classes = tuple(sorted([_type_class(a) for _, a in level.binders])) if level.binders else ()
+        classes = tuple(sorted([c for _, c in level.binders])) if level.binders else ()
         level.key = (tuple(sorted(certs)) if len(certs) > 1 else tuple(certs), classes)
-    return root, restricted
-
-
-def _type_class(a: Type) -> str:
-    """The same for A and dual A: a restriction may be written either way round."""
-    return min(render(a), render(dual(a)))
+    return root
 
 
 def key(t) -> tuple:
@@ -332,12 +324,15 @@ def key(t) -> tuple:
 
     Per prenex level, the key holds the sorted certificates of the level's
     components and the sorted classes {A, dual A} of its restrictions.  A
-    component's certificate is its constructor, its subject names (a link's
-    two ends sorted; a free name by surface, a bound one as `•`) and the
-    keys of its subterms' levels.  The value is nested tuples of strings, the
-    same in every process.  Terms with equal keys need not be congruent:
-    `equiv` decides."""
-    return _levels(t)[0].key
+    component's certificate is its constructor, its subject names' labels (a
+    link's two sorted) and the keys of its subterms' levels.  A free name's
+    label is its surface; a bound one's is its binder's: `•` for a prefix
+    binder, `•` and the endpoint's type for a CP cut, `•` and the class of the
+    annotation for an HCP restriction.  Every axiom keeps every label: CP's
+    nu-comm swaps a cut's sides and dualises its annotation.  The value is
+    nested tuples of strings, the same in every process.  Terms with equal
+    keys need not be congruent: `equiv` decides."""
+    return _levels(t).key
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -348,11 +343,11 @@ def equiv(t1, t2) -> bool:
     c1, c2 = isinstance(t1, cp.CpTerm), isinstance(t2, cp.CpTerm)
     if c1 != c2:
         raise ValueError("cannot compare terms of different dialects")
-    l1, restricted1 = _levels(terms.freshen_if_needed(t1))
-    l2, restricted2 = _levels(terms.freshen_if_needed(t2))
+    l1 = _levels(terms.freshen_if_needed(t1))
+    l2 = _levels(terms.freshen_if_needed(t2))
     if l1.key != l2.key:
         return False
-    for _ in _match_level(l1, l2, _Bijection(restricted1, restricted2)):
+    for _ in _match_level(l1, l2, _Bijection()):
         return True
     return False
 
@@ -360,39 +355,28 @@ def equiv(t1, t2) -> bool:
 class _Bijection:
     """The name correspondence built while matching two freshened terms: one
     dict pair, and a trail of the pairs made, so backtracking can undo them.
-    A name some restriction binds pairs only with such a name, and any other
-    name not paired on entering its binder's scope only with a name of the
-    same surface.  The restricted sets hold every restriction's name in the
-    whole term: binders of a fresh term are distinct and no free name equals
-    one, so a name occurring at a level is in the set exactly when a
-    restriction around that level binds it."""
+    It pairs only names at positions with equal certificates, so paired names
+    carry equal labels: free names have the same surface, and two paired
+    restrictions the same type at each endpoint (CP) or the same class (HCP)."""
 
-    __slots__ = ("l2r", "r2l", "trail", "restricted1", "restricted2")
+    __slots__ = ("l2r", "r2l", "trail")
 
-    def __init__(self, restricted1: set[Name], restricted2: set[Name]):
+    def __init__(self):
         self.l2r: dict[Name, Name] = {}
         self.r2l: dict[Name, Name] = {}
         self.trail: list[tuple[Name, Name]] = []
-        self.restricted1 = restricted1
-        self.restricted2 = restricted2
 
     def pair(self, n1: Name, n2: Name) -> bool:
+        """Pair n1 with n2, unless either is paired with another name."""
         m = self.l2r.get(n1)
         if m is not None:
             return m == n2
         if n2 in self.r2l:
             return False
-        r1, r2 = n1 in self.restricted1, n2 in self.restricted2
-        if (r1 and r2) or (not r1 and not r2 and n1.surface == n2.surface):
-            self.bind(n1, n2)
-            return True
-        return False
-
-    def bind(self, n1: Name, n2: Name) -> None:
-        """Pair two names neither of which is paired yet."""
         self.l2r[n1] = n2
         self.r2l[n2] = n1
         self.trail.append((n1, n2))
+        return True
 
     def undo(self, mark: int) -> None:
         """Take back every pair made since the trail was mark long."""
@@ -410,48 +394,40 @@ def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
     match: each component of l1 paired with one of l2 with the same
     certificate, then the restrictions checked.  The extension holds while
     the generator is suspended and is undone when it resumes."""
-    n = len(l1.comps)
+    n = len(l1.certs)
     if l2.groups is None:
         l2.groups = {}
         for j, c in enumerate(l2.certs):
             l2.groups.setdefault(c, []).append(j)
     used = [False] * n
-    sigma: dict[int, int] = {}
 
     def pairings(i: int):
         """Yield once per way of matching component i with a free one of l2:
-        subject names (a link either way round), prefix binder, subterms."""
-        c1, subs1 = l1.comps[i], l1.children[i]
-        link = type(c1) is cp.Link or type(c1) is hcp.Link
-        bound = SCHEMA[type(c1)].binder
+        its names in order (a link's also swapped when its two labels are
+        equal), then its subterms.  A prefix binder's name is fresh, so
+        pairing it binds it."""
+        cert, names1, subs1 = l1.certs[i], l1.names[i], l1.children[i]
+        swap = cert[0] == "Link" and cert[1] == cert[2]
         mark = len(bij.trail)
-        for j in l2.groups[l1.certs[i]]:
+        for j in l2.groups[cert]:
             if used[j]:
                 continue
             used[j] = True
-            sigma[i] = j
-            c2, subs2 = l2.comps[j], l2.children[j]
-            if link:
-                for a, b in ((c2.x, c2.y), (c2.y, c2.x)):
-                    if bij.pair(c1.x, a) and bij.pair(c1.y, b):
+            names2, subs2 = l2.names[j], l2.children[j]
+            for order in (names2, names2[::-1]) if swap else (names2,):
+                if all(map(bij.pair, names1, order)):
+                    if not subs1:
                         yield
-                    bij.undo(mark)
-            elif bij.pair(c1.x, c2.x):
-                if bound is not None:
-                    bij.bind(getattr(c1, bound), getattr(c2, bound))
-                if not subs1:
-                    yield
-                elif len(subs1) == 1:
-                    yield from _match_level(subs1[0], subs2[0], bij)
-                else:  # Send and Case: the first subterm, then the second
-                    for _ in _match_level(subs1[0], subs2[0], bij):
-                        yield from _match_level(subs1[1], subs2[1], bij)
+                    elif len(subs1) == 1:
+                        yield from _match_level(subs1[0], subs2[0], bij)
+                    else:  # Send and Case: the first subterm, then the second
+                        for _ in _match_level(subs1[0], subs2[0], bij):
+                            yield from _match_level(subs1[1], subs2[1], bij)
                 bij.undo(mark)
             used[j] = False
-            del sigma[i]
 
     if n == 0:
-        if _binders_match(l1, l2, bij, sigma):
+        if _binders_match(l1, l2, bij):
             yield
         return
     # one suspended generator per component paired so far, so that a level's
@@ -461,69 +437,25 @@ def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
         if next(stack[-1], _DONE) is _DONE:
             stack.pop()
         elif len(stack) == n:
-            if _binders_match(l1, l2, bij, sigma):
+            if _binders_match(l1, l2, bij):
                 yield
         else:
             stack.append(pairings(len(stack)))
 
 
-def _cp_binders(level: _Level) -> list[CpBinder]:
-    """The level's restrictions with the component that holds each endpoint:
-    for CP cuts as `prenex_cp` finds them, while an HCP restriction's
-    endpoints are unknown (None)."""
-    if level.cp_binders is None:
-        if level.spans:
-            users = free_in([x for x, _ in level.binders], [cp.free_names(c) for c in level.comps])
-            level.cp_binders = _cut_binders(level.binders, level.spans, users)
-        else:
-            level.cp_binders = [CpBinder(x, a, None, None) for x, a in level.binders]
-    return level.cp_binders
-
-
-def _binders_match(l1: _Level, l2: _Level, bij: _Bijection, sigma: dict[int, int]) -> bool:
-    """Whether the restrictions of two levels correspond under bij, once
-    sigma pairs every component of l1 with one of l2."""
+def _binders_match(l1: _Level, l2: _Level, bij: _Bijection) -> bool:
+    """Whether every restriction of either level that bij pairs is paired
+    with a restriction of the other.  Paired names carry equal labels, so
+    two paired cuts join corresponding components with the same endpoint
+    types; the unpaired restrictions, which occur nowhere, have equal
+    classes because the keys are equal."""
+    if not l1.binders:  # equal keys: l2 has none either
+        return True
+    names1 = {x for x, _ in l1.binders}
+    names2 = {x for x, _ in l2.binders}
     l2r, r2l = bij.l2r, bij.r2l
-    by_name2 = {b.name: b for b in _cp_binders(l2)}
-    unmatched2 = dict(by_name2)
-    deferred1 = []
-    for b1 in _cp_binders(l1):
-        n2 = l2r.get(b1.name)
-        if n2 is None:
-            deferred1.append(b1.ty)
-            continue
-        b2 = by_name2.get(n2)
-        if b2 is None:
-            return False
-        unmatched2.pop(n2, None)
-        if not _cp_binder_compat(b1, b2, sigma):
-            return False
-    rest2 = [b.ty for b in unmatched2.values() if b.name not in r2l]
-    # binders with no occurrences anywhere: pair by type compatibility
-    if len(deferred1) != len(rest2) or len(rest2) != len(unmatched2):
-        return False
-    for ty1 in deferred1:
-        ok = None
-        for k, ty2 in enumerate(rest2):
-            if ty1 in (ty2, dual(ty2)):
-                ok = k
-                break
-        if ok is None:
-            return False
-        rest2.pop(ok)
-    return True
-
-
-def _cp_binder_compat(b1: CpBinder, b2: CpBinder, sigma) -> bool:
-    if b1.left is not None and b1.right is not None and b2.left is not None and b2.right is not None:
-        sl = sigma.get(b1.left)
-        sr = sigma.get(b1.right)
-        if sl == b2.left and sr == b2.right:
-            return b1.ty == b2.ty
-        if sl == b2.right and sr == b2.left:
-            return b1.ty == dual(b2.ty)
-        return False
-    return b1.ty in (b2.ty, dual(b2.ty))
+    return (all(l2r[x] in names2 for x in names1 if x in l2r)
+            and all(r2l[x] in names1 for x in names2 if x in r2l))
 
 
 # -- single-axiom rewriting (oracle support) ----------------------------------

@@ -616,20 +616,6 @@ def run_suite(name: str, cfg: GenConfig) -> SuiteReport:
 # -- shrinking ----------------------------------------------------------------
 
 
-def _replace_at(t, path):
-    """Return a function rebuilding t with the subterm at path replaced."""
-    if not path:
-        return lambda new: new
-    fields = SCHEMA[type(t)].subterms
-    f = fields[path[0]]
-    inner = _replace_at(getattr(t, f), path[1:])
-
-    def rebuild(new):
-        return replace(t, **{f: inner(new)})
-
-    return rebuild
-
-
 def _leaf_for(env_or_part, dialect: str):
     if dialect == "cp":
         items = list(env_or_part.items())
@@ -646,20 +632,18 @@ def _shrink(t, env, d, index, prop, detail):
     """Greedily replace subderivations of d, t's derivation, by leaves while
     the failure persists: (the smallest failing term found, its failure)."""
     for _ in range(40):
-        candidates: list[tuple[tuple, object]] = []
-
-        def walk(node, path):
+        # (path, label, leaf) sites as `congruence.sites` lists them, in pre-order
+        candidates: list[tuple] = []
+        stack = [(d, None)]
+        while stack:
+            node, path = stack.pop()
             leaf = _leaf_for(node.env, d.dialect)
-            if leaf is not None and path and leaf != node.term:
-                candidates.append((path, leaf))
+            if leaf is not None and path is not None and leaf != node.term:
+                candidates.append((path, "", leaf))
             fields = SCHEMA[type(node.term)].subterms
-            for k, c in enumerate(node.premises):
-                if k < len(fields):
-                    walk(c, path + (k,))
-
-        walk(d, ())
-        for path, leaf in candidates:
-            t2 = _replace_at(t, path)(leaf)
+            stack += reversed([(c, (path, node.term, f)) for c, f in zip(node.premises, fields)])
+        for site in candidates:
+            t2 = congruence.rebuild_site(site)
             try:
                 d2 = _check(d.dialect, t2, env)
             except TypeCheckError:

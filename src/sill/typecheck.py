@@ -120,6 +120,20 @@ def _mismatch(x: Name, want: str, have: Type, t) -> TypeCheckError:
     )
 
 
+# what an action on a channel requires of its type, by the type's class
+_UNIT_WANTS = {ty.One: "the unit 1", ty.Bot: "the unit bot", ty.Top: "the empty offer top",
+               ty.Tensor: "an output type A * B", ty.Par: "an input type A par B",
+               ty.Plus: "a selection type A + B", ty.With: "an offer type A & B"}
+
+
+def _subject(env: Env, x: Name, want, t) -> Type:
+    """The type of x, the subject of t, which t's action requires to be of class want."""
+    s = _need(env, x, t)
+    if not isinstance(s, want):
+        raise _mismatch(x, _UNIT_WANTS[want], s, t)
+    return s
+
+
 def _check_cp(t: cp.CpTerm, env: Env) -> Derivation:
     match t:
         case cp.Link(x, y):
@@ -140,63 +154,43 @@ def _check_cp(t: cp.CpTerm, env: Env) -> Derivation:
             envq[x] = dual(a)
             return Derivation("Cut", t, dict(env), (_check_cp(p, envp), _check_cp(q, envq)))
         case cp.Send(x, y, p, q):
-            s = _need(env, x, t)
-            if not isinstance(s, ty.Tensor):
-                raise _mismatch(x, "an output type A * B", s, t)
+            s = _subject(env, x, ty.Tensor, t)
             rest = {n: v for n, v in env.items() if n != x}
             envp, envq = _route(rest, p, q, t)
             envp[y] = s.left
             envq[x] = s.right
             return Derivation("⊗", t, dict(env), (_check_cp(p, envp), _check_cp(q, envq)))
         case cp.Recv(x, y, p):
-            s = _need(env, x, t)
-            if not isinstance(s, ty.Par):
-                raise _mismatch(x, "an input type A par B", s, t)
+            s = _subject(env, x, ty.Par, t)
             env2 = {n: v for n, v in env.items() if n != x}
             env2[y] = s.left
             env2[x] = s.right
             return Derivation("⅋", t, dict(env), (_check_cp(p, env2),))
         case cp.Halt(x):
-            s = _need(env, x, t)
-            if s != ONE:
-                raise _mismatch(x, "the unit 1", s, t)
+            _subject(env, x, ty.One, t)
             for n in env:
                 if n != x:
                     raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
             return Derivation("1", t, dict(env), ())
         case cp.Wait(x, p):
-            s = _need(env, x, t)
-            if s != BOT:
-                raise _mismatch(x, "the unit bot", s, t)
+            _subject(env, x, ty.Bot, t)
             env2 = {n: v for n, v in env.items() if n != x}
             return Derivation("⊥", t, dict(env), (_check_cp(p, env2),))
-        case cp.Inl(x, p):
-            s = _need(env, x, t)
-            if not isinstance(s, ty.Plus):
-                raise _mismatch(x, "a selection type A + B", s, t)
+        case cp.Inl(x, p) | cp.Inr(x, p):
+            s = _subject(env, x, ty.Plus, t)
+            left = isinstance(t, cp.Inl)
             env2 = dict(env)
-            env2[x] = s.left
-            return Derivation("⊕₁", t, dict(env), (_check_cp(p, env2),))
-        case cp.Inr(x, p):
-            s = _need(env, x, t)
-            if not isinstance(s, ty.Plus):
-                raise _mismatch(x, "a selection type A + B", s, t)
-            env2 = dict(env)
-            env2[x] = s.right
-            return Derivation("⊕₂", t, dict(env), (_check_cp(p, env2),))
+            env2[x] = s.left if left else s.right
+            return Derivation("⊕₁" if left else "⊕₂", t, dict(env), (_check_cp(p, env2),))
         case cp.Case(x, p, q):
-            s = _need(env, x, t)
-            if not isinstance(s, ty.With):
-                raise _mismatch(x, "an offer type A & B", s, t)
+            s = _subject(env, x, ty.With, t)
             envp = dict(env)
             envp[x] = s.left
             envq = dict(env)
             envq[x] = s.right
             return Derivation("&", t, dict(env), (_check_cp(p, envp), _check_cp(q, envq)))
         case cp.Absurd(x):
-            s = _need(env, x, t)
-            if s != TOP:
-                raise _mismatch(x, "the empty offer top", s, t)
+            _subject(env, x, ty.Top, t)
             return Derivation("⊤", t, dict(env), ())
     raise TypeCheckError(KIND_DIALECT, f"not a CP construct: {type(t).__name__}", loc=getattr(t, "loc", None))
 
@@ -273,11 +267,6 @@ class _Store:
                 self.val[ru] = want
 
 
-_UNIT_WANTS = {ty.One: "the unit 1", ty.Bot: "the unit bot", ty.Top: "the empty offer top",
-               ty.Tensor: "an output type A * B", ty.Par: "an input type A par B",
-               ty.Plus: "a selection type A + B", ty.With: "an offer type A & B"}
-
-
 def _index_with(part: HyperEnv, x: Name) -> int:
     return next(i for i, e in enumerate(part) if x in e)
 
@@ -313,16 +302,16 @@ class _HcpChecker:
         self.store.force(s, cands[0], x, t.loc)
         return cands[0]
 
-    def go(self, t: hcp.HcpTerm, ctx: dict) -> tuple[Derivation, list[dict]]:
-        """Check t against ctx, returning its derivation and partition.  The
-        call owns ctx: it updates it in place and hands it down, so callers
+    def go(self, t: hcp.HcpTerm, ctx: dict) -> Derivation:
+        """Check t against ctx, returning its derivation, whose env is the
+        partition.  The call owns ctx: it updates it in place and hands it down, so callers
         pass a dict they do not read again."""
         store = self.store
         match t:
             case hcp.Inert():
                 for n in ctx:
                     raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-                return Derivation("H-Mix₀", t, [], ()), []
+                return Derivation("H-Mix₀", t, [], ())
             case hcp.Link(x, y):
                 if x == y:
                     raise TypeCheckError(KIND_REUSE, f"a link must join two distinct channels, got {x} twice", name=x, loc=t.loc)
@@ -343,7 +332,7 @@ class _HcpChecker:
                 else:
                     store.union_dual(sx, sy, x, t.loc)
                 env = {x: sx, y: sy}
-                return Derivation("Ax", t, [env], ()), [env]
+                return Derivation("Ax", t, [env], ())
             case hcp.Par(p, q):
                 fvp, fvq = hcp.free_names(p), hcp.free_names(q)
                 ctxp: dict = {}
@@ -368,15 +357,15 @@ class _HcpChecker:
                         ctxq[n] = s
                     else:
                         raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-                dp, pp = self.go(p, ctxp)
-                dq, pq = self.go(q, ctxq)
-                part = pp + pq
-                return Derivation("H-Mix", t, part, (dp, dq)), part
+                dp, dq = self.go(p, ctxp), self.go(q, ctxq)
+                part = dp.env + dq.env
+                return Derivation("H-Mix", t, part, (dp, dq))
             case hcp.New(x, a, p):
                 if x in ctx:
                     raise TypeCheckError(KIND_REUSE, f"restricted channel {x} shadows a declared channel", name=x, loc=t.loc)
                 ctx[x] = store.new_use(a)
-                dp, part = self.go(p, ctx)
+                dp = self.go(p, ctx)
+                part = dp.env
                 idxs = [i for i, e in enumerate(part) if x in e]
                 if len(idxs) < 2:
                     raise TypeCheckError(
@@ -423,13 +412,14 @@ class _HcpChecker:
                 newpart = part.copy()
                 newpart[i] = merged
                 del newpart[j]
-                return Derivation("H-Cut", t, newpart, (dp,)), newpart
+                return Derivation("H-Cut", t, newpart, (dp,))
             case hcp.BoundOut(x, y, p):
                 s = self._subject(ctx, x, ty.Tensor, t)
                 del ctx[x]
                 ctx[y] = s.left
                 ctx[x] = s.right
-                dp, part = self.go(p, ctx)
+                dp = self.go(p, ctx)
+                part = dp.env
                 iy = _index_with(part, y)
                 ix = _index_with(part, x)
                 if iy == ix:
@@ -449,13 +439,14 @@ class _HcpChecker:
                 newpart = part.copy()
                 newpart[min(iy, ix)] = merged
                 del newpart[max(iy, ix)]
-                return Derivation("⊗", t, newpart, (dp,)), newpart
+                return Derivation("⊗", t, newpart, (dp,))
             case hcp.In(x, y, p):
                 s = self._subject(ctx, x, ty.Par, t)
                 del ctx[x]
                 ctx[y] = s.left
                 ctx[x] = s.right
-                dp, part = self.go(p, ctx)
+                dp = self.go(p, ctx)
+                part = dp.env
                 iy = _index_with(part, y)
                 if x not in part[iy]:
                     raise TypeCheckError(
@@ -467,13 +458,14 @@ class _HcpChecker:
                 e2[x] = s
                 newpart = part.copy()
                 newpart[iy] = e2
-                return Derivation("⅋", t, newpart, (dp,)), newpart
+                return Derivation("⅋", t, newpart, (dp,))
             case hcp.OutUnit(x, p):
                 self._subject(ctx, x, ty.One, t)
                 del ctx[x]
                 if x in hcp.free_names(p):
                     ctx[x] = BOT
-                dp, part = self.go(p, ctx)
+                dp = self.go(p, ctx)
+                part = dp.env
                 if any(x in e for e in part) and not self.allow_self_lock:
                     raise TypeCheckError(
                         KIND_SELFLOCK,
@@ -481,13 +473,14 @@ class _HcpChecker:
                         name=x, loc=t.loc,
                     )
                 newpart = part + [{x: ONE}]
-                return Derivation("1", t, newpart, (dp,)), newpart
+                return Derivation("1", t, newpart, (dp,))
             case hcp.InUnit(x, p):
                 s = self._subject(ctx, x, ty.Bot, t)
                 del ctx[x]
                 if x in hcp.free_names(p):
                     ctx[x] = ONE
-                dp, part = self.go(p, ctx)
+                dp = self.go(p, ctx)
+                part = dp.env
                 if any(x in e for e in part) and not self.allow_self_lock:
                     raise TypeCheckError(
                         KIND_SELFLOCK,
@@ -498,7 +491,7 @@ class _HcpChecker:
                 if not cands:
                     if self.allow_self_lock:
                         newpart = part + [{x: s}]
-                        return Derivation("⊥", t, newpart, (dp,)), newpart
+                        return Derivation("⊥", t, newpart, (dp,))
                     raise TypeCheckError(
                         KIND_MISMATCH,
                         f"a wait on {x} needs a component to extend; its continuation offers none",
@@ -509,26 +502,27 @@ class _HcpChecker:
                 e2[x] = s
                 newpart = part.copy()
                 newpart[i] = e2
-                return Derivation("⊥", t, newpart, (dp,)), newpart
+                return Derivation("⊥", t, newpart, (dp,))
             case hcp.Inl(x, p) | hcp.Inr(x, p):
                 left = isinstance(t, hcp.Inl)
                 s = self._subject(ctx, x, ty.Plus, t)
                 ctx[x] = s.left if left else s.right
-                dp, part = self.go(p, ctx)
+                dp = self.go(p, ctx)
+                part = dp.env
                 i = _index_with(part, x)
                 e2 = dict(part[i])
                 e2[x] = s
                 newpart = part.copy()
                 newpart[i] = e2
                 rule = "⊕₁" if left else "⊕₂"
-                return Derivation(rule, t, newpart, (dp,)), newpart
+                return Derivation(rule, t, newpart, (dp,))
             case hcp.Case(x, p, q):
                 s = self._subject(ctx, x, ty.With, t)
                 ctxp = dict(ctx)
                 ctxp[x] = s.left
                 ctx[x] = s.right
-                dp, pp = self.go(p, ctxp)
-                dq, pq = self.go(q, ctx)
+                dp, dq = self.go(p, ctxp), self.go(q, ctx)
+                pp, pq = dp.env, dq.env
                 if not self.allow_hyper_with:
                     if len(pp) != 1 or len(pq) != 1:
                         raise TypeCheckError(
@@ -552,12 +546,12 @@ class _HcpChecker:
                 e2 = {n: v for n, v in pp[ip].items() if n != x}
                 e2[x] = s
                 newpart = [e2] + [e for k, e in enumerate(pp) if k != ip]
-                return Derivation("&", t, newpart, (dp, dq)), newpart
+                return Derivation("&", t, newpart, (dp, dq))
             case hcp.Absurd(x):
                 self._subject(ctx, x, ty.Top, t)
                 env = dict(ctx)
                 env[x] = TOP
-                return Derivation("⊤", t, [env], ()), [env]
+                return Derivation("⊤", t, [env], ())
         raise TypeCheckError(KIND_DIALECT, f"not an HCP construct: {type(t).__name__}", loc=getattr(t, "loc", None))
 
     def _env_resolved_key(self, e: dict):
@@ -575,7 +569,7 @@ def check_hcp(t: hcp.HcpTerm, names: Env, *, allow_self_lock: bool = False,
     if not isinstance(t, hcp.HcpTerm):
         raise TypeCheckError(KIND_DIALECT, "expected an HCP term", loc=getattr(t, "loc", None))
     checker = _HcpChecker(allow_self_lock=allow_self_lock, allow_hyper_with=allow_hyper_with)
-    d, part = checker.go(t, dict(names))
+    d = checker.go(t, dict(names))
     _finalize(d, checker.store)
     return d, d.env
 

@@ -145,6 +145,25 @@ def test_bfs_oracle_agrees_on_negatives():
     assert not cg.bfs_equiv(a, b, max_steps=4)
 
 
+def test_cut_annotation_is_checked_even_when_its_name_is_on_one_side():
+    """A CP cut's annotation types its name on each side, also where the name
+    occurs on one side only: dualising it gives a term that is not congruent."""
+    a = t("new x:1 (x[].0 | w[].0)")
+    b = t("new x:bot (x[].0 | w[].0)")
+    assert not cg.equiv(a, b) and not cg.equiv(b, a)
+    assert not cg.bfs_equiv(a, b, max_steps=4)
+
+
+def test_hcp_restriction_annotation_counts_up_to_duality():
+    """An HCP restriction names one endpoint's type without saying which, so
+    equiv, like check_hcp, reads it up to duality; the BFS oracle's axioms
+    never flip an annotation."""
+    a = t("new x:1. (x[].0 | w[].0)", "hcp")
+    b = t("new x:bot. (x[].0 | w[].0)", "hcp")
+    assert cg.equiv(a, b) and cg.equiv(b, a)
+    assert not cg.bfs_equiv(a, b, max_steps=4)
+
+
 # -- the neighbour enumeration and the scramble stream --------------------------
 
 

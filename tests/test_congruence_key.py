@@ -12,6 +12,7 @@ import random
 from sill import congruence as cg
 from sill import cp, harness, hcp, reduction
 from sill.names import Name
+from sill.surface import parse_term
 from sill.terms import SCHEMA
 from sill.types import ONE, dual
 
@@ -260,7 +261,7 @@ def test_key_ignores_binder_spelling_and_link_direction():
     a = cg.key(hcp.New(Name("x", 1), dual(ONE), hcp.Par(hcp.Link(Name("x", 1), Name("w", 2)), hcp.Inert())))
     b = cg.key(hcp.New(Name("q", 7), ONE, hcp.Link(Name("w", 3), Name("q", 7))))
     assert a == b
-    # a free name counts by surface, a bound one not at all
+    # a free name counts by surface, a bound one by its binder's label
     c = cg.key(hcp.New(Name("x", 1), ONE, hcp.Link(Name("x", 1), Name("v", 2))))
     assert c != b
 
@@ -279,21 +280,41 @@ def test_key_is_a_value_of_strings():
         assert all(type(v) is str for v in atoms(cg.key(term)))
 
 
+def test_dualising_a_cut_changes_the_key_and_nu_comm_keeps_it():
+    """A cut's annotation is the type of its left endpoint: dualising it alone
+    changes the key, and nu-comm, which also swaps the sides, keeps it."""
+    a = parse_term("new x:1 (x[].0 | x().w[].0)", "cp")
+    assert cg.key(parse_term("new x:bot (x().w[].0 | x[].0)", "cp")) == cg.key(a)
+    assert cg.key(parse_term("new x:bot (x[].0 | x().w[].0)", "cp")) != cg.key(a)
+    dualised = 0
+    for i in range(150):
+        term = harness.gen_cp(SEED42, i)[0]
+        other = _dualise_first_cut(term)
+        if other is not None:
+            assert cg.key(other) != cg.key(term)
+            dualised += 1
+    assert dualised > 100
+
+
 # -- agreement: the pruned matcher answers as the reference does -------------------
 
 
 def _rebind_one_subject(t):
-    """t with the subject of its first component on a bound name moved to
-    another bound name in scope there: same key, and usually not congruent.
-    None if t has no such component."""
+    """t with the subject of a component on a bound name moved to another
+    bound name in scope there, the innermost that keeps the key, at the first
+    component (in pre-order) where one does.  Usually not congruent.  None if
+    there is no such component."""
+    want = cg.key(t)
     stack = [(t, None, ())]
     while stack:
         node, path, scope = stack.pop()
         x = getattr(node, "x", None)
         if type(node) not in (cp.Cut, hcp.New) and x in scope:
-            others = [n for n in scope if n != x]
-            if others:
-                return cg.rebuild_site((path, "", dataclasses.replace(node, x=others[-1])))
+            for y in reversed(scope):
+                if y != x:
+                    other = cg.rebuild_site((path, "", dataclasses.replace(node, x=y)))
+                    if cg.key(other) == want:
+                        return other
         shape = SCHEMA[type(node)]
         for f in shape.subterms:
             inner = scope + (getattr(node, shape.binder),) if f in shape.inside else scope
@@ -302,7 +323,8 @@ def _rebind_one_subject(t):
 
 
 def _dualise_first_cut(t):
-    """t with its first cut annotated by the dual type: same key."""
+    """t with its first cut annotated by the dual type: its endpoints' types
+    change, so the key does wherever the cut's name occurs."""
     stack = [(t, None)]
     while stack:
         node, path = stack.pop()

@@ -97,6 +97,23 @@ def test_wrong_constructor_for_type():
     assert e.kind == "TypeMismatch" and e.actual == "1"
 
 
+def test_cp_mismatch_messages_are_verbatim():
+    cases = [
+        ("x[y].(y[].0 | x[].0)", "x:1", "channel x has type 1, but the action requires an output type A * B"),
+        ("x(y).x().y[].0", "x:1", "channel x has type 1, but the action requires an input type A par B"),
+        ("x[].0", "x:bot", "channel x has type bot, but the action requires the unit 1"),
+        ("x().w[].0", "x:1, w:1", "channel x has type 1, but the action requires the unit bot"),
+        ("x!inl.x[].0", "x:1", "channel x has type 1, but the action requires a selection type A + B"),
+        ("x!inr.x[].0", "x:1", "channel x has type 1, but the action requires a selection type A + B"),
+        ("x?{inl: x[].0; inr: x[].0}", "x:1", "channel x has type 1, but the action requires an offer type A & B"),
+        ("x?{}", "x:1", "channel x has type 1, but the action requires the empty offer top"),
+    ]
+    for term, env, message in cases:
+        e = err_of(term, env)
+        assert e.render() == f"TypeMismatch: {message}"
+        assert e.expected == message.split(" requires ")[1]
+
+
 # -- HCP ----------------------------------------------------------------------
 
 
