@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Time parsing, `reduce`, congruence keys and `equiv`, the rendering of
-derivations and traces, translation, disentangling and random generation on
-growing inputs, and fit how their cost scales.
+derivations and traces, translation, disentangling, random generation and
+the preservation-hcp property on growing inputs, and fit how their cost
+scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`) and HCP mixes of independent unit cuts, at n = 25, 50, 100, ...
-doubling up to --max (default 200); for generation, n samples.  A `parse` run
+doubling up to --max (default 200); for generation and preservation, n
+samples.  A `parse` run
 times `surface.parse_file` of the input's text alone; every other run on a
 chain or mix parses the input afresh first, outside the clock.  A `reduce`
 run times `reduction.reduce` (so it includes freshening); a `render derivation` run
@@ -20,7 +22,11 @@ the matcher runs, since the keys are equal).  A `translate` run times `bridge.tr
 typing derivation, and a `disentangle` run `bridge.disentangle` and then
 `bridge.tens_internalize` of it.  A `generate` run times `harness.gen_cp` or
 `harness.gen_hcp` of samples 0..n-1 at seed 42, with the sample caches and the
-`provable` cache cleared first.  The best of --repeat runs (default 3) is
+`provable` cache cleared first.  A `preservation` run times the
+preservation-hcp property (`harness._prop_preservation`) on `harness.gen_hcp`
+samples 0..n-1 at seed 42, generated outside the clock: per sample, its
+reduction, the derivation transported along it and checked where new, and
+`check_hcp` of the final reduct.  The best of --repeat runs (default 3) is
 reported in milliseconds.  A workload stops at the first size that raises.
 Its slope is the least-squares fit of log(time) against log(n) over the sizes
 that ran: the empirical computational complexity of Goldsmith, Aiken and
@@ -113,6 +119,12 @@ def _generate(gen):
     return prepare
 
 
+def _preservation(n: int):
+    cfg = harness.GenConfig(seed=42)
+    samples = [(*harness.gen_hcp(cfg, i), i) for i in range(n)]
+    return lambda: [harness._prop_preservation(*s) for s in samples]
+
+
 # label -> (input of size n, what to time, given that input)
 WORKLOADS = {
     "parse cp chain": (lambda n: chain(n, False), _parse),
@@ -135,6 +147,7 @@ WORKLOADS = {
     "disentangle hcp mix": (mix, _disentangle),
     "generate cp": (lambda n: n, _generate(harness.gen_cp)),
     "generate hcp": (lambda n: n, _generate(harness.gen_hcp)),
+    "preservation hcp": (lambda n: n, _preservation),
 }
 
 

@@ -461,8 +461,9 @@ def _binders_match(l1: _Level, l2: _Level, bij: _Bijection) -> bool:
 # -- single-axiom rewriting (oracle support) ----------------------------------
 
 
-def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
-    """The Def-2 axioms applied at the root of t (either direction)."""
+def _cp_rewrites(t: cp.CpTerm, fv) -> list[tuple[str, cp.CpTerm]]:
+    """The Def-2 axioms applied at the root of t (either direction); fv
+    gives a subterm's free names."""
     out: list[tuple[str, cp.CpTerm]] = []
     match t:
         case cp.Link(x, y):
@@ -471,18 +472,19 @@ def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
             out.append(("nu-comm", cp.Cut(x, dual(a), q, p)))
             if isinstance(q, cp.Cut):
                 y, b, q1, r = q.x, q.ty, q.left, q.right
-                if x not in cp.free_names(r) and y not in cp.free_names(p):
+                if x not in fv(r) and y not in fv(p):
                     out.append(("cut-assoc", cp.Cut(y, b, cp.Cut(x, a, p, q1), r)))
             if isinstance(p, cp.Cut):
                 x2, a2, p1, q1 = p.x, p.ty, p.left, p.right
-                if x2 not in cp.free_names(q) and x not in cp.free_names(p1):
+                if x2 not in fv(q) and x not in fv(p1):
                     out.append(("cut-assoc", cp.Cut(x2, a2, p1, cp.Cut(x, a, q1, q))))
     return out
 
 
-def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, hcp.HcpTerm]]:
+def _hcp_rewrites(t: hcp.HcpTerm, fv) -> list[tuple[str, hcp.HcpTerm]]:
     """The Def-10 axioms applied at the root of t (either direction), except
-    the introduction of a `| 0`, which `sites` adds."""
+    the introduction of a `| 0`, which `sites` adds; fv gives a subterm's
+    free names."""
     out: list[tuple[str, hcp.HcpTerm]] = []
     match t:
         case hcp.Link(x, y):
@@ -497,39 +499,60 @@ def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, hcp.HcpTerm]]:
                 out.append(("mix-unit", p))
             if isinstance(p, hcp.Inert):
                 out.append(("mix-unit", q))
-            if isinstance(q, hcp.New) and q.x not in hcp.free_names(p):
+            if isinstance(q, hcp.New) and q.x not in fv(p):
                 out.append(("scope-ext", hcp.New(q.x, q.ty, hcp.Par(p, q.body))))
-            if isinstance(p, hcp.New) and p.x not in hcp.free_names(q):
+            if isinstance(p, hcp.New) and p.x not in fv(q):
                 out.append(("scope-ext", hcp.New(p.x, p.ty, hcp.Par(p.body, q))))
         case hcp.New(x, a, p):
             if isinstance(p, hcp.New) and p.x != x:
                 out.append(("nu-comm", hcp.New(p.x, p.ty, hcp.New(x, a, p.body))))
             if isinstance(p, hcp.Par):
-                if x not in hcp.free_names(p.left):
+                if x not in fv(p.left):
                     out.append(("scope-ext", hcp.Par(p.left, hcp.New(x, a, p.right))))
-                if x not in hcp.free_names(p.right):
+                if x not in fv(p.right):
                     out.append(("scope-ext", hcp.Par(hcp.New(x, a, p.left), p.right)))
     return out
 
 
-def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
+def sites(t, allow_unit_intro: bool = True, fv=None) -> list[tuple]:
     """Every single-axiom rewrite of t, as a site (path, label, rewritten node),
     without rebuilding t around it.  Sites come in pre-order: a node's own
     rewrites, then each child's, left to right.  A path is a linked chain
-    (parent's path, parent, field), None at the root."""
+    (parent's path, parent, field), None at the root.  The axioms' side
+    conditions read free names from fv, a `free_name_table` (a new one if
+    None)."""
     rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
     unit_intro = allow_unit_intro and rewrites is _hcp_rewrites
+    fv = fv or free_name_table()
     out: list[tuple] = []
     stack = [(t, None)]
     while stack:
         node, path = stack.pop()
-        for label, new in rewrites(node):
+        for label, new in rewrites(node, fv):
             out.append((path, label, new))
         if unit_intro:
             out.append((path, "mix-unit", hcp.Par(node, hcp.Inert())))
         for f in reversed(SCHEMA[type(node)].subterms):  # popped first to last
             stack.append((getattr(node, f), (path, node, f)))
     return out
+
+
+def free_name_table():
+    """fv(node): the free names of node, each node's set made at most once
+    per table, bottom-up from its subterms' sets by `terms.FREE_NAMES` (a set
+    a node keeps is taken as it is).  The table holds every node it has
+    answered for, so their ids stay theirs while it lives: one table can
+    serve a term and the terms rebuilt from it, which share its nodes."""
+    fvs: dict[int, tuple] = {}  # id(node) -> (node, its free names)
+    rules = terms.FREE_NAMES
+
+    def fv(node) -> frozenset[Name]:
+        got = fvs.get(id(node))
+        if got is None:
+            got = fvs[id(node)] = (node, getattr(node, "_fv", None) or rules[type(node)](node, fv))
+        return got[1]
+
+    return fv
 
 
 def rebuild_site(site: tuple):

@@ -19,12 +19,12 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from . import bridge, congruence, cp, hcp, reduction, surface
+from . import bridge, congruence, cp, hcp, reduction, surface, transport
 from . import names as nm
 from . import types as ty
 from .translate import cp_to_hcp
 from .terms import SCHEMA
-from .typecheck import Derivation, TypeCheckError, check_cp, check_hcp, hyper_eq, revalidate
+from .typecheck import Derivation, TypeCheckError, check_cp, check_hcp, first_invalid, hyper_eq, revalidate
 from .types import BOT, ONE, TOP, ZERO, dual
 
 
@@ -134,22 +134,27 @@ _LEAF_KIND = {cp.Link: "ax", cp.Halt: "halt", cp.Absurd: "absurd"}
 _INVERTIBLE = ("wait", "recv", "case")
 
 
-def _rules(items: list):
+def _rules(items: list) -> list:
     """(kind, channel) of every logical rule that can conclude the
     environment, in its order; a ⊕ side only if its premise stays provable."""
+    out = []
     for n, a in items:
         match a:
             case ty.Bot() if len(items) >= 2:
-                yield "wait", n
+                out.append(("wait", n))
             case ty.Par():
-                yield "recv", n
+                out.append(("recv", n))
             case ty.With():
-                yield "case", n
+                out.append(("case", n))
             case ty.Plus(l, r):
                 rest = tuple(v for k, v in items if k != n)
-                yield from ((kind, n) for kind, side in (("inl", l), ("inr", r)) if provable(_canon(rest + (side,))))
+                if provable(_canon(rest + (l,))):
+                    out.append(("inl", n))
+                if provable(_canon(rest + (r,))):
+                    out.append(("inr", n))
             case ty.Tensor():
-                yield "send", n
+                out.append(("send", n))
+    return out
 
 
 def _splits(rest: list, masks, extra_p: ty.Type, extra_q: ty.Type):
@@ -166,17 +171,6 @@ def _splits(rest: list, masks, extra_p: ty.Type, extra_q: ty.Type):
 def _all_splits(rest: list, extra_p: ty.Type, extra_q: ty.Type):
     """Every provable split, in mask order; none above 14 channels."""
     return () if len(rest) > 14 else _splits(rest, range(1 << len(rest)), extra_p, extra_q)
-
-
-def _conclude(sub, envs: list, rule, *args):
-    """rule(*args, p1, ...) for an inhabitant p_i of each premise environment,
-    found by sub in order; None as soon as one has none."""
-    for env in envs:
-        p = sub(env)
-        if p is None:
-            return None
-        args += (p,)
-    return rule(*args)
 
 
 class _CpGen:
@@ -267,29 +261,35 @@ class _CpGen:
 
     def _apply(self, kind: str, n, env: dict, sub, splits):
         """The CP rule `kind` concluding env on channel n: its premise
-        environments, each inhabited by sub, under the rule's term (None if
-        some premise has no inhabitant).  ⊗ tries the splits of the other
-        channels that splits(rest, A, B) offers, in order."""
+        environments, each inhabited by sub in order, under the rule's term
+        (None as soon as some premise has no inhabitant).  ⊗ tries the splits
+        of the other channels that splits(rest, A, B) offers, in order."""
         a = env[n]
         rest = dict(env)
         del rest[n]
         match kind:
             case "wait":
-                return _conclude(sub, [rest], cp.Wait, n)
+                p = sub(rest)
+                return None if p is None else cp.Wait(n, p)
             case "recv":
                 y = self.namer()
-                return _conclude(sub, [rest | {y: a.left, n: a.right}], cp.Recv, n, y)
+                p = sub(rest | {y: a.left, n: a.right})
+                return None if p is None else cp.Recv(n, y, p)
             case "case":
-                return _conclude(sub, [env | {n: a.left}, env | {n: a.right}], cp.Case, n)
+                p = sub(env | {n: a.left})
+                q = None if p is None else sub(env | {n: a.right})
+                return None if q is None else cp.Case(n, p, q)
             case "inl" | "inr":
-                side, rule = (a.left, cp.Inl) if kind == "inl" else (a.right, cp.Inr)
-                return _conclude(sub, [env | {n: side}], rule, n)
+                left = kind == "inl"
+                p = sub(env | {n: a.left if left else a.right})
+                return None if p is None else (cp.Inl if left else cp.Inr)(n, p)
             case "send":
                 for envp, envq in splits(list(rest.items()), a.left, a.right):
                     y = self.namer()
-                    t = _conclude(sub, [envp | {y: a.left}, envq | {n: a.right}], cp.Send, n, y)
-                    if t is not None:
-                        return t
+                    p = sub(envp | {y: a.left})
+                    q = None if p is None else sub(envq | {n: a.right})
+                    if q is not None:
+                        return cp.Send(n, y, p, q)
         return None
 
     def _cut(self, env: dict, sub):
@@ -298,9 +298,10 @@ class _CpGen:
             b = _sample_type(self.rng, max(1, self.cfg.max_type_size - 2))
             for envp, envq in self._valid_splits(list(env.items()), b, dual(b)):
                 z = self.namer()
-                t = _conclude(sub, [envp | {z: b}, envq | {z: dual(b)}], cp.Cut, z, b)
-                if t is not None:
-                    return t
+                p = sub(envp | {z: b})
+                q = None if p is None else sub(envq | {z: dual(b)})
+                if q is not None:
+                    return cp.Cut(z, b, p, q)
                 break  # one valid split attempt per sampled cut type
         return None
 
@@ -351,9 +352,12 @@ def scramble(t, rng: random.Random, steps: int):
     """Apply a random sequence of structural-congruence axioms.
 
     Each step lists the sites of every single-axiom rewrite (one walk, nothing
-    rebuilt), draws one and rebuilds the term around that site alone."""
+    rebuilt), draws one and rebuilds the term around that site alone.  The
+    steps share one free-name table, since a rebuilt term shares every node
+    off the site's path with the term before."""
+    fv = congruence.free_name_table()
     for _ in range(steps):
-        sites = congruence.sites(t, allow_unit_intro=False)
+        sites = congruence.sites(t, allow_unit_intro=False, fv=fv)
         if not sites:
             break
         # on Python 3.10-3.12 randrange(n) makes the one _randbelow(n) call that
@@ -454,16 +458,47 @@ def _check(dialect: str, t, env) -> Derivation:
     return check_cp(t, env) if dialect == "cp" else check_hcp(t, env)[0]
 
 
+def _step_label(k: int, st) -> str:
+    return f"step {k} ({st.redex.rule} on {st.redex.channel})"
+
+
+def _changed(k: int, part, d) -> str:
+    return (f"step {k} changed the hyper-environment: "
+            f"{surface.print_hyper_env(part)} vs {surface.print_hyper_env(d.env)}")
+
+
 def _prop_preservation(t, env, d, index) -> str | None:
-    for k, st in enumerate(reduction.reduce(t).steps, 1):
-        try:
-            part = _check(d.dialect, st.term, env).env
-        except TypeCheckError as e:
-            return f"step {k} ({st.redex.rule} on {st.redex.channel}) broke typing: {e.render()}"
-        if d.dialect == "hcp" and not hyper_eq(part, d.env):
-            return (f"step {k} changed the hyper-environment: "
-                    f"{surface.print_hyper_env(part)} vs {surface.print_hyper_env(d.env)}")
-    return None
+    """CP: every reduct typechecks.  HCP: every reduct's derivation,
+    transported from the one before (`transport`), is valid where it is new
+    and concludes the sample's hyper-environment; and the checker types the
+    final reduct at it."""
+    steps = reduction.reduce(t).steps
+    if d.dialect == "cp":
+        for k, st in enumerate(steps, 1):
+            try:
+                check_cp(st.term, env)
+            except TypeCheckError as e:
+                return f"{_step_label(k, st)} broke typing: {e.render()}"
+        return None
+    if not steps:
+        return None
+    if not revalidate(d):
+        return "the sample's derivation fails local validation"
+    k = 0
+    try:
+        for k, (st, d2, made) in enumerate(transport.derivations(d, steps), 1):
+            bad = first_invalid(made)
+            if bad is not None:
+                return f"{_step_label(k, st)}: the transported {bad.rule} node fails local validation"
+            if not hyper_eq(d2.env, d.env):
+                return _changed(k, d2.env, d)
+    except transport.TransportError as e:
+        return f"{_step_label(k + 1, steps[k])} cannot be transported: {e}"
+    try:
+        _, part = check_hcp(st.term, env)
+    except TypeCheckError as e:
+        return f"{_step_label(k, st)} broke typing: {e.render()}"
+    return None if hyper_eq(part, d.env) else _changed(k, part, d)
 
 
 def _prop_progress(t, env, d, index) -> str | None:
@@ -604,13 +639,22 @@ def run_suite(name: str, cfg: GenConfig) -> SuiteReport:
         except (GeneratorStuck, TypeCheckError) as e:
             results.append(SampleResult(i, "fail", f"generator failure: {e}", None))
             continue
-        detail = prop(t, env, d, i)
+        detail = _verdict(prop, t, env, d, i)
         if detail is None:
             results.append(SampleResult(i, "pass"))
         else:
             t, detail = _shrink(t, env, d, i, prop, detail)
             results.append(SampleResult(i, "fail", detail, _fmt_sample(t, env)))
     return SuiteReport(name, cfg.seed, cfg.count, results)
+
+
+def _verdict(prop, t, env, d, index) -> str | None:
+    """prop's failure detail on a sample, or None if it holds; an exception
+    the property raises is its failure, `<ExceptionName>: <message>`."""
+    try:
+        return prop(t, env, d, index)
+    except Exception as e:  # any crash is a finding about the sample
+        return f"{type(e).__name__}: {e}"
 
 
 # -- shrinking ----------------------------------------------------------------
@@ -648,7 +692,7 @@ def _shrink(t, env, d, index, prop, detail):
                 d2 = _check(d.dialect, t2, env)
             except TypeCheckError:
                 continue
-            detail2 = prop(t2, env, d2, index)
+            detail2 = _verdict(prop, t2, env, d2, index)
             if detail2 is not None:
                 t, d, detail = t2, d2, detail2
                 break

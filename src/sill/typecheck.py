@@ -75,8 +75,10 @@ def env_key(e: Env) -> tuple:
 
 
 def hyper_eq(p1: HyperEnv, p2: HyperEnv) -> bool:
-    """Equality of hyper-environments as multisets of environments."""
-    return Counter(frozenset(e.items()) for e in p1) == Counter(frozenset(e.items()) for e in p2)
+    """Equality of hyper-environments as multisets of environments.  Two
+    lists equal member by member, as the checker's order gives them, answer
+    without the multiset comparison."""
+    return p1 == p2 or Counter(frozenset(e.items()) for e in p1) == Counter(frozenset(e.items()) for e in p2)
 
 
 # -- CP -----------------------------------------------------------------------
@@ -612,11 +614,28 @@ def _finalize(d: Derivation, store: _Store) -> None:
 
 def revalidate(d: Derivation) -> bool:
     """Check that every node's conclusion follows from its premises by its rule."""
-    try:
-        _revalidate(d)
-        return True
-    except _Invalid:
-        return False
+    return first_invalid(_nodes(d)) is None
+
+
+def first_invalid(ds) -> Derivation | None:
+    """The first of the derivation nodes ds whose conclusion does not follow
+    from its premises by its rule, or None.  Each check reads only a node and
+    its premises, so the nodes may come in any order."""
+    for d in ds:
+        try:
+            (_revalidate_cp if isinstance(d.env, dict) else _revalidate_hcp)(d)
+        except _Invalid:
+            return d
+    return None
+
+
+def _nodes(d: Derivation):
+    """Every node of d, in pre-order."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        yield d
+        stack += reversed(d.premises)
 
 
 class _Invalid(Exception):
@@ -638,19 +657,6 @@ def _disjoint_union(e1: Env, e2: Env) -> Env:
         _require(n not in out)
         out[n] = v
     return out
-
-
-def _revalidate(d: Derivation) -> None:
-    """Check every node of d.  Each check reads only a node and its
-    premises, so the visit order does not matter."""
-    stack = [d]
-    while stack:
-        d = stack.pop()
-        stack += d.premises
-        if isinstance(d.env, dict):
-            _revalidate_cp(d)
-        else:
-            _revalidate_hcp(d)
 
 
 def _revalidate_cp(d: Derivation) -> None:
@@ -750,9 +756,10 @@ def _revalidate_hcp(d: Derivation) -> None:
             i, j = idxs
             t1, t2 = d1.env[i][t.x], d1.env[j][t.x]
             _require(t2 == dual(t1) and t1 in (t.ty, dual(t.ty)))
-            merged = _disjoint_union(_without(d1.env[i], t.x), _without(d1.env[j], t.x))
-            rest = [e for k, e in enumerate(d1.env) if k not in (i, j)]
-            _require(hyper_eq(part, rest + [merged]))
+            want = list(d1.env)
+            want[i] = _disjoint_union(_without(d1.env[i], t.x), _without(d1.env[j], t.x))
+            del want[j]
+            _require(hyper_eq(part, want))
         case "⊗":
             _require(isinstance(t, hcp.BoundOut) and len(d.premises) == 1)
             (d1,) = d.premises
@@ -762,8 +769,10 @@ def _revalidate_hcp(d: Derivation) -> None:
             a, b = d1.env[iy][t.y], d1.env[ix][t.x]
             merged = _disjoint_union(_without(d1.env[iy], t.y), _without(d1.env[ix], t.x))
             merged[t.x] = ty.Tensor(a, b)
-            rest = [e for k, e in enumerate(d1.env) if k not in (iy, ix)]
-            _require(hyper_eq(part, rest + [merged]))
+            want = list(d1.env)
+            want[min(iy, ix)] = merged
+            del want[max(iy, ix)]
+            _require(hyper_eq(part, want))
         case "⅋":
             _require(isinstance(t, hcp.In) and len(d.premises) == 1)
             (d1,) = d.premises
@@ -771,10 +780,10 @@ def _revalidate_hcp(d: Derivation) -> None:
             iy = _env_with(d1.env, t.y)
             _require(_envs_with(d1.env, t.x) == [iy])
             a, b = d1.env[iy][t.y], d1.env[iy][t.x]
-            e2 = _without(d1.env[iy], t.y, t.x)
-            e2[t.x] = ty.Par(a, b)
-            rest = [e for k, e in enumerate(d1.env) if k != iy]
-            _require(hyper_eq(part, rest + [e2]))
+            want = list(d1.env)
+            want[iy] = _without(d1.env[iy], t.y, t.x)
+            want[iy][t.x] = ty.Par(a, b)
+            _require(hyper_eq(part, want))
         case "1":
             _require(isinstance(t, hcp.OutUnit) and len(d.premises) == 1)
             (d1,) = d.premises
@@ -788,8 +797,9 @@ def _revalidate_hcp(d: Derivation) -> None:
             _require(not _envs_with(d1.env, t.x))
             i = _env_with(part, t.x)
             _require(part[i][t.x] == BOT)
-            rest = [e for k, e in enumerate(part) if k != i]
-            _require(hyper_eq(list(d1.env), rest + [_without(part[i], t.x)]))
+            want = list(part)
+            want[i] = _without(part[i], t.x)
+            _require(hyper_eq(d1.env, want))
         case "⊕₁" | "⊕₂":
             _require(isinstance(t, (hcp.Inl, hcp.Inr)) and len(d.premises) == 1)
             (d1,) = d.premises
@@ -799,10 +809,10 @@ def _revalidate_hcp(d: Derivation) -> None:
             _require(isinstance(s, ty.Plus))
             branch = s.left if d.rule == "⊕₁" else s.right
             _require(d1.env[i][t.x] == branch)
-            e2 = dict(d1.env[i])
-            e2[t.x] = s
-            rest = [e for k, e in enumerate(d1.env) if k != i]
-            _require(hyper_eq(part, rest + [e2]))
+            want = list(d1.env)
+            want[i] = dict(d1.env[i])
+            want[i][t.x] = s
+            _require(hyper_eq(part, want))
         case "&":
             _require(isinstance(t, hcp.Case) and len(d.premises) == 2)
             d1, d2 = d.premises

@@ -5,10 +5,11 @@ from collections import Counter
 import pytest
 
 from sill import congruence as cg
-from sill import cp, harness, hcp, reduction as rd
+from sill import cp, harness, hcp, reduction as rd, transport
 from sill.harness import GenConfig, gen_cp, gen_hcp, provable, run_suite
-from sill.surface import print_env, print_term
-from sill.typecheck import TypeCheckError, check_cp, check_hcp
+from sill.names import Name
+from sill.surface import parse_file, print_env, print_term
+from sill.typecheck import TypeCheckError, check_cp, check_hcp, first_invalid, hyper_eq
 from sill.types import BOT, ONE, TOP, ZERO, Par, Plus, Tensor, With, dual
 
 
@@ -178,8 +179,6 @@ def test_shrinking_produces_smaller_counterexample():
 
 
 def test_hcp_shrink_leaves_are_images_of_cp_leaves():
-    from sill.names import Name
-
     x, y = Name("x", 1), Name("y", 2)
     assert harness._leaf_for([], "hcp") == hcp.Inert()
     assert harness._leaf_for([{x: ONE}], "hcp") == hcp.OutUnit(x, hcp.Inert())
@@ -239,6 +238,101 @@ def test_equiv_preservation_failures_are_shrunk(monkeypatch):
         sizes.append((len(r.counterexample), len(harness._fmt_sample(t, env))))
     assert all(shrunk <= full for shrunk, full in sizes)
     assert any(shrunk < full for shrunk, full in sizes)
+
+
+def test_transported_derivations_agree_with_the_checker():
+    # every reduct of every sample: the transported derivation is valid where
+    # it is new, derives the reduct itself, and concludes what the checker
+    # infers for the reduct
+    cfg = GenConfig(seed=42, count=1)
+    steps = 0
+    for i in range(100):
+        term, env, d = gen_hcp(cfg, i)
+        trace = rd.reduce(term)
+        for st, d2, made in transport.derivations(d, trace.steps):
+            steps += 1
+            assert d2.term is st.term
+            assert first_invalid(made) is None
+            _, part = check_hcp(st.term, env)
+            assert hyper_eq(part, d2.env)
+    assert steps > 500
+
+
+def test_transport_follows_a_freshened_sample():
+    # the binder x occurs twice, so reduction freshens the term first, and
+    # the transport renames the sample's derivation along with it
+    x, w1, w2 = Name("x", 1), Name("w1", 2), Name("w2", 3)
+
+    def unit_cut(w):
+        return hcp.New(x, ONE, hcp.Par(hcp.OutUnit(x, hcp.Inert()), hcp.InUnit(x, hcp.OutUnit(w, hcp.Inert()))))
+
+    term = hcp.Par(unit_cut(w1), unit_cut(w2))
+    env = {w1: ONE, w2: ONE}
+    d, _ = check_hcp(term, env)
+    trace = rd.reduce(term)
+    assert len(trace.steps) == 2
+    out = list(transport.derivations(d, trace.steps))
+    assert all(first_invalid(made) is None for _, _, made in out)
+    assert all(hyper_eq(d2.env, d.env) for _, d2, _ in out)
+    assert harness._prop_preservation(term, env, d, 0) is None
+
+
+def _flip_one_type(node):
+    first = next(k for k, e in enumerate(node.env) if e)
+    e = node.env[first]
+    n = next(iter(e))
+    node.env = [{m: dual(a) if m == n else a for m, a in e.items()} if k == first else f
+                for k, f in enumerate(node.env)]
+
+
+def _drop_one_premise(node):
+    node.premises = node.premises[:-1]
+
+
+@pytest.mark.parametrize("mutate", [_flip_one_type, _drop_one_premise])
+def test_preservation_hcp_rejects_a_broken_transported_node(monkeypatch, mutate):
+    # negative control: one transported node per step is spoiled after the
+    # transport made it (it is a new node, so no cached derivation changes);
+    # the per-node check must catch it on every sample that takes a step
+    real = transport.derivations
+
+    def spoiled(d, steps):
+        for st, d2, made in real(d, steps):
+            mutate(next(n for n in made if n.premises and any(n.env)))
+            yield st, d2, made
+
+    cfg = GenConfig(seed=42, count=1)
+    samples = [(*gen_hcp(cfg, i), i) for i in range(40)]
+    monkeypatch.setattr(transport, "derivations", spoiled)
+    stepped = 0
+    for sample in samples:
+        if rd.reduce(sample[0]).steps:
+            stepped += 1
+            detail = harness._prop_preservation(*sample)
+            assert detail is not None and "fails local validation" in detail, detail
+    assert stepped > 20
+
+
+def test_a_property_that_raises_fails_its_sample(monkeypatch):
+    # reduce raises on this well-typed term (⊤ absorbs the cut's channel),
+    # and on some of the shrinker's candidates for it; the suite reports
+    # each such exception as the sample's failure instead of raising it
+    src = "proc Main : c9:top, w:1 = new x:1 + 1 (x!inl.c9?{} | x?{inl: x().w[].0; inr: x().w[].0})\n"
+    decl = parse_file(src).decls[0]
+    sample = (decl.term, decl.env, check_cp(decl.term, decl.env))
+
+    def reduces(t, env, d, index):
+        rd.reduce(t)
+        return None
+
+    monkeypatch.setattr(harness, "gen_cp", lambda cfg, i: (sample[0], dict(sample[1]), sample[2]))
+    monkeypatch.setitem(harness._SUITES, "reduces", (("cp",), reduces))
+    rep = run_suite("reduces", GenConfig(seed=1, count=2))
+    assert len(rep.failures) == 2
+    for r in rep.failures:
+        assert r.detail.startswith(("ReductionError: ", "CongruenceError: ")), r.detail
+        assert "\n" not in r.detail
+        assert r.counterexample
 
 
 GENERATOR_GOLDEN = pathlib.Path(__file__).parent / "golden" / "generator" / "samples.txt"
