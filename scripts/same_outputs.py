@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Check that this checkout and another one print the same outputs.
+
+Usage: python scripts/same_outputs.py OTHER_CHECKOUT
+
+Each checkout's `src` is put alone on PYTHONPATH of fresh interpreters,
+which print three outputs:
+
+- `fuzz`: `sill fuzz --suite all --seed 42 --json`, and its exit code;
+- `cp`, `hcp`: for `harness.gen_cp` / `harness.gen_hcp` samples 0-299 at
+  `GenConfig(seed=42)`, each sample's `surface.print_term`,
+  `typecheck.render_derivation` and `reduction.render_trace` of
+  `reduction.reduce` of it (or the exception one of them raised).
+
+Every line is tagged with its stream (the output and the function that
+printed it).  Prints `same` and exits 0 if both checkouts print the same
+lines; otherwise prints the first line that differs, with its stream and
+sample, and exits 1.
+"""
+import argparse
+import contextlib
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
+HERE = pathlib.Path(__file__).resolve()
+OUTPUTS = ("fuzz", "cp", "hcp")
+SAMPLES = 300
+
+
+def emit_fuzz() -> None:
+    from sill import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["fuzz", "--suite", "all", "--seed", "42", "--json"])
+    for line in out.getvalue().splitlines():
+        print(f"fuzz\t{line}")
+    print(f"fuzz\texit {code}")
+
+
+def emit_samples(dialect: str) -> None:
+    from sill import harness, reduction, surface, typecheck
+
+    gen = harness.gen_cp if dialect == "cp" else harness.gen_hcp
+    cfg = harness.GenConfig(seed=42)
+    shows = [("print_term", lambda t, d: surface.print_term(t)),
+             ("render_derivation", lambda t, d: typecheck.render_derivation(d)),
+             ("render_trace", lambda t, d: reduction.render_trace(reduction.reduce(t)))]
+    for i in range(SAMPLES):
+        t, _, d = gen(cfg, i)
+        for what, show in shows:
+            try:
+                text = show(t, d)
+            except Exception as e:
+                text = f"raised {type(e).__name__}: {e}"
+            print(f"{dialect} {what}\t# sample {i}")
+            for line in text.splitlines():
+                print(f"{dialect} {what}\t{line}")
+
+
+def run(tree: pathlib.Path, output: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.Popen([sys.executable, str(HERE), "--emit", output], env=env,
+                            stdout=subprocess.PIPE, text=True, encoding="utf-8")
+
+
+def first_difference(ours: list[str], theirs: list[str]) -> str | None:
+    """The first line at which the two outputs differ, described; None if
+    they are equal."""
+    sample = ""
+    for k in range(max(len(ours), len(theirs))):
+        a = ours[k] if k < len(ours) else "\t<end of output>"
+        b = theirs[k] if k < len(theirs) else "\t<end of output>"
+        stream, _, text = a.partition("\t")
+        if a != b:
+            other_stream, _, other = b.partition("\t")
+            return (f"{stream or other_stream}, line {k + 1}{sample}:\n"
+                    f"  this checkout:  {text}\n"
+                    f"  other checkout: {other}")
+        if text.startswith("# sample "):
+            sample = f" (sample {text.rpartition(' ')[2]})"
+    return None
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("other", nargs="?", type=pathlib.Path, metavar="OTHER_CHECKOUT")
+    ap.add_argument("--emit", choices=OUTPUTS, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.emit == "fuzz":
+        emit_fuzz()
+        return 0
+    if args.emit:
+        emit_samples(args.emit)
+        return 0
+    if args.other is None or not (args.other / "src" / "sill").is_dir():
+        ap.error("OTHER_CHECKOUT must be a checkout with a src/sill package")
+    for output in OUTPUTS:
+        procs = [run(HERE.parent.parent, output), run(args.other.resolve(), output)]
+        texts = [p.communicate()[0] for p in procs]
+        for p in procs:
+            if p.returncode != 0:
+                print(f"{output}: the interpreter exited {p.returncode}")
+                return 1
+        diff = first_difference(*(text.splitlines() for text in texts))
+        if diff is not None:
+            print(diff)
+            return 1
+    print("same")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

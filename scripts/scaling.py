@@ -1,43 +1,50 @@
 #!/usr/bin/env python3
-"""Time parsing, `reduce`, congruence keys and `equiv`, the rendering of
-derivations and traces, translation, disentangling, random generation and
-the preservation-hcp property on growing inputs, and fit how their cost
-scales.
+"""Time parsing, the checkers, `reduce`, congruence keys and `equiv`, the
+rendering of derivations and traces, translation, disentangling, random
+generation and the preservation-hcp property on growing inputs, and fit how
+their cost scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`) and HCP mixes of independent unit cuts, at n = 25, 50, 100, ...
 doubling up to --max (default 200); for generation and preservation, n
-samples.  A `parse` run
-times `surface.parse_file` of the input's text alone; every other run on a
-chain or mix parses the input afresh first, outside the clock.  A `reduce`
-run times `reduction.reduce` (so it includes freshening); a `render derivation` run
+samples.  A `parse` run times `surface.parse_file` of the input's text
+alone; every other run on a chain or mix parses the input afresh first,
+outside the clock.  A `check` run times `typecheck.check_cp` or
+`typecheck.check_hcp` of the input.  A `reduce` run times
+`reduction.reduce` (so it includes freshening); a `render derivation` run
 times only `typecheck.render_derivation` of the input's typing derivation,
 and a `render trace` run only `reduction.render_trace` of its reduction
-trace with every reduct already built.  A `key` run times
-`congruence.key` of the input's term, and an `equiv` run `congruence.equiv`
-of it against a fresh parse of the same text (so it includes freshening, and
-the matcher runs, since the keys are equal).  A `translate` run times `bridge.translate_typed` of the input's
-typing derivation, and a `disentangle` run `bridge.disentangle` and then
-`bridge.tens_internalize` of it.  A `generate` run times `harness.gen_cp` or
-`harness.gen_hcp` of samples 0..n-1 at seed 42, with the sample caches and the
-`provable` cache cleared first.  A `preservation` run times the
-preservation-hcp property (`harness._prop_preservation`) on `harness.gen_hcp`
-samples 0..n-1 at seed 42, generated outside the clock: per sample, its
-reduction, the derivation transported along it and checked where new, and
-`check_hcp` of the final reduct.  The best of --repeat runs (default 3) is
-reported in milliseconds.  A workload stops at the first size that raises.
-Its slope is the least-squares fit of log(time) against log(n) over the sizes
-that ran: the empirical computational complexity of Goldsmith, Aiken and
-Wilkerson (trend-prof, FSE 2007), where 1 means linear and 2 quadratic.  A
-rendered derivation or trace of a chain has O(n^2) characters (n judgements
-or reducts of size O(n)), so those slopes cannot fall to 1 however the
-printer shares work: compare their milliseconds.
+trace with every reduct already built.  A `key` run times `congruence.key`
+of the input's term, and an `equiv` run `congruence.equiv` of it against a
+fresh parse of the same text (so it includes freshening, and the matcher
+runs, since the keys are equal).  A `translate` run times
+`bridge.translate_typed` of the input's typing derivation, and a
+`disentangle` run `bridge.disentangle` and then `bridge.tens_internalize` of
+it.  A `generate` run times `harness.gen_cp` or `harness.gen_hcp` of samples
+0..n-1 at seed 42, with the sample caches and the `provable` cache cleared
+first.  A `preservation` run times the preservation-hcp property
+(`harness._prop_preservation`) on `harness.gen_hcp` samples 0..n-1 at seed
+42, generated outside the clock: per sample, its reduction, the derivation
+transported along it and checked where new, and `check_hcp` of the final
+reduct.
+
+Each input is prepared in a thread with a big stack and a raised recursion
+limit; the layer is timed in the main thread at the default limit.  The best
+of --repeat runs (default 3) is reported in milliseconds, and a size at
+which the layer raises is reported as `raised <Error>`, the row going on to
+the next size.  A row's slope is the least-squares fit of log(time) against
+log(n) over the sizes that ran: the empirical computational complexity of
+Goldsmith, Aiken and Wilkerson (trend-prof, FSE 2007), where 1 means linear
+and 2 quadratic.  A rendered derivation or trace of a chain has O(n^2)
+characters (n judgements or reducts of size O(n)), so those slopes cannot
+fall to 1 however the printer shares work: compare their milliseconds.
 """
 import argparse
 import math
 import sys
+import threading
 import time
 
 from sill import bridge, congruence, harness, reduction, surface, typecheck
@@ -66,6 +73,13 @@ def _main(src: str):
 
 def _parse(src: str):
     return lambda: surface.parse_file(src)
+
+
+def _check(src: str):
+    d = _main(src)
+    if d.dialect == "cp":
+        return lambda: typecheck.check_cp(d.term, d.env)
+    return lambda: typecheck.check_hcp(d.term, d.env)
 
 
 def _reduce(src: str):
@@ -130,6 +144,9 @@ WORKLOADS = {
     "parse cp chain": (lambda n: chain(n, False), _parse),
     "parse hcp chain": (lambda n: chain(n, True), _parse),
     "parse hcp mix": (mix, _parse),
+    "check cp chain": (lambda n: chain(n, False), _check),
+    "check hcp chain": (lambda n: chain(n, True), _check),
+    "check hcp mix": (mix, _check),
     "reduce cp chain": (lambda n: chain(n, False), _reduce),
     "reduce hcp chain": (lambda n: chain(n, True), _reduce),
     "reduce hcp mix": (mix, _reduce),
@@ -151,10 +168,41 @@ WORKLOADS = {
 }
 
 
+class PreparationError(Exception):
+    """Building a workload's input raised, even with a big stack."""
+
+
+def deep(f, *args):
+    """f(*args), run in a thread with a 512 MiB stack and a recursion limit
+    of 200 000, so that the recursive layers can build deep inputs."""
+    out = {}
+
+    def run():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200_000)
+        try:
+            out["value"] = f(*args)
+        except Exception as e:
+            out["error"] = e
+        finally:
+            sys.setrecursionlimit(limit)
+
+    size = threading.stack_size(512 << 20)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+    if "error" in out:
+        raise PreparationError(type(out["error"]).__name__) from out["error"]
+    return out["value"]
+
+
 def best_ms(src, prepare, repeat: int) -> float:
     best = math.inf
     for _ in range(repeat):
-        run = prepare(src)
+        run = deep(prepare, src)
         t0 = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - t0)
@@ -179,11 +227,13 @@ def main() -> int:
         while n <= args.max:
             try:
                 ms = best_ms(make(n), prepare, args.repeat)
+            except PreparationError as e:
+                print(f"{label} n={n}: preparation raised {e}")
             except Exception as e:  # RecursionError on deep input, among others
                 print(f"{label} n={n}: raised {type(e).__name__}")
-                break
-            points.append((n, ms))
-            print(f"{label} n={n}: {ms:.2f} ms")
+            else:
+                points.append((n, ms))
+                print(f"{label} n={n}: {ms:.2f} ms")
             n *= 2
         fit = f"{slope(points):.2f}" if len(points) > 1 else "n/a"
         print(f"{label}: log-log slope {fit} over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}")

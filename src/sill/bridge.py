@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import congruence, cp, hcp, reduction, terms
+from . import congruence, cp, hcp, reduction, terms, transport
 from . import types as ty
-from .names import Name, fresh
+from .names import fresh
 from .translate import MIXED, cp_to_hcp, from_image
 from .typecheck import Derivation, env_key, revalidate
 from .types import BOT, ONE, Type
@@ -219,12 +219,6 @@ def _parr_collapse(d: Derivation) -> Derivation:
     return cur
 
 
-def _rename_free(d: Derivation, old: Name, new: Name) -> Derivation:
-    term = terms.substitute(d.term, new, old)
-    env = {(new if n == old else n): a for n, a in d.env.items()}
-    return Derivation(d.rule, term, env, tuple(_rename_free(c, old, new) for c in d.premises))
-
-
 def tens_internalize(d: Derivation) -> Derivation:
     """Witness that the hyper-environment, collapsed as a series of tensors,
     is inhabited in CP."""
@@ -243,10 +237,10 @@ def tens_internalize(d: Derivation) -> Derivation:
         return last
     z = fresh("z")
     (zl,) = last.env
-    cur = _rename_free(last, zl, z)
+    cur = transport._carry(last, terms.substitute(last.term, z, zl), {zl: z}, [])
     for dd in reversed(firsts):
         (zi,) = dd.env
         y = fresh(zi.surface)
-        dl = _rename_free(dd, zi, y)
+        dl = transport._carry(dd, terms.substitute(dd.term, y, zi), {zi: y}, [])
         cur = Derivation("⊗", cp.Send(z, y, dl.term, cur.term), {z: ty.Tensor(dl.env[y], cur.env[z])}, (dl, cur))
     return cur

@@ -73,12 +73,20 @@ class _Refused(Exception):
 _DIALECT_NAMES = {"cp": "a CP", "hcp": "an HCP"}
 
 
+def _decl(f: surface.SessionFile, name: str) -> surface.Decl:
+    """f's declaration named name; an unknown name is refused with exit 2."""
+    try:
+        return f.get(name)
+    except KeyError:
+        raise _Refused(f"{f.filename}: no declaration named '{name}'", 2) from None
+
+
 def _checked(args, dialect: str | None = None):
     """Load args.file, take its declaration args.proc and typecheck it:
     (declaration, derivation, hyper-environment or None for CP).  A
     declaration not of the given dialect is refused with exit 2, one that
     does not typecheck with exit 1, each in one line."""
-    d = _load(args.file).get(args.proc)
+    d = _decl(_load(args.file), args.proc)
     if dialect is not None and d.dialect != dialect:
         raise _Refused(f"{args.file}: {d.name} is not {_DIALECT_NAMES[dialect]} declaration", 2)
     try:
@@ -89,7 +97,7 @@ def _checked(args, dialect: str | None = None):
 
 def cmd_check(args) -> int:
     f = _load(args.file)
-    decls = f.decls if args.proc is None else [f.get(args.proc)]
+    decls = f.decls if args.proc is None else [_decl(f, args.proc)]
     status = 0
     for d in decls:
         try:
@@ -282,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except surface.ParseError as e:
         print(str(e))
         return 2
-    except (KeyError, OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}")
         return 2
     except (reduction.BudgetExceeded, congruence.ClosureBudgetExceeded) as e:

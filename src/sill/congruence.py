@@ -461,9 +461,9 @@ def _binders_match(l1: _Level, l2: _Level, bij: _Bijection) -> bool:
 # -- single-axiom rewriting (oracle support) ----------------------------------
 
 
-def _cp_rewrites(t: cp.CpTerm, fv) -> list[tuple[str, cp.CpTerm]]:
-    """The Def-2 axioms applied at the root of t (either direction); fv
-    gives a subterm's free names."""
+def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
+    """The Def-2 axioms applied at the root of t (either direction)."""
+    fv = cp.free_names
     out: list[tuple[str, cp.CpTerm]] = []
     match t:
         case cp.Link(x, y):
@@ -481,10 +481,10 @@ def _cp_rewrites(t: cp.CpTerm, fv) -> list[tuple[str, cp.CpTerm]]:
     return out
 
 
-def _hcp_rewrites(t: hcp.HcpTerm, fv) -> list[tuple[str, hcp.HcpTerm]]:
+def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, hcp.HcpTerm]]:
     """The Def-10 axioms applied at the root of t (either direction), except
-    the introduction of a `| 0`, which `sites` adds; fv gives a subterm's
-    free names."""
+    the introduction of a `| 0`, which `sites` adds."""
+    fv = hcp.free_names
     out: list[tuple[str, hcp.HcpTerm]] = []
     match t:
         case hcp.Link(x, y):
@@ -514,45 +514,26 @@ def _hcp_rewrites(t: hcp.HcpTerm, fv) -> list[tuple[str, hcp.HcpTerm]]:
     return out
 
 
-def sites(t, allow_unit_intro: bool = True, fv=None) -> list[tuple]:
+def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
     """Every single-axiom rewrite of t, as a site (path, label, rewritten node),
     without rebuilding t around it.  Sites come in pre-order: a node's own
     rewrites, then each child's, left to right.  A path is a linked chain
     (parent's path, parent, field), None at the root.  The axioms' side
-    conditions read free names from fv, a `free_name_table` (a new one if
-    None)."""
+    conditions read the free-name sets that branching nodes keep, which a
+    term shares with every term built from it."""
     rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
     unit_intro = allow_unit_intro and rewrites is _hcp_rewrites
-    fv = fv or free_name_table()
     out: list[tuple] = []
     stack = [(t, None)]
     while stack:
         node, path = stack.pop()
-        for label, new in rewrites(node, fv):
+        for label, new in rewrites(node):
             out.append((path, label, new))
         if unit_intro:
             out.append((path, "mix-unit", hcp.Par(node, hcp.Inert())))
         for f in reversed(SCHEMA[type(node)].subterms):  # popped first to last
             stack.append((getattr(node, f), (path, node, f)))
     return out
-
-
-def free_name_table():
-    """fv(node): the free names of node, each node's set made at most once
-    per table, bottom-up from its subterms' sets by `terms.FREE_NAMES` (a set
-    a node keeps is taken as it is).  The table holds every node it has
-    answered for, so their ids stay theirs while it lives: one table can
-    serve a term and the terms rebuilt from it, which share its nodes."""
-    fvs: dict[int, tuple] = {}  # id(node) -> (node, its free names)
-    rules = terms.FREE_NAMES
-
-    def fv(node) -> frozenset[Name]:
-        got = fvs.get(id(node))
-        if got is None:
-            got = fvs[id(node)] = (node, getattr(node, "_fv", None) or rules[type(node)](node, fv))
-        return got[1]
-
-    return fv
 
 
 def rebuild_site(site: tuple):

@@ -352,12 +352,11 @@ def scramble(t, rng: random.Random, steps: int):
     """Apply a random sequence of structural-congruence axioms.
 
     Each step lists the sites of every single-axiom rewrite (one walk, nothing
-    rebuilt), draws one and rebuilds the term around that site alone.  The
-    steps share one free-name table, since a rebuilt term shares every node
-    off the site's path with the term before."""
-    fv = congruence.free_name_table()
+    rebuilt), draws one and rebuilds the term around that site alone.  A
+    rebuilt term shares every node off the site's path with the term before,
+    and with it the free-name sets those nodes keep."""
     for _ in range(steps):
-        sites = congruence.sites(t, allow_unit_intro=False, fv=fv)
+        sites = congruence.sites(t, allow_unit_intro=False)
         if not sites:
             break
         # on Python 3.10-3.12 randrange(n) makes the one _randbelow(n) call that

@@ -98,4 +98,5 @@ from . import terms  # noqa: E402
 def free_names(t: HcpTerm) -> frozenset[Name]:
     """The names occurring free in t, as an immutable set that callers may
     share: the set t keeps, if any, else `terms.FREE_NAMES`' rule for t."""
-    return getattr(t, "_fv", None) or terms.FREE_NAMES[t.__class__](t, free_names)
+    fv = getattr(t, "_fv", None)
+    return terms.FREE_NAMES[t.__class__](t, free_names) if fv is None else fv

@@ -13,7 +13,9 @@ each written once for both dialects:
 - `binders`: every binder in pre-order;
 - `FREE_NAMES`: per class, the free-names rule of one node.  `cp.free_names`
   and `hcp.free_names` apply it with themselves as the recursion, so that
-  callers (and tracers) see one function per dialect.
+  callers (and tracers) see one function per dialect.  Every branching node
+  (CP cut, output and case; HCP mix and case) keeps its set on itself, the
+  one free-name memo; a unary node derives its set from its subterm's.
 
 Walks visit a node before its subterms and the subterms in field order
 (pre-order); every binder's scoped subterms precede its unscoped ones.
@@ -63,13 +65,6 @@ SCHEMA = {cls: _shape(cls, **decl) for classes, decl in [
 
 # -- free names -----------------------------------------------------------------
 
-# A node with two subterms keeps its free-name set while the set is this
-# small, so the sets a term keeps cost at most a constant per node: a spine
-# of n parallel components would otherwise keep sets of n, n-1, ... names.
-# Any other node derives its set from its subterm's on each call.
-KEEP_FREE_NAMES_UP_TO = 8
-
-
 def union(a: frozenset, b: frozenset) -> frozenset:
     """a | b, reusing a or b when it already holds the other."""
     if b <= a:
@@ -82,7 +77,11 @@ def union(a: frozenset, b: frozenset) -> frozenset:
 def _free_names_rule(s: Shape):
     """rule(t, rec): the free names of a node of shape s, as an immutable set
     that callers may share, with rec giving those of its subterms.  A node
-    with two subterms keeps its set in `_fv`, which the callers read first."""
+    with two subterms keeps its set in `_fv`, whatever its size, empty too,
+    and callers read a kept set first: a term rebuilt around a rewrite makes
+    sets only on the rewritten path.  A node with one subterm keeps none (a
+    set on every node raised the fuzz suites' peak memory by 18%), and
+    `union` lets a node share a subterm's set."""
     x = attrgetter(*s.names) if s.names else None
     b = attrgetter(s.binder) if s.binder else None
     if not s.subterms:
@@ -116,8 +115,7 @@ def _free_names_rule(s: Shape):
             elif x:
                 q = q | {x(t)}
             fv = union(p, q)
-        if len(fv) <= KEEP_FREE_NAMES_UP_TO:
-            object.__setattr__(t, "_fv", fv)
+        object.__setattr__(t, "_fv", fv)
         return fv
 
     return rule

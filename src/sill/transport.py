@@ -112,7 +112,8 @@ def _carry(d: Derivation, t, ren: dict, made: list) -> Derivation:
     free name n that ren holds becomes ren[n], and a binder becomes t's.  d
     itself if t is its term and nothing is renamed; otherwise one walk down d
     and t together, premises in `SCHEMA` subterm order, sharing every subtree
-    that comes out the same and adding each new node to made."""
+    that comes out the same and adding each new node to made.  d may be a
+    CP derivation too, whose conclusion (a dict) is renamed as one sequent."""
     out: list[Derivation] = []
     stack: list[tuple] = [(d, t, ren, False)]
     while stack:
@@ -121,12 +122,15 @@ def _carry(d: Derivation, t, ren: dict, made: list) -> Derivation:
             k = len(d.premises)
             premises = tuple(out[len(out) - k:])
             del out[len(out) - k:]
-            env = [_renamed(e, ren) for e in d.env] if ren else d.env
+            env = d.env
+            if ren:
+                env = _renamed(env, ren) if type(env) is dict else [_renamed(e, ren) for e in env]
             node = Derivation(d.rule, t, env, premises)
             made.append(node)
             out.append(node)
             continue
-        if t is d.term and not any(n in e for e in d.env for n in ren):
+        sequents = (d.env,) if type(d.env) is dict else d.env
+        if t is d.term and not any(n in e for e in sequents for n in ren):
             out.append(d)
             continue
         s = SCHEMA[type(t)]

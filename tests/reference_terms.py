@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from sill import cp, hcp
 from sill.names import Name, ensure_above, fresh
-from sill.terms import KEEP_FREE_NAMES_UP_TO, union
+from sill.terms import union
+
+# the old walkers kept a two-subterm node's set only while it held at most
+# this many names
+KEEP_FREE_NAMES_UP_TO = 8
 
 
 # -- CP ----------------------------------------------------------------------

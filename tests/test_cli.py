@@ -194,6 +194,22 @@ def test_missing_proc_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "reduce", "translate"])
+def test_unknown_proc_is_named_as_such(capsys, command):
+    path = fixture_path("unit_cut.sill")
+    code, out = run(capsys, command, path, "--proc", "Nope")
+    assert code == 2
+    assert out == f"{path}: no declaration named 'Nope'\n"
+
+
+def test_a_key_error_in_a_command_is_not_a_usage_error(monkeypatch):
+    from sill import reduction
+
+    monkeypatch.setattr(reduction, "reduce", _raise(KeyError("a bug")))
+    with pytest.raises(KeyError):
+        main(["reduce", fixture_path("unit_cut.sill"), "--proc", "Main"])
+
+
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, "check", "no_such_file.sill")
     assert code == 2

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import subterms
+
 from sill import congruence, cp, harness, hcp, reduction, surface
 from sill.names import Name
-from sill.terms import SCHEMA, alpha_eq, alpha_key, binders, freshen_if_needed, substitute
+from sill.terms import FREE_NAMES, SCHEMA, alpha_eq, alpha_key, binders, freshen_if_needed, substitute
 from sill.translate import cp_to_hcp
 from sill.types import ONE
 
@@ -169,12 +171,26 @@ def _derived(term):
     return out
 
 
+def _mix(width: int):
+    """A parsed HCP mix of width unit cuts, right-nested, each component with
+    a free name of its own: its mixes hold up to width free names."""
+    parts = [f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)" for i in range(width)]
+    term = parts[-1]
+    for p in reversed(parts[:-1]):
+        term = f"({p} | {term})"
+    env = ", ".join(f"o{i}:1" for i in range(width))
+    return surface.parse_file(f"hproc Main : {env} = {term}\n").decls[0]
+
+
 @pytest.mark.parametrize("gen", [harness.gen_cp, harness.gen_hcp], ids=["cp", "hcp"])
 def test_free_names_agree_with_plain_recursion_on_derived_terms(gen):
     cfg = harness.GenConfig(seed=11, count=30)
+    samples = [gen(cfg, i)[0] for i in range(30)]
+    if gen is harness.gen_hcp:
+        # generated samples seldom keep a set of more than 8 names; these do
+        samples += [_mix(32).term, _mix(64).term]
     checked = 0
-    for i in range(30):
-        term = gen(cfg, i)[0]
+    for term in samples:
         mod = cp if isinstance(term, cp.CpTerm) else hcp
         assert mod.free_names(term) == _fv_reference(term)  # fills the kept sets first
         for d in _derived(term):
@@ -184,6 +200,40 @@ def test_free_names_agree_with_plain_recursion_on_derived_terms(gen):
                 assert mod.free_names(sub) == fv
                 checked += 1
     assert checked > 1000
+
+
+def test_check_hcp_makes_each_mix_set_once(monkeypatch):
+    # every mix keeps its set whatever its size, so checking a wide mix asks
+    # the mix rule at most once per node, however often the checker splits
+    from sill.typecheck import check_hcp
+
+    decl = _mix(128)
+    rule = FREE_NAMES[hcp.Par]
+    asked: list = []
+
+    def counted(t, rec):
+        asked.append(t)
+        return rule(t, rec)
+
+    monkeypatch.setitem(FREE_NAMES, hcp.Par, counted)
+    check_hcp(decl.term, decl.env)
+    pars = [t for t in subterms(decl.term) if type(t) is hcp.Par]
+    assert len(pars) == 2 * 128 - 1  # the spine's and one in each component
+    assert 0 < len(asked) <= len(pars)
+    assert len({id(t) for t in asked}) == len(asked)
+
+
+def test_a_kept_empty_set_is_read_not_made_again(monkeypatch):
+    # a closed spine of mixes keeps empty sets, which a second query reads
+    rule = FREE_NAMES[hcp.Par]
+    asked: list = []
+    monkeypatch.setitem(FREE_NAMES, hcp.Par, lambda t, rec: asked.append(t) or rule(t, rec))
+    term = hcp.Inert()
+    for _ in range(50):
+        term = hcp.Par(term, hcp.Inert())
+    assert hcp.free_names(term) == frozenset()
+    assert len(asked) == 50
+    assert hcp.free_names(term) == frozenset() and len(asked) == 50
 
 
 def test_name_hashes_as_its_pair():
