@@ -4,13 +4,19 @@
 Usage: python scripts/same_outputs.py OTHER_CHECKOUT
 
 Each checkout's `src` is put alone on PYTHONPATH of fresh interpreters,
-which print three outputs:
+which print four outputs:
 
 - `fuzz`: `sill fuzz --suite all --seed 42 --json`, and its exit code;
 - `cp`, `hcp`: for `harness.gen_cp` / `harness.gen_hcp` samples 0-299 at
   `GenConfig(seed=42)`, each sample's `surface.print_term`,
   `typecheck.render_derivation` and `reduction.render_trace` of
-  `reduction.reduce` of it (or the exception one of them raised).
+  `reduction.reduce` of it (or the exception one of them raised);
+- `cli`: `sill graph` (text, `--json`, `--dot`) and `sill reduce`
+  (`--trace`, `--json`) of every declaration of this checkout's
+  `fixtures/*.sill`, of HCP mixes of w = 3..6 unit cuts in a shuffled order,
+  and of CP and HCP unit-cut chains of n = 25 and 50, with each command's
+  stdout, stderr and exit code.  The inputs are written to a temporary
+  directory, which is the working directory while the commands run.
 
 Every line is tagged with its stream (the output and the function that
 printed it).  Prints `same` and exits 0 if both checkouts print the same
@@ -22,12 +28,17 @@ import contextlib
 import io
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
+import tempfile
 
 HERE = pathlib.Path(__file__).resolve()
-OUTPUTS = ("fuzz", "cp", "hcp")
+FIXTURES = HERE.parent.parent / "fixtures"
+OUTPUTS = ("fuzz", "cp", "hcp", "cli")
 SAMPLES = 300
+CLI_FLAGS = [("graph",), ("graph", "--json"), ("graph", "--dot"), ("reduce", "--trace"), ("reduce", "--json")]
 
 
 def emit_fuzz() -> None:
@@ -61,6 +72,54 @@ def emit_samples(dialect: str) -> None:
                 print(f"{dialect} {what}\t{line}")
 
 
+def cli_inputs() -> dict[str, str]:
+    """The `cli` output's input files, by file name."""
+    files = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.sill"))}
+    for w in range(3, 7):
+        order = list(range(1, w + 1))
+        random.Random(f"same-outputs:{w}").shuffle(order)
+        parts = [f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)" for i in order]
+        term = parts[-1]
+        for p in reversed(parts[:-1]):
+            term = f"({p} | {term})"
+        files[f"mix-{w}.sill"] = f"hproc Main : {', '.join(f'o{i}:1' for i in order)} = {term}\n"
+    for n in (25, 50):
+        for kw, dot in (("proc", ""), ("hproc", ".")):
+            body = "w[].0"
+            for i in range(n, 0, -1):
+                body = f"new x{i}:1{dot} (x{i}[].0 | x{i}().{body})"
+            files[f"chain-{kw}-{n}.sill"] = f"{kw} Main : w:1 = {body}\n"
+    return files
+
+
+def emit_cli() -> None:
+    from sill import cli
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in cli_inputs().items():
+                pathlib.Path(name).write_text(text, encoding="utf-8")
+                for proc in re.findall(r"^h?proc\s+(\w+)", text, re.MULTILINE):
+                    for command, *flags in CLI_FLAGS:
+                        argv = [command, name, "--proc", proc, *flags]
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            try:
+                                code = cli.run(argv)
+                            except SystemExit as e:
+                                code = e.code
+                        print(f"cli\t# {' '.join(argv)}")
+                        for line in out.getvalue().splitlines():
+                            print(f"cli\t{line}")
+                        for line in err.getvalue().splitlines():
+                            print(f"cli stderr\t{line}")
+                        print(f"cli\texit {code}")
+        finally:
+            os.chdir(cwd)
+
+
 def run(tree: pathlib.Path, output: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.Popen([sys.executable, str(HERE), "--emit", output], env=env,
@@ -82,6 +141,8 @@ def first_difference(ours: list[str], theirs: list[str]) -> str | None:
                     f"  other checkout: {other}")
         if text.startswith("# sample "):
             sample = f" (sample {text.rpartition(' ')[2]})"
+        elif text.startswith("# "):
+            sample = f" ({text[2:]})"
     return None
 
 
@@ -92,6 +153,9 @@ def main() -> int:
     args = ap.parse_args()
     if args.emit == "fuzz":
         emit_fuzz()
+        return 0
+    if args.emit == "cli":
+        emit_cli()
         return 0
     if args.emit:
         emit_samples(args.emit)

@@ -7,13 +7,17 @@ their cost scales.
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
-(...))`) and HCP mixes of independent unit cuts, at n = 25, 50, 100, ...
-doubling up to --max (default 200); for generation and preservation, n
-samples.  A `parse` run times `surface.parse_file` of the input's text
-alone; every other run on a chain or mix parses the input afresh first,
-outside the clock.  A `check` run times `typecheck.check_cp` or
+(...))`), CP terms with n top-level cuts (`new x1:1 (x1[].0 | new x2:1
+(x2[].0 | ... x1().x2()...xn().w[].0))`) and HCP mixes of independent unit
+cuts, at n = 25, 50, 100, ... doubling up to --max (default 200); for
+generation and preservation, n samples; for the reduction graph of a mix,
+whose 2^w nodes grow with its width w, w = 3..7.  A `parse` run times
+`surface.parse_file` of the input's text alone; every other run on a chain
+or mix parses the input afresh first, outside the clock.  A `check` run times `typecheck.check_cp` or
 `typecheck.check_hcp` of the input.  A `reduce` run times
-`reduction.reduce` (so it includes freshening); a `render derivation` run
+`reduction.reduce` (so it includes freshening); a `graph` run times
+`reduction.reduction_graph` of the input and `surface.print_terms` of its
+nodes, as `sill graph` does; a `render derivation` run
 times only `typecheck.render_derivation` of the input's typing derivation,
 and a `render trace` run only `reduction.render_trace` of its reduction
 trace with every reduct already built.  A `key` run times `congruence.key`
@@ -67,6 +71,13 @@ def mix(n: int) -> str:
     return f"hproc Main : {env} = {term}\n"
 
 
+def many_cuts(n: int) -> str:
+    body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
+    for i in range(n, 0, -1):
+        body = f"new x{i}:1 (x{i}[].0 | {body})"
+    return f"proc Main : w:1 = {body}\n"
+
+
 def _main(src: str):
     return surface.parse_file(src).decls[0]
 
@@ -85,6 +96,11 @@ def _check(src: str):
 def _reduce(src: str):
     d = _main(src)
     return lambda: reduction.reduce(d.term)
+
+
+def _graph(src: str):
+    t = _main(src).term
+    return lambda: surface.print_terms(reduction.reduction_graph(t).nodes)
 
 
 def _key(src: str):
@@ -150,6 +166,8 @@ WORKLOADS = {
     "reduce cp chain": (lambda n: chain(n, False), _reduce),
     "reduce hcp chain": (lambda n: chain(n, True), _reduce),
     "reduce hcp mix": (mix, _reduce),
+    "reduce cp many cuts": (many_cuts, _reduce),
+    "graph hcp mix": (mix, _graph),
     "key cp chain": (lambda n: chain(n, False), _key),
     "key hcp chain": (lambda n: chain(n, True), _key),
     "key hcp mix": (mix, _key),
@@ -166,6 +184,10 @@ WORKLOADS = {
     "generate hcp": (lambda n: n, _generate(harness.gen_hcp)),
     "preservation hcp": (lambda n: n, _preservation),
 }
+
+
+# label -> its sizes, where they are not n = 25, 50, ... up to --max
+SIZES = {"graph hcp mix": range(3, 8)}
 
 
 class PreparationError(Exception):
@@ -216,6 +238,12 @@ def slope(points: list[tuple[int, float]]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+def doublings(n: int, top: int):
+    while n <= top:
+        yield n
+        n *= 2
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max", type=_at_least(25, "max"), default=200)
@@ -223,8 +251,7 @@ def main() -> int:
     args = ap.parse_args()
     for label, (make, prepare) in WORKLOADS.items():
         points = []
-        n = 25
-        while n <= args.max:
+        for n in SIZES.get(label) or doublings(25, args.max):
             try:
                 ms = best_ms(make(n), prepare, args.repeat)
             except PreparationError as e:
@@ -234,7 +261,6 @@ def main() -> int:
             else:
                 points.append((n, ms))
                 print(f"{label} n={n}: {ms:.2f} ms")
-            n *= 2
         fit = f"{slope(points):.2f}" if len(points) > 1 else "n/a"
         print(f"{label}: log-log slope {fit} over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}")
     return 0

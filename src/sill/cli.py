@@ -139,23 +139,24 @@ def cmd_graph(args) -> int:
     d, _, _ = _checked(args)
     g = reduction.reduction_graph(d.term, cap=args.cap)
     printed = surface.print_terms(g.nodes)
+    terminals = set(g.terminals)
     if args.dot:
         print("digraph reduction {")
         for i, term in enumerate(printed):
-            shape = "doublecircle" if i in g.terminals else "circle"
+            shape = "doublecircle" if i in terminals else "circle"
             label = term.replace('"', "'")
             print(f'  n{i} [shape={shape}, label="{label}"];')
         for src, dst, rule, chan in g.edges:
             print(f'  n{src} -> n{dst} [label="{rule} {chan}"];')
         print("}")
     elif args.json:
-        recs = [{"node": i, "term": term, "terminal": i in g.terminals}
+        recs = [{"node": i, "term": term, "terminal": i in terminals}
                 for i, term in enumerate(printed)]
         recs += [{"edge": [src, dst], "rule": rule, "channel": chan} for src, dst, rule, chan in g.edges]
         _emit(recs)
     else:
         for i, term in enumerate(printed):
-            mark = " (terminal)" if i in g.terminals else ""
+            mark = " (terminal)" if i in terminals else ""
             print(f"node {i}{mark}: {term}")
         for src, dst, rule, chan in g.edges:
             print(f"edge {src} -> {dst}: {rule} on {chan}")

@@ -14,12 +14,15 @@ first round of colour refinement (McKay and Piperno, "Practical graph
 isomorphism, II", 2014): a cheap invariant that prunes the search, not a
 canonical form, which would need individualisation of the bound names.
 
-`equiv` decides congruence: it answers no when the keys differ, and otherwise
-matches the two terms' prenex levels, each built once: multiset matching of
+`equiv` decides congruence, as `match` of the two terms' `levels`, each
+built once from the freshened term: it answers no when the keys differ, and
+otherwise matches the levels: multiset matching of
 components with equal certificates, link symmetry where both ends' labels
 are equal, and backtracking over name correspondences, kept in one bijection
 with an undo trail.  Equal certificates pair only names with equal labels,
-so the restrictions need no check beyond pairing with restrictions.
+so the restrictions need no check beyond pairing with restrictions.  A
+term's levels carry its key, so `reduction.reduction_graph` builds them
+once per term reached, buckets by their key and matches kept levels.
 
 Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,
@@ -338,18 +341,29 @@ def key(t) -> tuple:
 # -- the decision procedure ---------------------------------------------------
 
 
-def equiv(t1, t2) -> bool:
-    """Decide structural congruence.  Free names must agree by surface."""
-    c1, c2 = isinstance(t1, cp.CpTerm), isinstance(t2, cp.CpTerm)
-    if c1 != c2:
-        raise ValueError("cannot compare terms of different dialects")
-    l1 = _levels(terms.freshen_if_needed(t1))
-    l2 = _levels(terms.freshen_if_needed(t2))
+def levels(t) -> _Level:
+    """The prenex levels of t freshened, which `match` compares; their `key`
+    is `key(t)`.  A caller that compares one term with many builds its
+    levels once."""
+    return _levels(terms.freshen_if_needed(t))
+
+
+def match(l1: _Level, l2: _Level) -> bool:
+    """Whether the terms whose `levels` these are, of one dialect, are
+    structurally congruent."""
     if l1.key != l2.key:
         return False
     for _ in _match_level(l1, l2, _Bijection()):
         return True
     return False
+
+
+def equiv(t1, t2) -> bool:
+    """Decide structural congruence.  Free names must agree by surface."""
+    c1, c2 = isinstance(t1, cp.CpTerm), isinstance(t2, cp.CpTerm)
+    if c1 != c2:
+        raise ValueError("cannot compare terms of different dialects")
+    return match(levels(t1), levels(t2))
 
 
 class _Bijection:

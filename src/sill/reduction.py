@@ -694,7 +694,8 @@ def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
     if cap < 1:
         raise ValueError("cap must be at least 1")
     nodes = [t]
-    buckets: dict = {congruence.key(t): [0]}  # congruence key -> nodes with it
+    levels = [congruence.levels(t)]  # per node, its prenex levels, built once
+    buckets: dict = {levels[0].key: [0]}  # congruence key -> nodes with it
     edges: list = []
     terminals: list = []
     frontier = deque([0])
@@ -703,18 +704,19 @@ def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
         terminal = True
         for r, t2 in successors(nodes[i]):
             terminal = False
-            k = congruence.key(t2)
+            l2 = congruence.levels(t2)
             found = None
-            for j in buckets.get(k, []):
-                if congruence.equiv(nodes[j], t2):
+            for j in buckets.get(l2.key, []):
+                if congruence.match(levels[j], l2):
                     found = j
                     break
             if found is None:
                 nodes.append(t2)
+                levels.append(l2)
                 found = len(nodes) - 1
                 if len(nodes) > cap:
                     raise BudgetExceeded(f"reduction graph exceeded {cap} nodes")
-                buckets.setdefault(k, []).append(found)
+                buckets.setdefault(l2.key, []).append(found)
                 frontier.append(found)
             edges.append((i, found, r.rule, r.channel.surface))
         if terminal:

@@ -414,7 +414,7 @@ def parse_file(src: str, filename: str = "<input>") -> SessionFile:
 _SCOPING = {cls: (s.names, s.binder, s.inside[::-1], s.outside[::-1]) for cls, s in SCHEMA.items()}
 
 
-def _print_names(t) -> dict[Name, str]:
+def _print_names(t, memo: dict | None = None) -> dict[Name, str]:
     """Choose printed spellings: keep surfaces, renaming only binders whose
     scope contains a distinct free name of the same surface (which a reparse
     would capture).
@@ -424,11 +424,26 @@ def _print_names(t) -> dict[Name, str]:
     when it is free) is a distinct free name in the scope of every binder
     above i, so it lowers the innermost binder's `low` to i; when a scope
     ends, its `low` passes to the binder below.  A binder clashes iff its
-    `low` ends below its own index."""
+    `low` ends below its own index.
+
+    With memo (`print_terms`' table of the nodes met in roots that rename
+    nothing, by id), the walk does not enter a memo node that keeps its
+    free-name set (`_fv`): it counts each name of that set as a use where
+    it would have entered the node, and decides the same clashes.  Whether
+    a binder clashes depends only on the uses in its scope, so no binder
+    inside a memo node clashes in any context, and one that does not clash
+    passes down no `low` below its own index: the uses of the node's bound
+    names lower no binder outside it.  At each use of one of its free
+    names, the innermost binder with the same surface lies outside the
+    node (one inside would clash), so the use lowers the same binder to the
+    same index as a use at the node's entry would.  The surfaces inside a
+    skipped node are missing from `taken`, so if a binder does clash the
+    walk runs again without memo, for `pick` to see every surface."""
     taken: set[str] = set()
     scopes: dict[str, list] = {}  # surface -> binders in scope, as [name, low, index, shadowed]
     at: dict[Name, int] = {}  # bound name -> index of its innermost binder in scopes[surface]
     order: list[list] = []  # every binder entry, in pre-order
+    root = t
     stack = [t]
     while stack:
         t = stack.pop()
@@ -447,8 +462,11 @@ def _print_names(t) -> dict[Name, str]:
         if scoping is None:
             raise TypeError(f"not a term: {t!r}")
         uses, binder, inside, outside = scoping
+        fv = t.__dict__.get("_fv") if memo is not None and id(t) in memo else None
+        if fv is not None:  # a skipped node: its free names are its uses
+            uses, binder, outside = fv, None, ()
         for f in uses:
-            n = getattr(t, f)
+            n = f if fv is not None else getattr(t, f)
             taken.add(n.surface)
             scope = scopes.get(n.surface)
             if scope:
@@ -468,6 +486,8 @@ def _print_names(t) -> dict[Name, str]:
             stack.append(entry)
             for f in inside:
                 stack.append(getattr(t, f))
+    if memo is not None and any(low < i for _, low, i, _ in order):
+        return _print_names(root)
 
     def pick(surface: str) -> str:
         if surface not in taken:
@@ -495,14 +515,17 @@ def print_terms(terms) -> list[str]:
     root but the last) and, from the next root on, emits any node already
     recorded as a slice of the text it was met in: a root met before costs
     no name walk, and a new root runs `_print_names` once and slices the
-    nodes it shares.  That is sound because a binder clashes iff a use in
-    its scope refers to a distinct name with the same surface that is bound
-    outside the binder or free, in any context; a subterm holds each of its
-    binders with the whole scope, so every subterm of a root that renames
-    nothing also renames nothing when printed alone.  A root that does
-    rename something prints from scratch and records nothing, since the
-    spellings inside its subterms depend on it.  Memo entries keep their
-    node alive, so no `id` is reused."""
+    nodes it shares.  The name walk, too, stops at a recorded node that
+    keeps its free-name set and takes the set as the node's uses, so a new
+    root costs time in its new nodes, not in its size.  That is sound
+    because a binder clashes iff a use in its scope refers to a distinct
+    name with the same surface that is bound outside the binder or free, in
+    any context; a subterm holds each of its binders with the whole scope,
+    so every subterm of a root that renames nothing also renames nothing
+    when printed alone (`_print_names` gives the argument for its walk).  A
+    root that does rename something prints from scratch and records
+    nothing, since the spellings inside its subterms depend on it.  Memo
+    entries keep their node alive, so no `id` is reused."""
     terms = list(terms)
     out: list[str] = []
     memo: dict[int, tuple] = {}  # id(node) -> (node, text it was met in, start, end)
@@ -512,7 +535,7 @@ def print_terms(terms) -> list[str]:
         if hit is not None:
             out.append(hit[1][hit[2]:hit[3]])
             continue
-        names = _print_names(root)
+        names = _print_names(root, memo or None)
         lookup = memo.get if memo and not names else None
         spans: list[list] | None = [] if k < last and not names else None  # [node, first part, end part]
         parts: list[str] = []

@@ -10,7 +10,7 @@ import dataclasses
 import random
 
 from sill import congruence as cg
-from sill import cp, harness, hcp, reduction
+from sill import cp, harness, hcp, reduction, terms
 from sill.names import Name
 from sill.surface import parse_term
 from sill.terms import SCHEMA
@@ -255,6 +255,17 @@ def test_every_neighbour_has_the_same_key():
             assert cg.key(other) == want, label
             checked += 1
     assert checked > 40000
+
+
+def test_levels_carry_the_key():
+    for term in _samples(300):
+        fresh = terms.freshen_if_needed(term)
+        assert cg.levels(term).key == cg.key(term) == cg.levels(fresh).key == cg.key(fresh)
+    # a binder that is also a free name: levels freshen it, key does not
+    x, w = Name("x", 1), Name("w", 2)
+    term = hcp.Par(hcp.New(x, ONE, hcp.Link(x, w)), hcp.Link(x, w))
+    assert terms.freshen_if_needed(term) != term
+    assert cg.levels(term).key == cg.key(term)
 
 
 def test_key_ignores_binder_spelling_and_link_direction():

@@ -246,3 +246,23 @@ def test_graph_depth_within_measure_bound():
                         nxt.append(dst)
             frontier = nxt
         assert all(v <= bound for v in depth.values())
+
+
+def _unit_mix(w: int):
+    parts = [f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)" for i in range(1, w + 1)]
+    term = parts[-1]
+    for p in reversed(parts[:-1]):
+        term = f"({p} | {term})"
+    return t(term, "hcp")
+
+
+@pytest.mark.parametrize("w, calls", [(4, 33), (5, 81), (6, 193)])
+def test_graph_builds_each_terms_levels_once(monkeypatch, w, calls):
+    made = []
+    real = cg._levels
+    monkeypatch.setattr(cg, "_levels", lambda term: made.append(term) or real(term))
+    g = rd.reduction_graph(_unit_mix(w))
+    # 2^w nodes, each reached by w * 2^(w-1) edges in all: one level walk
+    # per term reached, and one for the root
+    assert len(g.nodes) == 2 ** w and len(g.edges) + 1 == calls
+    assert len(made) == calls

@@ -342,7 +342,7 @@ def _unit_chain(n: int) -> str:
 def test_rendering_walks_names_once_per_new_root(monkeypatch, n):
     walks = []
     real = surface._print_names
-    monkeypatch.setattr(surface, "_print_names", lambda t: walks.append(t) or real(t))
+    monkeypatch.setattr(surface, "_print_names", lambda t, memo=None: walks.append(t) or real(t, memo))
     d = parse_file(_unit_chain(n)).decls[0]
     typecheck.render_derivation(typecheck.check_cp(d.term, d.env))
     assert len(walks) == 1
@@ -350,3 +350,42 @@ def test_rendering_walks_names_once_per_new_root(monkeypatch, n):
     walks.clear()
     reduction.render_trace(trace)
     assert len(walks) <= n + 1
+
+
+class _CountingScoping(dict):
+    """`surface._SCOPING`, counting its lookups: one per node a name walk visits."""
+
+    visits = 0
+
+    def get(self, cls, default=None):
+        self.visits += 1
+        return super().get(cls, default)
+
+
+def test_trace_name_walks_visit_linearly_many_nodes(monkeypatch):
+    n = 200
+    d = parse_file(_unit_chain(n)).decls[0]
+    trace = reduction.reduce(d.term)
+    for st_ in trace.steps:
+        st_.term  # build every reduct first
+    counting = _CountingScoping(surface._SCOPING)
+    monkeypatch.setattr(surface, "_SCOPING", counting)
+    text = reduction.render_trace(trace)
+    # the first root is walked whole (3n + 1 nodes); every later reduct
+    # visits its few new nodes and the shared chain below them, not entered
+    assert counting.visits <= 8 * n
+    monkeypatch.undo()
+    assert text == reduction.render_trace(trace)
+
+
+def test_print_terms_walks_again_when_a_skipped_node_holds_a_clash():
+    x, z, y = Name("x", 9), Name("z", 3), Name("x1", 5)
+    # a branching node with a free x and a bound x1, keeping its free-name set
+    shared = cp.Case(z, cp.Halt(x), cp.Recv(z, y, cp.Halt(y)))
+    assert cp.free_names(shared) == {x, z}
+    # a new binder x whose scope holds the shared node's free x: it must be
+    # renamed, and past the x1 bound inside the shared node
+    root = cp.Cut(Name("x", 1), ONE, shared, cp.Halt(Name("x", 1)))
+    ts = [shared, root, shared]
+    assert surface.print_terms(ts) == [print_term(t) for t in ts]
+    assert surface.print_terms(ts)[1] == "new x2:1 (z?{inl: x[].0; inr: z(x1).x1[].0} | x2[].0)"
