@@ -14,9 +14,12 @@ which print four outputs:
 - `cli`: `sill graph` (text, `--json`, `--dot`) and `sill reduce`
   (`--trace`, `--json`) of every declaration of this checkout's
   `fixtures/*.sill`, of HCP mixes of w = 3..6 unit cuts in a shuffled order,
-  and of CP and HCP unit-cut chains of n = 25 and 50, with each command's
-  stdout, stderr and exit code.  The inputs are written to a temporary
-  directory, which is the working directory while the commands run.
+  of CP and HCP unit-cut chains of n = 25 and 50, of CP terms with n = 25
+  and 50 top-level cuts (`scaling.many_cuts`, whose steps reorder the cut
+  tree) and of a CP term whose ⊤ absorbs a cut's channel (its `reduce` and
+  `graph` fail), with each command's stdout, stderr and exit code.  The
+  inputs are written to a temporary directory, which is the working
+  directory while the commands run.
 
 Every line is tagged with its stream (the output and the function that
 printed it).  Prints `same` and exits 0 if both checkouts print the same
@@ -74,6 +77,8 @@ def emit_samples(dialect: str) -> None:
 
 def cli_inputs() -> dict[str, str]:
     """The `cli` output's input files, by file name."""
+    from scaling import many_cuts
+
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.sill"))}
     for w in range(3, 7):
         order = list(range(1, w + 1))
@@ -89,6 +94,8 @@ def cli_inputs() -> dict[str, str]:
             for i in range(n, 0, -1):
                 body = f"new x{i}:1{dot} (x{i}[].0 | x{i}().{body})"
             files[f"chain-{kw}-{n}.sill"] = f"{kw} Main : w:1 = {body}\n"
+        files[f"many-cuts-{n}.sill"] = many_cuts(n)
+    files["top-cut.sill"] = "proc Main : c9:top, w:1 = new x:1 + 1 (x!inl.c9?{} | x?{inl: x().w[].0; inr: x().w[].0})\n"
     return files
 
 

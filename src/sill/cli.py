@@ -124,8 +124,7 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     d, _, _ = _checked(args)
-    fuel = args.fuel if args.fuel is not None else reduction.fuel_bound(d.term)
-    trace = reduction.reduce(d.term, fuel=fuel)
+    trace = reduction.reduce(d.term, fuel=args.fuel)  # None: reduce's own bound, 1 + the measure's sum
     if args.json:
         _emit(reduction.trace_json_lines(trace))
     elif args.trace:

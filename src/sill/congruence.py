@@ -152,13 +152,13 @@ def rebuild_hcp(binders: list[tuple[Name, Type]], comps: list[hcp.HcpTerm]) -> h
     return body
 
 
-def cut_order(binders: list[CpBinder], n: int) -> tuple[list[tuple[CpBinder, int, Type]], int]:
+def cut_order(binders: list[CpBinder], n: int) -> tuple[list[tuple[CpBinder, int, int, Type]], int]:
     """The order in which `rebuild_cp` nests a cut tree over components
     0..n-1: again and again the cut of least uid (the earlier one on a tie)
     among those with a leaf end, which it cuts off.  Returns per cut, in that
-    order, the cut, its leaf and its formula on the leaf's side; and the
-    component left at the end.  A heap of the cuts with a leaf end makes it
-    O(n log n)."""
+    order, the cut, its leaf, its other end and its formula on the leaf's
+    side; and the component left at the end.  A heap of the cuts with a leaf
+    end makes it O(n log n)."""
     for b in binders:
         if b.left is None or b.right is None or b.left == b.right:
             raise CongruenceError(f"cannot rebuild: binder {b.name} lacks two endpoint components")
@@ -182,7 +182,7 @@ def cut_order(binders: list[CpBinder], n: int) -> tuple[list[tuple[CpBinder, int
             leaf, other, ann = b.left, b.right, b.ty
         else:
             leaf, other, ann = b.right, b.left, dual(b.ty)
-        order.append((b, leaf, ann))
+        order.append((b, leaf, other, ann))
         deg[leaf] = 0
         deg[other] -= 1
         incident[other] ^= k
@@ -193,7 +193,7 @@ def cut_order(binders: list[CpBinder], n: int) -> tuple[list[tuple[CpBinder, int
         raise CongruenceError("cannot rebuild: cyclic cut structure")
     if n - len(order) != 1:
         raise CongruenceError("cannot rebuild: components do not form a cut tree")
-    leaves = {leaf for _, leaf, _ in order}
+    leaves = {leaf for _, leaf, _, _ in order}
     return order, next(c for c in range(n) if c not in leaves)
 
 
@@ -203,7 +203,7 @@ def rebuild_cp(binders: list[CpBinder], comps: list[cp.CpTerm]) -> cp.CpTerm:
     CP term does."""
     order, last = cut_order(binders, len(comps))
     body = comps[last]
-    for b, leaf, ann in reversed(order):
+    for b, leaf, _, ann in reversed(order):
         body = cp.Cut(b.name, ann, comps[leaf], body)
     return body
 

@@ -513,13 +513,13 @@ def _prop_progress(t, env, d, index) -> str | None:
 
 
 def _prop_termination(t, env, d, index) -> str | None:
-    bound = sum(reduction.measure(t))
+    prev = reduction.measure(t)
+    bound = sum(prev)
     trace = reduction.reduce(t, fuel=1 + bound)
     if trace.status != "canonical":
         return f"did not reach canonical form within the measure bound ({trace.status})"
     if len(trace.steps) > bound:
         return f"trace length {len(trace.steps)} exceeds the measure sum {bound}"
-    prev = reduction.measure(t)
     for k, st in enumerate(trace.steps, 1):
         if not reduction.multiset_less(st.measure, prev):
             return f"measure did not strictly decrease at step {k}: {st.measure} vs {prev}"
@@ -671,21 +671,27 @@ def _leaf_for(env_or_part, dialect: str):
     return None if leaf is None else cp_to_hcp(leaf)
 
 
+def _shrink_sites(d) -> list[tuple]:
+    """The sites at which `_shrink` may replace a proper subderivation of d
+    by a leaf: (path, label, leaf) as `congruence.sites` lists them, in
+    pre-order."""
+    candidates: list[tuple] = []
+    stack = [(d, None)]
+    while stack:
+        node, path = stack.pop()
+        leaf = _leaf_for(node.env, d.dialect)
+        if leaf is not None and path is not None and leaf != node.term:
+            candidates.append((path, "", leaf))
+        fields = SCHEMA[type(node.term)].subterms
+        stack += reversed([(c, (path, node.term, f)) for c, f in zip(node.premises, fields)])
+    return candidates
+
+
 def _shrink(t, env, d, index, prop, detail):
     """Greedily replace subderivations of d, t's derivation, by leaves while
     the failure persists: (the smallest failing term found, its failure)."""
     for _ in range(40):
-        # (path, label, leaf) sites as `congruence.sites` lists them, in pre-order
-        candidates: list[tuple] = []
-        stack = [(d, None)]
-        while stack:
-            node, path = stack.pop()
-            leaf = _leaf_for(node.env, d.dialect)
-            if leaf is not None and path is not None and leaf != node.term:
-                candidates.append((path, "", leaf))
-            fields = SCHEMA[type(node.term)].subterms
-            stack += reversed([(c, (path, node.term, f)) for c, f in zip(node.premises, fields)])
-        for site in candidates:
+        for site in _shrink_sites(d):
             t2 = congruence.rebuild_site(site)
             try:
                 d2 = _check(d.dialect, t2, env)

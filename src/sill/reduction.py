@@ -15,11 +15,15 @@ for field, to the prenex form of the term the step denotes:
 - Fresh once.  A configuration freshens its term once.  Every rule keeps a
   fresh term fresh (substitution renames no binder and draws no name), so no
   step freshens again, and terms built from a configuration are marked clean.
-- Component order.  A step removes the redex's components and appends the
-  prenex levels of their continuations; that is the HCP order.  CP
-  components then take the order in which `congruence.rebuild_cp` nests the
-  cut tree (`congruence.cut_order`), so redex indices are those of the
-  rebuilt term.
+- Component order.  In both dialects a step drops the redex's components
+  by slot and appends the prenex levels of their continuations in new
+  slots, through the same helpers; that is the HCP order.  CP components
+  are then renumbered into the order in which `congruence.rebuild_cp` nests
+  the cut tree (`congruence.cut_order`), so redex indices are those of the
+  rebuilt term, and each cut's endpoints are the leaf and the other end
+  `cut_order` gives it.  Those are the rebuilt term's as long as no cut's
+  name is free in more than two components, as in every well-typed term
+  and every term it reduces to.
 - Incremental measure.  The measure, the multiset of restriction-formula
   sizes, is taken once; a step removes its channel's formula, adds the at
   most two formulas it restricts, and for a selection removes those of the
@@ -119,10 +123,11 @@ class Configuration:
     prenex order.  `comps` and `fvs`: the components left to right and their
     free names.  `users`: each restricted name's components, those it is
     free in, as ascending slots.  `slots` holds each position's slot and
-    ascends too, so a slot's position is a bisection; CP renumbers the slots
-    after every step (its components move), HCP never does and gives each
-    component it adds the next unused slot.  `sizes`: the measure in
-    ascending order, if asked for.
+    ascends too, so a slot's position is a bisection.  Both dialects remove
+    components with `_drop` and add them with `_append`, which gives each
+    the next unused slot; CP then renumbers its components and slots by
+    `cut_order` (its components move), HCP never renumbers.  `sizes`: the
+    measure in ascending order, if asked for.
 
     `first_redex` keeps the uids of the restricted names that may have a
     redex in a heap.  A name leaves it when found without one, and returns
@@ -229,7 +234,8 @@ class Configuration:
                         out.append(Redex(tag, b, i, j))
 
     def fire(self, r: Redex) -> None:
-        """Take the step r in place."""
+        """Take the step r in place.  A step that raises past the redex's
+        checks may leave the configuration half rewritten."""
         comps, n = self.comps, len(self.comps)
         if not (0 <= r.i < n and 0 <= r.j < n and r.i != r.j):
             raise StaleRedexError("redex indices out of range")
@@ -261,23 +267,15 @@ class Configuration:
                 insort(sizes, size(a))
 
     def _fire_hcp(self, r: Redex) -> None:
-        binders, comps, fvs, users = self.binders, self.comps, self.fvs, self.users
+        binders, comps = self.binders, self.comps
         ch = r.channel
         if ch not in binders:
             raise StaleRedexError(f"channel {ch} is not restricted")
         a = binders[ch]
         ci, cj = comps[r.i], comps[r.j]
         if r.rule == RULE_LINK:
-            w = ci.y if ci.x == ch else ci.x
-            self._drop(r.i)
-            # the components ch is free in now mention w instead
-            for s in users[ch]:
-                p = bisect_left(self.slots, s)
-                comps[p] = terms.substitute(comps[p], w, ch)
-                fvs[p] = fvs[p] - {ch} | {w}
-            if w in users:
-                users[w] = tuple(sorted(set(users[w]).union(users[ch])))
-            del users[ch], binders[ch]
+            self._link(r.i, ch)
+            del binders[ch]
             self._resize(a, ())
             return
         if r.rule == RULE_TENS:
@@ -296,25 +294,134 @@ class Configuration:
             cuts = ((ch, s.left if r.rule == RULE_PLUS1 else s.right),)
             pieces = (ci.body, cj.left if r.rule == RULE_PLUS1 else cj.right)
             dropped = cj.right if r.rule == RULE_PLUS1 else cj.left
-        for p in sorted((r.i, r.j), reverse=True):
-            self._drop(p)
+        self._consume(r.i, r.j, ch, [x for x, _ in cuts])
         del binders[ch]
-        if not cuts:
-            del users[ch]
-        for x, b in cuts:
-            binders[x] = b
-            users.setdefault(x, ())
+        binders.update(cuts)
         for piece in pieces:
             bs, cs = congruence.spine_hcp(piece)
-            for x, b in bs:
-                binders[x] = b
-                users[x] = ()
-            for c in cs:
-                self._append(c, hcp.free_names(c))
+            binders.update(bs)
+            self._splice([x for x, _ in bs], cs, map(hcp.free_names, cs))
         self._resize(a, tuple(b for _, b in cuts), dropped)
 
+    def _fire_cp(self, r: Redex) -> None:
+        ch, i, j = r.channel, r.i, r.j
+        rec = next((b for b in self.binders if b.name == ch), None)
+        if rec is None:
+            raise StaleRedexError(f"channel {ch} is not restricted")
+        ci, cj = self.comps[i], self.comps[j]
+        si, sj = self.slots[i], self.slots[j]
+        # the continuations to splice in, each with the slot it comes from,
+        # and the cuts the step makes: (name, formula, the pieces holding its
+        # left and right endpoints)
+        pieces, cuts, dropped = (), (), None  # dropped: the branch a selection discards
+        if r.rule == RULE_TENS:
+            s = _oriented(rec, i, ty.Tensor)
+            pieces = ((ci.payload, si), (ci.cont, si), (terms.substitute(cj.body, ci.y, cj.y), sj))
+            cuts = ((ci.y, s.left, 0, 2), (ch, s.right, 1, 2))
+        elif r.rule == RULE_UNIT:
+            pieces = ((cj.body, sj),)
+        elif r.rule != RULE_LINK:
+            s = _oriented(rec, i, ty.Plus)
+            a = s.left if r.rule == RULE_PLUS1 else s.right
+            pieces = ((ci.body, si), (cj.left if r.rule == RULE_PLUS1 else cj.right, sj))
+            dropped = cj.right if r.rule == RULE_PLUS1 else cj.left
+            cuts = ((ch, a, 0, 1),)
+
+        # binder endpoints are slots until the renumbering below
+        binders = [b for b in self.binders if b.name != ch]
+        spliced: dict[int, range | tuple] = {}  # a removed slot -> where its endpoints may have gone
+        if r.rule == RULE_LINK:
+            self._link(i, ch)
+            spliced[si] = (sj,)
+        else:
+            self._consume(i, j, ch, [x for x, *_ in cuts])
+        regions = []
+        for piece, origin in pieces:
+            bs, cs, fs, _ = congruence.spine_cp(piece)
+            region = self._splice([b.name for b in bs], cs, fs)
+            binders += [CpBinder(b.name, b.ty, None if b.left is None else region[b.left],
+                                 None if b.right is None else region[b.right]) for b in bs]
+            regions.append(region)
+            # an origin's pieces are spliced one after the other
+            spliced[origin] = range(spliced[origin].start, region.stop) if origin in spliced else region
+        users = self.users
+
+        def holding(x: Name, slots) -> list[int]:
+            return [s for s in users[x] if s in slots]
+
+        def the_comp_with(piece: int, x: Name) -> int:
+            hits = holding(x, regions[piece])
+            if len(hits) != 1:
+                raise ReductionError(f"channel {x} must occur in exactly one component, found {len(hits)}")
+            return hits[0]
+
+        binders += [CpBinder(x, a, the_comp_with(left, x), the_comp_with(right, x)) for x, a, left, right in cuts]
+        at = {s: p for p, s in enumerate(self.slots)}
+
+        def place(s: int | None, x: Name) -> int | None:
+            # an endpoint in a removed slot moves to the one component
+            # spliced from it (or the link's partner) that holds x
+            if s in at:
+                return at[s]
+            hits = holding(x, spliced.get(s, ()))
+            return at[hits[0]] if len(hits) == 1 else None
+
+        order, last = congruence.cut_order(
+            [CpBinder(b.name, b.ty, place(b.left, b.name), place(b.right, b.name)) for b in binders],
+            len(self.comps))
+        # renumber as the rebuilt term nests its cuts, as prenex_cp would find them
+        seq = [leaf for _, leaf, _, _ in order]
+        seq.append(last)
+        rank = [0] * len(seq)
+        for k, p in enumerate(seq):
+            rank[p] = k
+        self.comps = [self.comps[p] for p in seq]
+        self.fvs = [self.fvs[p] for p in seq]
+        self.users = {x: tuple(sorted(rank[at[s]] for s in us)) for x, us in users.items()}
+        self.binders = [CpBinder(b.name, ann, k, rank[other]) for k, (b, _, other, ann) in enumerate(order)]
+        self.slots = list(range(len(seq)))
+        self._resize(rec.ty, tuple(a for _, a, _, _ in cuts), dropped)
+
+    def _link(self, p: int, ch: Name) -> None:
+        """Drop the link at position p, one of whose ends is ch, and put its
+        other end for ch in the components ch is free in."""
+        link = self.comps[p]
+        w = link.y if link.x == ch else link.x
+        self._drop(p)
+        comps, fvs, users = self.comps, self.fvs, self.users
+        for s in users[ch]:
+            q = bisect_left(self.slots, s)
+            comps[q] = terms.substitute(comps[q], w, ch)
+            fvs[q] = fvs[q] - {ch} | {w}
+        if w in users:
+            users[w] = tuple(sorted(set(users[w]).union(users[ch])))
+        del users[ch]
+
+    def _consume(self, i: int, j: int, ch: Name, cut_names) -> None:
+        """Drop the redex's components at positions i and j, and make ready
+        the users of the names the step cuts; ch stays restricted only if it
+        is one of them."""
+        for p in sorted((i, j), reverse=True):
+            self._drop(p)
+        users = self.users
+        if ch not in cut_names:
+            del users[ch]
+        for x in cut_names:
+            users.setdefault(x, ())
+
+    def _splice(self, names, comps, fvs) -> range:
+        """Append a continuation's prenex level: the names it restricts,
+        then its components comps, whose free names are fvs.  Returns the
+        slots they take."""
+        start = self._next
+        for x in names:
+            self.users[x] = ()
+        for c, fv in zip(comps, fvs):
+            self._append(c, fv)
+        return range(start, self._next)
+
     def _drop(self, p: int) -> None:
-        """Remove the component at position p (HCP)."""
+        """Remove the component at position p."""
         s = self.slots.pop(p)
         del self.comps[p]
         users = self.users
@@ -326,7 +433,7 @@ class Configuration:
         self._touch(fv)
 
     def _append(self, c, fv: frozenset[Name]) -> None:
-        """Add a component at the end, in a new slot (HCP)."""
+        """Add a component at the end, in a new slot."""
         s = self._next
         self._next += 1
         self.comps.append(c)
@@ -338,118 +445,6 @@ class Configuration:
             if us is not None:
                 users[n] = us + (s,)
         self._touch(fv)
-
-    def _fire_cp(self, r: Redex) -> None:
-        comps, fvs, users = self.comps, self.fvs, self.users
-        ch, i, j = r.channel, r.i, r.j
-        rec = next((b for b in self.binders if b.name == ch), None)
-        if rec is None:
-            raise StaleRedexError(f"channel {ch} is not restricted")
-        ci, cj = comps[i], comps[j]
-        # the continuations to splice in, each with the position it comes
-        # from, and the cuts the step makes: (name, formula, the pieces
-        # holding its left and right endpoints)
-        cuts: tuple = ()
-        dropped = None  # the branch a selection discards
-        if r.rule == RULE_LINK:
-            pieces: tuple = ()
-            ins: tuple = ()
-        elif r.rule == RULE_TENS:
-            s = _oriented(rec, i, ty.Tensor)
-            pieces = ((ci.payload, i), (ci.cont, i), (terms.substitute(cj.body, ci.y, cj.y), j))
-            cuts = ((ci.y, s.left, 0, 2), (ch, s.right, 1, 2))
-            ins = (s.left, s.right)
-        elif r.rule == RULE_UNIT:
-            pieces, ins = ((cj.body, j),), ()
-        else:
-            s = _oriented(rec, i, ty.Plus)
-            a = s.left if r.rule == RULE_PLUS1 else s.right
-            pieces = ((ci.body, i), (cj.left if r.rule == RULE_PLUS1 else cj.right, j))
-            dropped = cj.right if r.rule == RULE_PLUS1 else cj.left
-            cuts = ((ch, a, 0, 1),)
-            ins = (a,)
-
-        # the components before reordering: the kept ones in order, then the pieces' levels
-        kept = [p for p in range(len(comps)) if p != i and (p != j or r.rule == RULE_LINK)]
-        index_of = {p: k for k, p in enumerate(kept)}
-        new_comps = [comps[p] for p in kept]
-        new_fvs = [fvs[p] for p in kept]
-        touched = [fvs[p] for p in range(len(comps)) if p not in index_of]  # free names of removed components
-        moved: dict[Name, list[int]] = {}  # a link's other end: the kept components it is now free in
-        if r.rule == RULE_LINK:
-            w = ci.y if ci.x == ch else ci.x
-            moved[w] = [p for p in users[ch] if p != i]
-            for p in moved[w]:
-                k = index_of[p]
-                new_comps[k] = terms.substitute(comps[p], w, ch)
-                new_fvs[k] = fvs[p] - {ch} | {w}
-        spliced: dict[Name, list[int]] = {}  # name -> the spliced components it is free in
-        regions: list[tuple[int, int]] = []
-        origins: dict[int, list[tuple[int, int]]] = {}
-        extra: list[CpBinder] = []
-        for piece, origin in pieces:
-            bs, cs, fs, _ = congruence.spine_cp(piece)
-            base = len(new_comps)
-            for b in bs:
-                extra.append(CpBinder(b.name, b.ty, None if b.left is None else base + b.left,
-                                      None if b.right is None else base + b.right))
-            new_comps += cs
-            new_fvs += fs
-            touched += fs
-            for k, fv in enumerate(fs, base):
-                for n in fv:
-                    spliced.setdefault(n, []).append(k)
-            regions.append((base, len(new_comps)))
-            origins.setdefault(origin, []).append(regions[-1])
-
-        def the_comp_with(piece: int, name: Name) -> int:
-            lo, hi = regions[piece]
-            hits = [k for k in spliced.get(name, ()) if lo <= k < hi]
-            if len(hits) != 1:
-                raise ReductionError(f"channel {name} must occur in exactly one component, found {len(hits)}")
-            return hits[0]
-
-        for x, a, left, right in cuts:
-            extra.append(CpBinder(x, a, the_comp_with(left, x), the_comp_with(right, x)))
-
-        def locate(p: int | None, name: Name) -> int | None:
-            # a link's endpoints move to its partner; those inside a consumed
-            # component move into the one component spliced from it that holds them
-            if p is None:
-                return None
-            if r.rule == RULE_LINK and p == i:
-                p = j
-            if p in index_of:
-                return index_of[p]
-            hits = [k for k in spliced.get(name, ()) if any(lo <= k < hi for lo, hi in origins.get(p, ()))]
-            return hits[0] if len(hits) == 1 else None
-
-        new_binders = [CpBinder(b.name, b.ty, locate(b.left, b.name), locate(b.right, b.name))
-                       for b in self.binders if b.name != ch]
-        order, last = congruence.cut_order(new_binders + extra, len(new_comps))
-
-        # reorder as the rebuilt term nests its cuts, as prenex_cp would find them
-        seq = [leaf for _, leaf, _ in order]
-        seq.append(last)
-        pos = [0] * len(seq)
-        for k, d in enumerate(seq):
-            pos[d] = k
-        self.comps = [new_comps[d] for d in seq]
-        self.fvs = fvs2 = [new_fvs[d] for d in seq]
-        self.binders = []
-        self.users = {}
-        for k, (b, _, ann) in enumerate(order):
-            x = b.name
-            us = {pos[index_of[p]] for p in users.get(x, ()) if p in index_of}
-            us.update(pos[index_of[p]] for p in moved.get(x, ()))
-            us.update(pos[q] for q in spliced.get(x, ()))
-            self.users[x] = us = tuple(sorted(us))
-            right = [q for q in us if q > k]
-            self.binders.append(CpBinder(x, ann, k if x in fvs2[k] else None, right[0] if len(right) == 1 else None))
-        self.slots = list(range(len(seq)))
-        for fv in touched:
-            self._touch(fv)
-        self._resize(rec.ty, ins, dropped)
 
     def term(self):
         """The term this configuration stands for.  For CP only once a step

@@ -3,11 +3,13 @@
 `reference_reduction` keeps the term-level reducer verbatim: it takes the
 prenex form of the whole term again at every step.  Both run on samples
 0-299 of `gen_cp`/`gen_hcp` at seed 42, on every fixture declaration and on
-unit-cut chains and mixes of the sizes the benchmark uses.  Per step they
+unit-cut chains and mixes of the sizes the benchmark uses, and on the terms
+the shrinker builds with a ⊤ leaf, some of whose steps raise.  Per step they
 must agree on the redex list, the reduct (`==`), the measure and the
-configuration's fields against the prenex form of the reduct; per run on
-the trace, the status and the name supply's counter afterwards.  Single
-steps are compared on every redex of every sample.
+configuration's fields against the prenex form of the reduct (or on the
+error's class and message); per run on the trace, the status and the name
+supply's counter afterwards.  Single steps are compared on every redex of
+every sample.
 """
 import pathlib
 import random
@@ -17,7 +19,7 @@ import pytest
 
 import reference_reduction as ref
 from sill import congruence as cg
-from sill import cp, harness, hcp, names, surface, terms
+from sill import cp, harness, hcp, names, surface, terms, typecheck
 from sill import reduction as rd
 from sill.names import Name
 from sill.types import BOT, ONE, Plus, Tensor
@@ -166,6 +168,40 @@ def test_agrees_with_reference_on_chains_and_mixes(dialect, src):
     t = surface.parse_term(src, dialect)
     _check_term(t)
     _check_single_steps(t)
+
+
+TOP_CONFIGS = [harness.GenConfig(42), harness.GenConfig(7, max_depth=3),
+               harness.GenConfig(1234, max_depth=6, max_type_size=6)]
+
+
+def _top_leaf_terms() -> list:
+    """The well-typed terms the shrinker builds from CP samples 0-199 of
+    each config by putting a ⊤ leaf (`x?{}`) at one site.  A ⊤ absorbs
+    names, so some of their cuts have an endpoint on one side only, and the
+    steps that meet such a cut raise."""
+    out = []
+    for cfg in TOP_CONFIGS:
+        for i in range(200):
+            _, env, d = harness.gen_cp(cfg, i)
+            for site in harness._shrink_sites(d):
+                if isinstance(site[2], cp.Absurd):
+                    t = cg.rebuild_site(site)
+                    try:
+                        typecheck.check_cp(t, env)
+                    except typecheck.TypeCheckError:
+                        continue
+                    out.append(t)
+    return out
+
+
+def test_agrees_with_reference_on_top_leaves():
+    corpus = _top_leaf_terms()
+    for t in corpus:
+        _check_term(t)
+        for r in ref.find_redexes(t):
+            _same_runs(lambda: ref.step(t, r), lambda: rd.step(t, _new_redex(r)))
+    raised = sum(_outcome(lambda: ref.reduce(t))[1] is not None for t in corpus)
+    assert (len(corpus), raised) == (232, 35)
 
 
 def test_trace_terms_are_built_once_and_marked_fresh():

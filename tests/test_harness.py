@@ -335,6 +335,17 @@ def test_a_property_that_raises_fails_its_sample(monkeypatch):
         assert r.counterexample
 
 
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: a ⊤ that absorbs a restricted name leaves "
+                                       "a reduct whose cut has one endpoint, so preservation fails")
+def test_preservation_hcp_holds_where_top_absorbs_a_payload():
+    # well typed, and no generated sample has this shape: β⊗⅋ on c13 cuts
+    # c15 between c15[].0 and c3?{}, which absorbed c14, so c15 has one user
+    src = "hproc HA : c3:top = new c13:bot par bot. (c13(c14).c3?{} | c13[c15].(c15[].0 | c13[].0))\n"
+    decl = parse_file(src).decls[0]
+    d, _ = check_hcp(decl.term, decl.env)
+    assert harness._prop_preservation(decl.term, decl.env, d, 0) is None
+
+
 GENERATOR_GOLDEN = pathlib.Path(__file__).parent / "golden" / "generator" / "samples.txt"
 # between them these reach every rule of both `inhabit` and `_finish`
 GOLDEN_CONFIGS = (GenConfig(seed=42), GenConfig(seed=7, max_depth=2, max_type_size=3),
