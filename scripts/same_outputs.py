@@ -6,7 +6,9 @@ Usage: python scripts/same_outputs.py OTHER_CHECKOUT
 Each checkout's `src` is put alone on PYTHONPATH of fresh interpreters,
 which print four outputs:
 
-- `fuzz`: `sill fuzz --suite all --seed 42 --json`, and its exit code;
+- `fuzz`: `sill fuzz --suite all --json` at seed 42, then 43, then 42
+  again in the same interpreter (so that samples leaking from one stream
+  into another would show), and each exit code;
 - `cp`, `hcp`: for `harness.gen_cp` / `harness.gen_hcp` samples 0-299 at
   `GenConfig(seed=42)`, each sample's `surface.print_term`,
   `typecheck.render_derivation` and `reduction.render_trace` of
@@ -47,12 +49,15 @@ CLI_FLAGS = [("graph",), ("graph", "--json"), ("graph", "--dot"), ("reduce", "--
 def emit_fuzz() -> None:
     from sill import cli
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.run(["fuzz", "--suite", "all", "--seed", "42", "--json"])
-    for line in out.getvalue().splitlines():
-        print(f"fuzz\t{line}")
-    print(f"fuzz\texit {code}")
+    for seed in ("42", "43", "42"):
+        argv = ["fuzz", "--suite", "all", "--seed", seed, "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(argv)
+        print(f"fuzz\t# {' '.join(argv)}")
+        for line in out.getvalue().splitlines():
+            print(f"fuzz\t{line}")
+        print(f"fuzz\texit {code}")
 
 
 def emit_samples(dialect: str) -> None:

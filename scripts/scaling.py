@@ -140,8 +140,8 @@ def _disentangle(src: str):
 
 def _generate(gen):
     def prepare(n: int):
-        harness._gen_cp_cached.cache_clear()
-        harness._gen_hcp_cached.cache_clear()
+        harness._cp_samples.clear()
+        harness._hcp_samples.clear()
         harness.provable.cache_clear()
         cfg = harness.GenConfig(seed=42)
         return lambda: [gen(cfg, i) for i in range(n)]

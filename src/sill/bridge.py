@@ -64,7 +64,8 @@ def simulate_forward(p: cp.CpTerm, trace: reduction.ReductionTrace) -> bool:
     h = cp_to_hcp(p)
     for st in trace.steps:
         target = cp_to_hcp(st.term)
-        if not any(congruence.equiv(t2, target) for _, t2 in reduction.successors(h)):
+        want = congruence.levels(target)
+        if not any(congruence.match(congruence.levels(t2), want) for _, t2 in reduction.successors(h)):
             return False
         h = target
     return True
@@ -72,8 +73,9 @@ def simulate_forward(p: cp.CpTerm, trace: reduction.ReductionTrace) -> bool:
 
 def simulate_backward(p: cp.CpTerm, r: hcp.HcpTerm) -> cp.CpTerm:
     """Given an HCP step image(p) ⟹ r, find q with p ⟹ q and r ≡ image(q)."""
+    want = congruence.levels(r)
     for _, q in reduction.successors(p):
-        if congruence.equiv(r, cp_to_hcp(q)):
+        if congruence.match(want, congruence.levels(cp_to_hcp(q))):
             return q
     raise SimulationError("no CP step matches the HCP reduct; the reflection theorem would be violated")
 

@@ -11,6 +11,11 @@ mixes of translated CP samples, optionally reduced a few steps and scrambled
 by random congruence axioms; this keeps them inside the congruence closure of
 translation images, where disentanglement recombines to a term congruent to
 the input.
+
+A sample is a pure function of its stream (the config without its count) and
+its index.  Each dialect keeps the samples of the one stream in use, so the
+suites of one `fuzz` command share them, and drops them when another stream is
+asked for, so memory does not grow with the number of commands a process runs.
 """
 from __future__ import annotations
 
@@ -322,29 +327,57 @@ def _namer(prefix: str = "c"):
     return lambda: nm.fresh(f"{prefix}{next(counter)}")
 
 
-@functools.lru_cache(maxsize=65536)
-def _gen_cp_cached(cfg: GenConfig, index: int):
+def _stream(cfg: GenConfig) -> GenConfig:
+    """The stream cfg's samples are drawn from: every field but `count`,
+    which only says how many of them a suite draws."""
+    return replace(cfg, count=0)
+
+
+class _StreamSamples:
+    """One dialect's samples of the stream in use, by index, made by
+    `make(stream, index)` on first request.  Asking for another stream drops
+    them: each fuzz command draws a fresh stream, so a sample of an earlier
+    one is never read again, and keeping them all made the heap, and the
+    cyclic GC's passes over it, grow with every command."""
+
+    def __init__(self, make):
+        self.make = make
+        self.clear()
+
+    def clear(self) -> None:
+        self.stream, self.samples = None, {}
+
+    def __call__(self, cfg: GenConfig, index: int):
+        stream = _stream(cfg)
+        if stream != self.stream:
+            self.stream, self.samples = stream, {}
+        sample = self.samples.get(index)
+        if sample is None:
+            sample = self.samples[index] = self.make(stream, index)
+        return sample
+
+
+def _make_cp(cfg: GenConfig, index: int):
     rng = _rng(cfg, "cp", index)
     with nm.supply_from(1_000_000_000 + index * 1_000_000):
         t, env = _CpGen(rng, cfg, _namer()).sample("CP term", index)
         return t, tuple(env.items()), check_cp(t, env)
 
 
-def _stream(cfg: GenConfig) -> GenConfig:
-    """The cache key of cfg's samples: every field but `count`, which only
-    says how many of them a suite draws."""
-    return replace(cfg, count=0)
+_cp_samples = _StreamSamples(_make_cp)
 
 
 def gen_cp(cfg: GenConfig, index: int = 0):
     """One well-typed CP sample: (term, environment, derivation).
 
-    Samples are pure functions of (config without its count, index); results
-    are cached so different suites over the same stream share generation work.
-    A cached sample leaves the name supply where generating it again would:
-    `supply_from` resumes above max(saved, the sample's own uids), and those
-    were already folded in when the sample was first made."""
-    t, env, d = _gen_cp_cached(_stream(cfg), index)
+    Samples are pure functions of (config without its count, index).  Those
+    of the stream in use are kept, so suites over one stream share generation
+    work (`fuzz --suite all`, criterion 1's four suites), and dropped when
+    another stream is asked for.  Neither a kept sample nor one made again
+    after it was dropped moves the name supply: `supply_from` resumes above
+    max(saved, the sample's own uids), the sample's uids are the same each
+    time it is made, and they were folded into the supply the first time."""
+    t, env, d = _cp_samples(cfg, index)
     return t, dict(env), d
 
 
@@ -366,8 +399,7 @@ def scramble(t, rng: random.Random, steps: int):
     return t
 
 
-@functools.lru_cache(maxsize=65536)
-def _gen_hcp_cached(cfg: GenConfig, index: int):
+def _make_hcp(cfg: GenConfig, index: int):
     rng = _rng(cfg, "hcp", index)
     with nm.supply_from(2_000_000_000 + index * 1_000_000):
         gen = _CpGen(rng, cfg, _namer())
@@ -390,13 +422,16 @@ def _gen_hcp_cached(cfg: GenConfig, index: int):
     return term, tuple(env.items()), d
 
 
+_hcp_samples = _StreamSamples(_make_hcp)
+
+
 def gen_hcp(cfg: GenConfig, index: int = 0):
     """One well-typed HCP sample: (term, flat environment, derivation).
 
     Built as a root-level mix of translated CP samples, reduced a few steps
     and scrambled by congruence axioms, so samples include processes outside
-    the direct image of the translation."""
-    t, env, d = _gen_hcp_cached(_stream(cfg), index)
+    the direct image of the translation.  Kept and dropped as `gen_cp`'s are."""
+    t, env, d = _hcp_samples(cfg, index)
     return t, dict(env), d
 
 
@@ -608,8 +643,8 @@ def _prop_internalize(t, env, d, index) -> str | None:
 
 # suite name -> (the dialects its samples alternate over, its property).  A
 # property receives the sample as generated, (term, env, derivation, index),
-# and reads the derivation without changing it: samples are cached and shared
-# between suites.
+# and reads the derivation without changing it: the samples of the stream in
+# use are kept and shared between the suites run over it.
 _SUITES = {
     "preservation-cp": (("cp",), _prop_preservation),
     "preservation-hcp": (("hcp",), _prop_preservation),

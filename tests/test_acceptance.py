@@ -126,8 +126,8 @@ def test_criterion_7_determinism_and_roundtrip():
 
     cfg = GenConfig(seed=SEED, count=40)
     a = run_suite("translate-typing", cfg).text()
-    harness._gen_cp_cached.cache_clear()
-    harness._gen_hcp_cached.cache_clear()
+    harness._cp_samples.clear()
+    harness._hcp_samples.clear()
     b = run_suite("translate-typing", cfg).text()
     assert a == b
 

@@ -1,11 +1,15 @@
+import contextlib
+import io
+import os
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
 from sill import congruence as cg
-from sill import cp, harness, hcp, reduction as rd, transport
+from sill import cli, cp, harness, hcp, names, reduction as rd, transport
 from sill.harness import GenConfig, gen_cp, gen_hcp, provable, run_suite
 from sill.names import Name
 from sill.surface import parse_file, print_env, print_term
@@ -32,9 +36,67 @@ def test_generator_is_reproducible():
 
     cfg = GenConfig(seed=77, count=1)
     a = [print_term(gen_cp(cfg, i)[0]) for i in range(20)]
-    harness._gen_cp_cached.cache_clear()
+    harness._cp_samples.clear()
     b = [print_term(gen_cp(cfg, i)[0]) for i in range(20)]
     assert a == b
+
+
+def test_fuzz_commands_do_not_grow_the_heap():
+    # each fuzz command draws a fresh stream; samples of earlier streams must
+    # not stay reachable, or the heap (and the cyclic GC's passes over it)
+    # grows with every command a process runs
+    code = ("import contextlib, gc, io\n"
+            "from sill import cli\n"
+            "for k in range(1, 31):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['fuzz', '--suite', 'progress', '--count', '6', '--seed', str(1000 + k)]) == 0\n"
+            "    if k in (5, 30):\n"
+            "        gc.collect()\n"
+            "        print(len(gc.get_objects()))\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_5, after_30 = map(int, proc.stdout.split())
+    assert after_30 < 1.5 * after_5, (after_5, after_30)
+
+
+def test_fuzz_all_generates_each_sample_once_per_dialect(monkeypatch):
+    made = Counter()
+    sample = harness._CpGen.sample
+
+    def counted(self, what, index):
+        made[what, index] += 1
+        return sample(self, what, index)
+
+    cfg = GenConfig(seed=4242, count=8)
+    harness._cp_samples.clear()
+    harness._hcp_samples.clear()
+    monkeypatch.setattr(harness._CpGen, "sample", counted)
+    for i in range(cfg.count):
+        gen_hcp(cfg, i)
+    once = made + Counter(("CP term", i) for i in range(cfg.count))  # an HCP sample makes a component per part
+    harness._cp_samples.clear()
+    harness._hcp_samples.clear()
+    made.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fuzz", "--suite", "all", "--seed", "4242", "--count", "8", "--json"]) == 0
+    assert made == once
+
+
+def test_returning_to_a_stream_makes_the_same_samples_and_reports():
+    a, b = GenConfig(seed=51, count=6), GenConfig(seed=52, count=6)
+    first = gen_cp(a, 3), gen_hcp(a, 3)
+    runs = []
+    for cfg in (a, b, a):
+        runs.append([run_suite(name, cfg).json_lines() for name in harness.SUITE_NAMES])
+    assert runs[0] == runs[2]
+    gen_cp(b, 3), gen_hcp(b, 3)  # drop stream a again
+    counter = names._counter
+    again = gen_cp(a, 3), gen_hcp(a, 3)
+    assert names._counter == counter  # made again, the sample moves no supply
+    for (t1, env1, _), (t2, env2, _) in zip(first, again):
+        assert t2 is not t1 and t2 == t1 and env2 == env1
 
 
 def test_reduction_rule_coverage():
