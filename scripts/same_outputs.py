@@ -4,7 +4,7 @@
 Usage: python scripts/same_outputs.py OTHER_CHECKOUT
 
 Each checkout's `src` is put alone on PYTHONPATH of fresh interpreters,
-which print four outputs:
+which print five outputs:
 
 - `fuzz`: `sill fuzz --suite all --json` at seed 42, then 43, then 42
   again in the same interpreter (so that samples leaking from one stream
@@ -12,7 +12,11 @@ which print four outputs:
 - `cp`, `hcp`: for `harness.gen_cp` / `harness.gen_hcp` samples 0-299 at
   `GenConfig(seed=42)`, each sample's `surface.print_term`,
   `typecheck.render_derivation` and `reduction.render_trace` of
-  `reduction.reduce` of it (or the exception one of them raised);
+  `reduction.reduce` of it (or the exception one of them raised), and
+  then the name supply's counter `names._counter`;
+- `scramble`: for samples 0-299 of both generators at `GenConfig(seed=42)`,
+  the printed `harness.scramble(t, random.Random(i), 5)` of sample i, and
+  then `names._counter`;
 - `cli`: `sill graph` (text, `--json`, `--dot`) and `sill reduce`
   (`--trace`, `--json`) of every declaration of this checkout's
   `fixtures/*.sill`, of HCP mixes of w = 3..6 unit cuts in a shuffled order,
@@ -41,7 +45,7 @@ import tempfile
 
 HERE = pathlib.Path(__file__).resolve()
 FIXTURES = HERE.parent.parent / "fixtures"
-OUTPUTS = ("fuzz", "cp", "hcp", "cli")
+OUTPUTS = ("fuzz", "cp", "hcp", "scramble", "cli")
 SAMPLES = 300
 CLI_FLAGS = [("graph",), ("graph", "--json"), ("graph", "--dot"), ("reduce", "--trace"), ("reduce", "--json")]
 
@@ -61,7 +65,7 @@ def emit_fuzz() -> None:
 
 
 def emit_samples(dialect: str) -> None:
-    from sill import harness, reduction, surface, typecheck
+    from sill import harness, names, reduction, surface, typecheck
 
     gen = harness.gen_cp if dialect == "cp" else harness.gen_hcp
     cfg = harness.GenConfig(seed=42)
@@ -78,6 +82,19 @@ def emit_samples(dialect: str) -> None:
             print(f"{dialect} {what}\t# sample {i}")
             for line in text.splitlines():
                 print(f"{dialect} {what}\t{line}")
+    print(f"{dialect}\tnames._counter {names._counter}")
+
+
+def emit_scramble() -> None:
+    from sill import harness, names, surface
+
+    cfg = harness.GenConfig(seed=42)
+    for dialect, gen in (("cp", harness.gen_cp), ("hcp", harness.gen_hcp)):
+        for i in range(SAMPLES):
+            t = harness.scramble(gen(cfg, i)[0], random.Random(i), 5)
+            print(f"scramble\t# {dialect} sample {i}")
+            print(f"scramble\t{surface.print_term(t)}")
+    print(f"scramble\tnames._counter {names._counter}")
 
 
 def cli_inputs() -> dict[str, str]:
@@ -168,6 +185,9 @@ def main() -> int:
         return 0
     if args.emit == "cli":
         emit_cli()
+        return 0
+    if args.emit == "scramble":
+        emit_scramble()
         return 0
     if args.emit:
         emit_samples(args.emit)

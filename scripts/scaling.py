@@ -23,7 +23,8 @@ and a `render trace` run only `reduction.render_trace` of its reduction
 trace with every reduct already built.  A `key` run times `congruence.key`
 of the input's term, and an `equiv` run `congruence.equiv` of it against a
 fresh parse of the same text (so it includes freshening, and the matcher
-runs, since the keys are equal).  A `translate` run times
+runs, since the keys are equal).  A `scramble` run times `harness.scramble`
+of the input's term, 5 steps drawn from `random.Random(0)`.  A `translate` run times
 `bridge.translate_typed` of the input's typing derivation, and a
 `disentangle` run `bridge.disentangle` and then `bridge.tens_internalize` of
 it.  A `generate` run times `harness.gen_cp` or `harness.gen_hcp` of samples
@@ -47,6 +48,7 @@ fall to 1 however the printer shares work: compare their milliseconds.
 """
 import argparse
 import math
+import random
 import sys
 import threading
 import time
@@ -113,6 +115,11 @@ def _equiv(src: str):
     return lambda: congruence.equiv(t1, t2)
 
 
+def _scramble(src: str):
+    t = _main(src).term
+    return lambda: harness.scramble(t, random.Random(0), 5)
+
+
 def _render_derivation(src: str):
     d = _main(src)
     deriv = typecheck.check_cp(d.term, d.env) if d.dialect == "cp" else typecheck.check_hcp(d.term, d.env)[0]
@@ -174,6 +181,7 @@ WORKLOADS = {
     "equiv cp chain": (lambda n: chain(n, False), _equiv),
     "equiv hcp chain": (lambda n: chain(n, True), _equiv),
     "equiv hcp mix": (mix, _equiv),
+    "scramble hcp mix": (mix, _scramble),
     "render derivation cp chain": (lambda n: chain(n, False), _render_derivation),
     "render derivation hcp chain": (lambda n: chain(n, True), _render_derivation),
     "render trace cp chain": (lambda n: chain(n, False), _render_trace),

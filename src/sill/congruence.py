@@ -28,12 +28,17 @@ Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,
 the axiom's label and the rewritten node), and `rebuild_site` copies only the
 ancestors on one site's path.  `neighbors` rebuilds every site; a bounded BFS
-over it is the independent oracle for equiv.  `harness.scramble` rebuilds
-only the site it draws.
+over it is the independent oracle for equiv.  The axioms are written once,
+in `_cp_rewrites` and `_hcp_rewrites`, which give each rewrite of a node as
+a label and a function that builds it.  `SiteCounter` reads the same table
+but counts the sites below each node, builds none, and finds the k-th site
+by those counts, building that one rewrite alone; `harness.scramble` draws
+its sites so.
 """
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import cp, hcp, terms
@@ -475,56 +480,62 @@ def _binders_match(l1: _Level, l2: _Level, bij: _Bijection) -> bool:
 # -- single-axiom rewriting (oracle support) ----------------------------------
 
 
-def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, cp.CpTerm]]:
-    """The Def-2 axioms applied at the root of t (either direction)."""
+def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, Callable[[], cp.CpTerm]]]:
+    """The Def-2 axioms applied at the root of t (either direction), as
+    (label, build) pairs: build() makes the rewritten node, so a caller that
+    only counts them builds nothing.  A build takes the values it reads as
+    default arguments, since the cut case rebinds q1."""
     fv = cp.free_names
-    out: list[tuple[str, cp.CpTerm]] = []
+    out: list[tuple[str, Callable[[], cp.CpTerm]]] = []
     match t:
         case cp.Link(x, y):
-            out.append(("link-sym", cp.Link(y, x)))
+            out.append(("link-sym", lambda x=x, y=y: cp.Link(y, x)))
         case cp.Cut(x, a, p, q):
-            out.append(("nu-comm", cp.Cut(x, dual(a), q, p)))
+            out.append(("nu-comm", lambda x=x, a=a, p=p, q=q: cp.Cut(x, dual(a), q, p)))
             if isinstance(q, cp.Cut):
                 y, b, q1, r = q.x, q.ty, q.left, q.right
                 if x not in fv(r) and y not in fv(p):
-                    out.append(("cut-assoc", cp.Cut(y, b, cp.Cut(x, a, p, q1), r)))
+                    out.append(("cut-assoc", lambda x=x, a=a, p=p, y=y, b=b, q1=q1, r=r:
+                                cp.Cut(y, b, cp.Cut(x, a, p, q1), r)))
             if isinstance(p, cp.Cut):
                 x2, a2, p1, q1 = p.x, p.ty, p.left, p.right
                 if x2 not in fv(q) and x not in fv(p1):
-                    out.append(("cut-assoc", cp.Cut(x2, a2, p1, cp.Cut(x, a, q1, q))))
+                    out.append(("cut-assoc", lambda x=x, a=a, q=q, x2=x2, a2=a2, p1=p1, q1=q1:
+                                cp.Cut(x2, a2, p1, cp.Cut(x, a, q1, q))))
     return out
 
 
-def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, hcp.HcpTerm]]:
+def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, Callable[[], hcp.HcpTerm]]]:
     """The Def-10 axioms applied at the root of t (either direction), except
-    the introduction of a `| 0`, which `sites` adds."""
+    the introduction of a `| 0`, which `sites` adds; as `_cp_rewrites`, (label,
+    build) pairs."""
     fv = hcp.free_names
-    out: list[tuple[str, hcp.HcpTerm]] = []
+    out: list[tuple[str, Callable[[], hcp.HcpTerm]]] = []
     match t:
         case hcp.Link(x, y):
-            out.append(("link-sym", hcp.Link(y, x)))
+            out.append(("link-sym", lambda x=x, y=y: hcp.Link(y, x)))
         case hcp.Par(p, q):
-            out.append(("mix-comm", hcp.Par(q, p)))
+            out.append(("mix-comm", lambda p=p, q=q: hcp.Par(q, p)))
             if isinstance(q, hcp.Par):
-                out.append(("mix-assoc", hcp.Par(hcp.Par(p, q.left), q.right)))
+                out.append(("mix-assoc", lambda p=p, q=q: hcp.Par(hcp.Par(p, q.left), q.right)))
             if isinstance(p, hcp.Par):
-                out.append(("mix-assoc", hcp.Par(p.left, hcp.Par(p.right, q))))
+                out.append(("mix-assoc", lambda p=p, q=q: hcp.Par(p.left, hcp.Par(p.right, q))))
             if isinstance(q, hcp.Inert):
-                out.append(("mix-unit", p))
+                out.append(("mix-unit", lambda p=p: p))
             if isinstance(p, hcp.Inert):
-                out.append(("mix-unit", q))
+                out.append(("mix-unit", lambda q=q: q))
             if isinstance(q, hcp.New) and q.x not in fv(p):
-                out.append(("scope-ext", hcp.New(q.x, q.ty, hcp.Par(p, q.body))))
+                out.append(("scope-ext", lambda p=p, q=q: hcp.New(q.x, q.ty, hcp.Par(p, q.body))))
             if isinstance(p, hcp.New) and p.x not in fv(q):
-                out.append(("scope-ext", hcp.New(p.x, p.ty, hcp.Par(p.body, q))))
+                out.append(("scope-ext", lambda p=p, q=q: hcp.New(p.x, p.ty, hcp.Par(p.body, q))))
         case hcp.New(x, a, p):
             if isinstance(p, hcp.New) and p.x != x:
-                out.append(("nu-comm", hcp.New(p.x, p.ty, hcp.New(x, a, p.body))))
+                out.append(("nu-comm", lambda x=x, a=a, p=p: hcp.New(p.x, p.ty, hcp.New(x, a, p.body))))
             if isinstance(p, hcp.Par):
                 if x not in fv(p.left):
-                    out.append(("scope-ext", hcp.Par(p.left, hcp.New(x, a, p.right))))
+                    out.append(("scope-ext", lambda x=x, a=a, p=p: hcp.Par(p.left, hcp.New(x, a, p.right))))
                 if x not in fv(p.right):
-                    out.append(("scope-ext", hcp.Par(hcp.New(x, a, p.left), p.right)))
+                    out.append(("scope-ext", lambda x=x, a=a, p=p: hcp.Par(hcp.New(x, a, p.left), p.right)))
     return out
 
 
@@ -534,20 +545,82 @@ def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
     rewrites, then each child's, left to right.  A path is a linked chain
     (parent's path, parent, field), None at the root.  The axioms' side
     conditions read the free-name sets that branching nodes keep, which a
-    term shares with every term built from it."""
+    term shares with every term built from it.  Every site's rewritten node
+    is built; `SiteCounter` builds only the one asked for."""
     rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
     unit_intro = allow_unit_intro and rewrites is _hcp_rewrites
     out: list[tuple] = []
     stack = [(t, None)]
     while stack:
         node, path = stack.pop()
-        for label, new in rewrites(node):
-            out.append((path, label, new))
+        for label, build in rewrites(node):
+            out.append((path, label, build()))
         if unit_intro:
             out.append((path, "mix-unit", hcp.Par(node, hcp.Inert())))
         for f in reversed(SCHEMA[type(node)].subterms):  # popped first to last
             stack.append((getattr(node, f), (path, node, f)))
     return out
+
+
+class SiteCounter:
+    """`sites(t, allow_unit_intro=False)` of one term after another, without
+    listing them: `count(t)` is how many there are, and `site(t, k)` the k-th,
+    with only its rewrite built.
+
+    Per node, the counter keeps the number of sites in its subtree, keyed by
+    the node's id, and a term rebuilt around one site shares every node off
+    the site's path: counting it visits only the nodes that are new.  Every
+    term counted is kept alive as long as the counter, so no id it holds is
+    reused by another node."""
+
+    def __init__(self):
+        self.counts: dict[int, int] = {}
+        self.terms: list = []
+
+    def count(self, t) -> int:
+        """The number of sites of t.  One explicit-stack walk lists the nodes
+        not counted before, each before its subterms; they are counted in
+        reverse, each after its subterms."""
+        counts = self.counts
+        if id(t) not in counts:
+            self.terms.append(t)
+            rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
+            new = []
+            stack = [t]
+            while stack:
+                node = stack.pop()
+                if id(node) not in counts:
+                    new.append(node)
+                    for f in SCHEMA[type(node)].subterms:
+                        stack.append(getattr(node, f))
+            for node in reversed(new):
+                n = len(rewrites(node))
+                for f in SCHEMA[type(node)].subterms:
+                    n += counts[id(getattr(node, f))]
+                counts[id(node)] = n
+        return counts[id(t)]
+
+    def site(self, t, k: int) -> tuple:
+        """The k-th site of t in `sites`' order, for a t counted before: the
+        walk goes down to the node holding it, passing over each subtree
+        before it by its count."""
+        counts = self.counts
+        if not 0 <= k < counts[id(t)]:
+            raise IndexError(f"no site {k} in a term with {counts[id(t)]} sites")
+        rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
+        node, path = t, None
+        while True:
+            here = rewrites(node)
+            if k < len(here):
+                label, build = here[k]
+                return path, label, build()
+            k -= len(here)
+            for f in SCHEMA[type(node)].subterms:
+                sub = getattr(node, f)
+                if k < counts[id(sub)]:
+                    break
+                k -= counts[id(sub)]
+            node, path = sub, (path, node, f)
 
 
 def rebuild_site(site: tuple):

@@ -6,11 +6,14 @@ every sample typechecks by construction, and the checker re-verifies it.
 Each rule's premises are built in one place, `_CpGen._apply`, which both
 search modes call: random inhabitation fills the premises by itself at one
 less depth over a few random splits, and the deterministic finish at depth 0
-fills them by itself over every provable split.  HCP samples are root-level
-mixes of translated CP samples, optionally reduced a few steps and scrambled
-by random congruence axioms; this keeps them inside the congruence closure of
-translation images, where disentanglement recombines to a term congruent to
-the input.
+fills them by itself over every provable split.  Provability is looked up
+for the sampled environment only: every premise below it is provable by
+construction.  HCP samples are root-level mixes of translated CP samples,
+optionally reduced a few steps, all fired on one `reduction.Configuration`,
+and scrambled by random congruence axioms, each step drawing one site by the
+sites' counts and building only its rewrite; this keeps them inside the
+congruence closure of translation images, where disentanglement recombines
+to a term congruent to the input.
 
 A sample is a pure function of its stream (the config without its count) and
 its index.  Each dialect keeps the samples of the one stream in use, so the
@@ -164,13 +167,15 @@ def _rules(items: list) -> list:
 
 def _splits(rest: list, masks, extra_p: ty.Type, extra_q: ty.Type):
     """The splits of rest, one per mask (bit i puts rest[i] on the left), where
-    both halves stay provable with their extra obligation."""
+    both halves stay provable with their extra obligation.  Provability is
+    tested on the halves' types; a split's environments are built only if it
+    passes."""
+    types = [v for _, v in rest]
     for mask in masks:
-        envp = {k: v for i, (k, v) in enumerate(rest) if mask >> i & 1}
-        envq = {k: v for i, (k, v) in enumerate(rest) if not mask >> i & 1}
-        if provable(_canon(tuple(envp.values()) + (extra_p,))) and \
-           provable(_canon(tuple(envq.values()) + (extra_q,))):
-            yield envp, envq
+        if provable(_canon([v for i, v in enumerate(types) if mask >> i & 1] + [extra_p])) and \
+           provable(_canon([v for i, v in enumerate(types) if not mask >> i & 1] + [extra_q])):
+            yield ({k: v for i, (k, v) in enumerate(rest) if mask >> i & 1},
+                   {k: v for i, (k, v) in enumerate(rest) if not mask >> i & 1})
 
 
 def _all_splits(rest: list, extra_p: ty.Type, extra_q: ty.Type):
@@ -197,7 +202,7 @@ class _CpGen:
         that inhabit fills."""
         for _ in range(400):
             env = self.sample_env()
-            t = self.inhabit(env, self.cfg.max_depth)
+            t = self.inhabit(env, self.cfg.max_depth) if _env_provable(env) else None
             if t is not None:
                 return t, env
         raise GeneratorStuck(f"no well-typed {what} found for sample {index}")
@@ -208,9 +213,13 @@ class _CpGen:
         generated subterm uses all of its environment freely: the empty offer
         fires only at a singleton environment, so no weakening ever hides a
         name from the checker's free-occurrence routing (and reducts stay
-        checkable)."""
-        if not _env_provable(env):
-            return None
+        checkable).
+
+        env must be provable, as `sample` checks at the root.  Below it every
+        premise env is provable by construction: a split's halves pass
+        `_splits`' test, a ⊕ side is offered only if its premise is provable
+        (`_rules`), and the premise of an invertible rule (⊥, ⅋, &) is
+        provable whenever its conclusion is."""
         if depth <= 0:
             return self._finish(env)
         rng = self.rng
@@ -222,19 +231,20 @@ class _CpGen:
         if len(items) < 7:
             candidates.append(("cut", None))
         weights = [DEFAULT_WEIGHTS[kind] for kind, _ in candidates]
-        order = []
-        pool = list(zip(candidates, weights))
-        while pool:
-            total = sum(w for _, w in pool)
-            pick = rng.random() * total
+        order = []  # the candidates drawn one by one without replacement, by weight
+        while candidates:
+            pick = rng.random() * sum(weights)
             acc = 0.0
-            for k, (cand, w) in enumerate(pool):
+            for k, w in enumerate(weights):
                 acc += w
                 if pick <= acc:
-                    order.append(cand)
-                    pool.pop(k)
+                    order.append(candidates.pop(k))
+                    del weights[k]
                     break
-        sub = functools.partial(self.inhabit, depth=depth - 1)
+
+        def sub(premise: dict):
+            return self.inhabit(premise, depth - 1)
+
         for kind, arg in order:
             if kind in _LEAF_KIND.values():
                 return arg
@@ -384,18 +394,22 @@ def gen_cp(cfg: GenConfig, index: int = 0):
 def scramble(t, rng: random.Random, steps: int):
     """Apply a random sequence of structural-congruence axioms.
 
-    Each step lists the sites of every single-axiom rewrite (one walk, nothing
-    rebuilt), draws one and rebuilds the term around that site alone.  A
-    rebuilt term shares every node off the site's path with the term before,
-    and with it the free-name sets those nodes keep."""
+    Each step counts the sites of every single-axiom rewrite (those of
+    `congruence.sites` without unit introduction), draws one by its index,
+    and builds that rewrite alone, with the term around it rebuilt on the
+    site's path only.  The counts are kept per node for the call, and a
+    rebuilt term shares every node off the path with the term before, so a
+    later step counts only the rebuilt path, and reads the free-name sets
+    that the shared nodes keep."""
+    counter = congruence.SiteCounter()
     for _ in range(steps):
-        sites = congruence.sites(t, allow_unit_intro=False)
-        if not sites:
+        n = counter.count(t)
+        if not n:
             break
         # on Python 3.10-3.12 randrange(n) makes the one _randbelow(n) call that
         # choice() on a list of length n makes, so the random stream, and every
         # sample, is the one drawing from the full neighbour list gave
-        t = congruence.rebuild_site(sites[rng.randrange(len(sites))])
+        t = congruence.rebuild_site(counter.site(t, rng.randrange(n)))
     return t
 
 
@@ -410,12 +424,18 @@ def _make_hcp(cfg: GenConfig, index: int):
             parts.append(cp_to_hcp(t))
             env.update(e)
         term = congruence.rebuild_hcp([], parts)
+        # one configuration fires every step; the term is rebuilt from it only
+        # if a step fired, as rebuilding reorders the mix
+        c, fired = None, False
         for _ in range(rng.randint(0, 2)):
-            c = reduction.Configuration(term)
+            if c is None:
+                c = reduction.Configuration(term)
             rs = c.redexes()
             if not rs:
                 break
             c.fire(rng.choice(rs))
+            fired = True
+        if fired:
             term = c.term()
         term = scramble(term, rng, rng.randint(0, 5))
         d, part = check_hcp(term, env)

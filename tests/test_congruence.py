@@ -6,6 +6,7 @@ from sill import congruence as cg
 from sill import cp, harness, hcp
 from sill.names import Name
 from sill.surface import parse_term, print_term
+from sill.terms import SCHEMA
 from sill.typecheck import check_cp, check_hcp, hyper_eq
 from sill.types import dual
 
@@ -304,6 +305,45 @@ def test_deep_terms_neighbors_and_scramble_without_recursion():
         assert [lbl for lbl, _ in nbrs] == labels
         assert print_term(nbrs[-1][1]) == print_term(term).replace("x<->y", "y<->x")
         assert print_term(harness.scramble(term, random.Random(0), 3)).count("w().") == n
+
+
+def _height(term) -> int:
+    out, stack = 0, [(term, 1)]
+    while stack:
+        node, h = stack.pop()
+        out = max(out, h)
+        stack += [(getattr(node, f), h + 1) for f in SCHEMA[type(node)].subterms]
+    return out
+
+
+def test_scramble_builds_one_rewrite_and_its_path_per_step(monkeypatch):
+    # a width-64 mix has hundreds of sites per step; building each one's
+    # rewrite to keep one would show in the count
+    parts = [t(f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)", "hcp") for i in range(64)]
+    term = cg.rebuild_hcp([], parts)
+    steps = 5
+    for seed in range(3):  # the sites drawn are those the listing of every site gives
+        rng, want = random.Random(seed), term
+        for _ in range(steps):
+            sites = cg.sites(want, allow_unit_intro=False)
+            want = cg.rebuild_site(sites[rng.randrange(len(sites))])
+        assert print_term(harness.scramble(term, random.Random(seed), steps)) == print_term(want)
+    built = 0
+
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in SCHEMA:
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    harness.scramble(term, random.Random(0), steps)
+    # per step: the copies of the site's path, which a step lengthens by at
+    # most one node, and a rewrite of at most two nodes
+    bound = sum(_height(term) + k + 2 for k in range(steps))
+    assert 0 < built <= bound < steps * len(cg.sites(term, allow_unit_intro=False))
 
 
 if __name__ == "__main__":

@@ -139,6 +139,31 @@ def test_provable_oracle_matches_checker_on_samples():
         assert provable(harness._canon(tuple(env.values())))
 
 
+def test_inhabit_premises_are_provable(monkeypatch):
+    # inhabit looks provability up only at the root (`_CpGen.sample`): every
+    # premise it or _finish passes down is provable by construction
+    inhabit, nested, calls = harness._CpGen.inhabit, 0, 0
+
+    def checked(self, env, depth):
+        nonlocal nested, calls
+        if nested:
+            calls += 1
+            assert harness._env_provable(env), env
+        nested += 1
+        try:
+            return inhabit(self, env, depth)
+        finally:
+            nested -= 1
+
+    monkeypatch.setattr(harness._CpGen, "inhabit", checked)
+    for cfg in (GenConfig(seed=42), GenConfig(seed=7, max_type_size=7, max_depth=6),
+                GenConfig(seed=1234, max_type_size=3, max_depth=3)):
+        for i in range(150):
+            harness._make_cp(cfg, i)
+            harness._make_hcp(cfg, i)
+    assert calls > 20000
+
+
 def test_provable_oracle_basic_values():
     assert provable((ONE,))
     assert provable((TOP,))
@@ -274,6 +299,31 @@ def test_progress_builds_one_configuration_per_sample(monkeypatch):
         builds = 0
         assert harness._prop_progress(*sample) is None
         assert builds == 1
+
+
+def test_hcp_samples_build_at_most_one_configuration(monkeypatch):
+    # the steps an HCP sample is reduced by all fire on one configuration
+    builds, fires, most = 0, 0, 0
+    init, fire = rd.Configuration.__init__, rd.Configuration.fire
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(self, *args, **kwargs)
+
+    def counted_fire(self, r):
+        nonlocal fires
+        fires += 1
+        fire(self, r)
+
+    monkeypatch.setattr(rd.Configuration, "__init__", counted_init)
+    monkeypatch.setattr(rd.Configuration, "fire", counted_fire)
+    for i in range(60):
+        builds = fires = 0
+        harness._make_hcp(GenConfig(seed=42), i)
+        assert builds <= 1
+        most = max(most, fires)
+    assert most == 2
 
 
 def test_properties_leave_the_sample_derivations_unchanged():
