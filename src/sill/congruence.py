@@ -26,14 +26,11 @@ once per term reached, buckets by their key and matches kept levels.
 
 Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,
-the axiom's label and the rewritten node), and `rebuild_site` copies only the
-ancestors on one site's path.  `neighbors` rebuilds every site; a bounded BFS
-over it is the independent oracle for equiv.  The axioms are written once,
-in `_cp_rewrites` and `_hcp_rewrites`, which give each rewrite of a node as
-a label and a function that builds it.  `SiteCounter` reads the same table
-but counts the sites below each node, builds none, and finds the k-th site
-by those counts, building that one rewrite alone; `harness.scramble` draws
-its sites so.
+the axiom's label and a function that builds the rewritten node), and
+`rebuild_site` copies only the ancestors on one site's path.  The axioms are
+written once, in `_cp_rewrites` and `_hcp_rewrites`.  `neighbors` builds and
+rebuilds every site; a bounded BFS over it is the independent oracle for
+equiv.  `harness.scramble` builds only the site it draws.
 """
 from __future__ import annotations
 
@@ -483,8 +480,8 @@ def _binders_match(l1: _Level, l2: _Level, bij: _Bijection) -> bool:
 def _cp_rewrites(t: cp.CpTerm) -> list[tuple[str, Callable[[], cp.CpTerm]]]:
     """The Def-2 axioms applied at the root of t (either direction), as
     (label, build) pairs: build() makes the rewritten node, so a caller that
-    only counts them builds nothing.  A build takes the values it reads as
-    default arguments, since the cut case rebinds q1."""
+    keeps one rewrite builds only that one.  A build takes the values it reads
+    as default arguments, since the cut case rebinds q1."""
     fv = cp.free_names
     out: list[tuple[str, Callable[[], cp.CpTerm]]] = []
     match t:
@@ -540,92 +537,38 @@ def _hcp_rewrites(t: hcp.HcpTerm) -> list[tuple[str, Callable[[], hcp.HcpTerm]]]
 
 
 def sites(t, allow_unit_intro: bool = True) -> list[tuple]:
-    """Every single-axiom rewrite of t, as a site (path, label, rewritten node),
-    without rebuilding t around it.  Sites come in pre-order: a node's own
-    rewrites, then each child's, left to right.  A path is a linked chain
-    (parent's path, parent, field), None at the root.  The axioms' side
-    conditions read the free-name sets that branching nodes keep, which a
-    term shares with every term built from it.  Every site's rewritten node
-    is built; `SiteCounter` builds only the one asked for."""
+    """Every single-axiom rewrite of t, as a site (path, label, build), where
+    build() makes the rewritten node; nothing is built or rebuilt.  Sites come
+    in pre-order: a node's own rewrites, then each child's, left to right.  A
+    path is a linked chain (parent's path, parent, field), None at the root.
+
+    The axioms' side conditions read the free-name sets that branching nodes
+    keep, which a term shares with every term built from it.  They are asked
+    children first, so each set is made from kept ones and none recurses
+    down a long spine."""
     rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
     unit_intro = allow_unit_intro and rewrites is _hcp_rewrites
-    out: list[tuple] = []
+    nodes = []  # (node, path) in pre-order
     stack = [(t, None)]
     while stack:
         node, path = stack.pop()
-        for label, build in rewrites(node):
-            out.append((path, label, build()))
-        if unit_intro:
-            out.append((path, "mix-unit", hcp.Par(node, hcp.Inert())))
+        nodes.append((node, path))
         for f in reversed(SCHEMA[type(node)].subterms):  # popped first to last
             stack.append((getattr(node, f), (path, node, f)))
+    found = [rewrites(node) for node, _ in reversed(nodes)]
+    out: list[tuple] = []
+    for (node, path), here in zip(nodes, reversed(found)):
+        for label, build in here:
+            out.append((path, label, build))
+        if unit_intro:
+            out.append((path, "mix-unit", lambda node=node: hcp.Par(node, hcp.Inert())))
     return out
 
 
-class SiteCounter:
-    """`sites(t, allow_unit_intro=False)` of one term after another, without
-    listing them: `count(t)` is how many there are, and `site(t, k)` the k-th,
-    with only its rewrite built.
-
-    Per node, the counter keeps the number of sites in its subtree, keyed by
-    the node's id, and a term rebuilt around one site shares every node off
-    the site's path: counting it visits only the nodes that are new.  Every
-    term counted is kept alive as long as the counter, so no id it holds is
-    reused by another node."""
-
-    def __init__(self):
-        self.counts: dict[int, int] = {}
-        self.terms: list = []
-
-    def count(self, t) -> int:
-        """The number of sites of t.  One explicit-stack walk lists the nodes
-        not counted before, each before its subterms; they are counted in
-        reverse, each after its subterms."""
-        counts = self.counts
-        if id(t) not in counts:
-            self.terms.append(t)
-            rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
-            new = []
-            stack = [t]
-            while stack:
-                node = stack.pop()
-                if id(node) not in counts:
-                    new.append(node)
-                    for f in SCHEMA[type(node)].subterms:
-                        stack.append(getattr(node, f))
-            for node in reversed(new):
-                n = len(rewrites(node))
-                for f in SCHEMA[type(node)].subterms:
-                    n += counts[id(getattr(node, f))]
-                counts[id(node)] = n
-        return counts[id(t)]
-
-    def site(self, t, k: int) -> tuple:
-        """The k-th site of t in `sites`' order, for a t counted before: the
-        walk goes down to the node holding it, passing over each subtree
-        before it by its count."""
-        counts = self.counts
-        if not 0 <= k < counts[id(t)]:
-            raise IndexError(f"no site {k} in a term with {counts[id(t)]} sites")
-        rewrites = _cp_rewrites if isinstance(t, cp.CpTerm) else _hcp_rewrites
-        node, path = t, None
-        while True:
-            here = rewrites(node)
-            if k < len(here):
-                label, build = here[k]
-                return path, label, build()
-            k -= len(here)
-            for f in SCHEMA[type(node)].subterms:
-                sub = getattr(node, f)
-                if k < counts[id(sub)]:
-                    break
-                k -= counts[id(sub)]
-            node, path = sub, (path, node, f)
-
-
 def rebuild_site(site: tuple):
-    """The whole term with the site's rewrite in place.  Only the nodes on the
-    site's path are copied; like every rewritten node, the copies carry no loc."""
+    """The whole term with a site's rewritten node in place, for a site given
+    as (path, label, rewritten node).  Only the nodes on the site's path are
+    copied; like every rewritten node, the copies carry no loc."""
     path, _, t = site
     while path is not None:
         path, parent, f = path
@@ -636,7 +579,8 @@ def rebuild_site(site: tuple):
 def neighbors(t, allow_unit_intro: bool = True):
     """All terms one Def-2 (CP) or Def-10 (HCP) axiom application away, in
     either direction and at any position, with their axiom labels."""
-    return [(site[1], rebuild_site(site)) for site in sites(t, allow_unit_intro)]
+    return [(label, rebuild_site((path, label, build())))
+            for path, label, build in sites(t, allow_unit_intro)]
 
 
 def bfs_equiv(t1, t2, max_steps: int = 6, node_cap: int = 20000) -> bool:

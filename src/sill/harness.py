@@ -7,13 +7,13 @@ Each rule's premises are built in one place, `_CpGen._apply`, which both
 search modes call: random inhabitation fills the premises by itself at one
 less depth over a few random splits, and the deterministic finish at depth 0
 fills them by itself over every provable split.  Provability is looked up
-for the sampled environment only: every premise below it is provable by
-construction.  HCP samples are root-level mixes of translated CP samples,
-optionally reduced a few steps, all fired on one `reduction.Configuration`,
-and scrambled by random congruence axioms, each step drawing one site by the
-sites' counts and building only its rewrite; this keeps them inside the
-congruence closure of translation images, where disentanglement recombines
-to a term congruent to the input.
+when an environment is sampled, not again for the premises below it, which
+are provable by construction.  HCP samples are root-level mixes of
+translated CP samples, optionally reduced a few steps, all fired on one
+`reduction.Configuration`, and scrambled by random congruence axioms, each
+step listing the sites unbuilt and building only the one it draws; this
+keeps them inside the congruence closure of translation images, where
+disentanglement recombines to a term congruent to the input.
 
 A sample is a pure function of its stream (the config without its count) and
 its index.  Each dialect keeps the samples of the one stream in use, so the
@@ -190,6 +190,12 @@ class _CpGen:
         self.namer = namer
 
     def sample_env(self) -> dict:
+        """A random environment that is provable, as `inhabit` needs of its
+        env: the first provable one of at most 50 drawn, else a lone 1.  Every
+        premise `inhabit` passes down is provable by construction: a split's
+        halves pass `_splits`' test, a ⊕ side is offered only if its premise
+        is provable (`_rules`), and the premise of an invertible rule (⊥, ⅋,
+        &) is provable whenever its conclusion is."""
         for _ in range(50):
             k = self.rng.choice([1, 2, 2, 3])
             env = {self.namer(): _sample_type(self.rng, self.cfg.max_type_size) for _ in range(k)}
@@ -202,7 +208,7 @@ class _CpGen:
         that inhabit fills."""
         for _ in range(400):
             env = self.sample_env()
-            t = self.inhabit(env, self.cfg.max_depth) if _env_provable(env) else None
+            t = self.inhabit(env, self.cfg.max_depth)
             if t is not None:
                 return t, env
         raise GeneratorStuck(f"no well-typed {what} found for sample {index}")
@@ -213,13 +219,7 @@ class _CpGen:
         generated subterm uses all of its environment freely: the empty offer
         fires only at a singleton environment, so no weakening ever hides a
         name from the checker's free-occurrence routing (and reducts stay
-        checkable).
-
-        env must be provable, as `sample` checks at the root.  Below it every
-        premise env is provable by construction: a split's halves pass
-        `_splits`' test, a ⊕ side is offered only if its premise is provable
-        (`_rules`), and the premise of an invertible rule (⊥, ⅋, &) is
-        provable whenever its conclusion is."""
+        checkable).  env must be provable (see `sample_env`)."""
         if depth <= 0:
             return self._finish(env)
         rng = self.rng
@@ -394,22 +394,20 @@ def gen_cp(cfg: GenConfig, index: int = 0):
 def scramble(t, rng: random.Random, steps: int):
     """Apply a random sequence of structural-congruence axioms.
 
-    Each step counts the sites of every single-axiom rewrite (those of
-    `congruence.sites` without unit introduction), draws one by its index,
-    and builds that rewrite alone, with the term around it rebuilt on the
-    site's path only.  The counts are kept per node for the call, and a
-    rebuilt term shares every node off the path with the term before, so a
-    later step counts only the rebuilt path, and reads the free-name sets
-    that the shared nodes keep."""
-    counter = congruence.SiteCounter()
+    Each step lists the sites of every single-axiom rewrite (one walk,
+    nothing built), draws one, builds its rewrite alone and rebuilds the term
+    around it on the site's path only.  A rebuilt term shares every node off
+    the path with the term before, and with it the free-name sets those nodes
+    keep."""
     for _ in range(steps):
-        n = counter.count(t)
-        if not n:
+        sites = congruence.sites(t, allow_unit_intro=False)
+        if not sites:
             break
         # on Python 3.10-3.12 randrange(n) makes the one _randbelow(n) call that
         # choice() on a list of length n makes, so the random stream, and every
         # sample, is the one drawing from the full neighbour list gave
-        t = congruence.rebuild_site(counter.site(t, rng.randrange(n)))
+        path, label, build = sites[rng.randrange(len(sites))]
+        t = congruence.rebuild_site((path, label, build()))
     return t
 
 

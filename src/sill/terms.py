@@ -19,12 +19,6 @@ each written once for both dialects:
 
 Walks visit a node before its subterms and the subterms in field order
 (pre-order); every binder's scoped subterms precede its unscoped ones.
-
-Every class in `SCHEMA` is constructed by a generated `__init__` that writes
-its fields into the instance dict directly, at about half the cost of the
-frozen dataclass's own, which calls `object.__setattr__` once per field; the
-fuzz suites build terms by the hundred thousand.  The classes stay frozen
-dataclasses in every other respect.
 """
 from __future__ import annotations
 
@@ -67,30 +61,6 @@ SCHEMA = {cls: _shape(cls, **decl) for classes, decl in [
     ((cp.Case, hcp.Case), dict(names=("x",), outside=("left", "right"))),
     ((hcp.Par,), dict(outside=("left", "right"))),
 ] for cls in classes}
-
-
-# -- constructors ---------------------------------------------------------------
-
-
-def _init(cls, args: tuple[str, ...]):
-    """An `__init__` for cls that writes its fields straight into the instance
-    dict, where the frozen dataclass's own calls `object.__setattr__` once per
-    field.  Generated as dataclass generates its own; every other part of the
-    dataclass stays: `fields`, `replace`, `==`, `hash`, `repr`,
-    `__match_args__`, and `FrozenInstanceError` on assignment."""
-    if tuple(f.name for f in fields(cls) if f.kw_only) != ("loc",):
-        raise ValueError(f"{cls.__name__}: a term's one keyword-only field must be loc")
-    stores = "".join(f"    d[{a!r}] = {a}\n" for a in args)
-    ns: dict = {}
-    exec(f"def __init__(self, {''.join(a + ', ' for a in args)}*, loc=None):\n"
-         f"    d = self.__dict__\n    d['loc'] = loc\n{stores}", ns)
-    init = ns["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
-for _cls, _s in SCHEMA.items():
-    _cls.__init__ = _init(_cls, _s.args)
 
 
 # -- free names -----------------------------------------------------------------

@@ -307,6 +307,18 @@ def test_deep_terms_neighbors_and_scramble_without_recursion():
         assert print_term(harness.scramble(term, random.Random(0), 3)).count("w().") == n
 
 
+def test_wide_mix_neighbors_without_recursion():
+    # no spine Par of a freshly built mix keeps its free-name set yet; a
+    # guard asked top-down would make the root's by recursing down the spine
+    parts = [t(f"new c{i}:1. (c{i}[].0 | c{i}().o{i}[].0)", "hcp") for i in range(2000)]
+    term = parts[-1]
+    for p in reversed(parts[:-1]):
+        term = hcp.Par(p, term)
+    nbrs = cg.neighbors(term, allow_unit_intro=False)
+    assert nbrs[0] == ("mix-comm", hcp.Par(term.right, term.left))
+    assert [lbl for lbl, _ in nbrs].count("mix-comm") == 2 * 2000 - 1
+
+
 def _height(term) -> int:
     out, stack = 0, [(term, 1)]
     while stack:
@@ -326,7 +338,8 @@ def test_scramble_builds_one_rewrite_and_its_path_per_step(monkeypatch):
         rng, want = random.Random(seed), term
         for _ in range(steps):
             sites = cg.sites(want, allow_unit_intro=False)
-            want = cg.rebuild_site(sites[rng.randrange(len(sites))])
+            path, label, build = sites[rng.randrange(len(sites))]
+            want = cg.rebuild_site((path, label, build()))
         assert print_term(harness.scramble(term, random.Random(seed), steps)) == print_term(want)
     built = 0
 

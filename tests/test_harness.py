@@ -140,8 +140,9 @@ def test_provable_oracle_matches_checker_on_samples():
 
 
 def test_inhabit_premises_are_provable(monkeypatch):
-    # inhabit looks provability up only at the root (`_CpGen.sample`): every
-    # premise it or _finish passes down is provable by construction
+    # provability is looked up only for a sampled environment
+    # (`_CpGen.sample_env`): every premise inhabit or _finish passes down is
+    # provable by construction
     inhabit, nested, calls = harness._CpGen.inhabit, 0, 0
 
     def checked(self, env, depth):

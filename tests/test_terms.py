@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -270,23 +270,6 @@ def test_schema_covers_every_field_of_every_term_class_once():
         declared += ["ty"] * s.typed
         assert sorted(declared) == sorted(f.name for f in fields(cls) if f.name != "loc"), cls
         assert bool(s.inside) == (s.binder is not None), cls
-
-
-def test_generated_constructors_keep_the_frozen_dataclass():
-    loc = surface.Loc(1, 2)
-    for cls, s in SCHEMA.items():
-        values = [ONE if f == "ty" else hcp.Inert() if f in s.subterms else Name(f, k) for k, f in enumerate(s.args)]
-        term = cls(*values, loc=loc)
-        assert [getattr(term, f) for f in s.args] == values and term.loc is loc
-        assert cls(**dict(zip(s.args, values))) == term and cls(*values).loc is None
-        assert hash(cls(*values)) == hash(term) and repr(term) == repr(cls(*values))
-        assert cls.__match_args__ == s.args
-        assert replace(term, loc=None) == term
-        for f in (s.args or ("loc",)):
-            with pytest.raises(FrozenInstanceError):
-                setattr(term, f, None)
-    with pytest.raises(TypeError):
-        cp.Link(Name("x", 1))
 
 
 # -- deep terms ---------------------------------------------------------------------
