@@ -293,3 +293,155 @@ def test_derivation_rendering():
     assert "Cut" in text and "⊢" in text
     recs = derivation_json_lines(d)
     assert recs[0]["rule"] == "Cut" and recs[0]["children"] == 2
+
+
+def _unit_cut_chain(n: int, dialect: str):
+    """The n-cut chain `new x1:1 (x1[].0 | x1().new x2:1 (...w[].0))` of a
+    dialect, with each node's free-name set made as it is built, so that
+    `free_names` never recurses more than a few frames."""
+    w = Name("w", 0)
+    free_names = cp.free_names if dialect == "cp" else hcp.free_names
+    t = cp.Halt(w) if dialect == "cp" else hcp.OutUnit(w, hcp.Inert())
+    for i in range(n, 0, -1):
+        x = Name(f"x{i}", i)
+        if dialect == "cp":
+            nodes = [cp.Wait(x, t)]
+            nodes.append(cp.Cut(x, ONE, cp.Halt(x), nodes[-1]))
+        else:
+            nodes = [hcp.InUnit(x, t)]
+            nodes.append(hcp.Par(hcp.OutUnit(x, hcp.Inert()), nodes[-1]))
+            nodes.append(hcp.New(x, ONE, nodes[-1]))
+        for node in nodes:
+            free_names(node)
+        t = nodes[-1]
+    return t, {w: ONE}
+
+
+@pytest.mark.parametrize("dialect,per_cut", [("cp", 2), ("hcp", 3)])
+def test_checkers_take_a_fixed_number_of_frames_per_cut(dialect, per_cut):
+    # the checkers recurse once per term level; the deepest Python stack a
+    # chain of n cuts reaches stays within per_cut frames a cut (so a rule
+    # that adds a wrapper frame fails), measured in a big-stack thread
+    n = 300
+    t, env = _unit_cut_chain(n, dialect)
+    check = check_cp if dialect == "cp" else check_hcp
+    out = {}
+
+    def run():
+        depth = deepest = 0
+
+        def hook(frame, event, arg):
+            nonlocal depth, deepest
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        sys.setprofile(hook)
+        try:
+            check(t, env)
+        finally:
+            sys.setprofile(None)
+            sys.setrecursionlimit(limit)
+        out["deepest"] = deepest
+
+    size = threading.stack_size(128 << 20)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+    assert 0 < out["deepest"] <= per_cut * n + 20, out["deepest"]
+
+
+# -- golden outcomes ----------------------------------------------------------
+
+
+OUTCOMES_GOLDEN = pathlib.Path(__file__).parent / "golden" / "typecheck" / "outcomes.txt"
+
+
+def _subject_swaps(t, env: dict, rng) -> list:
+    """Up to 6 terms that each replace one node's subject name by another
+    name in scope there (a name of env or of an enclosing binder), drawn by
+    rng from every such (node, field, name) in pre-order."""
+    from sill import congruence
+    from sill.terms import SCHEMA
+
+    found = []
+    stack = [(t, None, tuple(env))]
+    while stack:
+        node, path, scope = stack.pop()
+        s = SCHEMA[type(node)]
+        for f in s.names:
+            here = getattr(node, f)
+            for n in sorted(scope, key=lambda n: (n.uid, n.surface)):
+                if n != here:
+                    found.append((path, node, f, n))
+        inner = scope + (getattr(node, s.binder),) if s.binder else scope
+        for f in reversed(s.subterms):
+            stack.append((getattr(node, f), (path, node, f), inner if f in s.inside else scope))
+    picks = sorted(rng.sample(range(len(found)), min(6, len(found))))
+    out = []
+    for k in picks:
+        path, node, f, n = found[k]
+        swapped = type(node)(*[n if g == f else getattr(node, g) for g in SCHEMA[type(node)].args])
+        out.append(congruence.rebuild_site((path, "", swapped)))
+    return out
+
+
+def checker_outcomes() -> str:
+    """Per sample 0-59 of gen_cp and gen_hcp at GenConfig(seed=42), the
+    checker's answer on the sample and on variants of it: each shrink site
+    rebuilt, the env without its first name, with an unused `zz:1` and with
+    its first type dualised, and up to 6 subject swaps.  An answer is a
+    digest of the rendered derivation with its root's rule and conclusion
+    environment, or the error's `render()` and `json_record()`.  After a deliberate change
+    to the checkers, rewrite the golden with
+    `PYTHONPATH=src python tests/test_typecheck.py`."""
+    import hashlib
+    import json
+    import random
+
+    from sill import congruence, harness
+    from sill.typecheck import render_derivation
+
+    cfg = harness.GenConfig(seed=42)
+    lines = []
+    for dialect, gen in (("cp", harness.gen_cp), ("hcp", harness.gen_hcp)):
+        check = check_cp if dialect == "cp" else (lambda t, env: check_hcp(t, env)[0])
+        for i in range(60):
+            t, env, d = gen(cfg, i)
+            (first, a), rest = next(iter(env.items())), list(env.items())[1:]
+            variants = [("sample", t, env)]
+            variants += [(f"shrink{k}", congruence.rebuild_site(site), env)
+                         for k, site in enumerate(harness._shrink_sites(d))]
+            variants += [("drop-first", t, dict(rest)),
+                         ("plus-zz", t, {**env, Name("zz", 1): ONE}),
+                         ("dual-first", t, {first: dual(a), **dict(rest)})]
+            variants += [(f"swap{k}", t2, env)
+                         for k, t2 in enumerate(_subject_swaps(t, env, random.Random(f"{dialect}:{i}")))]
+            for label, term, e in variants:
+                try:
+                    d2 = check(term, e)
+                except TypeCheckError as err:
+                    answer = f"error {err.render()} {json.dumps(err.json_record(), ensure_ascii=False)}"
+                else:
+                    digest = hashlib.sha256(render_derivation(d2).encode()).hexdigest()[:16]
+                    envs = surface.print_env(d2.env) if dialect == "cp" else surface.print_hyper_env(d2.env)
+                    answer = f"ok {digest} {d2.rule} : {envs}"
+                lines.append(f"{dialect} {i} {label} {answer}")
+    return "\n".join(lines) + "\n"
+
+
+def test_checker_outcomes_match_golden():
+    assert checker_outcomes() == OUTCOMES_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    OUTCOMES_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    OUTCOMES_GOLDEN.write_text(checker_outcomes(), encoding="utf-8")
+    print("wrote tests/golden/typecheck/outcomes.txt", file=sys.stderr)
