@@ -10,11 +10,12 @@ Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`), CP terms with n top-level cuts (`new x1:1 (x1[].0 | new x2:1
 (x2[].0 | ... x1().x2()...xn().w[].0))`) and HCP mixes of independent unit
 cuts, at n = 25, 50, 100, ... doubling up to --max (default 200); for
-generation and preservation, n samples; for the reduction graph of a mix,
-whose 2^w nodes grow with its width w, w = 3..7.  A `parse` run times
+generation, preservation and checking samples, n samples; for the reduction
+graph of a mix, whose 2^w nodes grow with its width w, w = 3..7.  A `parse` run times
 `surface.parse_file` of the input's text alone; every other run on a chain
 or mix parses the input afresh first, outside the clock.  A `check` run times `typecheck.check_cp` or
-`typecheck.check_hcp` of the input.  A `reduce` run times
+`typecheck.check_hcp` of the input, or of `harness.gen_cp` or `harness.gen_hcp`
+samples 0..n-1 at seed 42, generated outside the clock.  A `reduce` run times
 `reduction.reduce` (so it includes freshening); a `graph` run times
 `reduction.reduction_graph` of the input and `surface.print_terms` of its
 nodes, as `sill graph` does; a `render derivation` run
@@ -95,6 +96,15 @@ def _check(src: str):
     return lambda: typecheck.check_hcp(d.term, d.env)
 
 
+def _check_samples(gen, check):
+    def prepare(n: int):
+        cfg = harness.GenConfig(seed=42)
+        samples = [gen(cfg, i)[:2] for i in range(n)]
+        return lambda: [check(t, env) for t, env in samples]
+
+    return prepare
+
+
 def _reduce(src: str):
     d = _main(src)
     return lambda: reduction.reduce(d.term)
@@ -170,6 +180,8 @@ WORKLOADS = {
     "check cp chain": (lambda n: chain(n, False), _check),
     "check hcp chain": (lambda n: chain(n, True), _check),
     "check hcp mix": (mix, _check),
+    "check cp samples": (lambda n: n, _check_samples(harness.gen_cp, typecheck.check_cp)),
+    "check hcp samples": (lambda n: n, _check_samples(harness.gen_hcp, typecheck.check_hcp)),
     "reduce cp chain": (lambda n: chain(n, False), _reduce),
     "reduce hcp chain": (lambda n: chain(n, True), _reduce),
     "reduce hcp mix": (mix, _reduce),

@@ -59,10 +59,16 @@ _PLANS = {src: _plan(src, image) for src, image in (SAME | MIXED).items()}
 
 
 def cp_to_hcp(t: cp.CpTerm) -> hcp.HcpTerm:
+    """The image of t.  It has t's binders in the same order and t's free
+    names, so the image of a term marked clean (see
+    `terms.freshen_if_needed`) is clean, and is marked so."""
     plan = _PLANS.get(t.__class__)
     if plan is None:
         raise TypeError(f"not a cp term: {t!r}")
-    return plan(t)
+    h = plan(t)
+    if getattr(t, "_clean", False):
+        object.__setattr__(h, "_clean", True)
+    return h
 
 
 def from_image(h: hcp.HcpTerm, *subterms: cp.CpTerm) -> cp.CpTerm:

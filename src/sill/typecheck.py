@@ -7,6 +7,17 @@ restricted channel are resolved by a small union-find with duality parity
 (each endpoint use is a variable ranging over {A, dual A}).  The one genuine
 rule freedom, which member environment a unit input extends, is resolved
 canonically to the first member without the subject.
+
+Each dialect has one rule table, term class -> rule: `_CP_RULES` of r(t,
+env), `_HCP_RULES` of r(checker, t, ctx), where the rule owns ctx and may
+update it and hand it down.  A class without a rule gets the dialect error.
+A rule works on its node in a block before its premise calls and builds the
+node's derivation in a block after them, and it checks each premise by
+calling the table's rule for it directly, so a term level costs one Python
+frame.  HCP endpoint types settle only once the whole term is checked; then
+`_finalize` writes them into the environments, fixing each at its first
+occurrence in a pre-order walk of the derivation, since that order decides
+the polarity picked for an unconstrained endpoint pair.
 """
 from __future__ import annotations
 
@@ -81,6 +92,28 @@ def hyper_eq(p1: HyperEnv, p2: HyperEnv) -> bool:
     return p1 == p2 or Counter(frozenset(e.items()) for e in p1) == Counter(frozenset(e.items()) for e in p2)
 
 
+def _unused(n: Name, t) -> TypeCheckError:
+    return TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
+
+
+def _mismatch(x: Name, want: str, have: Type, t) -> TypeCheckError:
+    return TypeCheckError(KIND_MISMATCH, f"channel {x} has type {ty.render(have)}, but the action requires {want}",
+                          name=x, loc=t.loc, expected=want, actual=ty.render(have))
+
+
+# what an action on a channel requires of its type, by the type's class
+_UNIT_WANTS = {ty.One: "the unit 1", ty.Bot: "the unit bot", ty.Top: "the empty offer top",
+               ty.Tensor: "an output type A * B", ty.Par: "an input type A par B",
+               ty.Plus: "a selection type A + B", ty.With: "an offer type A & B"}
+
+
+class _Rules(dict):
+    """A rule table, term class -> rule; a class without a rule gets `missing`."""
+
+    def __missing__(self, cls):
+        return self.missing
+
+
 # -- CP -----------------------------------------------------------------------
 
 
@@ -90,20 +123,27 @@ def _need(env: Env, x: Name, t) -> Type:
     return env[x]
 
 
+def _subject(env: Env, x: Name, want, t) -> Type:
+    """The type of x, the subject of t, which t's action requires to be of class want."""
+    s = env.get(x)
+    if s.__class__ is not want:
+        raise _mismatch(x, _UNIT_WANTS[want], _need(env, x, t), t)
+    return s
+
+
 def _route(env: Env, p, q, t) -> tuple[Env, Env]:
     fvp, fvq = cp.free_names(p), cp.free_names(q)
     envp: Env = {}
     envq: Env = {}
     for n, a in env.items():
-        inp, inq = n in fvp, n in fvq
-        if inp and inq:
-            raise TypeCheckError(KIND_SPLIT, f"channel {n} is used by both branches of a split", name=n, loc=t.loc)
-        if inp:
+        if n in fvp:
+            if n in fvq:
+                raise TypeCheckError(KIND_SPLIT, f"channel {n} is used by both branches of a split", name=n, loc=t.loc)
             envp[n] = a
-        elif inq:
+        elif n in fvq:
             envq[n] = a
         else:
-            raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
+            raise _unused(n, t)
     return envp, envq
 
 
@@ -111,90 +151,98 @@ def check_cp(t: cp.CpTerm, env: Env) -> Derivation:
     """Check a CP term against a declared environment; returns the derivation."""
     if not isinstance(t, cp.CpTerm):
         raise TypeCheckError(KIND_DIALECT, "expected a CP term", loc=getattr(t, "loc", None))
-    return _check_cp(t, dict(env))
+    return _CP_RULES[t.__class__](t, dict(env))
 
 
-def _mismatch(x: Name, want: str, have: Type, t) -> TypeCheckError:
-    return TypeCheckError(
-        KIND_MISMATCH,
-        f"channel {x} has type {ty.render(have)}, but the action requires {want}",
-        name=x, loc=t.loc, expected=want, actual=ty.render(have),
-    )
+def _cp_link(t, env):
+    x, y = t.x, t.y
+    if x == y:
+        raise TypeCheckError(KIND_REUSE, f"a link must join two distinct channels, got {x} twice", name=x, loc=t.loc)
+    a, b = _need(env, x, t), _need(env, y, t)
+    for n in env:
+        if n != x and n != y:
+            raise _unused(n, t)
+    if b is not a.dual:
+        raise _mismatch(y, f"the dual {ty.render(dual(a))}", b, t)
+    return Derivation("Ax", t, dict(env), ())
 
 
-# what an action on a channel requires of its type, by the type's class
-_UNIT_WANTS = {ty.One: "the unit 1", ty.Bot: "the unit bot", ty.Top: "the empty offer top",
-               ty.Tensor: "an output type A * B", ty.Par: "an input type A par B",
-               ty.Plus: "a selection type A + B", ty.With: "an offer type A & B"}
+def _cp_cut(t, env):
+    x, p, q = t.x, t.left, t.right
+    if x in env:
+        raise TypeCheckError(KIND_REUSE, f"restricted channel {x} shadows a declared channel", name=x, loc=t.loc)
+    envp, envq = _route(env, p, q, t)
+    envp[x] = t.ty
+    envq[x] = t.ty.dual
+    return Derivation("Cut", t, dict(env), (_CP_RULES[p.__class__](p, envp), _CP_RULES[q.__class__](q, envq)))
 
 
-def _subject(env: Env, x: Name, want, t) -> Type:
-    """The type of x, the subject of t, which t's action requires to be of class want."""
-    s = _need(env, x, t)
-    if not isinstance(s, want):
-        raise _mismatch(x, _UNIT_WANTS[want], s, t)
-    return s
+def _cp_send(t, env):
+    x, p, q = t.x, t.payload, t.cont
+    s = _subject(env, x, ty.Tensor, t)
+    rest = dict(env)
+    del rest[x]
+    envp, envq = _route(rest, p, q, t)
+    envp[t.y] = s.left
+    envq[x] = s.right
+    return Derivation("⊗", t, dict(env), (_CP_RULES[p.__class__](p, envp), _CP_RULES[q.__class__](q, envq)))
 
 
-def _check_cp(t: cp.CpTerm, env: Env) -> Derivation:
-    match t:
-        case cp.Link(x, y):
-            if x == y:
-                raise TypeCheckError(KIND_REUSE, f"a link must join two distinct channels, got {x} twice", name=x, loc=t.loc)
-            a, b = _need(env, x, t), _need(env, y, t)
-            for n in env:
-                if n not in (x, y):
-                    raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-            if b != dual(a):
-                raise _mismatch(y, f"the dual {ty.render(dual(a))}", b, t)
-            return Derivation("Ax", t, dict(env), ())
-        case cp.Cut(x, a, p, q):
-            if x in env:
-                raise TypeCheckError(KIND_REUSE, f"restricted channel {x} shadows a declared channel", name=x, loc=t.loc)
-            envp, envq = _route(env, p, q, t)
-            envp[x] = a
-            envq[x] = dual(a)
-            return Derivation("Cut", t, dict(env), (_check_cp(p, envp), _check_cp(q, envq)))
-        case cp.Send(x, y, p, q):
-            s = _subject(env, x, ty.Tensor, t)
-            rest = {n: v for n, v in env.items() if n != x}
-            envp, envq = _route(rest, p, q, t)
-            envp[y] = s.left
-            envq[x] = s.right
-            return Derivation("⊗", t, dict(env), (_check_cp(p, envp), _check_cp(q, envq)))
-        case cp.Recv(x, y, p):
-            s = _subject(env, x, ty.Par, t)
-            env2 = {n: v for n, v in env.items() if n != x}
-            env2[y] = s.left
-            env2[x] = s.right
-            return Derivation("⅋", t, dict(env), (_check_cp(p, env2),))
-        case cp.Halt(x):
-            _subject(env, x, ty.One, t)
-            for n in env:
-                if n != x:
-                    raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-            return Derivation("1", t, dict(env), ())
-        case cp.Wait(x, p):
-            _subject(env, x, ty.Bot, t)
-            env2 = {n: v for n, v in env.items() if n != x}
-            return Derivation("⊥", t, dict(env), (_check_cp(p, env2),))
-        case cp.Inl(x, p) | cp.Inr(x, p):
-            s = _subject(env, x, ty.Plus, t)
-            left = isinstance(t, cp.Inl)
-            env2 = dict(env)
-            env2[x] = s.left if left else s.right
-            return Derivation("⊕₁" if left else "⊕₂", t, dict(env), (_check_cp(p, env2),))
-        case cp.Case(x, p, q):
-            s = _subject(env, x, ty.With, t)
-            envp = dict(env)
-            envp[x] = s.left
-            envq = dict(env)
-            envq[x] = s.right
-            return Derivation("&", t, dict(env), (_check_cp(p, envp), _check_cp(q, envq)))
-        case cp.Absurd(x):
-            _subject(env, x, ty.Top, t)
-            return Derivation("⊤", t, dict(env), ())
+def _cp_recv(t, env):
+    x, p = t.x, t.body
+    s = _subject(env, x, ty.Par, t)
+    env2 = dict(env)
+    del env2[x]
+    env2[t.y] = s.left
+    env2[x] = s.right
+    return Derivation("⅋", t, dict(env), (_CP_RULES[p.__class__](p, env2),))
+
+
+def _cp_halt(t, env):
+    x = t.x
+    _subject(env, x, ty.One, t)
+    for n in env:
+        if n != x:
+            raise _unused(n, t)
+    return Derivation("1", t, dict(env), ())
+
+
+def _cp_wait(t, env):
+    x, p = t.x, t.body
+    _subject(env, x, ty.Bot, t)
+    env2 = dict(env)
+    del env2[x]
+    return Derivation("⊥", t, dict(env), (_CP_RULES[p.__class__](p, env2),))
+
+
+def _cp_select(t, env):
+    x, p = t.x, t.body
+    s = _subject(env, x, ty.Plus, t)
+    left = t.__class__ is cp.Inl
+    env2 = {**env, x: s.left if left else s.right}
+    return Derivation("⊕₁" if left else "⊕₂", t, dict(env), (_CP_RULES[p.__class__](p, env2),))
+
+
+def _cp_case(t, env):
+    x, p, q = t.x, t.left, t.right
+    s = _subject(env, x, ty.With, t)
+    envp, envq = {**env, x: s.left}, {**env, x: s.right}
+    return Derivation("&", t, dict(env), (_CP_RULES[p.__class__](p, envp), _CP_RULES[q.__class__](q, envq)))
+
+
+def _cp_absurd(t, env):
+    _subject(env, t.x, ty.Top, t)
+    return Derivation("⊤", t, dict(env), ())
+
+
+def _not_cp(t, env):
     raise TypeCheckError(KIND_DIALECT, f"not a CP construct: {type(t).__name__}", loc=getattr(t, "loc", None))
+
+
+_CP_RULES = _Rules({cp.Link: _cp_link, cp.Cut: _cp_cut, cp.Send: _cp_send, cp.Recv: _cp_recv, cp.Halt: _cp_halt,
+                    cp.Wait: _cp_wait, cp.Inl: _cp_select, cp.Inr: _cp_select, cp.Case: _cp_case,
+                    cp.Absurd: _cp_absurd})
+_CP_RULES.missing = _not_cp
 
 
 # -- HCP ----------------------------------------------------------------------
@@ -270,291 +318,41 @@ class _Store:
 
 
 def _index_with(part: HyperEnv, x: Name) -> int:
-    return next(i for i, e in enumerate(part) if x in e)
+    """The index of the first member environment of part that holds x, where one does."""
+    for i, e in enumerate(part):
+        if x in e:
+            return i
 
 
 class _HcpChecker:
+    """The state of one HCP check: the endpoint store and the two relaxations.
+    A slot, the type of a name in a context, is a concrete Type or an int use-id
+    in the store."""
+
     def __init__(self, allow_self_lock: bool = False, allow_hyper_with: bool = False):
         self.store = _Store()
         self.allow_self_lock = allow_self_lock
         self.allow_hyper_with = allow_hyper_with
 
-    # slots are either concrete Types or int use-ids in self.store
-
     def _resolved(self, slot):
-        return slot if isinstance(slot, Type) else self.store.value(slot)
+        return slot if type(slot) is not int else self.store.value(slot)
 
     def _subject(self, ctx: dict, x: Name, want, t) -> Type:
-        if x not in ctx:
-            raise TypeCheckError(KIND_UNKNOWN, f"channel {x} is not available here", name=x, loc=t.loc)
-        s = ctx[x]
-        if isinstance(s, Type):
-            if not isinstance(s, want):
-                raise _mismatch(x, _UNIT_WANTS[want], s, t)
+        s = ctx.get(x)
+        if s.__class__ is want:
             return s
+        if s is None:
+            raise TypeCheckError(KIND_UNKNOWN, f"channel {x} is not available here", name=x, loc=t.loc)
+        if type(s) is not int:
+            raise _mismatch(x, _UNIT_WANTS[want], s, t)
         ann = self.store.ann[s]
         cands = [c for c in (ann, dual(ann)) if isinstance(c, want)]
         if not cands:
-            raise TypeCheckError(
-                KIND_MISMATCH,
-                f"channel {x} has endpoint types {ty.render(ann)} and {ty.render(dual(ann))}; "
-                f"neither supports this action ({_UNIT_WANTS[want]})",
-                name=x, loc=t.loc, expected=_UNIT_WANTS[want], actual=ty.render(ann),
-            )
+            raise TypeCheckError(KIND_MISMATCH, f"channel {x} has endpoint types {ty.render(ann)} and "
+                                 f"{ty.render(dual(ann))}; neither supports this action ({_UNIT_WANTS[want]})",
+                                 name=x, loc=t.loc, expected=_UNIT_WANTS[want], actual=ty.render(ann))
         self.store.force(s, cands[0], x, t.loc)
         return cands[0]
-
-    def go(self, t: hcp.HcpTerm, ctx: dict) -> Derivation:
-        """Check t against ctx, returning its derivation, whose env is the
-        partition.  The call owns ctx: it updates it in place and hands it down, so callers
-        pass a dict they do not read again."""
-        store = self.store
-        match t:
-            case hcp.Inert():
-                for n in ctx:
-                    raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-                return Derivation("H-Mix₀", t, [], ())
-            case hcp.Link(x, y):
-                if x == y:
-                    raise TypeCheckError(KIND_REUSE, f"a link must join two distinct channels, got {x} twice", name=x, loc=t.loc)
-                for n in (x, y):
-                    if n not in ctx:
-                        raise TypeCheckError(KIND_UNKNOWN, f"channel {n} is not available here", name=n, loc=t.loc)
-                for n in ctx:
-                    if n not in (x, y):
-                        raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-                sx, sy = ctx[x], ctx[y]
-                if isinstance(sx, Type) and isinstance(sy, Type):
-                    if sy != dual(sx):
-                        raise _mismatch(y, f"the dual {ty.render(dual(sx))}", sy, t)
-                elif isinstance(sx, Type):
-                    store.force(sy, dual(sx), y, t.loc)
-                elif isinstance(sy, Type):
-                    store.force(sx, dual(sy), x, t.loc)
-                else:
-                    store.union_dual(sx, sy, x, t.loc)
-                env = {x: sx, y: sy}
-                return Derivation("Ax", t, [env], ())
-            case hcp.Par(p, q):
-                fvp, fvq = hcp.free_names(p), hcp.free_names(q)
-                ctxp: dict = {}
-                ctxq: dict = {}
-                for n, s in ctx.items():
-                    inp, inq = n in fvp, n in fvq
-                    if inp and inq:
-                        if isinstance(s, Type):
-                            raise TypeCheckError(
-                                KIND_REUSE,
-                                f"channel {n} is used by two parallel components but has only one declared endpoint",
-                                name=n, loc=t.loc,
-                            )
-                        u1 = store.new_use(store.ann[s])
-                        u2 = store.new_use(store.ann[s])
-                        store.union_dual(u1, u2, n, t.loc)
-                        ctxp[n] = u1
-                        ctxq[n] = u2
-                    elif inp:
-                        ctxp[n] = s
-                    elif inq:
-                        ctxq[n] = s
-                    else:
-                        raise TypeCheckError(KIND_UNUSED, f"linear channel {n} is not used", name=n, loc=t.loc)
-                dp, dq = self.go(p, ctxp), self.go(q, ctxq)
-                part = dp.env + dq.env
-                return Derivation("H-Mix", t, part, (dp, dq))
-            case hcp.New(x, a, p):
-                if x in ctx:
-                    raise TypeCheckError(KIND_REUSE, f"restricted channel {x} shadows a declared channel", name=x, loc=t.loc)
-                ctx[x] = store.new_use(a)
-                dp = self.go(p, ctx)
-                part = dp.env
-                idxs = [i for i, e in enumerate(part) if x in e]
-                if len(idxs) < 2:
-                    raise TypeCheckError(
-                        KIND_UNUSED,
-                        f"restricted channel {x} must be used by two independent components, found {len(idxs)}",
-                        name=x, loc=t.loc,
-                    )
-                if len(idxs) > 2:
-                    raise TypeCheckError(KIND_REUSE, f"restricted channel {x} is used by more than two components", name=x, loc=t.loc)
-                i, j = idxs
-                s1, s2 = part[i][x], part[j][x]
-                t1, t2 = self._resolved(s1), self._resolved(s2)
-                if t1 is None and t2 is None:
-                    # both endpoints still free: record only that they must be
-                    # dual; the polarity choice is made at finalization, once
-                    # every constraint from sibling subtrees is in
-                    store.union_dual(s1, s2, x, t.loc)
-                elif t1 is None:
-                    store.force(s1, dual(t2), x, t.loc)
-                    t1 = dual(t2)
-                elif t2 is None:
-                    store.force(s2, dual(t1), x, t.loc)
-                    t2 = dual(t1)
-                if t1 is not None and t2 is not None:
-                    if t2 != dual(t1) or t1 not in (a, dual(a)):
-                        raise TypeCheckError(
-                            KIND_MISMATCH,
-                            f"endpoints of {x} have types {ty.render(t1)} and {ty.render(t2)}, "
-                            f"but the restriction is annotated {ty.render(a)}",
-                            name=x, loc=t.loc, expected=f"{ty.render(a)} / {ty.render(dual(a))}",
-                            actual=f"{ty.render(t1)} / {ty.render(t2)}",
-                        )
-                merged = {n: s for n, s in part[i].items() if n != x}
-                for n, s in part[j].items():
-                    if n == x:
-                        continue
-                    if n in merged:
-                        raise TypeCheckError(
-                            KIND_REUSE,
-                            f"cutting {x} would entangle both endpoints of {n} into one sequent",
-                            name=n, loc=t.loc,
-                        )
-                    merged[n] = s
-                newpart = part.copy()
-                newpart[i] = merged
-                del newpart[j]
-                return Derivation("H-Cut", t, newpart, (dp,))
-            case hcp.BoundOut(x, y, p):
-                s = self._subject(ctx, x, ty.Tensor, t)
-                del ctx[x]
-                ctx[y] = s.left
-                ctx[x] = s.right
-                dp = self.go(p, ctx)
-                part = dp.env
-                iy = _index_with(part, y)
-                ix = _index_with(part, x)
-                if iy == ix:
-                    raise TypeCheckError(
-                        KIND_SPLIT,
-                        f"the payload {y} and continuation {x} of an output must belong to independent components",
-                        name=x, loc=t.loc,
-                    )
-                merged = {n: v for n, v in part[iy].items() if n != y}
-                for n, v in part[ix].items():
-                    if n == x:
-                        continue
-                    if n in merged:
-                        raise TypeCheckError(KIND_REUSE, f"output on {x} would entangle both endpoints of {n}", name=n, loc=t.loc)
-                    merged[n] = v
-                merged[x] = s
-                newpart = part.copy()
-                newpart[min(iy, ix)] = merged
-                del newpart[max(iy, ix)]
-                return Derivation("⊗", t, newpart, (dp,))
-            case hcp.In(x, y, p):
-                s = self._subject(ctx, x, ty.Par, t)
-                del ctx[x]
-                ctx[y] = s.left
-                ctx[x] = s.right
-                dp = self.go(p, ctx)
-                part = dp.env
-                iy = _index_with(part, y)
-                if x not in part[iy]:
-                    raise TypeCheckError(
-                        KIND_SPLIT,
-                        f"the payload {y} and continuation {x} of an input must share one component",
-                        name=x, loc=t.loc,
-                    )
-                e2 = {n: v for n, v in part[iy].items() if n not in (x, y)}
-                e2[x] = s
-                newpart = part.copy()
-                newpart[iy] = e2
-                return Derivation("⅋", t, newpart, (dp,))
-            case hcp.OutUnit(x, p):
-                self._subject(ctx, x, ty.One, t)
-                del ctx[x]
-                if x in hcp.free_names(p):
-                    ctx[x] = BOT
-                dp = self.go(p, ctx)
-                part = dp.env
-                if any(x in e for e in part) and not self.allow_self_lock:
-                    raise TypeCheckError(
-                        KIND_SELFLOCK,
-                        f"cannot send on {x} while also holding its other endpoint",
-                        name=x, loc=t.loc,
-                    )
-                newpart = part + [{x: ONE}]
-                return Derivation("1", t, newpart, (dp,))
-            case hcp.InUnit(x, p):
-                s = self._subject(ctx, x, ty.Bot, t)
-                del ctx[x]
-                if x in hcp.free_names(p):
-                    ctx[x] = ONE
-                dp = self.go(p, ctx)
-                part = dp.env
-                if any(x in e for e in part) and not self.allow_self_lock:
-                    raise TypeCheckError(
-                        KIND_SELFLOCK,
-                        f"cannot wait on {x} while also holding its other endpoint",
-                        name=x, loc=t.loc,
-                    )
-                cands = [i for i, e in enumerate(part) if x not in e]
-                if not cands:
-                    if self.allow_self_lock:
-                        newpart = part + [{x: s}]
-                        return Derivation("⊥", t, newpart, (dp,))
-                    raise TypeCheckError(
-                        KIND_MISMATCH,
-                        f"a wait on {x} needs a component to extend; its continuation offers none",
-                        name=x, loc=t.loc,
-                    )
-                i = cands[0]
-                e2 = dict(part[i])
-                e2[x] = s
-                newpart = part.copy()
-                newpart[i] = e2
-                return Derivation("⊥", t, newpart, (dp,))
-            case hcp.Inl(x, p) | hcp.Inr(x, p):
-                left = isinstance(t, hcp.Inl)
-                s = self._subject(ctx, x, ty.Plus, t)
-                ctx[x] = s.left if left else s.right
-                dp = self.go(p, ctx)
-                part = dp.env
-                i = _index_with(part, x)
-                e2 = dict(part[i])
-                e2[x] = s
-                newpart = part.copy()
-                newpart[i] = e2
-                rule = "⊕₁" if left else "⊕₂"
-                return Derivation(rule, t, newpart, (dp,))
-            case hcp.Case(x, p, q):
-                s = self._subject(ctx, x, ty.With, t)
-                ctxp = dict(ctx)
-                ctxp[x] = s.left
-                ctx[x] = s.right
-                dp, dq = self.go(p, ctxp), self.go(q, ctx)
-                pp, pq = dp.env, dq.env
-                if not self.allow_hyper_with:
-                    if len(pp) != 1 or len(pq) != 1:
-                        raise TypeCheckError(
-                            KIND_HYPER,
-                            f"an offer on {x} requires a single sequent, but a branch is split into "
-                            f"{max(len(pp), len(pq))} independent components",
-                            name=x, loc=t.loc,
-                        )
-                ip = _index_with(pp, x)
-                iq = _index_with(pq, x)
-                restp = [self._env_resolved_key(e) for k, e in enumerate(pp) if k != ip]
-                restq = [self._env_resolved_key(e) for k, e in enumerate(pq) if k != iq]
-                gp = self._env_resolved_key({n: v for n, v in pp[ip].items() if n != x})
-                gq = self._env_resolved_key({n: v for n, v in pq[iq].items() if n != x})
-                if gp != gq or sorted(restp) != sorted(restq):
-                    raise TypeCheckError(
-                        KIND_MISMATCH,
-                        f"the branches of the offer on {x} use different channel sets",
-                        name=x, loc=t.loc,
-                    )
-                e2 = {n: v for n, v in pp[ip].items() if n != x}
-                e2[x] = s
-                newpart = [e2] + [e for k, e in enumerate(pp) if k != ip]
-                return Derivation("&", t, newpart, (dp, dq))
-            case hcp.Absurd(x):
-                self._subject(ctx, x, ty.Top, t)
-                env = dict(ctx)
-                env[x] = TOP
-                return Derivation("⊤", t, [env], ())
-        raise TypeCheckError(KIND_DIALECT, f"not an HCP construct: {type(t).__name__}", loc=getattr(t, "loc", None))
 
     def _env_resolved_key(self, e: dict):
         out = []
@@ -564,6 +362,250 @@ class _HcpChecker:
         return tuple(sorted(out))
 
 
+def _hcp_inert(c, t, ctx):
+    for n in ctx:
+        raise _unused(n, t)
+    return Derivation("H-Mix₀", t, [], ())
+
+
+def _hcp_link(c, t, ctx):
+    x, y, store = t.x, t.y, c.store
+    if x == y:
+        raise TypeCheckError(KIND_REUSE, f"a link must join two distinct channels, got {x} twice", name=x, loc=t.loc)
+    for n in (x, y):
+        if n not in ctx:
+            raise TypeCheckError(KIND_UNKNOWN, f"channel {n} is not available here", name=n, loc=t.loc)
+    for n in ctx:
+        if n != x and n != y:
+            raise _unused(n, t)
+    sx, sy = ctx[x], ctx[y]
+    if type(sx) is not int and type(sy) is not int:
+        if sy is not sx.dual:
+            raise _mismatch(y, f"the dual {ty.render(dual(sx))}", sy, t)
+    elif type(sx) is not int:
+        store.force(sy, dual(sx), y, t.loc)
+    elif type(sy) is not int:
+        store.force(sx, dual(sy), x, t.loc)
+    else:
+        store.union_dual(sx, sy, x, t.loc)
+    return Derivation("Ax", t, [{x: sx, y: sy}], ())
+
+
+def _hcp_par(c, t, ctx):
+    p, q, store = t.left, t.right, c.store
+    fvp, fvq = hcp.free_names(p), hcp.free_names(q)
+    ctxp: dict = {}
+    ctxq: dict = {}
+    for n, s in ctx.items():
+        if n in fvp:
+            if n in fvq:
+                if type(s) is not int:
+                    raise TypeCheckError(KIND_REUSE, f"channel {n} is used by two parallel components but has only "
+                                 "one declared endpoint", name=n, loc=t.loc)
+                u1 = store.new_use(store.ann[s])
+                u2 = store.new_use(store.ann[s])
+                store.union_dual(u1, u2, n, t.loc)
+                ctxp[n] = u1
+                ctxq[n] = u2
+            else:
+                ctxp[n] = s
+        elif n in fvq:
+            ctxq[n] = s
+        else:
+            raise _unused(n, t)
+    dp = _HCP_RULES[p.__class__](c, p, ctxp)
+    dq = _HCP_RULES[q.__class__](c, q, ctxq)
+    return Derivation("H-Mix", t, dp.env + dq.env, (dp, dq))
+
+
+def _hcp_new(c, t, ctx):
+    x, a, p, store = t.x, t.ty, t.body, c.store
+    if x in ctx:
+        raise TypeCheckError(KIND_REUSE, f"restricted channel {x} shadows a declared channel", name=x, loc=t.loc)
+    ctx[x] = store.new_use(a)
+    dp = _HCP_RULES[p.__class__](c, p, ctx)
+    part = dp.env
+    idxs = []  # the members holding x, found in one pass
+    for k, e in enumerate(part):
+        if x in e:
+            idxs.append(k)
+    if len(idxs) < 2:
+        raise TypeCheckError(KIND_UNUSED, f"restricted channel {x} must be used by two independent components, "
+                     f"found {len(idxs)}", name=x, loc=t.loc)
+    if len(idxs) > 2:
+        raise TypeCheckError(KIND_REUSE, f"restricted channel {x} is used by more than two components", name=x, loc=t.loc)
+    i, j = idxs
+    s1, s2 = part[i][x], part[j][x]
+    t1, t2 = c._resolved(s1), c._resolved(s2)
+    if t1 is None and t2 is None:
+        # both endpoints still free: record only that they must be
+        # dual; the polarity choice is made at finalization, once
+        # every constraint from sibling subtrees is in
+        store.union_dual(s1, s2, x, t.loc)
+    elif t1 is None:
+        store.force(s1, dual(t2), x, t.loc)
+        t1 = dual(t2)
+    elif t2 is None:
+        store.force(s2, dual(t1), x, t.loc)
+        t2 = dual(t1)
+    if t1 is not None and t2 is not None:
+        if t2 != dual(t1) or t1 not in (a, dual(a)):
+            raise TypeCheckError(KIND_MISMATCH, f"endpoints of {x} have types {ty.render(t1)} and {ty.render(t2)}, "
+                                 f"but the restriction is annotated {ty.render(a)}", name=x, loc=t.loc,
+                                 expected=f"{ty.render(a)} / {ty.render(dual(a))}",
+                                 actual=f"{ty.render(t1)} / {ty.render(t2)}")
+    merged = dict(part[i])
+    del merged[x]
+    for n, s in part[j].items():
+        if n != x:
+            if n in merged:
+                raise TypeCheckError(KIND_REUSE, f"cutting {x} would entangle both endpoints of {n} into one sequent",
+                                     name=n, loc=t.loc)
+            merged[n] = s
+    newpart = part.copy()
+    newpart[i] = merged
+    del newpart[j]
+    return Derivation("H-Cut", t, newpart, (dp,))
+
+
+def _hcp_out(c, t, ctx):
+    x, y, p = t.x, t.y, t.body
+    s = c._subject(ctx, x, ty.Tensor, t)
+    del ctx[x]
+    ctx[y] = s.left
+    ctx[x] = s.right
+    dp = _HCP_RULES[p.__class__](c, p, ctx)
+    part = dp.env
+    iy, ix = _index_with(part, y), _index_with(part, x)
+    if iy == ix:
+        raise TypeCheckError(KIND_SPLIT, f"the payload {y} and continuation {x} of an output must belong to "
+                     "independent components", name=x, loc=t.loc)
+    merged = dict(part[iy])
+    del merged[y]
+    for n, v in part[ix].items():
+        if n != x:
+            if n in merged:
+                raise TypeCheckError(KIND_REUSE, f"output on {x} would entangle both endpoints of {n}", name=n, loc=t.loc)
+            merged[n] = v
+    merged[x] = s
+    newpart = part.copy()
+    newpart[min(iy, ix)] = merged
+    del newpart[max(iy, ix)]
+    return Derivation("⊗", t, newpart, (dp,))
+
+
+def _hcp_in(c, t, ctx):
+    x, y, p = t.x, t.y, t.body
+    s = c._subject(ctx, x, ty.Par, t)
+    del ctx[x]
+    ctx[y] = s.left
+    ctx[x] = s.right
+    dp = _HCP_RULES[p.__class__](c, p, ctx)
+    part = dp.env
+    iy = _index_with(part, y)
+    if x not in part[iy]:
+        raise TypeCheckError(KIND_SPLIT, f"the payload {y} and continuation {x} of an input must share one component",
+                             name=x, loc=t.loc)
+    e2 = {n: v for n, v in part[iy].items() if n != x and n != y}
+    e2[x] = s
+    newpart = part.copy()
+    newpart[iy] = e2
+    return Derivation("⅋", t, newpart, (dp,))
+
+
+def _hcp_out_unit(c, t, ctx):
+    x, p = t.x, t.body
+    c._subject(ctx, x, ty.One, t)
+    del ctx[x]
+    if x in hcp.free_names(p):
+        ctx[x] = BOT
+    dp = _HCP_RULES[p.__class__](c, p, ctx)
+    part = dp.env
+    if not c.allow_self_lock:
+        for e in part:
+            if x in e:
+                raise TypeCheckError(KIND_SELFLOCK, f"cannot send on {x} while also holding its other endpoint", name=x, loc=t.loc)
+    return Derivation("1", t, part + [{x: ONE}], (dp,))
+
+
+def _hcp_in_unit(c, t, ctx):
+    x, p = t.x, t.body
+    s = c._subject(ctx, x, ty.Bot, t)
+    del ctx[x]
+    if x in hcp.free_names(p):
+        ctx[x] = ONE
+    dp = _HCP_RULES[p.__class__](c, p, ctx)
+    part = dp.env
+    i = None  # the first member without x, which the wait extends
+    for k, e in enumerate(part):
+        if x in e:
+            if not c.allow_self_lock:
+                raise TypeCheckError(KIND_SELFLOCK, f"cannot wait on {x} while also holding its other endpoint", name=x, loc=t.loc)
+        elif i is None:
+            i = k
+    if i is None:
+        if c.allow_self_lock:
+            return Derivation("⊥", t, part + [{x: s}], (dp,))
+        raise TypeCheckError(KIND_MISMATCH, f"a wait on {x} needs a component to extend; its continuation offers none",
+                             name=x, loc=t.loc)
+    newpart = part.copy()
+    newpart[i] = {**part[i], x: s}
+    return Derivation("⊥", t, newpart, (dp,))
+
+
+def _hcp_select(c, t, ctx):
+    x, p = t.x, t.body
+    left = t.__class__ is hcp.Inl
+    s = c._subject(ctx, x, ty.Plus, t)
+    ctx[x] = s.left if left else s.right
+    dp = _HCP_RULES[p.__class__](c, p, ctx)
+    part = dp.env
+    i = _index_with(part, x)
+    newpart = part.copy()
+    newpart[i] = {**part[i], x: s}
+    return Derivation("⊕₁" if left else "⊕₂", t, newpart, (dp,))
+
+
+def _hcp_case(c, t, ctx):
+    x, p, q = t.x, t.left, t.right
+    s = c._subject(ctx, x, ty.With, t)
+    ctxp = {**ctx, x: s.left}
+    ctx[x] = s.right
+    dp = _HCP_RULES[p.__class__](c, p, ctxp)
+    dq = _HCP_RULES[q.__class__](c, q, ctx)
+    pp, pq = dp.env, dq.env
+    if not c.allow_hyper_with and (len(pp) != 1 or len(pq) != 1):
+        raise TypeCheckError(KIND_HYPER, f"an offer on {x} requires a single sequent, but a branch is split into "
+                     f"{max(len(pp), len(pq))} independent components", name=x, loc=t.loc)
+    ip, iq = _index_with(pp, x), _index_with(pq, x)
+    restp = [c._env_resolved_key(e) for k, e in enumerate(pp) if k != ip]
+    restq = [c._env_resolved_key(e) for k, e in enumerate(pq) if k != iq]
+    gp = c._env_resolved_key({n: v for n, v in pp[ip].items() if n != x})
+    gq = c._env_resolved_key({n: v for n, v in pq[iq].items() if n != x})
+    if gp != gq or sorted(restp) != sorted(restq):
+        raise TypeCheckError(KIND_MISMATCH, f"the branches of the offer on {x} use different channel sets", name=x, loc=t.loc)
+    e2 = {n: v for n, v in pp[ip].items() if n != x}
+    e2[x] = s
+    return Derivation("&", t, [e2] + [e for k, e in enumerate(pp) if k != ip], (dp, dq))
+
+
+def _hcp_absurd(c, t, ctx):
+    x = t.x
+    c._subject(ctx, x, ty.Top, t)
+    return Derivation("⊤", t, [{**ctx, x: TOP}], ())
+
+
+def _not_hcp(c, t, ctx):
+    raise TypeCheckError(KIND_DIALECT, f"not an HCP construct: {type(t).__name__}", loc=getattr(t, "loc", None))
+
+
+_HCP_RULES = _Rules({hcp.Inert: _hcp_inert, hcp.Link: _hcp_link, hcp.Par: _hcp_par, hcp.New: _hcp_new,
+                     hcp.BoundOut: _hcp_out, hcp.In: _hcp_in, hcp.OutUnit: _hcp_out_unit,
+                     hcp.InUnit: _hcp_in_unit, hcp.Inl: _hcp_select, hcp.Inr: _hcp_select,
+                     hcp.Case: _hcp_case, hcp.Absurd: _hcp_absurd})
+_HCP_RULES.missing = _not_hcp
+
+
 def check_hcp(t: hcp.HcpTerm, names: Env, *, allow_self_lock: bool = False,
               allow_hyper_with: bool = False) -> tuple[Derivation, HyperEnv]:
     """Check an HCP term against a flat name->type map; synthesizes the
@@ -571,7 +613,7 @@ def check_hcp(t: hcp.HcpTerm, names: Env, *, allow_self_lock: bool = False,
     if not isinstance(t, hcp.HcpTerm):
         raise TypeCheckError(KIND_DIALECT, "expected an HCP term", loc=getattr(t, "loc", None))
     checker = _HcpChecker(allow_self_lock=allow_self_lock, allow_hyper_with=allow_hyper_with)
-    d = checker.go(t, dict(names))
+    d = _HCP_RULES[t.__class__](checker, t, dict(names))
     _finalize(d, checker.store)
     return d, d.env
 
@@ -590,7 +632,7 @@ def _finalize(d: Derivation, store: _Store) -> None:
                 continue
             seen.add(id(e))
             for n, s in e.items():
-                if not isinstance(s, int):
+                if type(s) is not int:
                     continue
                 v = store.value(s)
                 if v is None:

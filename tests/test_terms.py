@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import subterms
 
-from sill import congruence, cp, harness, hcp, reduction, surface
+from sill import congruence, cp, harness, hcp, reduction, surface, terms
 from sill.names import Name
 from sill.terms import FREE_NAMES, SCHEMA, alpha_eq, alpha_key, binders, freshen_if_needed, substitute
 from sill.translate import cp_to_hcp
@@ -106,6 +106,19 @@ def test_translation_preserves_free_names():
 def test_freshen_if_needed_keeps_clean_terms():
     term = t("new x:1 (x[].0 | x().w[].0)")
     assert freshen_if_needed(term) is term
+
+
+def test_image_of_a_reduct_is_not_walked_again(monkeypatch):
+    # a reduct is built clean and marked so; its image has the same binders
+    # and free names, so it is clean and marked too, and freshening it does
+    # not walk its binders
+    reduct = reduction.reduce(t("new x:1 (x[].0 | x().new y:1 (y[].0 | y().w[].0))")).steps[0].term
+    image = cp_to_hcp(reduct)
+    walked = []
+    monkeypatch.setattr(terms, "binders", lambda u: walked.append(u) or binders(u))
+    assert freshen_if_needed(image) is image and not walked
+    unmarked = cp_to_hcp(t("new y:1 (y[].0 | y().w[].0)"))
+    assert freshen_if_needed(unmarked) is unmarked and walked == [unmarked]
 
 
 def test_freshen_if_needed_is_stable():
