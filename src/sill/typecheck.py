@@ -401,7 +401,7 @@ def _hcp_par(c, t, ctx):
             if n in fvq:
                 if type(s) is not int:
                     raise TypeCheckError(KIND_REUSE, f"channel {n} is used by two parallel components but has only "
-                                 "one declared endpoint", name=n, loc=t.loc)
+                                         "one declared endpoint", name=n, loc=t.loc)
                 u1 = store.new_use(store.ann[s])
                 u2 = store.new_use(store.ann[s])
                 store.union_dual(u1, u2, n, t.loc)
@@ -425,13 +425,13 @@ def _hcp_new(c, t, ctx):
     ctx[x] = store.new_use(a)
     dp = _HCP_RULES[p.__class__](c, p, ctx)
     part = dp.env
-    idxs = []  # the members holding x, found in one pass
+    idxs = []  # the members holding x
     for k, e in enumerate(part):
         if x in e:
             idxs.append(k)
     if len(idxs) < 2:
         raise TypeCheckError(KIND_UNUSED, f"restricted channel {x} must be used by two independent components, "
-                     f"found {len(idxs)}", name=x, loc=t.loc)
+                             f"found {len(idxs)}", name=x, loc=t.loc)
     if len(idxs) > 2:
         raise TypeCheckError(KIND_REUSE, f"restricted channel {x} is used by more than two components", name=x, loc=t.loc)
     i, j = idxs
@@ -479,7 +479,7 @@ def _hcp_out(c, t, ctx):
     iy, ix = _index_with(part, y), _index_with(part, x)
     if iy == ix:
         raise TypeCheckError(KIND_SPLIT, f"the payload {y} and continuation {x} of an output must belong to "
-                     "independent components", name=x, loc=t.loc)
+                             "independent components", name=x, loc=t.loc)
     merged = dict(part[iy])
     del merged[y]
     for n, v in part[ix].items():
@@ -576,7 +576,7 @@ def _hcp_case(c, t, ctx):
     pp, pq = dp.env, dq.env
     if not c.allow_hyper_with and (len(pp) != 1 or len(pq) != 1):
         raise TypeCheckError(KIND_HYPER, f"an offer on {x} requires a single sequent, but a branch is split into "
-                     f"{max(len(pp), len(pq))} independent components", name=x, loc=t.loc)
+                             f"{max(len(pp), len(pq))} independent components", name=x, loc=t.loc)
     ip, iq = _index_with(pp, x), _index_with(pq, x)
     restp = [c._env_resolved_key(e) for k, e in enumerate(pp) if k != ip]
     restq = [c._env_resolved_key(e) for k, e in enumerate(pq) if k != iq]
