@@ -1,5 +1,8 @@
+import hashlib
+import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import threading
@@ -8,12 +11,13 @@ import pytest
 
 from conftest import load_fixture
 
-from sill import cp, hcp, surface
+from sill import congruence, cp, harness, hcp, surface
 from sill import types as ty
 from sill.names import Name
 from sill.surface import parse_term, parse_type
+from sill.terms import SCHEMA
 from sill.typecheck import (Derivation, TypeCheckError, check_cp, check_hcp,
-                            hyper_eq, revalidate)
+                            hyper_eq, render_derivation, revalidate)
 from sill.types import BOT, ONE, TOP, Tensor, dual
 
 
@@ -368,9 +372,6 @@ def _subject_swaps(t, env: dict, rng) -> list:
     """Up to 6 terms that each replace one node's subject name by another
     name in scope there (a name of env or of an enclosing binder), drawn by
     rng from every such (node, field, name) in pre-order."""
-    from sill import congruence
-    from sill.terms import SCHEMA
-
     found = []
     stack = [(t, None, tuple(env))]
     while stack:
@@ -402,13 +403,6 @@ def checker_outcomes() -> str:
     environment, or the error's `render()` and `json_record()`.  After a deliberate change
     to the checkers, rewrite the golden with
     `PYTHONPATH=src python tests/test_typecheck.py`."""
-    import hashlib
-    import json
-    import random
-
-    from sill import congruence, harness
-    from sill.typecheck import render_derivation
-
     cfg = harness.GenConfig(seed=42)
     lines = []
     for dialect, gen in (("cp", harness.gen_cp), ("hcp", harness.gen_hcp)):
