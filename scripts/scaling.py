@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time parsing, the checkers, `reduce`, congruence keys and `equiv`, the
+"""Time lexing, parsing, the checkers, `reduce`, congruence keys and `equiv`, the
 rendering of derivations and traces, translation, disentangling, random
 generation and the preservation-hcp property on growing inputs, and fit how
 their cost scales.
@@ -11,8 +11,10 @@ Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (x2[].0 | ... x1().x2()...xn().w[].0))`) and HCP mixes of independent unit
 cuts, at n = 25, 50, 100, ... doubling up to --max (default 200); for
 generation, preservation and checking samples, n samples; for the reduction
-graph of a mix, whose 2^w nodes grow with its width w, w = 3..7.  A `parse` run times
-`surface.parse_file` of the input's text alone; every other run on a chain
+graph of a mix, whose 2^w nodes grow with its width w, w = 3..7.  A `lex` run
+times `surface._lex` of the input's text alone, and a `parse` run
+`surface.parse_file` of it, which is that lexing and then the reader of its
+token lists; every other run on a chain
 or mix parses the input afresh first, outside the clock.  A `check` run times `typecheck.check_cp` or
 `typecheck.check_hcp` of the input, or of `harness.gen_cp` or `harness.gen_hcp`
 samples 0..n-1 at seed 42, generated outside the clock.  A `reduce` run times
@@ -83,6 +85,10 @@ def many_cuts(n: int) -> str:
 
 def _main(src: str):
     return surface.parse_file(src).decls[0]
+
+
+def _lex(src: str):
+    return lambda: surface._lex(src, "<input>")
 
 
 def _parse(src: str):
@@ -174,6 +180,9 @@ def _preservation(n: int):
 
 # label -> (input of size n, what to time, given that input)
 WORKLOADS = {
+    "lex cp chain": (lambda n: chain(n, False), _lex),
+    "lex hcp chain": (lambda n: chain(n, True), _lex),
+    "lex hcp mix": (mix, _lex),
     "parse cp chain": (lambda n: chain(n, False), _parse),
     "parse hcp chain": (lambda n: chain(n, True), _parse),
     "parse hcp mix": (mix, _parse),

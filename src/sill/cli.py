@@ -18,7 +18,7 @@ from .typecheck import TypeCheckError, check_cp, check_hcp, derivation_json_line
 
 
 def _load(path: str) -> surface.SessionFile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         return surface.parse_file(fh.read(), filename=path)
 
 

@@ -18,13 +18,13 @@ class CpTerm:
     loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Link(CpTerm):
     x: Name
     y: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cut(CpTerm):
     x: Name
     ty: Type
@@ -32,7 +32,7 @@ class Cut(CpTerm):
     right: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Send(CpTerm):
     x: Name
     y: Name
@@ -40,49 +40,50 @@ class Send(CpTerm):
     cont: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Recv(CpTerm):
     x: Name
     y: Name
     body: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Halt(CpTerm):
     x: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Wait(CpTerm):
     x: Name
     body: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inl(CpTerm):
     x: Name
     body: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inr(CpTerm):
     x: Name
     body: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Case(CpTerm):
     x: Name
     left: CpTerm
     right: CpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Absurd(CpTerm):
     x: Name
 
 
-# the schema and the traversals over these classes live in `terms`, which reads them
+# the schema, the traversals and the __init__ of the classes above (declared
+# init=False) live in `terms`, which reads them
 from . import terms  # noqa: E402
 
 

@@ -17,81 +17,82 @@ class HcpTerm:
     loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Link(HcpTerm):
     x: Name
     y: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inert(HcpTerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class New(HcpTerm):
     x: Name
     ty: Type
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Par(HcpTerm):
     left: HcpTerm
     right: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundOut(HcpTerm):
     x: Name
     y: Name
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class In(HcpTerm):
     x: Name
     y: Name
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutUnit(HcpTerm):
     x: Name
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InUnit(HcpTerm):
     x: Name
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inl(HcpTerm):
     x: Name
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inr(HcpTerm):
     x: Name
     body: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Case(HcpTerm):
     x: Name
     left: HcpTerm
     right: HcpTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Absurd(HcpTerm):
     x: Name
 
 
-# the schema and the traversals over these classes live in `terms`, which reads them
+# the schema, the traversals and the __init__ of the classes above (declared
+# init=False) live in `terms`, which reads them
 from . import terms  # noqa: E402
 
 

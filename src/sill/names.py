@@ -6,7 +6,6 @@ cannot capture, and alpha-comparison reduces to walking two binder maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 _counter = 0
@@ -23,8 +22,9 @@ class Name(NamedTuple):
         return self.surface
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
+    """A source position, 1-based; it prints as "line:col"."""
+
     line: int
     col: int
 

@@ -6,6 +6,14 @@ units, ~A for duality (expanded eagerly).  CP terms write the cut as
 Line comments start with --.  parse(print(v)) returns a structurally equal
 value (terms: alpha-equal with the same surface names).
 
+The lexer does its per-token work in C: it cuts each line at its first
+`--`, splits the rest with one compiled regex into blanks and tokens, takes
+the tokens' kinds by dictionary lookup and their columns by summing the
+lengths of the parts before them, and checks each distinct word once.  It
+returns four flat lists, the tokens' kinds, texts, lines and columns, which
+the reader indexes by token position; a node's `Loc` is made from its
+first token's line and column when the node is built.
+
 `_FORM_PIECES` is the one table of term syntax: the printer emits each form
 in it, and a trie per dialect built from it reads them back.  Neither
 recurses, so neither has a depth limit.
@@ -14,7 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, islice, repeat
 
 from . import cp, hcp
 from . import types as ty
@@ -75,33 +84,75 @@ _FORMS = {cls: _form(cls, pieces) for classes, pieces in _FORM_PIECES for cls in
 
 # -- lexing -----------------------------------------------------------------
 
-# After blanks and a comment: a punctuation mark, a word, the digit 0 or 1,
-# any other character (an error), or the end of the line.
-_TOKEN = re.compile(r"[ \t\r]*(?:--.*)?(?:(<->|[][().|:,=!?{};*+&~])|([^\W\d][\w']*)|([01])|(.)|\Z)")
-_PUNCT, _WORD, _DIGIT = range(1, 4)
+_MARKS = "()[].|:,=!?{};*+&~"  # the one-character punctuation marks; the other one is "<->"
+# A keyword, a punctuation mark or the digit 0 or 1 is its own token kind;
+# any other word is an "ident".
+_KINDS = {tok: tok for tok in (*KEYWORDS, "<->", *_MARKS, "0", "1")}
+
+# A line without its comment, as [blanks, token, blanks, token, ..., blanks]:
+# a token is a punctuation mark, a run of word characters and "'", or any
+# other character but a blank (an error).
+_SPLIT = re.compile(f"(<->|[{re.escape(_MARKS)}]|[\\w']+|[^ \\t\\r])").split
 
 
-def _lex(src: str, filename: str) -> list[tuple]:
-    """src as (kind, text, line, col) tokens, ending with an "eof" token.  A
-    word is a letter or "_" and then letters, digits, "_" and "'"; its kind
-    is "ident" unless it is a keyword.  Any other token's kind is its text."""
-    toks: list[tuple] = []
+def _lex(src: str, filename: str) -> tuple[list, list, list, list]:
+    """src as four flat lists, one entry per token: its kind, its text, its
+    line and its column, ending with an "eof" token.  A line comment starts
+    at the line's first "--".  A word is a letter or "_" and then letters,
+    digits, "_" and "'"; its kind is "ident" unless it is a keyword.  Any
+    other token's kind is its text.
+
+    Each line is split in C, and each distinct word is checked once: a
+    run of word characters that is no single token is taken apart by
+    `_odd_word`, which raises on the first character that starts none."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    words_ok = set(_KINDS)  # runs known to be one token each
     for line, text in enumerate(src.split("\n"), 1):
-        for m in _TOKEN.finditer(text):
-            group = m.lastindex
-            if group is None:
-                break
-            tok, col, end = m.group(group), m.start(group) + 1, m.end()
-            if group == _WORD and (tok[0].isalpha() or tok[0] == "_"):
-                toks.append((tok if tok in KEYWORDS else "ident", tok, line, col))
-            elif group == _PUNCT or group == _DIGIT and not text[end:end + 1].isdigit():
-                toks.append((tok, tok, line, col))
-            else:
-                bad = f"number starting {text[end - 1:end + 1]!r}" if group == _DIGIT else f"character {tok[0]!r}"
-                raise ParseError(f"unexpected {bad}", Loc(line, col), filename)
-    end = text.find("--")  # a comment on the last line does not move the end
-    toks.append(("eof", "", line, (len(text) if end < 0 else end) + 1))
-    return toks
+        end = text.find("--")
+        if end >= 0:
+            text = text[:end]
+        parts = _SPLIT(text)
+        words = parts[1::2]
+        if not words:
+            continue
+        at = list(islice(accumulate(map(len, parts), initial=1), 1, len(parts), 2))
+        odd = set()
+        for word in set(words).difference(words_ok):
+            (words_ok if word[0].isalpha() or word[0] == "_" else odd).add(word)
+        if odd:
+            pairs = [tok for word, col in zip(words, at)
+                     for tok in (_odd_word(word, line, col, filename) if word in odd else ((word, col),))]
+            words, at = [w for w, _ in pairs], [c for _, c in pairs]
+        kinds += map(_KINDS.get, words, repeat("ident"))
+        texts += words
+        lines += repeat(line, len(words))
+        cols += at
+    kinds.append("eof")
+    texts.append("")
+    lines.append(line)
+    cols.append(len(text) + 1)  # a comment on the last line does not move the end
+    return kinds, texts, lines, cols
+
+
+def _odd_word(word: str, line: int, col: int, filename: str) -> list[tuple[str, int]]:
+    """The (text, column) tokens of a run of word characters and "'" that
+    does not start with a letter or "_": the digits 0 and 1 not followed by
+    a digit, then at most one word."""
+    out = []
+    while word[0] in "01":
+        if word[1:2].isdigit():
+            raise ParseError(f"unexpected number starting {word[:2]!r}", Loc(line, col), filename)
+        out.append((word[0], col))
+        word, col = word[1:], col + 1
+        if not word:
+            return out
+    if not (word[0].isalpha() or word[0] == "_"):
+        raise ParseError(f"unexpected character {word[0]!r}", Loc(line, col), filename)
+    out.append((word, col))
+    return out
 
 
 # -- the term reader ----------------------------------------------------------
@@ -109,16 +160,17 @@ def _lex(src: str, filename: str) -> list[tuple]:
 
 class _Node:
     """A state of a dialect's term reader.  It reads a token (`edges`: its kind
-    -> what the token is and the next state), or takes a `step`: a type or a
-    subterm, then `then`; or a term class, the form read.  `hints` replace the
-    error message for a token kind (None: for any token)."""
-
-    step = then = None
-    ends_scope = False  # after the subterm, the form's binder goes out of scope
+    -> what the token is and the next state; `read` is `edges.get`), or takes
+    a `step`: a type or a subterm, then `then`; or a term class, the form
+    read.  `hints` replace the error message for a token kind (None: for any
+    token)."""
 
     def __init__(self):
         self.edges: dict[str, tuple] = {}
+        self.read = self.edges.get
         self.hints: dict = {}
+        self.step = self.then = None
+        self.ends_scope = False  # after the subterm, the form's binder goes out of scope
 
     def grow(self, key, what, ends_scope: bool) -> _Node:
         """The state after key (a token kind, or a step), added if new."""
@@ -140,8 +192,8 @@ def _items(cls):
     inside = SCHEMA[cls].inside
     for kind, piece in reversed(_FORMS[cls]):
         if kind is _LITERAL:
-            for tok in _lex(piece, "<forms>")[:-1]:
-                yield tok[0], _LITERAL, False
+            for tok in _lex(piece, "<forms>")[0][:-1]:
+                yield tok, _LITERAL, False
         elif kind is _NAME or kind is _BINDER:
             yield "ident", kind, False
         else:
@@ -202,7 +254,11 @@ class _Scope:
 
     def push(self, surface: str) -> Name:
         n = fresh(surface)
-        self.names.setdefault(surface, [None]).append(n)
+        names = self.names.get(surface)
+        if names is None:
+            self.names[surface] = [None, n]
+        else:
+            names.append(n)
         self.order.append(surface)
         return n
 
@@ -210,15 +266,25 @@ class _Scope:
         self.names[self.order.pop()].pop()
 
     def lookup(self, surface: str) -> Name:
-        names = self.names.setdefault(surface, [None])
+        names = self.names.get(surface)
+        if names is None:
+            n = fresh(surface)
+            self.names[surface] = [n]
+            return n
         if names[-1] is None:
             names[-1] = fresh(surface)
         return names[-1]
 
 
+_loc = partial(tuple.__new__, Loc)  # Loc(line, col) from the pair, without a Python-level call
+
+
 class _Parser:
+    """A reader of the lexer's token lists; `pos` is the index of the next
+    token, and a token is named by its index."""
+
     def __init__(self, src: str, filename: str):
-        self.toks = _lex(src, filename)
+        self.kinds, self.texts, self.lines, self.cols = _lex(src, filename)
         self.pos = 0
         self.filename = filename
 
@@ -228,51 +294,54 @@ class _Parser:
         self.expect("eof", "end of input")
         return out
 
-    def next(self) -> tuple:
-        t = self.toks[self.pos]
-        if t[0] != "eof":
+    def next(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "eof":
             self.pos += 1
-        return t
+        return i
 
     def accept(self, kind: str) -> bool:
-        if self.toks[self.pos][0] == kind:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
             return True
         return False
 
-    def expect(self, kind: str, what: str | None = None) -> tuple:
-        t = self.toks[self.pos]
-        if t[0] != kind:
-            raise self.unexpected(what or repr(kind), t)
+    def expect(self, kind: str, what: str | None = None) -> int:
+        if self.kinds[self.pos] != kind:
+            raise self.unexpected(what or repr(kind), self.pos)
         return self.next()
 
-    def err(self, message: str, tok: tuple) -> ParseError:
-        return ParseError(message, Loc(tok[2], tok[3]), self.filename)
+    def loc(self, i: int) -> Loc:
+        return Loc(self.lines[i], self.cols[i])
 
-    def unexpected(self, what: str, tok: tuple, message: str | None = None) -> ParseError:
-        found = repr(tok[1]) if tok[1] else "end of input"
-        return self.err((message or "expected {what}, found {found}").format(what=what, found=found), tok)
+    def err(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.loc(i), self.filename)
+
+    def unexpected(self, what: str, i: int, message: str | None = None) -> ParseError:
+        found = repr(self.texts[i]) if self.texts[i] else "end of input"
+        return self.err((message or "expected {what}, found {found}").format(what=what, found=found), i)
 
     def type_(self) -> ty.Type:
         """A type, read with an explicit stack of open parentheses."""
+        kinds = self.kinds
         stack = []  # per open parenthesis: the runs outside it and the '~'s before it
         runs = [[None] for _ in _TYPE_LEVELS]  # per level: its operator so far, then its operands
         while True:
             duals = 0
             while self.accept("~"):
                 duals += 1
-            t = self.next()
-            if t[0] == "(":
+            i = self.next()
+            if kinds[i] == "(":
                 stack.append((runs, duals))
                 runs = [[None] for _ in _TYPE_LEVELS]
                 continue
-            a = _TYPE_UNITS.get(t[0])
+            a = _TYPE_UNITS.get(kinds[i])
             if a is None:
-                raise self.unexpected("a type", t)
+                raise self.unexpected("a type", i)
             while True:  # a is a whole operand: an atom, or a closed parenthesis
                 if duals % 2:
                     a = a.dual
-                op = self.toks[self.pos][0]
+                op = kinds[self.pos]
                 level = _LEVEL_OF.get(op, -1)
                 for k in range(len(runs) - 1, level, -1):  # the runs that a ends
                     run = runs[k]
@@ -283,7 +352,7 @@ class _Parser:
                     run = runs[level]
                     if run[0] not in (None, op):
                         ops = " and ".join(map(repr, _TYPE_LEVELS[level]))
-                        raise self.err(f"cannot mix {ops} without parentheses", self.toks[self.pos])
+                        raise self.err(f"cannot mix {ops} without parentheses", self.pos)
                     run[0] = op
                     run.append(a)
                     self.next()
@@ -297,34 +366,43 @@ class _Parser:
         """A term of the dialect, read by walking its trie, with an explicit
         stack of the forms whose subterm is being read."""
         root = _READERS[dialect]
-        toks, pos = self.toks, self.pos
+        kinds, texts, lines, cols = self.kinds, self.texts, self.lines, self.cols
+        names, lookup, push = scope.names, scope.lookup, scope.push
+        pos = self.pos
         frames = []  # per form being read: the state reading its subterm, its fields so far, its first token
-        node, values, first = root, [], toks[pos]
+        node, values, first = root, [], pos
         while True:
-            step = node.step
-            if step is None:
-                tok = toks[pos]
-                hit = node.edges.get(tok[0])
-                if hit is None:
-                    hint = node.hints.get(tok[0]) or node.hints.get(None)
-                    kinds = " or ".join("a channel name" if k == "ident" else repr(k) for k in node.edges)
-                    raise self.unexpected(f"a {dialect} term" if node is root else kinds, tok, hint)
+            hit = node.read(kinds[pos])
+            if hit is not None:  # a token
                 what, node = hit
-                if what is _NAME:
-                    values.append(scope.lookup(tok[1]))
-                elif what is _BINDER:
-                    values.append(scope.push(tok[1]))
+                if what:  # not _LITERAL
+                    if what is _NAME:
+                        bound = names.get(texts[pos])  # scope.lookup, inlined where the name is drawn already
+                        values.append(bound[-1] if bound and bound[-1] is not None else lookup(texts[pos]))
+                    else:
+                        values.append(push(texts[pos]))
                 pos += 1
-            elif step is _TERM:
+                continue
+            step = node.step
+            if step is _TERM:
                 frames.append((node, values, first))
-                node, values, first = root, [], toks[pos]
+                node, values, first = root, [], pos
             elif step is _TYPE:
-                self.pos = pos
-                values.append(self.type_())
-                pos = self.pos
+                a = _TYPE_UNITS.get(kinds[pos])
+                if a is not None and kinds[pos + 1] not in _LEVEL_OF:  # a lone unit, as type_ reads it
+                    pos += 1
+                else:
+                    self.pos = pos
+                    a = self.type_()
+                    pos = self.pos
+                values.append(a)
                 node = node.then
+            elif step is None:
+                hint = node.hints.get(kinds[pos]) or node.hints.get(None)
+                expected = " or ".join("a channel name" if k == "ident" else repr(k) for k in node.edges)
+                raise self.unexpected(f"a {dialect} term" if node is root else expected, pos, hint)
             else:  # step is the class of the form read
-                t = step(*values, loc=Loc(first[2], first[3]))
+                t = step(*values, loc=_loc((lines[first], cols[first])))
                 if not frames:
                     self.pos = pos
                     return t
@@ -338,13 +416,13 @@ class _Parser:
 
     def env(self, scope: _Scope) -> dict[Name, ty.Type]:
         out: dict[Name, ty.Type] = {}
-        if self.toks[self.pos][0] != "ident":
+        if self.kinds[self.pos] != "ident":
             return out
         while True:
-            name_tok = self.expect("ident", "a channel name")
-            n = scope.lookup(name_tok[1])  # the one name of that spelling: no binder is in scope
+            i = self.expect("ident", "a channel name")
+            n = scope.lookup(self.texts[i])  # the one name of that spelling: no binder is in scope
             if n in out:
-                raise self.err(f"duplicate name {name_tok[1]!r} in environment", name_tok)
+                raise self.err(f"duplicate name {self.texts[i]!r} in environment", i)
             self.expect(":")
             out[n] = self.type_()
             if not self.accept(","):
@@ -353,21 +431,23 @@ class _Parser:
     def file(self) -> "SessionFile":
         decls: list[Decl] = []
         seen: set[str] = set()
-        while self.toks[self.pos][0] != "eof":
+        kinds, texts = self.kinds, self.texts
+        while kinds[self.pos] != "eof":
             kw = self.next()
-            if kw[0] not in ("proc", "hproc"):
+            if kinds[kw] not in ("proc", "hproc"):
                 raise self.unexpected("a 'proc' or 'hproc' declaration", kw)
-            dialect = "cp" if kw[0] == "proc" else "hcp"
-            name_tok = self.expect("ident", "a declaration name")
-            if name_tok[1] in seen:
-                raise self.err(f"duplicate declaration {name_tok[1]!r}", name_tok)
-            seen.add(name_tok[1])
+            dialect = "cp" if kinds[kw] == "proc" else "hcp"
+            i = self.expect("ident", "a declaration name")
+            name = texts[i]
+            if name in seen:
+                raise self.err(f"duplicate declaration {name!r}", i)
+            seen.add(name)
             self.expect(":")
             scope = _Scope()
             declared = self.env(scope)
             self.expect("=")
             term = self.process(dialect, scope)
-            decls.append(Decl(name_tok[1], dialect, declared, term, Loc(kw[2], kw[3])))
+            decls.append(Decl(name, dialect, declared, term, self.loc(kw)))
         return SessionFile(decls, self.filename)
 
 

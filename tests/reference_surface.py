@@ -1,13 +1,19 @@
-"""The recursive-descent lexer and parser as they were before `sill.surface`
-read terms through the printer's form table, kept for differential tests
-(tests/test_surface_reference.py).
+"""Two earlier front ends of `sill.surface`, kept for differential tests.
 
-The code is the old `sill.surface`'s, verbatim from `KEYWORDS` to
-`parse_file`, except that `ParseError`, `Decl` and `SessionFile` come from
-`sill.surface`, so that both parsers raise and return the same classes.
+The recursive-descent lexer and parser as they were before `sill.surface`
+read terms through the printer's form table (tests/test_surface_reference.py):
+the old `sill.surface`'s code, verbatim from `KEYWORDS` to `parse_file`,
+except that `ParseError`, `Decl` and `SessionFile` come from `sill.surface`,
+so that both parsers raise and return the same classes.
+
+After them, `regex_lex`: the lexer that ran one `re.finditer` per line and
+built one `(kind, text, line, col)` tuple per token, before `sill.surface`
+split lines into flat token lists (tests/test_lexer_reference.py).  It is
+verbatim but for its name and the `_RX` prefix of its regex and groups.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from sill import cp, hcp
@@ -384,3 +390,34 @@ def parse_term(src: str, dialect: str, filename: str = "<input>"):
 
 def parse_file(src: str, filename: str = "<input>") -> SessionFile:
     return _Parser(_lex(src, filename), filename).file()
+
+
+# -- the regex lexer ----------------------------------------------------------
+
+# After blanks and a comment: a punctuation mark, a word, the digit 0 or 1,
+# any other character (an error), or the end of the line.
+_RX_TOKEN = re.compile(r"[ \t\r]*(?:--.*)?(?:(<->|[][().|:,=!?{};*+&~])|([^\W\d][\w']*)|([01])|(.)|\Z)")
+_RX_PUNCT, _RX_WORD, _RX_DIGIT = range(1, 4)
+
+
+def regex_lex(src: str, filename: str) -> list[tuple]:
+    """src as (kind, text, line, col) tokens, ending with an "eof" token.  A
+    word is a letter or "_" and then letters, digits, "_" and "'"; its kind
+    is "ident" unless it is a keyword.  Any other token's kind is its text."""
+    toks: list[tuple] = []
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _RX_TOKEN.finditer(text):
+            group = m.lastindex
+            if group is None:
+                break
+            tok, col, end = m.group(group), m.start(group) + 1, m.end()
+            if group == _RX_WORD and (tok[0].isalpha() or tok[0] == "_"):
+                toks.append((tok if tok in KEYWORDS else "ident", tok, line, col))
+            elif group == _RX_PUNCT or group == _RX_DIGIT and not text[end:end + 1].isdigit():
+                toks.append((tok, tok, line, col))
+            else:
+                bad = f"number starting {text[end - 1:end + 1]!r}" if group == _RX_DIGIT else f"character {tok[0]!r}"
+                raise ParseError(f"unexpected {bad}", Loc(line, col), filename)
+    end = text.find("--")  # a comment on the last line does not move the end
+    toks.append(("eof", "", line, (len(text) if end < 0 else end) + 1))
+    return toks

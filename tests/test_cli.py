@@ -189,6 +189,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "syntax error" in out
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    src = pathlib.Path(fixture_path("unit_cut.sill")).read_text(encoding="utf-8")
+    marked = tmp_path / "bom.sill"
+    marked.write_text("\ufeff" + src.replace("\n", "\r\n"), encoding="utf-8")
+    assert run(capsys, "check", str(marked)) == (0, "⊢ Main : w:1\n")
+    inside = tmp_path / "inside.sill"  # only a leading one: elsewhere it is still an unexpected character
+    inside.write_text(src + "\ufeff", encoding="utf-8")
+    code, out = run(capsys, "check", str(inside))
+    assert code == 2 and "syntax error: unexpected character '\\ufeff'" in out
+
+
 def test_missing_proc_exit_code(capsys):
     code, out = run(capsys, "check", fixture_path("unit_cut.sill"), "--proc", "Nope")
     assert code == 2

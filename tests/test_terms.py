@@ -1,4 +1,5 @@
-from dataclasses import fields
+import dataclasses
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import subterms
 
-from sill import congruence, cp, harness, hcp, reduction, surface, terms
-from sill.names import Name
+from sill import congruence, cp, harness, hcp, reduction, surface, terms, typecheck
+from sill.names import Loc, Name
 from sill.terms import FREE_NAMES, SCHEMA, alpha_eq, alpha_key, binders, freshen_if_needed, substitute
 from sill.translate import cp_to_hcp
 from sill.types import ONE
@@ -283,6 +284,75 @@ def test_schema_covers_every_field_of_every_term_class_once():
         declared += ["ty"] * s.typed
         assert sorted(declared) == sorted(f.name for f in fields(cls) if f.name != "loc"), cls
         assert bool(s.inside) == (s.binder is not None), cls
+
+
+# -- constructors and locations ------------------------------------------------------
+
+
+def test_a_parsed_term_is_frozen():
+    term = t("new x:1 (x[].0 | x().w[].0)")
+    for name in ("x", "ty", "left", "right", "loc"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(term, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del term.x
+    assert term.loc == Loc(1, 1) and term.right.loc == Loc(1, 18)
+
+
+def test_equality_and_hash_ignore_loc():
+    term = t("new x:1 (x[].0 | x().w[].0)")
+    bare = type(term)(*(getattr(term, f) for f in SCHEMA[type(term)].args))
+    assert bare.loc is None and term.loc == Loc(1, 1)
+    assert bare == term and hash(bare) == hash(term)
+    x, y = Name("x", 1), Name("y", 2)
+    assert cp.Link(x, y, loc=Loc(1, 1)) == cp.Link(x, y, loc=Loc(4, 2)) != cp.Link(y, x, loc=Loc(1, 1))
+    assert hash(hcp.Link(x, y, loc=Loc(1, 1))) == hash(hcp.Link(x, y))
+
+
+def test_repr_fields_and_match_args_of_the_term_classes():
+    term = surface.parse_file("proc A : w:1 =\n  new x:1 (x[].0 |\n    x().v[].0)\n").decls[0].term
+    uid = term.x.uid
+    assert repr(term) == (f"Cut(x=Name(surface='x', uid={uid}), ty=One(), left=Halt(x=Name(surface='x', uid={uid})), "
+                          f"right=Wait(x=Name(surface='x', uid={uid}), body=Halt(x=Name(surface='v', uid={uid + 1}))))")
+    assert repr(hcp.New(Name("x", 1), ONE, hcp.Inert())) == "New(x=Name(surface='x', uid=1), ty=One(), body=Inert())"
+    assert [f.name for f in fields(cp.Send)] == ["loc", "x", "y", "payload", "cont"]
+    assert hcp.New.__match_args__ == ("x", "ty", "body") and hcp.Inert.__match_args__ == ()
+    for cls in cp.CpTerm.__subclasses__() + hcp.HcpTerm.__subclasses__():
+        assert [f.name for f in fields(cls)] == ["loc", *SCHEMA[cls].args], cls
+        assert cls.__match_args__ == SCHEMA[cls].args, cls
+    match term:
+        case cp.Cut(x, a, cp.Halt(y), right):
+            assert x == y and a == ONE and right is term.right
+        case _:
+            raise AssertionError(term)
+
+
+def test_term_constructors_take_keywords_and_check_arity():
+    x, y = Name("x", 1), Name("y", 2)
+    assert cp.Link(x=x, y=y) == cp.Link(x, y) == cp.Link(y=y, x=x, loc=Loc(2, 3))
+    assert cp.Link(x, y, loc=Loc(2, 3)).loc == Loc(2, 3)
+    for args, kwargs in [((x,), {}), ((x, y, x), {}), ((x, y), {"z": x}), ((x, y, Loc(2, 3)), {})]:
+        with pytest.raises(TypeError):
+            cp.Link(*args, **kwargs)
+    term = t("x().w[].0")
+    moved = dataclasses.replace(term, x=y)
+    assert moved == cp.Wait(y, term.body) and moved.loc == term.loc
+
+
+def test_loc_fields_text_equality_and_repr():
+    loc = Loc(3, 7)
+    assert (loc.line, loc.col) == (3, 7)
+    assert str(loc) == f"{loc}" == "3:7"
+    assert loc == Loc(3, 7) != Loc(7, 3) and hash(loc) == hash(Loc(3, 7))
+    assert repr(loc) == "Loc(line=3, col=7)"
+
+
+def test_a_type_error_reports_its_loc_in_json():
+    d = surface.parse_file("proc A : w:1 =\n  new x:1 (x[].0 |\n    x().v[].0)\n").decls[0]
+    with pytest.raises(typecheck.TypeCheckError) as e:
+        typecheck.check_cp(d.term, d.env)
+    assert e.value.json_record() == {"kind": "UnusedLinear", "name": "w", "loc": "2:3", "expected": None, "actual": None}
+    assert e.value.render("F") == "F:2:3: UnusedLinear: linear channel w is not used"
 
 
 # -- deep terms ---------------------------------------------------------------------
