@@ -324,6 +324,10 @@ class _Parser:
     def type_(self) -> ty.Type:
         """A type, read with an explicit stack of open parentheses."""
         kinds = self.kinds
+        a = _TYPE_UNITS.get(kinds[self.pos])
+        if a is not None and kinds[self.pos + 1] not in _LEVEL_OF:  # a lone unit, read as the loop below would
+            self.pos += 1
+            return a
         stack = []  # per open parenthesis: the runs outside it and the '~'s before it
         runs = [[None] for _ in _TYPE_LEVELS]  # per level: its operator so far, then its operands
         while True:
@@ -388,14 +392,9 @@ class _Parser:
                 frames.append((node, values, first))
                 node, values, first = root, [], pos
             elif step is _TYPE:
-                a = _TYPE_UNITS.get(kinds[pos])
-                if a is not None and kinds[pos + 1] not in _LEVEL_OF:  # a lone unit, as type_ reads it
-                    pos += 1
-                else:
-                    self.pos = pos
-                    a = self.type_()
-                    pos = self.pos
-                values.append(a)
+                self.pos = pos
+                values.append(self.type_())
+                pos = self.pos
                 node = node.then
             elif step is None:
                 hint = node.hints.get(kinds[pos]) or node.hints.get(None)
