@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time lexing, parsing, the checkers, `reduce`, congruence keys and `equiv`, the
-rendering of derivations and traces, translation, disentangling, random
-generation and the preservation-hcp property on growing inputs, and fit how
-their cost scales.
+"""Time lexing, parsing, the checkers, `reduce`, congruence keys and
+`equiv`, the rendering of derivations and traces, translation,
+disentangling, random generation and the preservation-hcp property on
+growing inputs, and fit how their cost scales.
 
 Usage: python scripts/scaling.py [--max N] [--repeat R]
 
@@ -11,11 +11,11 @@ Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (x2[].0 | ... x1().x2()...xn().w[].0))`) and HCP mixes of independent unit
 cuts, at n = 25, 50, 100, ... doubling up to --max (default 200); for
 generation, preservation and checking samples, n samples; for the reduction
-graph of a mix, whose 2^w nodes grow with its width w, w = 3..7.  A `lex` run
-times `surface._lex` of the input's text alone, and a `parse` run
-`surface.parse_file` of it, which is that lexing and then the reader of its
-token lists; every other run on a chain
-or mix parses the input afresh first, outside the clock.  A `check` run times `typecheck.check_cp` or
+graph of a mix, whose 2^w nodes grow with its width w, w = 3..7.  A `lex`
+run times `surface._lex` of the input's text alone, and a `parse` run
+`surface.parse_file` of it: that lexing, then the reader of its token
+lists.  Every other run on a chain or mix parses the input afresh first,
+outside the clock.  A `check` run times `typecheck.check_cp` or
 `typecheck.check_hcp` of the input, or of `harness.gen_cp` or `harness.gen_hcp`
 samples 0..n-1 at seed 42, generated outside the clock.  A `reduce` run times
 `reduction.reduce` (so it includes freshening); a `graph` run times

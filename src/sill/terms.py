@@ -4,9 +4,10 @@ Both calculi bind names the same way: a constructor binds at most one name
 (CP cut, output and input; HCP restriction, bound output and input) over a
 fixed set of its subterms.  `SCHEMA` records, per term class, its subject-name
 fields, its binder field, its subterms inside and outside the binder's scope,
-and its constructor's positional fields.  The printer, the congruence walks,
-`reduction.measure` and the shrinker read it, and so do the traversals below,
-each written once for both dialects:
+and its constructor's positional fields, from which each class's `__init__`
+is generated.  The printer, the congruence walks, `reduction.measure` and the
+shrinker read it, and so do the traversals below, each written once for both
+dialects:
 
 - `substitute` and `freshen_if_needed`: one explicit-stack renaming walk;
 - `alpha_key`: a flat pre-order token tuple, and `alpha_eq` its equality;
