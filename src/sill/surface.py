@@ -138,9 +138,10 @@ def _lex(src: str, filename: str) -> tuple[list, list, list, list]:
 
 
 def _odd_word(word: str, line: int, col: int, filename: str) -> list[tuple[str, int]]:
-    """The (text, column) tokens of a run of word characters and "'" that
-    does not start with a letter or "_": the digits 0 and 1 not followed by
-    a digit, then at most one word."""
+    """The (text, column) tokens of a part that the split took for one token
+    but that starts with no letter or "_" (a run of word characters and "'",
+    or one other character): the digits 0 and 1 not followed by a digit,
+    then at most one word."""
     out = []
     while word[0] in "01":
         if word[1:2].isdigit():
