@@ -17,15 +17,18 @@ which print five outputs:
 - `scramble`: for samples 0-299 of both generators at `GenConfig(seed=42)`,
   the printed `harness.scramble(t, random.Random(i), 5)` of sample i, and
   then `names._counter`;
-- `cli`: `sill graph` (text, `--json`, `--dot`) and `sill reduce`
-  (`--trace`, `--json`) of every declaration of this checkout's
+- `cli`: `sill check` (text, `--json`, `--show-derivation`), `sill graph`
+  (text, `--json`, `--dot`), `sill reduce` (`--trace`, `--json`) and
+  `sill translate`, `sill disentangle` and `sill internalize` (text,
+  `--json`, `--show-derivation`) of every declaration of this checkout's
   `fixtures/*.sill`, of HCP mixes of w = 3..6 unit cuts in a shuffled order,
   of CP and HCP unit-cut chains of n = 25 and 50, of CP terms with n = 25
   and 50 top-level cuts (`scaling.many_cuts`, whose steps reorder the cut
   tree) and of a CP term whose ⊤ absorbs a cut's channel (its `reduce` and
-  `graph` fail), with each command's stdout, stderr and exit code.  The
-  inputs are written to a temporary directory, which is the working
-  directory while the commands run.
+  `graph` fail), with each command's stdout, stderr and exit code.  A
+  command refuses a declaration of the other dialect, and that refusal is
+  compared too.  The inputs are written to a temporary directory, which is
+  the working directory while the commands run.
 
 Every line is tagged with its stream (the output and the function that
 printed it).  Prints `same` and exits 0 if both checkouts print the same
@@ -48,6 +51,8 @@ FIXTURES = HERE.parent.parent / "fixtures"
 OUTPUTS = ("fuzz", "cp", "hcp", "scramble", "cli")
 SAMPLES = 300
 CLI_FLAGS = [("graph",), ("graph", "--json"), ("graph", "--dot"), ("reduce", "--trace"), ("reduce", "--json")]
+CLI_FLAGS += [(command, *flags) for command in ("check", "translate", "disentangle", "internalize")
+              for flags in ((), ("--json",), ("--show-derivation",))]
 
 
 def emit_fuzz() -> None:

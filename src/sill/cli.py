@@ -4,7 +4,8 @@ Subcommands: check, reduce, graph, translate, disentangle, internalize, fuzz.
 Exit codes: 0 success / all-pass, 1 type or simulation failure, 2 usage or
 parse error, 3 budget exhausted, or an input nested too deeply for the
 recursive layers (one line, `RecursionError: input nests too deeply`).
---json switches to JSON-lines output where available.
+--json switches the output to JSON lines (graph's --dot takes precedence), and
+--show-derivation appends each derivation in the same form.
 """
 from __future__ import annotations
 
@@ -43,22 +44,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-_fuel = _at_least(1, "fuel")
-_cap = _at_least(1, "cap")
-_count = _at_least(0, "count")
-
-
-def _emit(records: list[dict]) -> None:
+def _emit(records) -> None:
     for r in records:
         print(json.dumps(r, ensure_ascii=False))
 
 
-def _check_decl(d: surface.Decl):
-    if d.dialect == "cp":
-        deriv = check_cp(d.term, d.env)
-        return deriv, None
-    deriv, part = check_hcp(d.term, d.env)
-    return deriv, part
+def _show(args, records: list[dict], lines: list[str], derivations=()) -> None:
+    """Print a command's result: its records as JSON lines under --json, its
+    text lines otherwise; then, under --show-derivation, each derivation in
+    the same form.  Commands without that option pass no derivations."""
+    if args.json:
+        _emit(records)
+    else:
+        for line in lines:
+            print(line)
+    if derivations and args.show_derivation:
+        for deriv in derivations:
+            if args.json:
+                _emit(derivation_json_lines(deriv))
+            else:
+                print(render_derivation(deriv))
 
 
 class _Refused(Exception):
@@ -83,14 +88,14 @@ def _decl(f: surface.SessionFile, name: str) -> surface.Decl:
 
 def _checked(args, dialect: str | None = None):
     """Load args.file, take its declaration args.proc and typecheck it:
-    (declaration, derivation, hyper-environment or None for CP).  A
-    declaration not of the given dialect is refused with exit 2, one that
-    does not typecheck with exit 1, each in one line."""
+    (declaration, derivation).  A declaration not of the given dialect is
+    refused with exit 2, one that does not typecheck with exit 1, each in
+    one line."""
     d = _decl(_load(args.file), args.proc)
     if dialect is not None and d.dialect != dialect:
         raise _Refused(f"{args.file}: {d.name} is not {_DIALECT_NAMES[dialect]} declaration", 2)
     try:
-        return (d, *_check_decl(d))
+        return d, check_cp(d.term, d.env) if d.dialect == "cp" else check_hcp(d.term, d.env)[0]
     except TypeCheckError as e:
         raise _Refused(e.render(args.file), 1) from None
 
@@ -101,29 +106,21 @@ def cmd_check(args) -> int:
     status = 0
     for d in decls:
         try:
-            deriv, part = _check_decl(d)
-        except TypeCheckError as e:
-            if args.json:
-                _emit([{"proc": d.name, **e.json_record()}])
+            if d.dialect == "cp":
+                deriv, shown = check_cp(d.term, d.env), surface.print_env(d.env)
             else:
-                print(f"{e.render(args.file)}")
+                deriv, part = check_hcp(d.term, d.env)
+                shown = surface.print_hyper_env(part)
+        except TypeCheckError as e:
+            _show(args, [{"proc": d.name, **e.json_record()}], [e.render(args.file)])
             status = 1
             continue
-        shown = surface.print_env(d.env) if part is None else surface.print_hyper_env(part)
-        if args.json:
-            rec = {"proc": d.name, "ok": True, "env": shown}
-            _emit([rec])
-            if args.show_derivation:
-                _emit(derivation_json_lines(deriv))
-        else:
-            print(f"⊢ {d.name} : {shown}")
-            if args.show_derivation:
-                print(render_derivation(deriv))
+        _show(args, [{"proc": d.name, "ok": True, "env": shown}], [f"⊢ {d.name} : {shown}"], [deriv])
     return status
 
 
 def cmd_reduce(args) -> int:
-    d, _, _ = _checked(args)
+    d, _ = _checked(args)
     trace = reduction.reduce(d.term, fuel=args.fuel)  # None: reduce's own bound, 1 + the measure's sum
     if args.json:
         _emit(reduction.trace_json_lines(trace))
@@ -135,7 +132,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    d, _, _ = _checked(args)
+    d, _ = _checked(args)
     g = reduction.reduction_graph(d.term, cap=args.cap)
     printed = surface.print_terms(g.nodes)
     terminals = set(g.terminals)
@@ -148,61 +145,40 @@ def cmd_graph(args) -> int:
         for src, dst, rule, chan in g.edges:
             print(f'  n{src} -> n{dst} [label="{rule} {chan}"];')
         print("}")
-    elif args.json:
-        recs = [{"node": i, "term": term, "terminal": i in terminals}
-                for i, term in enumerate(printed)]
-        recs += [{"edge": [src, dst], "rule": rule, "channel": chan} for src, dst, rule, chan in g.edges]
-        _emit(recs)
-    else:
-        for i, term in enumerate(printed):
-            mark = " (terminal)" if i in terminals else ""
-            print(f"node {i}{mark}: {term}")
-        for src, dst, rule, chan in g.edges:
-            print(f"edge {src} -> {dst}: {rule} on {chan}")
-        print(f"{len(g.nodes)} nodes, {len(g.edges)} edges, {len(g.terminals)} terminal")
+        return 0
+    records = [{"node": i, "term": term, "terminal": i in terminals} for i, term in enumerate(printed)]
+    records += [{"edge": [src, dst], "rule": rule, "channel": chan} for src, dst, rule, chan in g.edges]
+    lines = [f"node {i}{' (terminal)' if i in terminals else ''}: {term}" for i, term in enumerate(printed)]
+    lines += [f"edge {src} -> {dst}: {rule} on {chan}" for src, dst, rule, chan in g.edges]
+    lines.append(f"{len(g.nodes)} nodes, {len(g.edges)} edges, {len(g.terminals)} terminal")
+    _show(args, records, lines)
     return 0
 
 
 def cmd_translate(args) -> int:
-    d, deriv, _ = _checked(args, "cp")
+    d, deriv = _checked(args, "cp")
     hd = bridge.translate_typed(deriv)
-    if args.json:
-        _emit([{"proc": d.name, "term": surface.print_term(hd.term),
-                "env": surface.print_hyper_env(hd.env)}])
-    else:
-        print(surface.print_term(hd.term))
-        if args.show_derivation:
-            print(render_derivation(hd))
+    term = surface.print_term(hd.term)
+    _show(args, [{"proc": d.name, "term": term, "env": surface.print_hyper_env(hd.env)}], [term], [hd])
     return 0
 
 
 def cmd_disentangle(args) -> int:
-    _, deriv, _ = _checked(args, "hcp")
+    _, deriv = _checked(args, "hcp")
     res = bridge.disentangle(deriv)
-    if args.json:
-        recs = [{"component": i, "term": surface.print_term(c.term), "env": surface.print_env(c.env)}
-                for i, c in enumerate(res.components)]
-        recs.append({"recombined": surface.print_term(res.recombined)})
-        _emit(recs)
-    else:
-        for c in res.components:
-            print(f"⊢ {surface.print_term(c.term)} : {surface.print_env(c.env)}")
-        print(f"recombined: {surface.print_term(res.recombined)}")
-        if args.show_derivation:
-            for c in res.components:
-                print(render_derivation(c))
+    shown = [(surface.print_term(c.term), surface.print_env(c.env)) for c in res.components]
+    recombined = surface.print_term(res.recombined)
+    records = [{"component": i, "term": term, "env": env} for i, (term, env) in enumerate(shown)]
+    lines = [f"⊢ {term} : {env}" for term, env in shown]
+    _show(args, records + [{"recombined": recombined}], lines + [f"recombined: {recombined}"], res.components)
     return 0
 
 
 def cmd_internalize(args) -> int:
-    d, deriv, _ = _checked(args, "hcp")
+    d, deriv = _checked(args, "hcp")
     out = bridge.tens_internalize(deriv)
-    if args.json:
-        _emit([{"proc": d.name, "term": surface.print_term(out.term), "env": surface.print_env(out.env)}])
-    else:
-        print(f"⊢ {surface.print_term(out.term)} : {surface.print_env(out.env)}")
-        if args.show_derivation:
-            print(render_derivation(out))
+    term, env = surface.print_term(out.term), surface.print_env(out.env)
+    _show(args, [{"proc": d.name, "term": term, "env": env}], [f"⊢ {term} : {env}"], [out])
     return 0
 
 
@@ -212,12 +188,26 @@ def cmd_fuzz(args) -> int:
     ok = True
     for name in suites:
         report = harness.run_suite(name, cfg)
-        if args.json:
-            _emit(report.json_lines())
-        else:
-            print(report.text())
+        _show(args, report.json_lines(), [report.text()])
         ok = ok and report.ok
     return 0 if ok else 1
+
+
+_FLAG = {"action": "store_true"}
+_DERIVATION = [("--show-derivation", _FLAG)]
+
+# Each command over a .sill file: its function, its help, and its options
+# between `file --proc` and `--json`, in the order `-h` lists them.
+_COMMANDS = {
+    "check": (cmd_check, "typecheck the declarations of a .sill file", _DERIVATION),
+    "reduce": (cmd_reduce, "run the deterministic reduction strategy",
+               [("--fuel", {"type": _at_least(1, "fuel")}), ("--trace", _FLAG)]),
+    "graph": (cmd_graph, "explore the full reduction graph",
+              [("--cap", {"type": _at_least(1, "cap"), "default": 10000}), ("--dot", _FLAG)]),
+    "translate": (cmd_translate, "print the HCP image of a CP declaration", _DERIVATION),
+    "disentangle": (cmd_disentangle, "split an HCP derivation into CP components", _DERIVATION),
+    "internalize": (cmd_internalize, "collapse a hyper-environment to one tensor formula", _DERIVATION),
+}
 
 
 @functools.cache
@@ -226,55 +216,19 @@ def _parser() -> _Parser:
     unchanged, so every `main` call shares it."""
     ap = _Parser(prog="sill", description="CP/HCP session-calculus toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="typecheck the declarations of a .sill file")
-    p.add_argument("file")
-    p.add_argument("--proc", default=None)
-    p.add_argument("--show-derivation", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("reduce", help="run the deterministic reduction strategy")
-    p.add_argument("file")
-    p.add_argument("--proc", required=True)
-    p.add_argument("--fuel", type=_fuel, default=None)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("graph", help="explore the full reduction graph")
-    p.add_argument("file")
-    p.add_argument("--proc", required=True)
-    p.add_argument("--cap", type=_cap, default=10000)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_graph)
-
-    p = sub.add_parser("translate", help="print the HCP image of a CP declaration")
-    p.add_argument("file")
-    p.add_argument("--proc", required=True)
-    p.add_argument("--show-derivation", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_translate)
-
-    p = sub.add_parser("disentangle", help="split an HCP derivation into CP components")
-    p.add_argument("file")
-    p.add_argument("--proc", required=True)
-    p.add_argument("--show-derivation", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_disentangle)
-
-    p = sub.add_parser("internalize", help="collapse a hyper-environment to one tensor formula")
-    p.add_argument("file")
-    p.add_argument("--proc", required=True)
-    p.add_argument("--show-derivation", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_internalize)
+    for name, (fn, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.add_argument("--proc", required=name != "check")  # check takes every declaration by default
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("fuzz", help="run a metatheory property suite")
     p.add_argument("--suite", default="all", choices=["all"] + harness.SUITE_NAMES)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--count", type=_count, default=100)
+    p.add_argument("--count", type=_at_least(0, "count"), default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fuzz)
     return ap

@@ -140,16 +140,14 @@ def _lex(src: str, filename: str) -> tuple[list, list, list, list]:
 def _odd_word(word: str, line: int, col: int, filename: str) -> list[tuple[str, int]]:
     """The (text, column) tokens of a part that the split took for one token
     but that starts with no letter or "_" (a run of word characters and "'",
-    or one other character): the digits 0 and 1 not followed by a digit,
-    then at most one word."""
+    or one other character, but not the single tokens 0 and 1): a digit 0
+    or 1 not followed by a digit, then one word."""
     out = []
-    while word[0] in "01":
-        if word[1:2].isdigit():
+    if word[0] in "01":  # then word has a second character, and it is no digit
+        if word[1].isdigit():
             raise ParseError(f"unexpected number starting {word[:2]!r}", Loc(line, col), filename)
         out.append((word[0], col))
         word, col = word[1:], col + 1
-        if not word:
-            return out
     if not (word[0].isalpha() or word[0] == "_"):
         raise ParseError(f"unexpected character {word[0]!r}", Loc(line, col), filename)
     out.append((word, col))
@@ -569,20 +567,14 @@ def _print_names(t, memo: dict | None = None) -> dict[Name, str]:
     if memo is not None and any(low < i for _, low, i, _ in order):
         return _print_names(root)
 
-    def pick(surface: str) -> str:
-        if surface not in taken:
-            return surface
-        i = 1
-        while f"{surface}{i}" in taken:
-            i += 1
-        return f"{surface}{i}"
-
     out: dict[Name, str] = {}
     for b, low, i, _ in order:
-        if low < i and b not in out:
-            s = pick(b.surface)
-            taken.add(s)
-            out[b] = s
+        if low < i and b not in out:  # b.surface is taken: the walk met b
+            k = 1
+            while f"{b.surface}{k}" in taken:
+                k += 1
+            out[b] = f"{b.surface}{k}"
+            taken.add(out[b])
     return out
 
 

@@ -390,6 +390,19 @@ def test_transport_follows_a_freshened_sample():
     assert harness._prop_preservation(term, env, d, 0) is None
 
 
+def test_transport_builds_an_inert_reduct():
+    # the wait's continuation 0 offers no component, which only
+    # allow_self_lock accepts; the step leaves no component, so the reduct is
+    # 0 and its derivation is a lone H-Mix₀ node
+    x = Name("x", 1)
+    term = hcp.New(x, ONE, hcp.Par(hcp.OutUnit(x, hcp.Inert()), hcp.InUnit(x, hcp.Inert())))
+    d, _ = check_hcp(term, {}, allow_self_lock=True)
+    [(st, d2, made)] = transport.derivations(d, rd.reduce(term).steps)
+    assert st.term == hcp.Inert()
+    assert (d2.rule, d2.env, d2.premises) == ("H-Mix₀", [], ())
+    assert made == [d2] and first_invalid(made) is None
+
+
 def _flip_one_type(node):
     first = next(k for k, e in enumerate(node.env) if e)
     e = node.env[first]

@@ -219,6 +219,40 @@ def test_input_needs_shared_component():
     assert e.kind == "SplitConflict"
 
 
+def test_output_may_not_entangle_a_restriction():
+    # payload and continuation sit in two components that hold the two
+    # endpoints of n, so the output would put both in one sequent
+    e = err_of("new n:1. x[y].(n<->y | n<->x)", "x:1 * bot", "hcp")
+    assert e.kind == "NameReuse" and e.name.surface == "n"
+    assert str(e).endswith("output on x would entangle both endpoints of n")
+
+
+def test_unit_output_self_lock_rejected_unless_allowed():
+    # the continuation holds x's other endpoint, at type bot
+    e = err_of("x[].x().w[].0", "x:1, w:1", "hcp")
+    assert e.kind == "SelfLock" and str(e).endswith("cannot send on x while also holding its other endpoint")
+    d, part = check_src("x[].x().w[].0", "x:1, w:1", "hcp", allow_self_lock=True)
+    assert surface.print_hyper_env(part) == "w:1, x:bot | x:1"
+
+
+def test_liberal_offer_needs_the_same_channel_sets():
+    # under allow_hyper_with each branch may be split, but x's component
+    # holds v in one branch and w in the other
+    e = err_of("x?{inl: (x().v[].0 | w[].0); inr: x().v[].w[].0}", "x:bot & bot, v:1, w:1", "hcp",
+               allow_hyper_with=True)
+    assert e.kind == "TypeMismatch" and str(e).endswith("the branches of the offer on x use different channel sets")
+
+
+@pytest.mark.parametrize("check,term,construct", [
+    (check_cp, cp.Wait(Name("x", 1), hcp.Inert()), "not a CP construct: Inert"),
+    (check_hcp, hcp.InUnit(Name("x", 1), cp.Halt(Name("w", 1))), "not an HCP construct: Halt"),
+])
+def test_a_node_of_the_other_dialect_is_refused(check, term, construct):
+    with pytest.raises(TypeCheckError) as e:
+        check(term, {Name("x", 1): BOT, Name("w", 1): ONE})
+    assert e.value.kind == "DialectViolation" and str(e.value).endswith(construct)
+
+
 # -- revalidate ---------------------------------------------------------------
 
 
