@@ -143,7 +143,7 @@ def _odd_word(word: str, line: int, col: int, filename: str) -> list[tuple[str, 
     or one other character, but not the single tokens 0 and 1): a digit 0
     or 1 not followed by a digit, then one word."""
     out = []
-    if word[0] in "01":  # then word has a second character, and it is no digit
+    if word[0] in "01":  # not a token alone, so a second character follows; a digit there raises
         if word[1].isdigit():
             raise ParseError(f"unexpected number starting {word[:2]!r}", Loc(line, col), filename)
         out.append((word[0], col))
@@ -516,7 +516,7 @@ def _print_names(t, memo: dict | None = None) -> dict[Name, str]:
     node (one inside would clash), so the use lowers the same binder to the
     same index as a use at the node's entry would.  The surfaces inside a
     skipped node are missing from `taken`, so if a binder does clash the
-    walk runs again without memo, for `pick` to see every surface."""
+    walk runs again without memo, so that renaming sees every surface."""
     taken: set[str] = set()
     scopes: dict[str, list] = {}  # surface -> binders in scope, as [name, low, index, shadowed]
     at: dict[Name, int] = {}  # bound name -> index of its innermost binder in scopes[surface]
