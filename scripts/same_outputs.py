@@ -4,7 +4,7 @@
 Usage: python scripts/same_outputs.py OTHER_CHECKOUT
 
 Each checkout's `src` is put alone on PYTHONPATH of fresh interpreters,
-which print five outputs:
+which print six outputs:
 
 - `fuzz`: `sill fuzz --suite all --json` at seed 42, then 43, then 42
   again in the same interpreter (so that samples leaking from one stream
@@ -16,6 +16,10 @@ which print five outputs:
   then the name supply's counter `names._counter`;
 - `scramble`: for samples 0-299 of both generators at `GenConfig(seed=42)`,
   the printed `harness.scramble(t, random.Random(i), 5)` of sample i, and
+  then `names._counter`;
+- `graph`: for `harness.gen_cp` / `harness.gen_hcp` samples 0-39 at
+  `GenConfig(seed=42)`, the printed nodes, the edges and the terminals of
+  `reduction.reduction_graph(t, cap=200)` (or the exception it raised), and
   then `names._counter`;
 - `cli`: `sill check` (text, `--json`, `--show-derivation`), `sill graph`
   (text, `--json`, `--dot`), `sill reduce` (`--trace`, `--json`) and
@@ -48,8 +52,9 @@ import tempfile
 
 HERE = pathlib.Path(__file__).resolve()
 FIXTURES = HERE.parent.parent / "fixtures"
-OUTPUTS = ("fuzz", "cp", "hcp", "scramble", "cli")
+OUTPUTS = ("fuzz", "cp", "hcp", "scramble", "graph", "cli")
 SAMPLES = 300
+GRAPH_SAMPLES, GRAPH_CAP = 40, 200
 CLI_FLAGS = [("graph",), ("graph", "--json"), ("graph", "--dot"), ("reduce", "--trace"), ("reduce", "--json")]
 CLI_FLAGS += [(command, *flags) for command in ("check", "translate", "disentangle", "internalize")
               for flags in ((), ("--json",), ("--show-derivation",))]
@@ -100,6 +105,26 @@ def emit_scramble() -> None:
             print(f"scramble\t# {dialect} sample {i}")
             print(f"scramble\t{surface.print_term(t)}")
     print(f"scramble\tnames._counter {names._counter}")
+
+
+def emit_graph() -> None:
+    from sill import harness, names, reduction, surface
+
+    cfg = harness.GenConfig(seed=42)
+    for dialect, gen in (("cp", harness.gen_cp), ("hcp", harness.gen_hcp)):
+        for i in range(GRAPH_SAMPLES):
+            print(f"graph\t# {dialect} sample {i}")
+            try:
+                g = reduction.reduction_graph(gen(cfg, i)[0], cap=GRAPH_CAP)
+            except Exception as e:
+                print(f"graph\traised {type(e).__name__}: {e}")
+                continue
+            for k, text in enumerate(surface.print_terms(g.nodes)):
+                print(f"graph\tnode {k}: {text}")
+            for src, dst, rule, channel in g.edges:
+                print(f"graph\tedge {src} -> {dst}: {rule} on {channel}")
+            print(f"graph\tterminals {g.terminals}")
+    print(f"graph\tnames._counter {names._counter}")
 
 
 def cli_inputs() -> dict[str, str]:
@@ -185,17 +210,11 @@ def main() -> int:
     ap.add_argument("other", nargs="?", type=pathlib.Path, metavar="OTHER_CHECKOUT")
     ap.add_argument("--emit", choices=OUTPUTS, help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.emit == "fuzz":
-        emit_fuzz()
-        return 0
-    if args.emit == "cli":
-        emit_cli()
-        return 0
-    if args.emit == "scramble":
-        emit_scramble()
+    if args.emit in ("cp", "hcp"):
+        emit_samples(args.emit)
         return 0
     if args.emit:
-        emit_samples(args.emit)
+        {"fuzz": emit_fuzz, "scramble": emit_scramble, "graph": emit_graph, "cli": emit_cli}[args.emit]()
         return 0
     if args.other is None or not (args.other / "src" / "sill").is_dir():
         ap.error("OTHER_CHECKOUT must be a checkout with a src/sill package")

@@ -4,14 +4,14 @@
 disentangling, random generation and the preservation-hcp property on
 growing inputs, and fit how their cost scales.
 
-Usage: python scripts/scaling.py [--max N] [--repeat R]
+Usage: python scripts/scaling.py [--max N] [--repeat R] [--json PATH]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`), CP terms with n top-level cuts (`new x1:1 (x1[].0 | new x2:1
 (x2[].0 | ... x1().x2()...xn().w[].0))`) and HCP mixes of independent unit
 cuts, at n = 25, 50, 100, ... doubling up to --max (default 200); for
 generation, preservation and checking samples, n samples; for the reduction
-graph of a mix, whose 2^w nodes grow with its width w, w = 3..7.  A `lex`
+graph of a mix, whose 2^w nodes grow with its width w, w = 3..8.  A `lex`
 run times `surface._lex` of the input's text alone, and a `parse` run
 `surface.parse_file` of it: that lexing, then the reader of its token
 lists.  Every other run on a chain or mix parses the input afresh first,
@@ -48,9 +48,17 @@ Goldsmith, Aiken and Wilkerson (trend-prof, FSE 2007), where 1 means linear
 and 2 quadratic.  A rendered derivation or trace of a chain has O(n^2)
 characters (n judgements or reducts of size O(n)), so those slopes cannot
 fall to 1 however the printer shares work: compare their milliseconds.
+
+`--json PATH` also writes the rows to PATH: the Python version, the CPU
+count, --max and --repeat, and per row its label, per size n either `ms`
+or what was raised (`raised`, or `preparation raised` for the input), and
+its slope (null with fewer than two sizes that ran).
 """
 import argparse
+import json
 import math
+import os
+import platform
 import random
 import sys
 import threading
@@ -216,7 +224,7 @@ WORKLOADS = {
 
 
 # label -> its sizes, where they are not n = 25, 50, ... up to --max
-SIZES = {"graph hcp mix": range(3, 8)}
+SIZES = {"graph hcp mix": range(3, 9)}
 
 
 class PreparationError(Exception):
@@ -277,21 +285,34 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max", type=_at_least(25, "max"), default=200)
     ap.add_argument("--repeat", type=_at_least(1, "repeat"), default=3)
+    ap.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = ap.parse_args()
+    rows = []
     for label, (make, prepare) in WORKLOADS.items():
-        points = []
+        points, sizes = [], []
         for n in SIZES.get(label) or doublings(25, args.max):
             try:
                 ms = best_ms(make(n), prepare, args.repeat)
             except PreparationError as e:
+                sizes.append({"n": n, "preparation raised": str(e)})
                 print(f"{label} n={n}: preparation raised {e}")
             except Exception as e:  # RecursionError on deep input, among others
+                sizes.append({"n": n, "raised": type(e).__name__})
                 print(f"{label} n={n}: raised {type(e).__name__}")
             else:
                 points.append((n, ms))
+                sizes.append({"n": n, "ms": round(ms, 3)})
                 print(f"{label} n={n}: {ms:.2f} ms")
-        fit = f"{slope(points):.2f}" if len(points) > 1 else "n/a"
-        print(f"{label}: log-log slope {fit} over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}")
+        fit = slope(points) if len(points) > 1 else None
+        rows.append({"label": label, "sizes": sizes, "slope": None if fit is None else round(fit, 3)})
+        print(f"{label}: log-log slope {'n/a' if fit is None else f'{fit:.2f}'} "
+              f"over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}")
+    if args.json:
+        out = {"python": platform.python_version(), "cpus": os.cpu_count(), "max": args.max,
+               "repeat": args.repeat, "rows": rows}
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(out, f, indent=1)
+            f.write("\n")
     return 0
 
 

@@ -22,7 +22,8 @@ are equal, and backtracking over name correspondences, kept in one bijection
 with an undo trail.  Equal certificates pair only names with equal labels,
 so the restrictions need no check beyond pairing with restrictions.  A
 term's levels carry its key, so `reduction.reduction_graph` builds them
-once per term reached, buckets by their key and matches kept levels.
+once per successor it cannot settle by its components' identity, buckets
+by their key and matches kept levels.
 
 Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,

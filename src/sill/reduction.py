@@ -490,11 +490,17 @@ def step(t, r: Redex):
 def successors(t):
     """Yield (redex, reduct) for every redex of t, in order, all fired from
     one configuration of t."""
-    c = Configuration(t)
+    for r, c in _fired(Configuration(t)):
+        yield r, c.term()
+
+
+def _fired(c: Configuration):
+    """Yield (redex, configuration after it) for every redex of c, in order,
+    each fired on a copy of c."""
     for r in c.redexes():
         c2 = c.copy()
         c2.fire(r)
-        yield r, c2.term()
+        yield r, c2
 
 
 # -- measure ------------------------------------------------------------------
@@ -683,36 +689,86 @@ class ReductionGraph:
         return all(outs[i] <= 1 for i in range(len(self.nodes)))
 
 
+def _identity(c: Configuration) -> tuple:
+    """What the stepped configuration c is made of, by object identity: for
+    HCP its restriction map and the multiset of its components' ids; for CP
+    its cuts (name, formula, endpoint positions) and its components' ids, in
+    order."""
+    if c.is_cp:
+        return tuple([(b.name, b.ty, b.left, b.right) for b in c.binders]), tuple(map(id, c.comps))
+    return frozenset(c.binders.items()), tuple(sorted(map(id, c.comps)))
+
+
 def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
     """BFS over all redexes of all reachable terms, nodes quotiented by
-    structural congruence."""
+    structural congruence.
+
+    The search steps configurations: the frontier keeps each new state's
+    configuration until the state is popped, and `_fired` takes every step
+    of it on a copy.  A successor is first settled by `_identity`, what it
+    is made of.  If an earlier successor had the same identity, it joins
+    that one's node, with no term, `congruence.levels` or `match`.  Two
+    independent unit or selection steps, taken in either order, close a
+    diamond over the very same component objects, so on a mix of unit cuts
+    every successor but a state's first is settled so.  A link or tensor
+    step substitutes into fresh components, whose diamonds only the
+    matcher closes.  A successor not known by identity builds its term and
+    levels and is matched against the nodes with its key, as in a plain
+    BFS, and its identity is recorded with the node it lands in.  Each
+    identity keeps its configuration's components alive, so no id in it is
+    reused.  A CP identity lists the components in order: a stepped CP
+    configuration is in `congruence.cut_order`'s order, which depends only
+    on the cut tree and the uids.
+
+    The result is that of the plain BFS:
+    - a configuration after a step equals the prenex form of its term,
+      field for field, so stepping the kept configuration gives the redexes,
+      in order, and the reducts of stepping a configuration rebuilt from
+      the node's term;
+    - two HCP configurations with one restriction map over the same
+      components rebuild to terms equal up to nu-comm, mix-comm and
+      mix-assoc; two CP configurations with the same cuts over the same
+      components in the same order rebuild to the identical term, since
+      `term` reads nothing else;
+    - graph nodes are pairwise non-congruent, so the node an identity
+      finds is the one node the bucket scan would have matched;
+    - BFS order and redex order are unchanged, so are nodes, edges,
+      terminals and the point at which `BudgetExceeded` is raised."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     nodes = [t]
     levels = [congruence.levels(t)]  # per node, its prenex levels, built once
     buckets: dict = {levels[0].key: [0]}  # congruence key -> nodes with it
+    known: dict = {}  # a successor's identity -> (its node, the components the identity names)
     edges: list = []
     terminals: list = []
-    frontier = deque([0])
+    frontier = deque([(0, Configuration(t))])
     while frontier:
-        i = frontier.popleft()
+        i, c = frontier.popleft()
         terminal = True
-        for r, t2 in successors(nodes[i]):
+        for r, c2 in _fired(c):
             terminal = False
-            l2 = congruence.levels(t2)
-            found = None
-            for j in buckets.get(l2.key, []):
-                if congruence.match(levels[j], l2):
-                    found = j
-                    break
-            if found is None:
-                nodes.append(t2)
-                levels.append(l2)
-                found = len(nodes) - 1
-                if len(nodes) > cap:
-                    raise BudgetExceeded(f"reduction graph exceeded {cap} nodes")
-                buckets.setdefault(l2.key, []).append(found)
-                frontier.append(found)
+            ident = _identity(c2)
+            hit = known.get(ident)
+            if hit is not None:
+                found = hit[0]
+            else:
+                t2 = c2.term()
+                l2 = congruence.levels(t2)
+                found = None
+                for j in buckets.get(l2.key, []):
+                    if congruence.match(levels[j], l2):
+                        found = j
+                        break
+                if found is None:
+                    nodes.append(t2)
+                    levels.append(l2)
+                    found = len(nodes) - 1
+                    if len(nodes) > cap:
+                        raise BudgetExceeded(f"reduction graph exceeded {cap} nodes")
+                    buckets.setdefault(l2.key, []).append(found)
+                    frontier.append((found, c2))
+                known[ident] = found, c2.comps
             edges.append((i, found, r.rule, r.channel.surface))
         if terminal:
             terminals.append(i)

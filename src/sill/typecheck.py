@@ -131,6 +131,14 @@ def _subject(env: Env, x: Name, want, t) -> Type:
     return s
 
 
+def _binds_fresh(env, t) -> None:
+    """Refuse t's prefix binder if it captures a name in scope, as a cut or
+    restriction refuses one (only terms built in code can: the parser draws
+    a fresh uid per binder)."""
+    if t.y in env:
+        raise TypeCheckError(KIND_REUSE, f"bound channel {t.y} shadows a channel in scope", name=t.y, loc=t.loc)
+
+
 def _route(env: Env, p, q, t) -> tuple[Env, Env]:
     fvp, fvq = cp.free_names(p), cp.free_names(q)
     envp: Env = {}
@@ -180,6 +188,7 @@ def _cp_cut(t, env):
 def _cp_send(t, env):
     x, p, q = t.x, t.payload, t.cont
     s = _subject(env, x, ty.Tensor, t)
+    _binds_fresh(env, t)
     rest = dict(env)
     del rest[x]
     envp, envq = _route(rest, p, q, t)
@@ -191,6 +200,7 @@ def _cp_send(t, env):
 def _cp_recv(t, env):
     x, p = t.x, t.body
     s = _subject(env, x, ty.Par, t)
+    _binds_fresh(env, t)
     env2 = dict(env)
     del env2[x]
     env2[t.y] = s.left
@@ -471,6 +481,7 @@ def _hcp_new(c, t, ctx):
 def _hcp_out(c, t, ctx):
     x, y, p = t.x, t.y, t.body
     s = c._subject(ctx, x, ty.Tensor, t)
+    _binds_fresh(ctx, t)
     del ctx[x]
     ctx[y] = s.left
     ctx[x] = s.right
@@ -497,6 +508,7 @@ def _hcp_out(c, t, ctx):
 def _hcp_in(c, t, ctx):
     x, y, p = t.x, t.y, t.body
     s = c._subject(ctx, x, ty.Par, t)
+    _binds_fresh(ctx, t)
     del ctx[x]
     ctx[y] = s.left
     ctx[x] = s.right

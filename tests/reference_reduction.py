@@ -1,17 +1,21 @@
 """The reducer as it was before reduction ran on configurations, kept
-verbatim as the reference for `test_reduction_config.py`: redex search, the
+verbatim as the reference for `test_configuration.py`: redex search, the
 term-level steppers and the measure, which take the prenex form again at
 every step, and the recursive `rebuild_cp`, with the prenex forms they call.
-Only `reduce`'s trace loop and what it needs are here; `strategy="all"` is
-not (it would call the graph explorer)."""
+Only `reduce`'s trace loop and what it needs are here.  `reduction_graph`
+is the graph explorer as it was before it stepped configurations, the
+reference for `test_graph_reference.py`; it builds every successor's term
+and levels and matches them against the nodes with its key, and here it
+steps each node's term with the term-level stepper."""
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 from sill import cp, hcp, terms
 from sill import types as ty
-from sill.congruence import CongruenceError
+from sill.congruence import CongruenceError, levels, match
 from sill.names import Name
 from sill.terms import SCHEMA
 from sill.types import Type, dual, size
@@ -146,6 +150,10 @@ class ReductionError(Exception):
 
 
 class StaleRedexError(ReductionError):
+    pass
+
+
+class BudgetExceeded(ReductionError):
     pass
 
 
@@ -519,6 +527,67 @@ def reduce(t, fuel: int | None = None, strategy: str = "deterministic"):
     return ReductionTrace(t, steps, "canonical" if is_canonical(cur) else "stuck")
 
 
+# -- exhaustive exploration ---------------------------------------------------
+
+
+def successors(t):
+    """Yield (redex, reduct) for every redex of t, in order, each stepped
+    from t."""
+    for r in find_redexes(t):
+        yield r, step(t, r)
+
+
+@dataclass
+class ReductionGraph:
+    nodes: list
+    edges: list  # (src, dst, rule, channel surface)
+    terminals: list
+
+    @property
+    def is_path(self) -> bool:
+        if len(self.edges) != len(self.nodes) - 1:
+            return False
+        outs = Counter(e[0] for e in self.edges)
+        return all(outs[i] <= 1 for i in range(len(self.nodes)))
+
+
+def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
+    """BFS over all redexes of all reachable terms, nodes quotiented by
+    structural congruence."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    nodes = [t]
+    levels = [congruence.levels(t)]  # per node, its prenex levels, built once
+    buckets: dict = {levels[0].key: [0]}  # congruence key -> nodes with it
+    edges: list = []
+    terminals: list = []
+    frontier = deque([0])
+    while frontier:
+        i = frontier.popleft()
+        terminal = True
+        for r, t2 in successors(nodes[i]):
+            terminal = False
+            l2 = congruence.levels(t2)
+            found = None
+            for j in buckets.get(l2.key, []):
+                if congruence.match(levels[j], l2):
+                    found = j
+                    break
+            if found is None:
+                nodes.append(t2)
+                levels.append(l2)
+                found = len(nodes) - 1
+                if len(nodes) > cap:
+                    raise BudgetExceeded(f"reduction graph exceeded {cap} nodes")
+                buckets.setdefault(l2.key, []).append(found)
+                frontier.append(found)
+            edges.append((i, found, r.rule, r.channel.surface))
+        if terminal:
+            terminals.append(i)
+    return ReductionGraph(nodes, edges, terminals)
+
+
 # the steppers call these through the module they used to live in
 congruence = SimpleNamespace(CpBinder=CpBinder, prenex_cp=prenex_cp, prenex_hcp=prenex_hcp,
-                             rebuild_cp=rebuild_cp, rebuild_hcp=rebuild_hcp)
+                             rebuild_cp=rebuild_cp, rebuild_hcp=rebuild_hcp,
+                             levels=levels, match=match)

@@ -256,13 +256,17 @@ def _unit_mix(w: int):
     return t(term, "hcp")
 
 
-@pytest.mark.parametrize("w, calls", [(4, 33), (5, 81), (6, 193)])
-def test_graph_builds_each_terms_levels_once(monkeypatch, w, calls):
-    made = []
-    real = cg._levels
-    monkeypatch.setattr(cg, "_levels", lambda term: made.append(term) or real(term))
+@pytest.mark.parametrize("w", [4, 5, 6])
+def test_graph_builds_each_terms_levels_once(monkeypatch, w):
+    walked, matched, built = [], [], []
+    real_levels, real_match, real_init = cg._levels, cg.match, rd.Configuration.__init__
+    monkeypatch.setattr(cg, "_levels", lambda term: walked.append(term) or real_levels(term))
+    monkeypatch.setattr(cg, "match", lambda l1, l2: matched.append(l1) or real_match(l1, l2))
+    monkeypatch.setattr(rd.Configuration, "__init__", lambda c, *a, **k: built.append(c) or real_init(c, *a, **k))
     g = rd.reduction_graph(_unit_mix(w))
-    # 2^w nodes, each reached by w * 2^(w-1) edges in all: one level walk
-    # per term reached, and one for the root
-    assert len(g.nodes) == 2 ** w and len(g.edges) + 1 == calls
-    assert len(made) == calls
+    # 2^w nodes, reached by w * 2^(w-1) edges in all: one level walk per
+    # state, the root's included, since every successor but a state's first
+    # is settled by its components' identity; no match; one configuration,
+    # the root's, whose copies are stepped
+    assert len(g.nodes) == 2 ** w and len(g.edges) == w * 2 ** (w - 1)
+    assert (len(walked), len(matched), len(built)) == (2 ** w, 0, 1)

@@ -227,6 +227,25 @@ def test_output_may_not_entangle_a_restriction():
     assert str(e).endswith("output on x would entangle both endpoints of n")
 
 
+def test_a_prefix_binder_may_not_capture_a_name_in_scope():
+    # built in code, since the parser draws a fresh uid per binder: the
+    # input's b is the output's b, and the input's x the selected x
+    a, b, c, x, y = (Name(s, 1) for s in "abcxy")
+    cases = [
+        (check_hcp, hcp.New(a, Tensor(ONE, BOT), hcp.BoundOut(y, b, hcp.In(a, b, hcp.Absurd(c)))),
+         {c: TOP, y: Tensor(ONE, BOT)}, b),
+        (check_hcp, hcp.Inl(x, hcp.In(a, x, hcp.InUnit(a, hcp.OutUnit(x, hcp.Inert())))),
+         {x: ty.Plus(BOT, BOT), a: ty.Par(ONE, BOT)}, x),
+        (check_cp, cp.Inl(x, cp.Recv(a, x, cp.Wait(a, cp.Halt(x)))), {x: ty.Plus(BOT, BOT), a: ty.Par(ONE, BOT)}, x),
+    ]
+    for check, term, env, bound in cases:
+        with pytest.raises(TypeCheckError) as e:
+            check(term, env)
+        assert (e.value.kind, e.value.name) == ("NameReuse", bound)
+        assert str(e.value).endswith(f"bound channel {bound.surface} shadows a channel in scope")
+        assert "\n" not in str(e.value)
+
+
 def test_unit_output_self_lock_rejected_unless_allowed():
     # the continuation holds x's other endpoint, at type bot
     e = err_of("x[].x().w[].0", "x:1, w:1", "hcp")
