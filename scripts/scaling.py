@@ -8,8 +8,9 @@ Usage: python scripts/scaling.py [--max N] [--repeat R] [--json PATH]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`), CP terms with n top-level cuts (`new x1:1 (x1[].0 | new x2:1
-(x2[].0 | ... x1().x2()...xn().w[].0))`) and HCP mixes of independent unit
-cuts, at n = 25, 50, 100, ... doubling up to --max (default 200); for
+(x2[].0 | ... x1().x2()...xn().w[].0))`), HCP mixes of independent unit
+cuts and HCP link chains (`new x1:1. ... new xn:1. (x1[].0 | (x1<->x2 |
+(... | (x(n-1)<->xn | xn().w[].0))))`), at n = 25, 50, 100, ... doubling up to --max (default 200); for
 generation, preservation and checking samples, n samples; for the reduction
 graph of a mix, whose 2^w nodes grow with its width w, w = 3..8.  A `lex`
 run times `surface._lex` of the input's text alone, and a `parse` run
@@ -82,6 +83,14 @@ def mix(n: int) -> str:
         term = f"({p} | {term})"
     env = ", ".join(f"o{i}:1" for i in range(1, n + 1))
     return f"hproc Main : {env} = {term}\n"
+
+
+def link_chain(n: int) -> str:
+    term = f"x{n}().w[].0"
+    for i in range(n - 1, 0, -1):
+        term = f"(x{i}<->x{i + 1} | {term})"
+    news = "".join(f"new x{i}:1. " for i in range(1, n + 1))
+    return f"hproc Main : w:1 = {news}(x1[].0 | {term})\n"
 
 
 def many_cuts(n: int) -> str:
@@ -197,6 +206,7 @@ WORKLOADS = {
     "check cp chain": (lambda n: chain(n, False), _check),
     "check hcp chain": (lambda n: chain(n, True), _check),
     "check hcp mix": (mix, _check),
+    "check hcp link chain": (link_chain, _check),
     "check cp samples": (lambda n: n, _check_samples(harness.gen_cp, typecheck.check_cp)),
     "check hcp samples": (lambda n: n, _check_samples(harness.gen_hcp, typecheck.check_hcp)),
     "reduce cp chain": (lambda n: chain(n, False), _reduce),

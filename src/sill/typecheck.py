@@ -15,9 +15,7 @@ A rule works on its node in a block before its premise calls and builds the
 node's derivation in a block after them, and it checks each premise by
 calling the table's rule for it directly, so a term level costs one Python
 frame.  HCP endpoint types settle only once the whole term is checked; then
-`_finalize` writes them into the environments, fixing each at its first
-occurrence in a pre-order walk of the derivation, since that order decides
-the polarity picked for an unconstrained endpoint pair.
+`_finalize` writes them into the environments the rules built.
 """
 from __future__ import annotations
 
@@ -335,17 +333,16 @@ def _index_with(part: HyperEnv, x: Name) -> int:
 
 
 class _HcpChecker:
-    """The state of one HCP check: the endpoint store and the two relaxations.
+    """The state of one HCP check: the endpoint store, the environments the
+    rules built (whose slots `_finalize` resolves) and the two relaxations.
     A slot, the type of a name in a context, is a concrete Type or an int use-id
     in the store."""
 
     def __init__(self, allow_self_lock: bool = False, allow_hyper_with: bool = False):
         self.store = _Store()
+        self.envs: list[dict] = []
         self.allow_self_lock = allow_self_lock
         self.allow_hyper_with = allow_hyper_with
-
-    def _resolved(self, slot):
-        return slot if type(slot) is not int else self.store.value(slot)
 
     def _subject(self, ctx: dict, x: Name, want, t) -> Type:
         s = ctx.get(x)
@@ -367,7 +364,7 @@ class _HcpChecker:
     def _env_resolved_key(self, e: dict):
         out = []
         for n, s in e.items():
-            v = self._resolved(s)
+            v = s if type(s) is not int else self.store.value(s)
             out.append((n.uid, n.surface, ty.render(v) if v is not None else f"?{self.store.find(s)[0]}"))
         return tuple(sorted(out))
 
@@ -397,8 +394,15 @@ def _hcp_link(c, t, ctx):
     elif type(sy) is not int:
         store.force(sx, dual(sy), x, t.loc)
     else:
+        a, b = store.ann[sx], store.ann[sy]
+        if b is not a and b is not a.dual:
+            raise TypeCheckError(KIND_MISMATCH, f"a link cannot join {x}, restricted at {ty.render(a)}, and {y}, "
+                                 f"restricted at {ty.render(b)}", name=y, loc=t.loc,
+                                 expected=ty.render(a), actual=ty.render(b))
         store.union_dual(sx, sy, x, t.loc)
-    return Derivation("Ax", t, [{x: sx, y: sy}], ())
+    e = {x: sx, y: sy}
+    c.envs.append(e)
+    return Derivation("Ax", t, [e], ())
 
 
 def _hcp_par(c, t, ctx):
@@ -429,10 +433,10 @@ def _hcp_par(c, t, ctx):
 
 
 def _hcp_new(c, t, ctx):
-    x, a, p, store = t.x, t.ty, t.body, c.store
+    x, a, p = t.x, t.ty, t.body
     if x in ctx:
         raise TypeCheckError(KIND_REUSE, f"restricted channel {x} shadows a declared channel", name=x, loc=t.loc)
-    ctx[x] = store.new_use(a)
+    ctx[x] = c.store.new_use(a)
     dp = _HCP_RULES[p.__class__](c, p, ctx)
     part = dp.env
     idxs = []  # the members holding x
@@ -445,25 +449,14 @@ def _hcp_new(c, t, ctx):
     if len(idxs) > 2:
         raise TypeCheckError(KIND_REUSE, f"restricted channel {x} is used by more than two components", name=x, loc=t.loc)
     i, j = idxs
-    s1, s2 = part[i][x], part[j][x]
-    t1, t2 = c._resolved(s1), c._resolved(s2)
-    if t1 is None and t2 is None:
-        # both endpoints still free: record only that they must be
-        # dual; the polarity choice is made at finalization, once
-        # every constraint from sibling subtrees is in
-        store.union_dual(s1, s2, x, t.loc)
-    elif t1 is None:
-        store.force(s1, dual(t2), x, t.loc)
-        t1 = dual(t2)
-    elif t2 is None:
-        store.force(s2, dual(t1), x, t.loc)
-        t2 = dual(t1)
-    if t1 is not None and t2 is not None:
-        if t2 != dual(t1) or t1 not in (a, dual(a)):
-            raise TypeCheckError(KIND_MISMATCH, f"endpoints of {x} have types {ty.render(t1)} and {ty.render(t2)}, "
-                                 f"but the restriction is annotated {ty.render(a)}", name=x, loc=t.loc,
-                                 expected=f"{ty.render(a)} / {ty.render(dual(a))}",
-                                 actual=f"{ty.render(t1)} / {ty.render(t2)}")
+    t1, t2 = part[i][x], part[j][x]
+    if type(t1) is not int and type(t2) is not int and (t2 is not t1.dual or t1 is not a and t1 is not a.dual):
+        # only a self-lock leaves both endpoints concrete here; the unit
+        # rules set them, and the actions around them may not keep them dual
+        raise TypeCheckError(KIND_MISMATCH, f"endpoints of {x} have types {ty.render(t1)} and {ty.render(t2)}, "
+                             f"but the restriction is annotated {ty.render(a)}", name=x, loc=t.loc,
+                             expected=f"{ty.render(a)} / {ty.render(dual(a))}",
+                             actual=f"{ty.render(t1)} / {ty.render(t2)}")
     merged = dict(part[i])
     del merged[x]
     for n, s in part[j].items():
@@ -472,6 +465,7 @@ def _hcp_new(c, t, ctx):
                 raise TypeCheckError(KIND_REUSE, f"cutting {x} would entangle both endpoints of {n} into one sequent",
                                      name=n, loc=t.loc)
             merged[n] = s
+    c.envs.append(merged)
     newpart = part.copy()
     newpart[i] = merged
     del newpart[j]
@@ -499,6 +493,7 @@ def _hcp_out(c, t, ctx):
                 raise TypeCheckError(KIND_REUSE, f"output on {x} would entangle both endpoints of {n}", name=n, loc=t.loc)
             merged[n] = v
     merged[x] = s
+    c.envs.append(merged)
     newpart = part.copy()
     newpart[min(iy, ix)] = merged
     del newpart[max(iy, ix)]
@@ -520,6 +515,7 @@ def _hcp_in(c, t, ctx):
                              name=x, loc=t.loc)
     e2 = {n: v for n, v in part[iy].items() if n != x and n != y}
     e2[x] = s
+    c.envs.append(e2)
     newpart = part.copy()
     newpart[iy] = e2
     return Derivation("⅋", t, newpart, (dp,))
@@ -561,7 +557,8 @@ def _hcp_in_unit(c, t, ctx):
         raise TypeCheckError(KIND_MISMATCH, f"a wait on {x} needs a component to extend; its continuation offers none",
                              name=x, loc=t.loc)
     newpart = part.copy()
-    newpart[i] = {**part[i], x: s}
+    newpart[i] = e = {**part[i], x: s}
+    c.envs.append(e)
     return Derivation("⊥", t, newpart, (dp,))
 
 
@@ -574,7 +571,8 @@ def _hcp_select(c, t, ctx):
     part = dp.env
     i = _index_with(part, x)
     newpart = part.copy()
-    newpart[i] = {**part[i], x: s}
+    newpart[i] = e = {**part[i], x: s}
+    c.envs.append(e)
     return Derivation("⊕₁" if left else "⊕₂", t, newpart, (dp,))
 
 
@@ -598,13 +596,16 @@ def _hcp_case(c, t, ctx):
         raise TypeCheckError(KIND_MISMATCH, f"the branches of the offer on {x} use different channel sets", name=x, loc=t.loc)
     e2 = {n: v for n, v in pp[ip].items() if n != x}
     e2[x] = s
+    c.envs.append(e2)
     return Derivation("&", t, [e2] + [e for k, e in enumerate(pp) if k != ip], (dp, dq))
 
 
 def _hcp_absurd(c, t, ctx):
     x = t.x
     c._subject(ctx, x, ty.Top, t)
-    return Derivation("⊤", t, [{**ctx, x: TOP}], ())
+    e = {**ctx, x: TOP}
+    c.envs.append(e)
+    return Derivation("⊤", t, [e], ())
 
 
 def _not_hcp(c, t, ctx):
@@ -626,41 +627,22 @@ def check_hcp(t: hcp.HcpTerm, names: Env, *, allow_self_lock: bool = False,
         raise TypeCheckError(KIND_DIALECT, "expected an HCP term", loc=getattr(t, "loc", None))
     checker = _HcpChecker(allow_self_lock=allow_self_lock, allow_hyper_with=allow_hyper_with)
     d = _HCP_RULES[t.__class__](checker, t, dict(names))
-    _finalize(d, checker.store)
+    _finalize(checker)
     return d, d.env
 
 
-def _finalize(d: Derivation, store: _Store) -> None:
-    """Resolve every endpoint slot to its type, in place.  Environments are
-    shared between nodes; each is fixed once, at its first occurrence in a
-    pre-order walk, since that order decides the polarity picked for an
-    unconstrained endpoint pair."""
-    seen: set[int] = set()
-    stack = [d]
-    while stack:
-        d = stack.pop()
-        for e in d.env:
-            if id(e) in seen:
-                continue
-            seen.add(id(e))
-            for n, s in e.items():
-                if type(s) is not int:
-                    continue
-                v = store.value(s)
-                if v is None:
-                    # a genuinely unconstrained endpoint pair: both polarity
-                    # choices are consistent, pick the annotation itself
-                    store.force(s, store.ann[s], n, None)
-                    v = store.ann[s]
-                if v not in (store.ann[s], dual(store.ann[s])):
-                    raise TypeCheckError(
-                        KIND_MISMATCH,
-                        f"endpoint of {n} resolved to {ty.render(v)}, outside its restriction "
-                        f"annotation {ty.render(store.ann[s])}",
-                        name=n, expected=ty.render(store.ann[s]), actual=ty.render(v),
-                    )
-                e[n] = v
-        stack.extend(reversed(d.premises))
+def _finalize(c: _HcpChecker) -> None:
+    """Resolve every endpoint slot to its type, in place, in each environment
+    the rules built.  A link joins the endpoint classes of two restrictions
+    only if their annotations are equal or dual, so every class holds uses of
+    one annotation and its dual, and every class is forced by the end: the
+    components and restrictions form a forest, and a leaf component forces
+    the one restricted endpoint it holds."""
+    value = c.store.value
+    for e in c.envs:
+        for n, s in e.items():
+            if type(s) is int:
+                e[n] = value(s)
 
 
 # -- local revalidation -------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -166,6 +167,15 @@ def test_selflock_typechecks_under_mutation():
     assert part is not None
 
 
+def test_a_self_locked_restriction_still_needs_dual_endpoints():
+    # the self-locked wait leaves x:bot in a member of its own, while the
+    # input around it concludes x:bot par bot in the other: both endpoints
+    # are concrete at the restriction, and they are not dual
+    e = err_of("new x:1 * 1. x(y).x().x<->y", "", "hcp", allow_self_lock=True)
+    assert e.kind == "TypeMismatch" and e.loc is not None
+    assert e.message == "endpoints of x have types bot par bot and bot, but the restriction is annotated 1 * 1"
+
+
 def test_wait_needs_a_component():
     e = err_of("x().0", "x:bot", "hcp")
     assert e.kind == "TypeMismatch"
@@ -182,6 +192,69 @@ def test_flex_flex_link_chain():
         "new x:1. (new y:1. (x<->y | y().v[].0) | x[].0)", "v:1", "hcp")
     assert revalidate(d)
     assert [n.surface for n in part[0]] == ["v"]
+
+
+@pytest.mark.parametrize("term", [
+    "new x:1. new y:1*1. new z:1. (x[].0 | (x<->y | (y<->z | z().w[].0)))",
+    "new x:1. new z:1. (new y:1*1. (x<->y | y<->z) | (x[].0 | z().w[].0))",
+], ids=["Y", "F"])
+def test_a_link_refuses_restrictions_of_unrelated_annotations(term):
+    # x's restriction allows 1 or bot, y's only 1 * 1 or its dual: no type
+    # fits both ends of x<->y, so the link itself is refused, where it stands
+    e = err_of(term, "w:1", "hcp")
+    assert e.kind == "TypeMismatch" and e.name.surface == "y"
+    assert e.loc == (1, len("hproc T : w:1 = ") + term.index("x<->y") + 1)
+    assert e.message == "a link cannot join x, restricted at 1, and y, restricted at 1 * 1"
+
+
+def test_a_link_joins_restrictions_of_one_annotation():
+    d, part = check_src("new x:1. new z:1. (new y:1. (x<->y | y<->z) | (x[].0 | z().w[].0))", "w:1", "hcp")
+    assert revalidate(d)
+    mix = d.premises[0].premises[0]
+    assert mix.rule == "H-Mix"
+    assert surface.print_hyper_env(mix.env) == "x:bot, z:1 | x:1 | w:1, z:bot"
+
+
+def _link_chains():
+    """Every chain of k = 2 or 3 restrictions x1..xk, annotated from {1, bot,
+    1 * 1}, joined by links x_i<->x_(i+1) each written either way round, where
+    x1 sends and xk waits; the links sit beside the two acting ends inside
+    every restriction, or in a mix of their own with the middle restrictions
+    around them."""
+    for k, inside in itertools.product((2, 3), (True, False)):
+        for anns in itertools.product(("1", "bot", "1 * 1"), repeat=k):
+            for flips in itertools.product((False, True), repeat=k - 1):
+                links = [f"x{i + 2}<->x{i + 1}" if flip else f"x{i + 1}<->x{i + 2}" for i, flip in enumerate(flips)]
+                new = [f"new x{i + 1}:{a}. " for i, a in enumerate(anns)]
+                if inside:
+                    body = f"x{k}().w[].0"
+                    for link in reversed(links):
+                        body = f"({link} | {body})"
+                    term = "".join(new) + f"(x1[].0 | {body})"
+                else:
+                    block = links[0] if k == 2 else f"({' | '.join(links)})"
+                    ends = f"(x1[].0 | x{k}().w[].0)"
+                    term = new[0] + new[-1] + f"({''.join(new[1:-1])}{block} | {ends})"
+                yield term, all(a != "1 * 1" for a in anns)
+
+
+def test_link_chains_are_refused_at_the_link_or_typed_whole():
+    terms = list(_link_chains())
+    assert len(terms) == 252 and len(set(terms)) == 252
+    for term, typable in terms:
+        try:
+            d, part = check_src(term, "w:1", "hcp")
+        except TypeCheckError as e:
+            assert not typable, (term, str(e))
+            assert e.loc is not None, (term, str(e))
+            continue
+        assert typable, term
+        assert revalidate(d), term
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            assert all(type(s) is not int for e in node.env for s in e.values()), term
+            stack += node.premises
 
 
 def test_unconstrained_polarity_resolved_at_finalize():
