@@ -4,7 +4,7 @@
 disentangling, random generation and the preservation-hcp property on
 growing inputs, and fit how their cost scales.
 
-Usage: python scripts/scaling.py [--max N] [--repeat R] [--json PATH]
+Usage: python scripts/scaling.py [--max N] [--repeat R] [--only SUBSTRING]... [--json PATH]
 
 Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 (...))`), CP terms with n top-level cuts (`new x1:1 (x1[].0 | new x2:1
@@ -50,10 +50,14 @@ and 2 quadratic.  A rendered derivation or trace of a chain has O(n^2)
 characters (n judgements or reducts of size O(n)), so those slopes cannot
 fall to 1 however the printer shares work: compare their milliseconds.
 
+`--only SUBSTRING` (repeatable) runs only the rows whose label contains
+one of the substrings, so a change can re-time its own rows in seconds.
+
 `--json PATH` also writes the rows to PATH: the Python version, the CPU
-count, --max and --repeat, and per row its label, per size n either `ms`
-or what was raised (`raised`, or `preparation raised` for the input), and
-its slope (null with fewer than two sizes that ran).
+count, --max, --repeat and the --only filter (null without one), and per
+row its label, per size n either `ms` or what was raised (`raised`, or
+`preparation raised` for the input), and its slope (null with fewer than
+two sizes that ran).
 """
 import argparse
 import json
@@ -295,10 +299,14 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max", type=_at_least(25, "max"), default=200)
     ap.add_argument("--repeat", type=_at_least(1, "repeat"), default=3)
+    ap.add_argument("--only", metavar="SUBSTRING", action="append",
+                    help="run only the rows whose label contains SUBSTRING (repeatable)")
     ap.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = ap.parse_args()
     rows = []
     for label, (make, prepare) in WORKLOADS.items():
+        if args.only and not any(s in label for s in args.only):
+            continue
         points, sizes = [], []
         for n in SIZES.get(label) or doublings(25, args.max):
             try:
@@ -319,7 +327,7 @@ def main() -> int:
               f"over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}")
     if args.json:
         out = {"python": platform.python_version(), "cpus": os.cpu_count(), "max": args.max,
-               "repeat": args.repeat, "rows": rows}
+               "repeat": args.repeat, "only": args.only, "rows": rows}
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(out, f, indent=1)
             f.write("\n")

@@ -73,35 +73,55 @@ class HcpPrenex:
     comps: list[hcp.HcpTerm]
 
 
-def spine_cp(t: cp.CpTerm) -> tuple[list[CpBinder], list[cp.CpTerm], list[frozenset[Name]], dict[Name, list[int]]]:
+def spine_cp(t: cp.CpTerm) -> tuple[list[tuple], list[cp.CpTerm], list[frozenset[Name]], dict[Name, list[int]]]:
     """The prenex form of a fresh CP term, without freshening it: its cuts
-    outermost first, its components left to right, each component's free
-    names, and per cut name the components it is free in.  A cut's endpoint
-    is the one component on that side of it in which its name is free (None
-    unless there is exactly one)."""
-    binders: list[tuple[Name, Type]] = []
-    spans: list[list[int]] = []  # per cut: where its left side starts, where its right side starts and ends
-    comps: list[cp.CpTerm] = []
-    stack: list = [(None, t)]  # (None, term) to visit, or (cut slot, 1 or 2) where its side ends
-    while stack:
-        slot, node = stack.pop()
-        if slot is not None:
-            spans[slot][node] = len(comps)
-        elif type(node) is cp.Cut:
-            slot = len(spans)
-            binders.append((node.x, node.ty))
-            spans.append([len(comps), 0, 0])
-            stack += ((slot, 2), (None, node.right), (slot, 1), (None, node.left))
-        else:
-            comps.append(node)
+    outermost first, as (name, formula, left, right) tuples, its components
+    left to right, each component's free names, and per cut name the
+    components it is free in.  A cut's endpoint is the one component on
+    that side of it in which its name is free (None unless there is exactly
+    one)."""
+    binders, spans, comps = cut_spans(t)
     fvs = [cp.free_names(c) for c in comps]
     users = free_in([x for x, _ in binders], fvs)
-    out = []
-    for (x, a), (start, mid, end) in zip(binders, spans):
-        la = [k for k in users[x] if start <= k < mid]
-        ra = [k for k in users[x] if mid <= k < end]
-        out.append(CpBinder(x, a, la[0] if len(la) == 1 else None, ra[0] if len(ra) == 1 else None))
-    return out, comps, fvs, users
+    return [(x, a, *ends(users[x], span)) for (x, a), span in zip(binders, spans)], comps, fvs, users
+
+
+def cut_spans(t: cp.CpTerm) -> tuple[list[tuple[Name, Type]], list[list[int]], list[cp.CpTerm]]:
+    """The cuts of a CP term's spine, outermost first, each one's span (where
+    its left side starts, where its right side starts and where it ends, as
+    component positions) and its components left to right."""
+    binders: list[tuple[Name, Type]] = []
+    spans: list[list[int]] = []
+    comps: list[cp.CpTerm] = []
+    stack: list = [t]  # terms to visit, or a cut's span where one of its sides ends
+    while stack:
+        node = stack.pop()
+        if type(node) is list:
+            node.append(len(comps))
+        elif type(node) is cp.Cut:
+            span = [len(comps)]
+            binders.append((node.x, node.ty))
+            spans.append(span)
+            stack += (span, node.right, span, node.left)
+        else:
+            comps.append(node)
+    return binders, spans, comps
+
+
+def ends(holders, span, offset: int = 0) -> tuple[int | None, int | None]:
+    """A cut's endpoints: per side of its span (shifted by offset), the one
+    position among holders, those of the components its name is free in, on
+    that side (None unless there is exactly one)."""
+    start, mid, end = span
+    start, mid, end = start + offset, mid + offset, end + offset
+    left = right = None
+    nl = nr = 0
+    for k in holders:
+        if start <= k < mid:
+            left, nl = k, nl + 1
+        elif mid <= k < end:
+            right, nr = k, nr + 1
+    return left if nl == 1 else None, right if nr == 1 else None
 
 
 def free_in(names, fvs: list[frozenset[Name]]) -> dict[Name, list[int]]:
@@ -135,8 +155,8 @@ def spine_hcp(t: hcp.HcpTerm) -> tuple[list[tuple[Name, Type]], list[hcp.HcpTerm
 
 
 def prenex_cp(t: cp.CpTerm) -> CpPrenex:
-    binders, comps, _, _ = spine_cp(terms.freshen_if_needed(t))
-    return CpPrenex(binders, comps)
+    cuts, comps, _, _ = spine_cp(terms.freshen_if_needed(t))
+    return CpPrenex([CpBinder(*c) for c in cuts], comps)
 
 
 def prenex_hcp(t: hcp.HcpTerm) -> HcpPrenex:

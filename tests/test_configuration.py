@@ -2,9 +2,11 @@
 
 `reference_reduction` keeps the term-level reducer verbatim: it takes the
 prenex form of the whole term again at every step.  Both run on samples
-0-299 of `gen_cp`/`gen_hcp` at seed 42, on every fixture declaration and on
-unit-cut chains and mixes of the sizes the benchmark uses, and on the terms
-the shrinker builds with a ⊤ leaf, some of whose steps raise.  Per step they
+0-299 of `gen_cp`/`gen_hcp` at seed 42, on every fixture declaration, on
+unit-cut chains and mixes of the sizes the benchmark uses, on many-cuts terms
+and on CP cut trees shaped as paths and stars with shuffled cut uids (whose
+cut order moves at every step), and on the terms the shrinker builds with a
+⊤ leaf, some of whose steps raise.  Per step they
 must agree on the redex list, the reduct (`==`), the measure and the
 configuration's fields against the prenex form of the reduct (or on the
 error's class and message); per run on the trace, the status and the name
@@ -158,12 +160,61 @@ def _mix(w: int) -> str:
     return term
 
 
-SHAPES = ([("cp", _chain(n, False)) for n in (25, 50, 100, 200)]
-          + [("hcp", _chain(n, True)) for n in (25, 50, 100, 150)]
-          + [("hcp", _mix(w)) for w in (16, 32, 64)])
+def _many_cuts(n: int) -> str:
+    """n top-level cuts, each between a leaf x_k[].0 and one component that
+    waits on x_1 .. x_n in turn: a star around that component."""
+    body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
+    for i in range(n, 0, -1):
+        body = f"new x{i}:1 (x{i}[].0 | {body})"
+    return body
 
 
-@pytest.mark.parametrize("dialect,src", SHAPES, ids=[f"{d}-{len(s)}" for d, s in SHAPES])
+def _cut(rng: random.Random, x: str, sender: str, waiter: str) -> str:
+    """The cut on x between the side that closes x and the side that waits
+    on it, in a random order."""
+    if rng.random() < 0.5:
+        return f"new {x}:1 ({sender} | {waiter})"
+    return f"new {x}:bot ({waiter} | {sender})"
+
+
+def _path(n: int, seed: int) -> str:
+    """Components x1[].0, x1().x2[].0, ..., xn().w[].0, the cut on x_k
+    joining the (k-1)-th to the k-th, nested at random: a path whose cut
+    uids and orientations are shuffled, which reduces from its x1 end."""
+    rng = random.Random(f"configuration-path:{n}:{seed}")
+    comps = ["x1[].0", *(f"x{k}().x{k + 1}[].0" for k in range(1, n)), f"x{n}().w[].0"]
+
+    def nest(lo: int, hi: int) -> str:  # the components lo..hi and the cuts between them
+        if lo == hi:
+            return comps[lo]
+        k = rng.randint(lo + 1, hi)
+        return _cut(rng, f"x{k}", nest(lo, k - 1), nest(k, hi))
+
+    return nest(0, n)
+
+
+def _star(n: int, seed: int) -> str:
+    """_many_cuts with its cuts nested in a random order and orientation."""
+    rng = random.Random(f"configuration-star:{n}:{seed}")
+    body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
+    for k in rng.sample(range(1, n + 1), n):
+        body = _cut(rng, f"x{k}", f"x{k}[].0", body)
+    return body
+
+
+def _shape(dialect: str, src: str, name: str | None = None):
+    return pytest.param(dialect, src, id=name or f"{dialect}-{len(src)}")
+
+
+SHAPES = ([_shape("cp", _chain(n, False)) for n in (25, 50, 100, 200)]
+          + [_shape("hcp", _chain(n, True)) for n in (25, 50, 100, 150)]
+          + [_shape("hcp", _mix(w)) for w in (16, 32, 64)]
+          + [_shape("cp", _many_cuts(n), f"cp-many-cuts-{n}") for n in (2, 10, 25, 50)]
+          + [_shape("cp", _path(n, seed), f"cp-path-{n}-{seed}") for n in (10, 25, 50) for seed in (1, 2)]
+          + [_shape("cp", _star(n, seed), f"cp-star-{n}-{seed}") for n in (10, 25, 50) for seed in (1, 2)])
+
+
+@pytest.mark.parametrize("dialect,src", SHAPES)
 def test_agrees_with_reference_on_chains_and_mixes(dialect, src):
     t = surface.parse_term(src, dialect)
     _check_term(t)
@@ -204,6 +255,43 @@ def test_agrees_with_reference_on_top_leaves():
     assert (len(corpus), raised) == (232, 35)
 
 
+def _tied(rng: random.Random, n: int, star: bool) -> cp.CpTerm:
+    """_star's or _path's shape built in code, whose distinct names draw
+    their uids from 1..4, so that cuts' uids tie."""
+    xs = [Name(f"x{k}", rng.randint(1, 4)) for k in range(1, n + 1)]
+    w = cp.Halt(Name("w", 99))
+
+    def cut(x: Name, sender: cp.CpTerm, waiter: cp.CpTerm) -> cp.CpTerm:
+        return cp.Cut(x, ONE, sender, waiter) if rng.random() < 0.5 else cp.Cut(x, BOT, waiter, sender)
+
+    if star:
+        body = w
+        for x in reversed(xs):
+            body = cp.Wait(x, body)
+        for x in rng.sample(xs, n):
+            body = cut(x, cp.Halt(x), body)
+        return body
+    comps = [cp.Halt(xs[0]), *(cp.Wait(xs[k - 1], cp.Halt(xs[k])) for k in range(1, n)), cp.Wait(xs[-1], w)]
+
+    def nest(lo: int, hi: int) -> cp.CpTerm:
+        if lo == hi:
+            return comps[lo]
+        k = rng.randint(lo + 1, hi)
+        return cut(xs[k - 1], nest(lo, k - 1), nest(k, hi))
+
+    return nest(0, n)
+
+
+def test_agrees_with_reference_when_cut_uids_tie():
+    """Distinct names may share a uid in a term built in code; cut_order
+    then breaks ties by list position, which the kept order cannot see."""
+    rng = random.Random("tied-uids")
+    for k in range(200):
+        t = _tied(rng, rng.randint(2, 6), star=k % 2 == 0)
+        assert terms.freshen_if_needed(t) is t
+        _check_term(t)
+
+
 def test_trace_terms_are_built_once_and_marked_fresh():
     tr = rd.reduce(surface.parse_term(_chain(5, False), "cp"))
     first = tr.steps[2].term
@@ -241,6 +329,32 @@ def test_whole_term_walks_do_not_grow_with_the_term(mod, monkeypatch):
         counts[n] = calls
     assert counts[25] == counts[150]
     assert set(counts[25]) == {"freshen_if_needed", "binders", "measure"}
+
+
+def test_a_cp_step_reorders_only_its_redex(monkeypatch):
+    """One `reduce` of the many-cuts term: the first step puts the whole
+    configuration in cut order; after it no step orders cuts with
+    `cut_order`, and the components a step places and relabels are as few
+    for 100 cuts as for 25."""
+    most = {}
+    for n in (25, 100):
+        c = rd.Configuration(surface.parse_term(_many_cuts(n), "cp"), with_measure=True)
+        ordered, placed, per_step = [], [], []
+        real_order, real_insert = cg.cut_order, rd.Configuration._insert
+        with monkeypatch.context() as m:
+            m.setattr(cg, "cut_order", lambda bs, k: ordered.append(len(bs)) or real_order(bs, k))
+            m.setattr(rd.Configuration, "_insert", lambda c, k, s, *a: placed.append(s) or real_insert(c, k, s, *a))
+            while (r := c.first_redex()) is not None:
+                before = dict(c._label)
+                c.fire(r)
+                moved = {s for s, label in c._label.items() if before.get(s, label) != label}
+                per_step.append((sum(ordered), len(moved.union(placed))))
+                placed.clear()
+                ordered.clear()
+        assert len(per_step) == n and per_step[0][0] == n - 1  # the first step orders every cut left
+        assert all(k == 0 for k, _ in per_step[1:])
+        most[n] = max(moved for _, moved in per_step[1:])
+    assert most[25] == most[100] <= 2
 
 
 # -- rebuild_cp -----------------------------------------------------------------
