@@ -463,10 +463,12 @@ class Configuration:
             new_cuts.append((x, a, _the_comp_with(users[x], regions[left], x),
                              _the_comp_with(users[x], regions[right], x)))
         del cut[ch]
-        # an endpoint in a gone slot moves to the one component spliced from
-        # it (or the link's partner) that holds the cut's name
+        # _place needs cut order before the step, ch joining the redex's two
+        # components, and a link's channel free in its partner alone
         regular = (self._root is not None and (rec[1] == si and rec[2] == sj or rec[1] == sj and rec[2] == si)
                    and kept == (() if pieces else (sj,)))
+        # an endpoint in a gone slot moves to the one component spliced from
+        # it (or the link's partner) that holds the cut's name
         landed: dict = {}  # a new or kept slot -> the cuts the step gave an end there
         for g, fv in gone:
             for x in fv:
