@@ -12,7 +12,9 @@ Inputs: CP and HCP unit-cut chains (`new x1:1 (x1[].0 | x1().new x2:1
 cuts and HCP link chains (`new x1:1. ... new xn:1. (x1[].0 | (x1<->x2 |
 (... | (x(n-1)<->xn | xn().w[].0))))`), at n = 25, 50, 100, ... doubling up to --max (default 200); for
 generation, preservation and checking samples, n samples; for the reduction
-graph of a mix, whose 2^w nodes grow with its width w, w = 3..8.  A `lex`
+graph of a mix, whose 2^w nodes grow with its width w, w = 3..8; and n = 10,
+20, 40, 80 samples for the graphs of samples and n = 25..200 for the
+simulation properties, whatever --max.  A `lex`
 run times `surface._lex` of the input's text alone, and a `parse` run
 `surface.parse_file` of it: that lexing, then the reader of its token
 lists.  Every other run on a chain or mix parses the input afresh first,
@@ -21,7 +23,10 @@ outside the clock.  A `check` run times `typecheck.check_cp` or
 samples 0..n-1 at seed 42, generated outside the clock.  A `reduce` run times
 `reduction.reduce` (so it includes freshening); a `graph` run times
 `reduction.reduction_graph` of the input and `surface.print_terms` of its
-nodes, as `sill graph` does; a `render derivation` run
+nodes, as `sill graph` does, and a `graph samples` run
+`reduction.reduction_graph` at cap 200 of `harness.gen_hcp` samples 0..n-1
+at `GenConfig(7, max_depth=3)`, generated outside the clock, a graph that
+exceeds the cap counting as done; a `render derivation` run
 times only `typecheck.render_derivation` of the input's typing derivation,
 and a `render trace` run only `reduction.render_trace` of its reduction
 trace with every reduct already built.  A `key` run times `congruence.key`
@@ -37,7 +42,10 @@ first.  A `preservation` run times the preservation-hcp property
 (`harness._prop_preservation`) on `harness.gen_hcp` samples 0..n-1 at seed
 42, generated outside the clock: per sample, its reduction, the derivation
 transported along it and checked where new, and `check_hcp` of the final
-reduct.
+reduct.  A `simulate` run times the simulate-forward and simulate-backward
+properties (`harness._prop_simulate_forward` and `_prop_simulate_backward`)
+on `harness.gen_cp` samples 0..n-1 at seed 42, generated outside the
+clock; both decide structural congruence at every step.
 
 Each input is prepared in a thread with a big stack and a raised recursion
 limit; the layer is timed in the main thread at the default limit.  The best
@@ -142,6 +150,20 @@ def _graph(src: str):
     return lambda: surface.print_terms(reduction.reduction_graph(t).nodes)
 
 
+def _graph_samples(n: int):
+    cfg = harness.GenConfig(7, max_depth=3)
+    samples = [harness.gen_hcp(cfg, i)[0] for i in range(n)]
+
+    def run():
+        for t in samples:
+            try:
+                reduction.reduction_graph(t, cap=200)
+            except reduction.BudgetExceeded:
+                pass
+
+    return run
+
+
 def _key(src: str):
     t = _main(src).term
     return lambda: congruence.key(t)
@@ -199,6 +221,13 @@ def _preservation(n: int):
     return lambda: [harness._prop_preservation(*s) for s in samples]
 
 
+def _simulate(n: int):
+    cfg = harness.GenConfig(seed=42)
+    samples = [(*harness.gen_cp(cfg, i), i) for i in range(n)]
+    return lambda: [(harness._prop_simulate_forward(*s), harness._prop_simulate_backward(*s))
+                    for s in samples]
+
+
 # label -> (input of size n, what to time, given that input)
 WORKLOADS = {
     "lex cp chain": (lambda n: chain(n, False), _lex),
@@ -218,6 +247,7 @@ WORKLOADS = {
     "reduce hcp mix": (mix, _reduce),
     "reduce cp many cuts": (many_cuts, _reduce),
     "graph hcp mix": (mix, _graph),
+    "graph samples": (lambda n: n, _graph_samples),
     "key cp chain": (lambda n: chain(n, False), _key),
     "key hcp chain": (lambda n: chain(n, True), _key),
     "key hcp mix": (mix, _key),
@@ -234,11 +264,13 @@ WORKLOADS = {
     "generate cp": (lambda n: n, _generate(harness.gen_cp)),
     "generate hcp": (lambda n: n, _generate(harness.gen_hcp)),
     "preservation hcp": (lambda n: n, _preservation),
+    "simulate samples": (lambda n: n, _simulate),
 }
 
 
 # label -> its sizes, where they are not n = 25, 50, ... up to --max
-SIZES = {"graph hcp mix": range(3, 9)}
+SIZES = {"graph hcp mix": range(3, 9), "graph samples": (10, 20, 40, 80),
+         "simulate samples": (25, 50, 100, 200)}
 
 
 class PreparationError(Exception):

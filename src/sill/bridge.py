@@ -198,20 +198,10 @@ def bigtens(part: list) -> Type:
     return _fold(ty.Tensor, [bigparr(e) for e in sorted(part, key=env_key)], ONE)
 
 
-def parr_collapse(d: Derivation) -> Derivation:
-    """Chain of inputs over the last-canonical carrier channel, typing the
-    process at the single formula bigparr of its environment."""
-    if not isinstance(d.env, dict):
-        raise BridgeError("parr_collapse expects a CP derivation")
-    if not revalidate(d):
-        raise BridgeError("parr_collapse requires a locally valid derivation")
-    if not d.env:
-        raise BridgeError("parr_collapse requires a nonempty environment")
-    return _parr_collapse(d)
-
-
 def _parr_collapse(d: Derivation) -> Derivation:
-    """parr_collapse of a valid CP derivation with a nonempty environment."""
+    """Chain of inputs over the last-canonical carrier channel, typing the
+    process at the single formula bigparr of its environment; d must be a
+    valid CP derivation with a nonempty environment."""
     *names, z = sorted(d.env, key=lambda n: n.uid)
     cur = d
     for n in reversed(names):

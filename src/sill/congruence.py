@@ -14,16 +14,12 @@ first round of colour refinement (McKay and Piperno, "Practical graph
 isomorphism, II", 2014): a cheap invariant that prunes the search, not a
 canonical form, which would need individualisation of the bound names.
 
-`equiv` decides congruence, as `match` of the two terms' `levels`, each
-built once from the freshened term: it answers no when the keys differ, and
-otherwise matches the levels: multiset matching of
-components with equal certificates, link symmetry where both ends' labels
-are equal, and backtracking over name correspondences, kept in one bijection
-with an undo trail.  Equal certificates pair only names with equal labels,
-so the restrictions need no check beyond pairing with restrictions.  A
-term's levels carry its key, so `reduction.reduction_graph` builds them
-once per successor it cannot settle by its components' identity, buckets
-by their key and matches kept levels.
+`equiv` decides congruence, as `match` of the two terms' `levels` (built
+once from the freshened term): no when the keys differ, else a backtracking
+search on one explicit stack that places each component on one with its
+certificate, fewest candidates first, pairing names in one bijection.
+`reduction.reduction_graph` builds levels once per successor it cannot
+settle by its components' identity, buckets them by key and matches them.
 
 Single-axiom rewriting (CP Def. 2, HCP Def. 10) is split in two: `sites`
 walks the term once and lists each rewrite as a site (the path to a node,
@@ -240,7 +236,7 @@ class _Level:
     names and the levels of its subterms.  `key` is the level's congruence
     key."""
 
-    __slots__ = ("binders", "certs", "names", "children", "key", "groups")
+    __slots__ = ("binders", "certs", "names", "children", "key", "groups", "ways", "order")
 
     def __init__(self):
         self.binders: list[tuple[Name, str]] = []
@@ -249,7 +245,9 @@ class _Level:
         # per component: subject names in certificate order, then the name its prefix binds
         self.names: list[tuple[Name, ...]] = []
         self.children: list[tuple[_Level, ...]] = []  # per component: its subterms' levels, in field order
-        self.groups: dict | None = None  # certificate -> component indices, built on first use
+        self.groups: dict | None = None  # certificate -> component indices, built on first match
+        self.ways: dict | None = None  # (group's first index, subject or None) -> (index, names), likewise
+        self.order: range | list[int] | None = None  # components fewest candidates first, likewise
 
 
 # walk stack entries: (_VISIT, term, level), and (_LABEL, name, label) where a
@@ -373,12 +371,92 @@ def levels(t) -> _Level:
 
 def match(l1: _Level, l2: _Level) -> bool:
     """Whether the terms whose `levels` these are, of one dialect, are
-    structurally congruent."""
+    structurally congruent.
+
+    A depth-first search on one explicit stack of goals (a, b, k, rest),
+    rest a linked list: place the k-th component of level a, fewest
+    candidates first, on a free one of b with its certificate, or, past the
+    last, check a's restrictions, after all of a's sublevels.  A level of one
+    component goes straight down.  A choice point stays only where a
+    component has more than one free way: another candidate, or a link with
+    equal labels the other way round; once its subject is paired, only
+    candidates whose subject is its partner.  The trail records the names
+    paired and candidates marked used, so backtracking undoes exactly those."""
     if l1.key != l2.key:
         return False
-    for _ in _match_level(l1, l2, _Bijection()):
-        return True
-    return False
+    l2r, r2l = {}, {}  # the names of l1's term paired with those of l2's, and back
+    used: set[tuple[_Level, int]] = set()  # (a level of l2's term, its component) placed
+    trail, choices = [], []  # choices: (goals, trail length, a, b, i, alternatives left)
+    goals, ok = (l1, l2, 0, None), True
+    while True:
+        if not ok:  # back to the latest choice point, for its next alternative
+            if not choices:
+                return False
+            goals, mark, a, b, i, alts = choices[-1]
+            while len(trail) > mark:
+                e = trail.pop()
+                if type(e) is tuple:  # a used mark (a Name is a NamedTuple)
+                    used.discard(e)
+                else:
+                    del r2l[l2r.pop(e)]
+            placed, names2 = alts.pop()
+            j = placed[1]
+            if not alts:
+                choices.pop()
+        elif goals is None:
+            return True
+        else:
+            a, b, k, goals = goals
+            n = len(a.certs)
+            if k == n:
+                ok = not a.binders or _binders_match(a, b, l2r, r2l)
+                continue
+            if k + 1 < n or a.binders:
+                goals = (a, b, k + 1, goals)
+            if a.order is None or b.ways is None:
+                _plan(a, b)
+            i = a.order[k]
+            cert = a.certs[i]
+            swap = cert[0] == "Link" and cert[1] == cert[2]
+            group = b.groups[cert]
+            if len(group) == 1 and not swap:  # equal keys: so its one candidate is free
+                j, placed, names2 = group[0], None, b.names[group[0]]
+            else:  # its free ways, with the subject its subject is paired with if it is
+                alts = [((b, j), ns) for j, ns in reversed(b.ways.get((group[0], l2r.get(a.names[i][0])), ()))
+                        if (b, j) not in used]
+                if alts:
+                    choices.append((goals, len(trail), a, b, i, alts))
+                ok = False  # so the choice point just pushed, if any, places it
+                continue
+        while True:  # place component i of a on component j of b, its names as names2
+            ok = False
+            for n1, n2 in zip(a.names[i], names2):
+                m = l2r.get(n1)
+                if m is None:
+                    if r2l.setdefault(n2, n1) is not n1:  # n2 is paired with another name
+                        break
+                    l2r[n1] = n2
+                    trail.append(n1)
+                elif m != n2:
+                    break
+            else:
+                ok = True
+                if placed is not None:
+                    used.add(placed)
+                    trail.append(placed)
+                subs1 = a.children[i]
+                if subs1:  # Send and Case have two: the first is matched first
+                    subs2 = b.children[j]
+                    if len(subs1) == 2 and (subs1[1].certs or subs1[1].binders):
+                        goals = (subs1[1], subs2[1], 0, goals)
+                    a, b = subs1[0], subs2[0]
+                    c = a.certs
+                    if len(c) == 1 and not a.binders and not (c[0][0] == "Link" and c[0][1] == c[0][2]):
+                        i, j, placed, names2 = 0, 0, None, b.names[0]  # no choice: straight down
+                        continue
+                    if c or a.binders:
+                        goals = (a, b, 0, goals)
+            break
 
 
 def equiv(t1, t2) -> bool:
@@ -389,108 +467,31 @@ def equiv(t1, t2) -> bool:
     return match(levels(t1), levels(t2))
 
 
-class _Bijection:
-    """The name correspondence built while matching two freshened terms: one
-    dict pair, and a trail of the pairs made, so backtracking can undo them.
-    It pairs only names at positions with equal certificates, so paired names
-    carry equal labels: free names have the same surface, and two paired
-    restrictions the same type at each endpoint (CP) or the same class (HCP)."""
-
-    __slots__ = ("l2r", "r2l", "trail")
-
-    def __init__(self):
-        self.l2r: dict[Name, Name] = {}
-        self.r2l: dict[Name, Name] = {}
-        self.trail: list[tuple[Name, Name]] = []
-
-    def pair(self, n1: Name, n2: Name) -> bool:
-        """Pair n1 with n2, unless either is paired with another name."""
-        m = self.l2r.get(n1)
-        if m is not None:
-            return m == n2
-        if n2 in self.r2l:
-            return False
-        self.l2r[n1] = n2
-        self.r2l[n2] = n1
-        self.trail.append((n1, n2))
-        return True
-
-    def undo(self, mark: int) -> None:
-        """Take back every pair made since the trail was mark long."""
-        trail = self.trail
-        while len(trail) > mark:
-            n1, n2 = trail.pop()
-            del self.l2r[n1], self.r2l[n2]
+def _plan(a: _Level, b: _Level) -> None:
+    """Build, unless built, b's certificate groups and ways to place a
+    component where there is a choice, and a's fail-first order: its
+    components by how many share their certificate, fewest first."""
+    if b.ways is None:
+        groups, ways = {}, {}
+        for j, c in enumerate(b.certs):
+            groups.setdefault(c, []).append(j)
+        for c, group in groups.items():
+            swap = c[0] == "Link" and c[1] == c[2]
+            for j in group if len(group) > 1 or swap else ():
+                for ns in (b.names[j], b.names[j][::-1]) if swap else (b.names[j],):
+                    ways.setdefault((group[0], None), []).append((j, ns))
+                    ways.setdefault((group[0], ns[0]), []).append((j, ns))
+        b.groups, b.ways = groups, ways
+    if a.order is None:  # equal keys: a's groups have the sizes of b's
+        n, groups = len(a.certs), b.groups
+        a.order = range(n) if len(groups) == n else sorted(range(n), key=lambda i: len(groups[a.certs[i]]))
 
 
-_DONE = object()
-
-
-def _match_level(l1: _Level, l2: _Level, bij: _Bijection):
-    """Yield once per extension of bij under which two levels with equal keys
-    match: each component of l1 paired with one of l2 with the same
-    certificate, then the restrictions checked.  The extension holds while
-    the generator is suspended and is undone when it resumes."""
-    n = len(l1.certs)
-    if l2.groups is None:
-        l2.groups = {}
-        for j, c in enumerate(l2.certs):
-            l2.groups.setdefault(c, []).append(j)
-    used = [False] * n
-
-    def pairings(i: int):
-        """Yield once per way of matching component i with a free one of l2:
-        its names in order (a link's also swapped when its two labels are
-        equal), then its subterms.  A prefix binder's name is fresh, so
-        pairing it binds it."""
-        cert, names1, subs1 = l1.certs[i], l1.names[i], l1.children[i]
-        swap = cert[0] == "Link" and cert[1] == cert[2]
-        mark = len(bij.trail)
-        for j in l2.groups[cert]:
-            if used[j]:
-                continue
-            used[j] = True
-            names2, subs2 = l2.names[j], l2.children[j]
-            for order in (names2, names2[::-1]) if swap else (names2,):
-                if all(map(bij.pair, names1, order)):
-                    if not subs1:
-                        yield
-                    elif len(subs1) == 1:
-                        yield from _match_level(subs1[0], subs2[0], bij)
-                    else:  # Send and Case: the first subterm, then the second
-                        for _ in _match_level(subs1[0], subs2[0], bij):
-                            yield from _match_level(subs1[1], subs2[1], bij)
-                bij.undo(mark)
-            used[j] = False
-
-    if n == 0:
-        if _binders_match(l1, l2, bij):
-            yield
-        return
-    # one suspended generator per component paired so far, so that a level's
-    # width costs no recursion
-    stack = [pairings(0)]
-    while stack:
-        if next(stack[-1], _DONE) is _DONE:
-            stack.pop()
-        elif len(stack) == n:
-            if _binders_match(l1, l2, bij):
-                yield
-        else:
-            stack.append(pairings(len(stack)))
-
-
-def _binders_match(l1: _Level, l2: _Level, bij: _Bijection) -> bool:
-    """Whether every restriction of either level that bij pairs is paired
-    with a restriction of the other.  Paired names carry equal labels, so
-    two paired cuts join corresponding components with the same endpoint
-    types; the unpaired restrictions, which occur nowhere, have equal
-    classes because the keys are equal."""
-    if not l1.binders:  # equal keys: l2 has none either
-        return True
-    names1 = {x for x, _ in l1.binders}
-    names2 = {x for x, _ in l2.binders}
-    l2r, r2l = bij.l2r, bij.r2l
+def _binders_match(l1: _Level, l2: _Level, l2r: dict, r2l: dict) -> bool:
+    """Whether every restriction of either level that l2r (or its inverse
+    r2l) pairs is paired with a restriction of the other.  Paired names carry
+    equal labels, so paired cuts have the same endpoint types."""
+    names1, names2 = {x for x, _ in l1.binders}, {x for x, _ in l2.binders}
     return (all(l2r[x] in names2 for x in names1 if x in l2r)
             and all(r2l[x] in names1 for x in names2 if x in r2l))
 

@@ -937,10 +937,6 @@ class ReductionTrace:
         return self.steps[-1].term if self.steps else self.initial
 
 
-def fuel_bound(t) -> int:
-    return 1 + sum(measure(t))
-
-
 def reduce(t, fuel: int | None = None) -> ReductionTrace:
     """Run the deterministic strategy to a trace."""
     if fuel is not None and fuel < 1:

@@ -664,12 +664,3 @@ def print_hyper_env(part) -> str:
     return " | ".join(print_env(e) for e in part)
 
 
-def print_file(f: SessionFile) -> str:
-    lines = []
-    for d in f.decls:
-        kw = "proc" if d.dialect == "cp" else "hproc"
-        head = f"{kw} {d.name} :"
-        if d.env:
-            head += f" {print_env(d.env)}"
-        lines.append(f"{head} = {print_term(d.term)}")
-    return "\n".join(lines) + "\n"

@@ -21,6 +21,21 @@ def load_fixture(name: str):
     return surface.parse_file(path.read_text(), filename=str(path))
 
 
+def print_file(f) -> str:
+    """The text of a `surface.SessionFile`: one `proc` or `hproc` line per
+    declaration, which `surface.parse_file` reads back."""
+    from sill import surface
+
+    lines = []
+    for d in f.decls:
+        kw = "proc" if d.dialect == "cp" else "hproc"
+        head = f"{kw} {d.name} :"
+        if d.env:
+            head += f" {surface.print_env(d.env)}"
+        lines.append(f"{head} = {surface.print_term(d.term)}")
+    return "\n".join(lines) + "\n"
+
+
 def subterms(t):
     """Every subterm object of t, t first."""
     from sill.terms import SCHEMA

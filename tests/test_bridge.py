@@ -187,13 +187,13 @@ def test_bigparr_right_associated_in_uid_order():
 
 def test_parr_collapse_singleton_unchanged():
     d, deriv = checked("x[].0", "x:1")
-    out = bridge.parr_collapse(deriv)
+    out = bridge._parr_collapse(deriv)
     assert out is deriv
 
 
 def test_parr_collapse_two_names():
     d, deriv = checked("w().z[].0", "w:bot, z:1")
-    out = bridge.parr_collapse(deriv)
+    out = bridge._parr_collapse(deriv)
     assert revalidate(out)
     (zc,) = out.env
     assert out.env[zc] == Par(BOT, ONE)
@@ -207,7 +207,7 @@ def test_parr_collapse_carrier_is_last_canonical_name():
     f = surface.parse_file("proc T : w:bot, z:1 = w().z[].0\n")
     decl = f.decls[0]
     deriv = check_cp(decl.term, decl.env)
-    out = bridge.parr_collapse(deriv)
+    out = bridge._parr_collapse(deriv)
     (carrier,) = out.env
     assert carrier.surface == "z"  # declared last, highest uid
     assert print_term(out.term).startswith("z(w).")

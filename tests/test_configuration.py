@@ -73,7 +73,7 @@ def _ref_walk(t) -> list:
 
 def _walk(t) -> list:
     out, c = [], rd.Configuration(t, with_measure=True)
-    for _ in range(rd.fuel_bound(t)):
+    for _ in range(1 + sum(rd.measure(t))):
         rs = c.redexes()
         out.append([_redex(r) for r in rs])
         assert c.first_redex() == (rs[0] if rs else None)

@@ -4,17 +4,25 @@
 keeps it), and `equiv`, which answers no when keys differ and only pairs
 components with equal certificates, must answer exactly as the unpruned
 backtracking matcher it replaced.  That matcher is kept below as a
-reference copy.
+reference copy.  `congruence.match` must also answer as the generator-based
+matcher it replaced, kept in `reference_congruence.py`, on every call that
+reduction graphs make, and must backtrack out of every kind of wrong
+choice: a component placed on the wrong candidate, a link paired the wrong
+way round, and an assignment that pairs a restriction with a name bound
+elsewhere.
 """
 import dataclasses
 import random
+from collections import Counter
 
+import reference_congruence
 from sill import congruence as cg
 from sill import cp, harness, hcp, reduction, terms
 from sill.names import Name
 from sill.surface import parse_term
 from sill.terms import SCHEMA
 from sill.types import ONE, dual
+from test_configuration import _top_leaf_terms
 
 # -- the matcher before keys, kept as a reference ------------------------------
 
@@ -389,6 +397,86 @@ def test_equal_keys_in_reduction_graphs_agree_with_reference():
                         assert not ref_equiv(a, g.nodes[k])
                         compared += 1
     assert compared > 50
+
+
+def test_matcher_agrees_with_the_replaced_one_on_reduction_graph_calls(monkeypatch):
+    """Every `match` call made while building the reduction graphs above,
+    and those of a quarter of the ⊤-leaf terms at cap 20, gets the same
+    answer from the replaced matcher."""
+    real = cg.match
+    answers = Counter()
+
+    def both(l1, l2):
+        got = real(l1, l2)
+        assert reference_congruence.match(l1, l2) == got
+        answers[got] += 1
+        return got
+
+    monkeypatch.setattr(cg, "match", both)
+    cfg = harness.GenConfig(seed=7, max_depth=3)
+    for gen in (harness.gen_cp, harness.gen_hcp):
+        for i in range(40):
+            reduction.reduction_graph(gen(cfg, i)[0], cap=200)
+    for t in _top_leaf_terms()[::4]:
+        try:
+            reduction.reduction_graph(t, cap=20)
+        except (reduction.BudgetExceeded, cg.CongruenceError, reduction.ReductionError):
+            pass
+    assert answers[True] > 1600 and answers[False] > 900
+
+
+# -- backtracking: each wrong choice is undone ---------------------------------------
+
+
+def _hcp(body: str):
+    return parse_term(f"new x:1. new y:1. {body}", "hcp")
+
+
+def _decided(a, b, want: bool) -> None:
+    """a and b have one key, and equiv, the reference and the BFS oracle
+    all answer want, both ways round."""
+    assert cg.key(a) == cg.key(b)
+    for p, q in ((a, b), (b, a)):
+        assert cg.equiv(p, q) == ref_equiv(p, q) == cg.bfs_equiv(p, q, max_steps=3) == want
+
+
+def test_a_shared_certificate_is_undone_when_a_deeper_level_fails():
+    # both components wait on a restriction and then on x: whichever is
+    # placed first may take the wrong candidate, and only the wait below
+    # shows it
+    parts = ["x().x().a[].0", "y().x().a[].0"]
+    for left in (parts, parts[::-1]):
+        for right in (parts, parts[::-1]):
+            _decided(_hcp(f"({left[0]} | {left[1]})"), _hcp(f"({right[0]} | {right[1]})"), True)
+
+
+def test_a_symmetric_link_pairs_the_other_way_round():
+    # both ends are labelled by a restriction of class 1, and x<->y pairs
+    # with y<->x only swapped
+    _decided(_hcp("(x<->y | (x[].0 | y().a[].0))"), _hcp("(y<->x | (x[].0 | y().a[].0))"), True)
+
+
+def test_only_the_second_assignment_pairs_restriction_with_restriction():
+    # the inner level's two sends share a certificate; sending on the outer
+    # x first pairs the inner y with the outer x, which the restrictions
+    # check refuses
+    a = parse_term("new x:1. b().new y:1. (x[].0 | y[].0)", "hcp")
+    b = parse_term("new x:1. b().new y:1. (y[].0 | x[].0)", "hcp")
+    _decided(a, b, True)
+    # here the one assignment that pairs the components pairs the waits'
+    # subjects, the outer x with the inner y, and the check refuses it
+    a = parse_term("new x:1. b().new y:1. (x().c[].0 | y[].0)", "hcp")
+    b = parse_term("new x:1. b().new y:1. (y().c[].0 | x[].0)", "hcp")
+    _decided(a, b, False)
+
+
+def test_a_no_exhausts_every_candidate():
+    # one key, but x().x() and y().x() never pair with x().x() and y().y()
+    _decided(_hcp("(x().x().a[].0 | y().x().a[].0)"), _hcp("(x().x().a[].0 | y().y().a[].0)"), False)
+    # the two x().a[] share a certificate, and each fits only y().a[]: the
+    # second must not take the candidate the first holds once its choice
+    # point is spent
+    _decided(_hcp("(x().a[].0 | (x().a[].0 | y().b[].0))"), _hcp("(x().a[].0 | (y().a[].0 | x().b[].0))"), False)
 
 
 # -- deep terms -----------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_blocked_counts_hcp():
 def test_measure_and_bound():
     term = load_fixture("tensor_unit.sill").decls[0].term
     assert rd.measure(term) == (3,)
-    trace = rd.reduce(term, fuel=rd.fuel_bound(term))
+    trace = rd.reduce(term, fuel=1 + sum(rd.measure(term)))
     assert len(trace.steps) <= sum(rd.measure(term))
     prev = rd.measure(term)
     for st in trace.steps:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clash_heavy_terms, load_fixture, subterms
+from conftest import clash_heavy_terms, load_fixture, print_file, subterms
 
 from sill import cp, harness, hcp, reduction, surface, terms, typecheck
 from sill import types as ty
@@ -125,7 +125,7 @@ def test_roundtrip_counterexample_fixture():
 
 def test_file_roundtrip():
     f = load_fixture("corpus.sill")
-    printed = surface.print_file(f)
+    printed = print_file(f)
     again = parse_file(printed)
     assert [d.name for d in again.decls] == [d.name for d in f.decls]
     for d1, d2 in zip(f.decls, again.decls):

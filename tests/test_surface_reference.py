@@ -13,7 +13,7 @@ import sys
 
 import pytest
 import reference_surface as ref
-from conftest import FIXTURES, clash_heavy_terms, subterms
+from conftest import FIXTURES, clash_heavy_terms, print_file, subterms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +74,7 @@ def _sample_files(count: int) -> list[str]:
     for dialect, gen in (("cp", harness.gen_cp), ("hcp", harness.gen_hcp)):
         for i in range(count):
             term, env, _ = gen(cfg, i)
-            out.append(surface.print_file(SessionFile([Decl(f"S{i}", dialect, env, term, None)])))
+            out.append(print_file(SessionFile([Decl(f"S{i}", dialect, env, term, None)])))
     return out
 
 
