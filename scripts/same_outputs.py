@@ -27,9 +27,11 @@ which print six outputs:
   `--json`, `--show-derivation`) of every declaration of this checkout's
   `fixtures/*.sill`, of HCP mixes of w = 3..6 unit cuts in a shuffled order,
   of CP and HCP unit-cut chains of n = 25 and 50, of CP terms with n = 25
-  and 50 top-level cuts (`scaling.many_cuts`, whose steps reorder the cut
-  tree) and of a CP term whose ⊤ absorbs a cut's channel (its `reduce` and
-  `graph` fail), with each command's stdout, stderr and exit code.  A
+  and 50 top-level cuts (`scaling.many_cuts`), of CP cut paths and stars of
+  n = 10 and 25 with shuffled cut uids and orientations, seeds 1 and 2
+  (`scaling.path`, `scaling.star`; the steps of these three reorder the
+  cut tree) and of a CP term whose ⊤ absorbs a cut's channel (its `reduce`
+  and `graph` fail), with each command's stdout, stderr and exit code.  A
   command refuses a declaration of the other dialect, and that refusal is
   compared too.  The inputs are written to a temporary directory, which is
   the working directory while the commands run.
@@ -129,7 +131,7 @@ def emit_graph() -> None:
 
 def cli_inputs() -> dict[str, str]:
     """The `cli` output's input files, by file name."""
-    from scaling import many_cuts
+    from scaling import many_cuts, path, star
 
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.sill"))}
     for w in range(3, 7):
@@ -147,6 +149,10 @@ def cli_inputs() -> dict[str, str]:
                 body = f"new x{i}:1{dot} (x{i}[].0 | x{i}().{body})"
             files[f"chain-{kw}-{n}.sill"] = f"{kw} Main : w:1 = {body}\n"
         files[f"many-cuts-{n}.sill"] = many_cuts(n)
+    for n in (10, 25):
+        for seed in (1, 2):
+            files[f"path-{n}-{seed}.sill"] = path(n, seed)
+            files[f"star-{n}-{seed}.sill"] = star(n, seed)
     files["top-cut.sill"] = "proc Main : c9:top, w:1 = new x:1 + 1 (x!inl.c9?{} | x?{inl: x().w[].0; inr: x().w[].0})\n"
     return files
 

@@ -47,8 +47,10 @@ properties (`harness._prop_simulate_forward` and `_prop_simulate_backward`)
 on `harness.gen_cp` samples 0..n-1 at seed 42, generated outside the
 clock; both decide structural congruence at every step.
 
-Each input is prepared in a thread with a big stack and a raised recursion
-limit; the layer is timed in the main thread at the default limit.  The best
+Each row runs in a fresh interpreter, so that no row is timed on the heap
+the rows before it left.  Each input is prepared in a thread with a big
+stack and a raised recursion limit; the layer is timed in the main thread
+at the default limit.  The best
 of --repeat runs (default 3) is reported in milliseconds, and a size at
 which the layer raises is reported as `raised <Error>`, the row going on to
 the next size.  A row's slope is the least-squares fit of log(time) against
@@ -71,14 +73,18 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import platform
 import random
+import subprocess
 import sys
 import threading
 import time
 
 from sill import bridge, congruence, harness, reduction, surface, typecheck
 from sill.cli import _at_least
+
+HERE = pathlib.Path(__file__).resolve()
 
 
 def chain(n: int, hcp: bool) -> str:
@@ -109,6 +115,39 @@ def many_cuts(n: int) -> str:
     body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
     for i in range(n, 0, -1):
         body = f"new x{i}:1 (x{i}[].0 | {body})"
+    return f"proc Main : w:1 = {body}\n"
+
+
+def _cut(rng: random.Random, x: str, sender: str, waiter: str) -> str:
+    """The cut on x between the side that closes x and the side that waits
+    on it, in a random order."""
+    if rng.random() < 0.5:
+        return f"new {x}:1 ({sender} | {waiter})"
+    return f"new {x}:bot ({waiter} | {sender})"
+
+
+def path(n: int, seed: int) -> str:
+    """Components x1[].0, x1().x2[].0, ..., xn().w[].0, the cut on x_k
+    joining the (k-1)-th to the k-th, nested at random: a path whose cut
+    uids and orientations are shuffled, which reduces from its x1 end."""
+    rng = random.Random(f"configuration-path:{n}:{seed}")
+    comps = ["x1[].0", *(f"x{k}().x{k + 1}[].0" for k in range(1, n)), f"x{n}().w[].0"]
+
+    def nest(lo: int, hi: int) -> str:  # the components lo..hi and the cuts between them
+        if lo == hi:
+            return comps[lo]
+        k = rng.randint(lo + 1, hi)
+        return _cut(rng, f"x{k}", nest(lo, k - 1), nest(k, hi))
+
+    return f"proc Main : w:1 = {nest(0, n)}\n"
+
+
+def star(n: int, seed: int) -> str:
+    """many_cuts with its cuts nested in a random order and orientation."""
+    rng = random.Random(f"configuration-star:{n}:{seed}")
+    body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
+    for k in rng.sample(range(1, n + 1), n):
+        body = _cut(rng, f"x{k}", f"x{k}[].0", body)
     return f"proc Main : w:1 = {body}\n"
 
 
@@ -327,6 +366,50 @@ def doublings(n: int, top: int):
         n *= 2
 
 
+def row(label: str, top: int, repeat: int) -> dict:
+    """Time the row label at its sizes in this interpreter, printing a line
+    per size, and return it as a `--json` row."""
+    make, prepare = WORKLOADS[label]
+    points, sizes = [], []
+    for n in SIZES.get(label) or doublings(25, top):
+        try:
+            ms = best_ms(make(n), prepare, repeat)
+        except PreparationError as e:
+            sizes.append({"n": n, "preparation raised": str(e)})
+            print(f"{label} n={n}: preparation raised {e}", flush=True)
+        except Exception as e:  # RecursionError on deep input, among others
+            sizes.append({"n": n, "raised": type(e).__name__})
+            print(f"{label} n={n}: raised {type(e).__name__}", flush=True)
+        else:
+            points.append((n, ms))
+            sizes.append({"n": n, "ms": round(ms, 3)})
+            print(f"{label} n={n}: {ms:.2f} ms", flush=True)
+    fit = slope(points) if len(points) > 1 else None
+    print(f"{label}: log-log slope {'n/a' if fit is None else f'{fit:.2f}'} "
+          f"over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}", flush=True)
+    return {"label": label, "sizes": sizes, "slope": None if fit is None else round(fit, 3)}
+
+
+_ROW = "row\t"  # how a row's interpreter marks the line holding its result
+
+
+def fresh_row(label: str, top: int, repeat: int) -> dict:
+    """`row` run in a new interpreter, whose lines are passed on, so that
+    no row is timed on the heap another row left."""
+    code = (f"import json, sys; sys.path.insert(0, {str(HERE.parent)!r}); import scaling; "
+            f"print({_ROW!r} + json.dumps(scaling.row({label!r}, {top}, {repeat})))")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, encoding="utf-8")
+    out = None
+    for line in proc.stdout:
+        if line.startswith(_ROW):
+            out = json.loads(line[len(_ROW):])
+        else:
+            print(line, end="", flush=True)
+    if proc.wait() != 0 or out is None:
+        raise SystemExit(f"{label}: the interpreter exited {proc.returncode}")
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max", type=_at_least(25, "max"), default=200)
@@ -335,28 +418,8 @@ def main() -> int:
                     help="run only the rows whose label contains SUBSTRING (repeatable)")
     ap.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = ap.parse_args()
-    rows = []
-    for label, (make, prepare) in WORKLOADS.items():
-        if args.only and not any(s in label for s in args.only):
-            continue
-        points, sizes = [], []
-        for n in SIZES.get(label) or doublings(25, args.max):
-            try:
-                ms = best_ms(make(n), prepare, args.repeat)
-            except PreparationError as e:
-                sizes.append({"n": n, "preparation raised": str(e)})
-                print(f"{label} n={n}: preparation raised {e}")
-            except Exception as e:  # RecursionError on deep input, among others
-                sizes.append({"n": n, "raised": type(e).__name__})
-                print(f"{label} n={n}: raised {type(e).__name__}")
-            else:
-                points.append((n, ms))
-                sizes.append({"n": n, "ms": round(ms, 3)})
-                print(f"{label} n={n}: {ms:.2f} ms")
-        fit = slope(points) if len(points) > 1 else None
-        rows.append({"label": label, "sizes": sizes, "slope": None if fit is None else round(fit, 3)})
-        print(f"{label}: log-log slope {'n/a' if fit is None else f'{fit:.2f}'} "
-              f"over n = {points[0][0] if points else '-'}..{points[-1][0] if points else '-'}")
+    rows = [fresh_row(label, args.max, args.repeat) for label in WORKLOADS
+            if not args.only or any(s in label for s in args.only)]
     if args.json:
         out = {"python": platform.python_version(), "cpus": os.cpu_count(), "max": args.max,
                "repeat": args.repeat, "only": args.only, "rows": rows}

@@ -5,28 +5,26 @@ Milner's standard form and the "solution" of Berry and Boudol's chemical
 abstract machine (TCS 1992).  Prenex form realizes closure under structural
 congruence (CP Def. 2, HCP Def. 10): every cut/parallel skeleton position is
 visible, and no redex under an action prefix is ever reported.  A
-`Configuration` holds the restrictions in prenex order (for CP, each cut
-with the positions of the components holding its two endpoints), the
-components left to right with their free names, an index from each
-restricted channel to the components it is free in, and the termination
-measure.  Its invariants make the configuration after a step equal, field
-for field, to the prenex form of the term the step denotes:
+`Configuration` holds the restrictions (for CP, each cut with the slots of
+the components holding its two endpoints), the components with their free
+names, an index from each restricted channel to the components it is free
+in, and the termination measure.  Its invariants make the term built after
+a step the one the step denotes, that is, the term the reducer that takes
+the prenex form of the whole term again at every step would build:
 
 - Fresh once.  A configuration freshens its term once.  Every rule keeps a
   fresh term fresh (substitution renames no binder and draws no name), so no
   step freshens again, and terms built from a configuration are marked clean.
 - Component order.  In both dialects a step drops the redex's components
-  by slot and adds the prenex levels of their continuations in new slots.
-  HCP appends them; that is the HCP order.  CP keeps its components in the
-  order in which `congruence.rebuild_cp` nests the cut tree
-  (`congruence.cut_order`), so redex indices are those of the rebuilt
-  term, and each cut's endpoints are the leaf and the other end `cut_order`
-  gives it.  Those are the rebuilt term's as long as no cut's name is free
-  in more than two components, as in every well-typed term and every term
-  it reduces to.  The first CP step orders every cut; later ones keep the
-  order and move only the components whose parent cut or subtree the step
-  changes (`Configuration._place`), so a step costs its redex's work and
-  list shifts, not a pass over every cut.
+  by slot and appends the prenex levels of their continuations in new
+  slots.  For HCP that is the order of the term.  A CP configuration is an
+  unordered solution: cut-assoc and cut-comm make the nesting of a cut
+  spine unobservable up to congruence, so its cuts are nested, by
+  `congruence.rebuild_cp`, only when a term is built.  Redex positions are
+  then positions in the configuration, not in the term, except where they
+  break a tie.  The term is the prenex reducer's as long as no cut's name
+  is free in more than two components, as in every well-typed term and
+  every term it reduces to.
 - Incremental measure.  The measure, the multiset of restriction-formula
   sizes, is taken once; a step removes its channel's formula, adds the at
   most two formulas it restricts, and for a selection removes those of the
@@ -49,7 +47,6 @@ import heapq
 from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import congruence, cp, hcp, terms
 from . import types as ty
@@ -131,47 +128,50 @@ def _the_comp_with(us, region, x: Name) -> int:
     return hits[0]
 
 
-_GAP = 1 << 20  # the spacing of fresh CP position labels
-_BOUND = itemgetter(2)  # a `_cuts` entry's bound
+def _broken(rec: tuple) -> bool:
+    """Whether a CP cut's record lacks two distinct endpoint slots."""
+    return rec[1] is None or rec[2] is None or rec[1] == rec[2]
+
+
+def _tied(cut: dict) -> bool:
+    """Whether two of the CP cuts share a uid."""
+    return len({x.uid for x in cut}) < len(cut)
+
+
+def _cp_binders(records, slots) -> list[CpBinder]:
+    """The CP cuts (name, record) over the components in slots, with their
+    endpoints as positions."""
+    at = {s: p for p, s in enumerate(slots)}
+    return [CpBinder(x, a, at[left], at[right]) for x, (a, left, right) in records]
 
 
 class Configuration:
     """A term in prenex form, which `fire` rewrites in place (see the module
     docstring).
 
-    `binders`: for CP a list of `CpBinder`s whose endpoints are component
-    positions; for HCP a dict from each restricted name to its type, in
-    prenex order.  `comps` and `fvs`: the components left to right and their
-    free names (for CP exact on the restricted names: a unit step whose
-    continuation keeps its component's slot drops the consumed channel from
-    the set without looking into the continuation).  `slots` holds each
-    position's slot, a component's identity.  `users`: each restricted
-    name's components, those it is free in, as slots.  Components are
-    removed by slot and added in new slots, so `users` entries of the other
-    components never change.
+    `comps` and `fvs`: the components and their free names (for CP exact on
+    the restricted names: a unit step whose continuation keeps its
+    component's slot drops the consumed channel from the set without looking
+    into the continuation).  `slots` holds each position's slot, a
+    component's identity, in ascending order: a step drops components by
+    slot and appends its continuations in new slots (`_append`), so a slot's
+    position is a bisection of `slots`.  `users`: each restricted name's
+    components, those it is free in, as slots; the `users` entries of the
+    components a step leaves alone never change.  `sizes`: the measure in
+    ascending order, if asked for.
 
-    HCP slots ascend: a step drops components with `_drop` and appends its
-    continuations with `_append`, so a slot's position is a bisection of
-    `slots`, and `users` lists slots in ascending order.
-
-    CP components sit in cut order, the order in which `congruence.rebuild_cp`
-    nests the cut tree (`congruence.cut_order`): position k < n - 1 holds the
-    leaf of the k-th cut, and `_cuts[k]` that cut's name, its formula on the
-    leaf's side and the leaf's bound (below); the last position holds the
-    root, the component left at the end.  `_cut` maps each cut to (that
-    formula, leaf slot, other slot).  Before the first step `_cuts` and
-    `_cut` hold the term's prenex binders instead, and `_root` is None.  A
-    position's label (`_labels`, ascending; `_label` by slot) locates a slot
-    by bisection, and a component put back takes a label between its new
-    neighbours.  The first step, and any step that leaves two cuts with one
-    uid, places every component with `cut_order` (`_order_all`).  Later
-    steps keep the order by what it is: the tree rooted at the other end of
-    the cut of largest uid, its other components sorted by their bound, the
-    largest uid among their parent cut and the cuts below them, and the
-    components of one bound, a path up from the cut that bounds them, bottom
-    up.  `_place` moves only the components whose parent cut or bound the
-    step changes (see there).  `_uids` holds the cuts' uids.  `sizes`: the
-    measure in ascending order, if asked for.
+    `binders` (HCP): each restricted name's type, in prenex order.  `_cut`
+    (CP): each cut's record (formula, left slot, right slot), the formula
+    being its left end's.  Before the first step the components and cuts
+    are the term's, in prenex order; after it they are in no particular
+    order, and `term` nests the cuts with `congruence.rebuild_cp`.  That
+    puts last the right end of the cut of largest uid, `_top` (None before
+    the first step), so `_top`'s record has the sides the term built before
+    the step gives that cut (`_retop`); no other record's sides matter.
+    `redexes` breaks a tie in (uid, rule) by the positions in `term()`.
+    When two cuts share a uid (`_tied`), `cut_order` breaks the tie by list
+    position, so each step puts `_cut` in cut order, each record leaf first,
+    as the built term lists its cuts.
 
     `first_redex` keeps the uids of the restricted names that may have a
     redex in a heap.  A name leaves it when found without one, and returns
@@ -179,24 +179,21 @@ class Configuration:
     a link step substitutes it (`_touch`), the only events that can give it
     one."""
 
-    __slots__ = ("is_cp", "_restricted", "comps", "fvs", "slots", "users", "sizes", "_next", "_heap", "_pending",
-                 "_cuts", "_cut", "_labels", "_label", "_uids", "_root")
+    __slots__ = ("is_cp", "binders", "comps", "fvs", "slots", "users", "sizes", "_next", "_heap", "_pending",
+                 "_cut", "_top", "_tied")
 
     def __init__(self, t, with_measure: bool = False):
         self.is_cp = isinstance(t, cp.CpTerm)
         t = terms.freshen_if_needed(t)
         if self.is_cp:
             cuts, comps, fvs, users = congruence.spine_cp(t)
-            self._cuts = [(x, a, None) for x, a, _, _ in cuts]
             self._cut = {x: (a, left, right) for x, a, left, right in cuts}
-            self._labels = list(range(len(comps)))
-            self._label = dict(enumerate(self._labels))
-            self._root = None  # not in cut order before the first step
+            self._top, self._tied = None, False
         else:
             binders, comps = congruence.spine_hcp(t)
-            self._restricted = dict(binders)
+            self.binders = dict(binders)
             fvs = [hcp.free_names(c) for c in comps]
-            users = congruence.free_in(self._restricted, fvs)
+            users = congruence.free_in(self.binders, fvs)
         self.comps, self.fvs = comps, fvs
         self.users = {n: tuple(us) for n, us in users.items()}
         self.slots = list(range(len(comps)))
@@ -211,41 +208,26 @@ class Configuration:
         c.users = dict(self.users)
         c.sizes = None if self.sizes is None else list(self.sizes)
         if self.is_cp:
-            c._cuts, c._cut, c._root = list(self._cuts), dict(self._cut), self._root
-            c._labels, c._label = list(self._labels), dict(self._label)
-            if self._root is not None:
-                c._uids = set(self._uids)
+            c._cut, c._top, c._tied = dict(self._cut), self._top, self._tied
         else:
-            c._restricted = dict(self._restricted)
+            c.binders = dict(self.binders)
         return c
 
-    @property
-    def binders(self):
-        """See the class docstring; for CP a new list on every read."""
-        if not self.is_cp:
-            return self._restricted
-        cut, pos = self._cut, self._pos
-        out = []
-        for x, _, _ in self._cuts:
-            a, left, right = cut[x]
-            out.append(CpBinder(x, a, None if left is None else pos(left), None if right is None else pos(right)))
-        return out
-
     def names(self) -> list[Name]:
-        """The restricted names, in prenex order."""
-        return [e[0] for e in self._cuts] if self.is_cp else list(self._restricted)
+        """The restricted names, in prenex order before the first step."""
+        return list(self._cut if self.is_cp else self.binders)
 
     def measure(self) -> tuple[int, ...]:
         """Multiset (sorted descending) of restriction-formula sizes."""
         return tuple(reversed(self.sizes))
 
     def redexes(self) -> list[Redex]:
-        """Every redex, in (channel uid, rule tag, i, j) order."""
+        """Every redex, in (channel uid, rule tag, i, j) order; after a CP
+        step, by positions in `term()` where uid and rule tie (`_sorted`)."""
         out: list[Redex] = []
         for b in self.names():
             self._redexes_on(b, out)
-        out.sort(key=_redex_order)
-        return out
+        return self._sorted(out)
 
     def first_redex(self) -> Redex | None:
         """`redexes()[0]`, or None if there is no redex."""
@@ -259,9 +241,27 @@ class Configuration:
                 if b in self.users:
                     self._redexes_on(b, out)
             if out:
-                return min(out, key=_redex_order)
+                return self._sorted(out)[0]
             del pending[heapq.heappop(heap)]
         return None
+
+    def _sorted(self, out: list[Redex]) -> list[Redex]:
+        """Sort out in redex order.  After a CP step positions are no longer
+        the term's, so redexes that tie in (uid, rule) are ordered by their
+        positions in `term()`; well-typed terms tie only in the two links of
+        a cut between two links."""
+        if len(out) < 2:
+            return out
+        out.sort(key=_redex_order)
+        if self.is_cp and self._top is not None and any(
+                a.channel.uid == b.channel.uid and a.rule == b.rule for a, b in zip(out, out[1:])):
+            order, last = congruence.cut_order(_cp_binders(self._cut.items(), self.slots), len(self.slots))
+            rank = [0] * len(self.slots)
+            for k, (_, leaf, _, _) in enumerate(order):
+                rank[leaf] = k
+            rank[last] = len(order)
+            out.sort(key=lambda r: (r.channel.uid, _TAG_ORDER[r.rule], rank[r.i], rank[r.j]))
+        return out
 
     def _touch(self, names) -> None:
         """Put the restricted ones among names back among the candidates of
@@ -276,25 +276,15 @@ class Configuration:
                     heapq.heappush(self._heap, n.uid)
                 same_uid.add(n)
 
-    def _pos(self, s: int) -> int:
-        """The position of the CP component in slot s."""
-        return bisect_left(self._labels, self._label[s])
-
     def _redexes_on(self, b: Name, out: list[Redex]) -> None:
         """Add the redexes on the restricted name b to out.  A link on b
         pairs with the first other component b is free in."""
         us = self.users[b]
         if len(us) < 2:
             return
-        comps = self.comps
-        if self.is_cp:
-            labels, label = self._labels, self._label
-            ps = [bisect_left(labels, label[s]) for s in us]
-            link_cls = cp.Link
-        else:
-            slots = self.slots
-            ps = [bisect_left(slots, s) for s in us]
-            link_cls = hcp.Link
+        comps, slots = self.comps, self.slots
+        ps = [bisect_left(slots, s) for s in us]
+        link_cls = cp.Link if self.is_cp else hcp.Link
         acting = []  # positions of the components acting on b
         for p in ps:
             c = comps[p]
@@ -348,7 +338,7 @@ class Configuration:
                 insort(sizes, size(a))
 
     def _fire_hcp(self, r: Redex) -> None:
-        binders, comps = self._restricted, self.comps
+        binders, comps = self.binders, self.comps
         ch = r.channel
         if ch not in binders:
             raise StaleRedexError(f"channel {ch} is not restricted")
@@ -393,8 +383,8 @@ class Configuration:
         rec = cut.get(ch)
         if rec is None:
             raise StaleRedexError(f"channel {ch} is not restricted")
-        comps, fvs = self.comps, self.fvs
-        ci, cj, si, sj, fi, fj = comps[i], comps[j], self.slots[i], self.slots[j], fvs[i], fvs[j]
+        comps, fvs, slots = self.comps, self.fvs, self.slots
+        ci, cj, si, sj, fi, fj = comps[i], comps[j], slots[i], slots[j], fvs[i], fvs[j]
         # the continuations to splice in, each with the slot it comes from,
         # and the cuts the step makes: (name, formula, the pieces holding its
         # left and right endpoints)
@@ -421,7 +411,7 @@ class Configuration:
             w = ci.y if ci.x == ch else ci.x
             kept = users.pop(ch)
             for s in kept:
-                q = self._pos(s)
+                q = bisect_left(slots, s)
                 comps[q] = terms.substitute(comps[q], w, ch)
                 fvs[q] = fvs[q] - {ch} | {w}
             if w in users:
@@ -439,262 +429,114 @@ class Configuration:
                 del users[ch]
             for x, *_ in cuts:
                 users.setdefault(x, ())
-        new = []  # (slot, component, free names) spliced in, placed below
+        for p in sorted((i, j)[:len(gone)], reverse=True):
+            del comps[p], fvs[p], slots[p]
+        fresh = self._next  # the continuations' components take the slots from here on
         new_cuts = []  # (name, formula, left slot, right slot)
         regions = []
         for piece, origin in pieces:
             bs, spans, cs = congruence.cut_spans(piece)
-            start = s = self._next
+            start = self._next
             for x, _ in bs:
                 users[x] = ()
             for c in cs:
-                fv = cp.free_names(c)
-                new.append((s, c, fv))
-                self._add(s, fv)
-                s += 1
-            self._next = s
+                self._append(c, cp.free_names(c))
             for (x, a), span in zip(bs, spans):
                 new_cuts.append((x, a, *congruence.ends(users[x], span, start)))
-            region = range(start, s)
+            region = range(start, self._next)
             regions.append(region)
             # an origin's pieces are spliced one after the other
-            spliced[origin] = range(spliced[origin].start, s) if origin in spliced else region
+            spliced[origin] = range(spliced[origin].start, self._next) if origin in spliced else region
         for x, a, left, right in cuts:
             new_cuts.append((x, a, _the_comp_with(users[x], regions[left], x),
                              _the_comp_with(users[x], regions[right], x)))
         del cut[ch]
-        # _place needs cut order before the step, ch joining the redex's two
-        # components, and a link's channel free in its partner alone
-        regular = (self._root is not None and (rec[1] == si and rec[2] == sj or rec[1] == sj and rec[2] == si)
-                   and kept == (() if pieces else (sj,)))
         # an endpoint in a gone slot moves to the one component spliced from
         # it (or the link's partner) that holds the cut's name
-        landed: dict = {}  # a new or kept slot -> the cuts the step gave an end there
+        before: dict = {}  # a cut whose endpoint moved -> its record before the step
         for g, fv in gone:
             for x in fv:
                 rx = cut.get(x)
                 if rx is not None and (rx[1] == g or rx[2] == g):
                     hits = [s for s in users[x] if s in spliced.get(g, ())]
                     s = hits[0] if len(hits) == 1 else None
-                    rx = cut[x] = rx[0], s if rx[1] == g else rx[1], s if rx[2] == g else rx[2]
-                    if s is None or rx[1] == rx[2]:
-                        regular = False
-                    else:
-                        landed.setdefault(s, []).append(x)
+                    before.setdefault(x, rx)
+                    cut[x] = rx[0], s if rx[1] == g else rx[1], s if rx[2] == g else rx[2]
         for x, a, left, right in new_cuts:
             cut[x] = a, left, right
-            if left is None or right is None:
-                regular = False
-            else:
-                landed.setdefault(left, []).append(x)
-                landed.setdefault(right, []).append(x)
-        if not (regular and self._place(ch, rec, gone, kept, landed, new, new_cuts)):
-            self._order_all(ch, gone, new, new_cuts)
+        first = self._top is None
+        if any(map(_broken, cut.values() if first else [cut[x] for x in before] + [c[1:] for c in new_cuts])):
+            self._refuse(ch, rec, first, before, new_cuts)
+        if first:
+            self._tied = _tied(cut)
+            self._top = max(cut, key=_uid) if cut else None
+        else:
+            self._retop(kept, fresh, new_cuts)
+            self._tied = self._tied or bool(new_cuts) and _tied(cut)
+        if self._tied:
+            order, _ = congruence.cut_order(_cp_binders(cut.items(), slots), len(slots))
+            self._cut = {b.name: (ann, slots[leaf], slots[other]) for b, leaf, other, ann in order}
+            self._top = order[-1][0].name if order else None
+            self._tied = _tied(self._cut)
         self._resize(rec[0], [c[1] for c in cuts], dropped)
 
-    def _order_all(self, ch: Name, gone, new, new_cuts) -> None:
-        """Place every CP component in cut order with `congruence.cut_order`,
-        which raises if the cuts are no tree, and index the order."""
-        gone_slots = {g for g, _ in gone}
-        keep = [k for k, s in enumerate(self.slots) if s not in gone_slots]
-        comps = [self.comps[k] for k in keep] + [c for _, c, _ in new]
-        fvs = [self.fvs[k] for k in keep] + [fv for _, _, fv in new]
-        slots = [self.slots[k] for k in keep] + [s for s, _, _ in new]
-        at = {s: p for p, s in enumerate(slots)}
-        cut = self._cut
-        binders = [(x, *cut[x]) for x, _, _ in self._cuts if x != ch] + new_cuts
-        order, last = congruence.cut_order(
-            [CpBinder(x, a, at.get(left), at.get(right)) for x, a, left, right in binders], len(comps))
-        seq = [leaf for _, leaf, _, _ in order]
-        seq.append(last)
-        self.comps = [comps[p] for p in seq]
-        self.fvs = [fvs[p] for p in seq]
-        self.slots = [slots[p] for p in seq]
-        self._labels = list(range(0, len(seq) * _GAP, _GAP))
-        self._label = dict(zip(self.slots, self._labels))
-        self._cut = {b.name: (ann, slots[leaf], slots[other]) for b, leaf, other, ann in order}
-        # each component's bound: the largest uid among its parent cut and
-        # the bounds of its children, which cut order puts before it
-        self._cuts, below = [], {}
-        for b, leaf, other, ann in order:
-            h = b.name.uid
-            if leaf in below and below[leaf] > h:
-                h = below[leaf]
-            self._cuts.append((b.name, ann, h))
-            if other not in below or h > below[other]:
-                below[other] = h
-        self._uids = {b.name.uid for b, *_ in order}
-        # cut_order breaks a tie in uids by list position, which _place does not keep
-        self._root = slots[last] if len(self._uids) == len(order) else None
+    def _retop(self, kept, fresh: int, new_cuts) -> None:
+        """Find the CP cut of largest uid after a step that was not the
+        first, kept and the slots from fresh on being what the step wrote.
 
-    def _place(self, ch: Name, rec: tuple, gone, kept, landed, new, new_cuts) -> bool:
-        """Put the CP components in cut order again after a step that left a
-        tree, keeping the other components in place.  The step removed the
-        cut ch (record rec) and the gone slots, and spliced in new components
-        and cuts; kept slots hold rewritten components, and landed lists,
-        per new or kept slot, the cuts the step gave an end there.  Returns
-        False, having placed nothing, if a new cut's uid ties with another's
-        or no cut is left.
-
-        The components whose place can change are the region (the new and
-        kept ones), those between the old and the new root, whose parent cut
-        turns, and the ancestors of the region whose bound changes.  They are
-        found by walking from the new root, and from the region's exit if
-        that walk misses the region, towards the old root, stopping at
-        components whose parent cut and subtree stay.  They are bounded bottom
-        up and put back: a component whose bound is its parent cut in front of
-        the first component with a bound at least as large, another right
-        after its child with the same bound."""
-        cut, cuts, pos, uids = self._cut, self._cuts, self._pos, self._uids
-        # the largest cut is the last in cut order, or the head of the last
-        # but one subtree if the step removed it
-        top = None
-        if cuts:
-            top = cuts[-1][0]
-            if top == ch:
-                top = cuts[bisect_left(cuts, cuts[-2][2], key=_BOUND)][0] if len(cuts) > 1 else None
-        uids.discard(ch.uid)
-        for c in new_cuts:
-            x = c[0]
-            if x.uid in uids:
-                return False
-            uids.add(x.uid)
-            if top is None or x.uid > top.uid:
-                top = x
-        if top is None:
-            return False
-        if len(self.comps) - len(gone) + len(new) == 2:
-            # one cut between two components: its left end, then its right
-            a, left, right = cut[top]
-            both = dict(zip(self.slots, zip(self.comps, self.fvs)))
-            for s, c, fv in new:
-                both[s] = c, fv
-            self.slots, self._cuts, self._root = [left, right], [(top, a, top.uid)], right
-            self.comps, self.fvs = [both[left][0], both[right][0]], [both[left][1], both[right][1]]
-            self._labels = [0, _GAP]
-            self._label = {left: 0, right: _GAP}
-            return True
-        root = cut[top][2]  # the largest cut's other end
-        fresh = {s: (c, fv) for s, c, fv in new}
-        n = len(cuts)
-
-        def links(v: int) -> list[Name]:
-            if v in fresh:
-                return landed[v]
-            return [x for x in self.fvs[pos(v)] if (rx := cut.get(x)) is not None and (rx[1] == v or rx[2] == v)]
-
-        par: dict = {}  # a component whose parent cut may change -> that cut (None: the root)
-        walked: list[int] = []  # those components, each after its parent
-
-        def walk(v: int, e) -> None:
-            stack = [(v, e)]
-            while stack:
-                v, e = stack.pop()
-                par[v] = e
-                walked.append(v)
-                out = landed.get(v, ())
-                if v not in fresh:
-                    k = pos(v)
-                    if k < n and cuts[k][0] in cut:
-                        out = [*out, cuts[k][0]]
-                for x in out:
-                    if x != e:
-                        rx = cut[x]
-                        u = rx[2] if rx[1] == v else rx[1]
-                        if u in fresh or u in kept or (k := pos(u)) >= n or cuts[k][0] != x:
-                            stack.append((u, x))
-
-        bound: dict = {}  # component -> its new bound
-        via: dict = {}  # component -> its child with the same bound, None if its parent cut is that bound
-
-        def settle(v: int, e: Name) -> int:
-            best, carrier = e.uid, None
-            for x in links(v):
-                if x != e:
-                    rx = cut[x]
-                    c = rx[2] if rx[1] == v else rx[1]
-                    h = bound[c] if c in bound else cuts[pos(c)][2]
-                    if h > best:
-                        best, carrier = h, c
-            bound[v], via[v] = best, carrier
-            return best
-
-        walk(root, None)
-        split = len(walked)
-        if (next(iter(fresh)) if fresh else kept[0]) not in par:
-            # the region hangs below the old root's side: enter it by the
-            # parent cut of ch's upper end, which is kept or moved into it
-            p = rec[2]
-            e = cuts[pos(p)][0]
-            walk(p if p in kept else cut[e][1], e)
-        moves = []
-        for v in reversed(walked[split:]):
-            settle(v, par[v])
-            moves.append((v, par[v]))
-        if split < len(walked):
-            v = cut[par[walked[split]]][2]
-            while v not in par:
-                k = pos(v)
-                if k >= n or settle(v, cuts[k][0]) == cuts[k][2]:
-                    break
-                e = cuts[k][0]
-                moves.append((v, e))
-                v = cut[e][2]
-        for v in reversed(walked[:split]):
-            e = par[v]
-            if e is not None:
-                settle(v, e)
-                moves.append((v, e))
-
-        stays = root == self._root
-        out = [pos(g) for g, _ in gone]
-        out += [pos(v) for v, _ in moves if v not in fresh]
-        if not stays and root not in fresh:
-            out.append(pos(root))
-        out.sort(reverse=True)
-        held = {}
-        slots, comps, fvs, labels, label = self.slots, self.comps, self.fvs, self._labels, self._label
-        for k in out:
-            s = slots.pop(k)
-            held[s] = comps.pop(k), fvs.pop(k)
-            del label[s], labels[k]
-            if k < len(cuts):
-                del cuts[k]
-        for v, e in moves:
-            a, left, right = cut[e]
-            if left == v:
-                other = right
-            else:
-                other, a = left, dual(a)
-            cut[e] = a, v, other
-            h = bound[v]
-            k = bisect_left(cuts, h, key=_BOUND) if via[v] is None else pos(via[v]) + 1
-            self._insert(k, v, fresh[v] if v in fresh else held[v], (e, a, h))
-        if not stays:
-            self._insert(len(comps), root, fresh[root] if root in fresh else held[root], None)
-        self._root = root
-        return True
-
-    def _insert(self, k: int, s: int, comp_fv: tuple, entry) -> None:
-        """Put the CP component and free names comp_fv in slot s at position
-        k, with its `_cuts` entry unless it is the root."""
-        labels = self._labels
-        if k == len(labels):
-            label = labels[-1] + _GAP if labels else 0
-        elif k == 0:
-            label = labels[0] - _GAP
+        The term built after the step before this one nested every cut with
+        its root side right, the root being `_top`'s right end.  The step
+        keeps a record's sides, and the step's redex was on the root side of
+        any other cut.  So if the step removed `_top` and an older cut takes
+        its place, that cut's record is turned to put the step's components
+        on its right; a new cut keeps the sides the step gave it."""
+        cut, top = self._cut, self._top
+        if top in cut:
+            for x, *_ in new_cuts:
+                if x.uid > top.uid:
+                    top = x
+        elif cut:
+            top = max(cut, key=_uid)
+            if top not in {c[0] for c in new_cuts}:
+                a, left, right = cut[top]
+                if self._reaches(left, top, fresh, kept):
+                    cut[top] = dual(a), right, left
         else:
-            if labels[k] - labels[k - 1] < 2:
-                self._labels = labels = list(range(0, len(labels) * _GAP, _GAP))
-                self._label = dict(zip(self.slots, labels))
-            label = (labels[k - 1] + labels[k]) // 2
-        labels.insert(k, label)
-        self._label[s] = label
-        self.slots.insert(k, s)
-        self.comps.insert(k, comp_fv[0])
-        self.fvs.insert(k, comp_fv[1])
-        if entry is not None:
-            self._cuts.insert(k, entry)
+            top = None
+        self._top = top
+
+    def _reaches(self, start: int, avoid: Name, fresh: int, kept) -> bool:
+        """Whether a CP component the step wrote (kept, or in a slot from
+        fresh on) is joined to slot start by cuts other than avoid."""
+        cut, slots, fvs = self._cut, self.slots, self.fvs
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            if v >= fresh or v in kept:
+                return True
+            for x in fvs[bisect_left(slots, v)]:
+                rx = cut.get(x)
+                if rx is not None and x != avoid and (rx[1] == v or rx[2] == v):
+                    u = rx[2] if rx[1] == v else rx[1]
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+        return False
+
+    def _refuse(self, ch: Name, rec: tuple, first: bool, before: dict, new_cuts) -> None:
+        """Raise `cut_order`'s error for the first CP cut, in the order the
+        term built before the step lists its cuts (the term's prenex order
+        before the first step), that the step left without two distinct
+        endpoints; then the step's new cuts."""
+        cut = self._cut
+        new = {c[0] for c in new_cuts}
+        old = [x for x in cut if x not in new]
+        if not (first or self._tied):
+            pre = [(x, before.get(x, cut[x])) for x in old] + [(ch, rec)]
+            ends = sorted({s for _, (_, left, right) in pre for s in (left, right)})
+            order, _ = congruence.cut_order(_cp_binders(pre, ends), len(ends))
+            old = [b.name for b, *_ in order if b.name != ch]
+        congruence.cut_order([CpBinder(x, *cut[x]) for x in old] + [CpBinder(*c) for c in new_cuts], self._next)
 
     def _link(self, p: int, ch: Name) -> None:
         """Drop the HCP link at position p, one of whose ends is ch, and put
@@ -732,7 +574,7 @@ class Configuration:
         self._touch(fv)
 
     def _append(self, c, fv: frozenset[Name]) -> None:
-        """Add an HCP component at the end, in a new slot."""
+        """Add a component at the end, in a new slot."""
         s = self._next
         self._next += 1
         self.comps.append(c)
@@ -759,14 +601,18 @@ class Configuration:
 
     def term(self):
         """The term this configuration stands for.  For CP only once a step
-        has put the components in nesting order."""
+        has been taken: the cuts nested by `congruence.rebuild_cp`."""
         return _build(self.snapshot())
 
     def snapshot(self) -> tuple:
         """What `term` needs, unaffected by later steps."""
         if self.is_cp:
-            return True, tuple(self._cuts), tuple(self.comps)
-        return False, (tuple(self._restricted), tuple(self._restricted.values())), tuple(self.comps)
+            return True, (tuple(self._cut), tuple(self._cut.values()), tuple(self.slots)), tuple(self.comps)
+        return False, (tuple(self.binders), tuple(self.binders.values())), tuple(self.comps)
+
+
+def _uid(x: Name) -> int:
+    return x.uid
 
 
 def _redex_order(r: Redex) -> tuple:
@@ -776,9 +622,8 @@ def _redex_order(r: Redex) -> tuple:
 def _build(snapshot: tuple):
     is_cp, binders, comps = snapshot
     if is_cp:
-        t = comps[-1]
-        for (x, a, _), c in zip(reversed(binders), reversed(comps[:-1])):
-            t = cp.Cut(x, a, c, t)
+        names, records, slots = binders
+        t = congruence.rebuild_cp(_cp_binders(zip(names, records), slots), comps)
     else:
         names, types = binders
         t = congruence.rebuild_hcp(list(zip(names, types)), comps)
@@ -998,11 +843,14 @@ class ReductionGraph:
 
 def _identity(c: Configuration) -> tuple:
     """What the stepped configuration c is made of, by object identity: for
-    HCP its restriction map and the multiset of its components' ids; for CP
-    its cuts (name, formula on the leaf's side, bound) and its components'
-    ids, in order, from which the endpoint positions follow."""
+    HCP its restriction map, for CP each cut with the ids of its two
+    components and the formula each end has; and the multiset of its
+    components' ids."""
     if c.is_cp:
-        return tuple(c._cuts), tuple(map(id, c.comps))
+        comp = dict(zip(c.slots, map(id, c.comps)))
+        return (frozenset((x, frozenset(((comp[left], a), (comp[right], dual(a)))))
+                          for x, (a, left, right) in c._cut.items()),
+                tuple(sorted(comp.values())))
     return frozenset(c.binders.items()), tuple(sorted(map(id, c.comps)))
 
 
@@ -1023,21 +871,19 @@ def reduction_graph(t, cap: int = 10000) -> ReductionGraph:
     levels and is matched against the nodes with its key, as in a plain
     BFS, and its identity is recorded with the node it lands in.  Each
     identity keeps its configuration's components alive, so no id in it is
-    reused.  A CP identity lists the cuts and the components in order: a
-    stepped CP configuration keeps its components in the order
-    `congruence.cut_order` gives the cut tree, which depends only on the
-    tree and the uids, whichever steps led to it.
+    reused.  Neither identity depends on the order of the components or on
+    which way round a cut's record is written.
 
     The result is that of the plain BFS:
-    - a configuration after a step equals the prenex form of its term,
-      field for field, so stepping the kept configuration gives the redexes,
-      in order, and the reducts of stepping a configuration rebuilt from
-      the node's term;
-    - two HCP configurations with one restriction map over the same
-      components rebuild to terms equal up to nu-comm, mix-comm and
-      mix-assoc; two CP configurations with the same cuts over the same
-      components in the same order rebuild to the identical term, since
-      `term` reads nothing else;
+    - stepping the kept configuration gives the redexes (rule and channel),
+      in order, and the reducts of stepping a configuration rebuilt from the
+      node's term: HCP's configuration after a step equals the prenex form
+      of its term, field for field, and CP's has its cuts and components,
+      in another order but with ties broken by positions in the term
+      (`Configuration._sorted`);
+    - two configurations with one identity rebuild to terms equal up to
+      nu-comm, mix-comm and mix-assoc (HCP) or cut-comm and cut-assoc
+      (CP), which are congruent;
     - graph nodes are pairwise non-congruent, so the node an identity
       finds is the one node the bucket scan would have matched;
     - BFS order and redex order are unchanged, so are nodes, edges,

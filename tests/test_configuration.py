@@ -5,16 +5,20 @@ prenex form of the whole term again at every step.  Both run on samples
 0-299 of `gen_cp`/`gen_hcp` at seed 42, on every fixture declaration, on
 unit-cut chains and mixes of the sizes the benchmark uses, on many-cuts terms
 and on CP cut trees shaped as paths and stars with shuffled cut uids (whose
-cut order moves at every step), and on the terms the shrinker builds with a
-⊤ leaf, some of whose steps raise.  Per step they
-must agree on the redex list, the reduct (`==`), the measure and the
-configuration's fields against the prenex form of the reduct (or on the
-error's class and message); per run on the trace, the status and the name
-supply's counter afterwards.  Single steps are compared on every redex of
-every sample.
+cut order moves at every step; `scripts/scaling.py` makes them), and on the
+terms the shrinker builds with a ⊤ leaf, some of whose steps raise.  Per
+step they must agree on the redex list (each redex as its rule, channel and
+the components it names: after a CP step a position indexes the
+configuration, not the term), the reduct (`==`), the measure and the
+configuration's fields against the prenex form of the reduct (for CP as
+multisets: each cut with its two components) or on the error's class and
+message; per run on the trace, the status and the name supply's counter
+afterwards.  Single steps on a term, whose positions are the term's, are
+compared on every redex of every sample.
 """
 import pathlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -24,13 +28,21 @@ from sill import congruence as cg
 from sill import cp, harness, hcp, names, surface, terms, typecheck
 from sill import reduction as rd
 from sill.names import Name
-from sill.types import BOT, ONE, Plus, Tensor
+from sill.types import BOT, ONE, Plus, Tensor, dual
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "scripts"))
+import scaling  # noqa: E402  (the benchmark's inputs: many cuts, paths and stars)
 
 
 def _redex(r) -> tuple:
     return (r.rule, r.channel, r.i, r.j)
+
+
+def _redex_at(r, comps) -> tuple:
+    """A redex with its positions read as the components they index."""
+    return (r.rule, r.channel, comps[r.i], comps[r.j])
 
 
 def _new_redex(r) -> rd.Redex:
@@ -45,25 +57,38 @@ def _outcome(fn):
         return None, (type(e).__name__, str(e))
 
 
+def _cp_fields(cuts, comps) -> tuple:
+    """CP cuts (name, formula, left component, right component), each with
+    its two components and the formula each end has, and the components,
+    as multisets: a CP configuration keeps no order."""
+    return Counter((x, frozenset(((left, a), (right, dual(a))))) for x, a, left, right in cuts), Counter(comps)
+
+
 def _ref_fields(t) -> tuple:
     if isinstance(t, cp.CpTerm):
         p = ref.prenex_cp(t)
-        return [(b.name, b.ty, b.left, b.right) for b in p.binders], list(p.comps)
+        return _cp_fields([(b.name, b.ty, p.comps[b.left], p.comps[b.right]) for b in p.binders], p.comps)
     p = ref.prenex_hcp(t)
     return list(p.binders), list(p.comps)
 
 
 def _fields(c: rd.Configuration) -> tuple:
     if c.is_cp:
-        return [(b.name, b.ty, b.left, b.right) for b in c.binders], list(c.comps)
+        at = dict(zip(c.slots, c.comps))
+        return _cp_fields([(x, a, at[left], at[right]) for x, (a, left, right) in c._cut.items()], c.comps)
     return list(c.binders.items()), list(c.comps)
+
+
+def _prenex_comps(t) -> list:
+    return (ref.prenex_cp(t) if isinstance(t, cp.CpTerm) else ref.prenex_hcp(t)).comps
 
 
 def _ref_walk(t) -> list:
     out, cur = [], t
     for _ in range(ref.fuel_bound(t)):
         rs = ref.find_redexes(cur)
-        out.append([_redex(r) for r in rs])
+        comps = _prenex_comps(cur)
+        out.append([_redex_at(r, comps) for r in rs])
         if not rs:
             break
         cur = ref.step(cur, rs[0])
@@ -75,7 +100,7 @@ def _walk(t) -> list:
     out, c = [], rd.Configuration(t, with_measure=True)
     for _ in range(1 + sum(rd.measure(t))):
         rs = c.redexes()
-        out.append([_redex(r) for r in rs])
+        out.append([_redex_at(r, c.comps) for r in rs])
         assert c.first_redex() == (rs[0] if rs else None)
         if not rs:
             break
@@ -85,7 +110,9 @@ def _walk(t) -> list:
 
 
 def _trace(tr) -> tuple:
-    return [(_redex(s.redex), s.term, s.measure) for s in tr.steps], tr.status, tr.final
+    """A trace's steps without their positions, which after a CP step index
+    the configuration, not a term; `_walk` compares them as components."""
+    return [(s.redex.rule, s.redex.channel, s.term, s.measure) for s in tr.steps], tr.status, tr.final
 
 
 def _canonical(res) -> tuple:
@@ -161,45 +188,12 @@ def _mix(w: int) -> str:
 
 
 def _many_cuts(n: int) -> str:
-    """n top-level cuts, each between a leaf x_k[].0 and one component that
-    waits on x_1 .. x_n in turn: a star around that component."""
-    body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
-    for i in range(n, 0, -1):
-        body = f"new x{i}:1 (x{i}[].0 | {body})"
-    return body
+    return _term(scaling.many_cuts(n))
 
 
-def _cut(rng: random.Random, x: str, sender: str, waiter: str) -> str:
-    """The cut on x between the side that closes x and the side that waits
-    on it, in a random order."""
-    if rng.random() < 0.5:
-        return f"new {x}:1 ({sender} | {waiter})"
-    return f"new {x}:bot ({waiter} | {sender})"
-
-
-def _path(n: int, seed: int) -> str:
-    """Components x1[].0, x1().x2[].0, ..., xn().w[].0, the cut on x_k
-    joining the (k-1)-th to the k-th, nested at random: a path whose cut
-    uids and orientations are shuffled, which reduces from its x1 end."""
-    rng = random.Random(f"configuration-path:{n}:{seed}")
-    comps = ["x1[].0", *(f"x{k}().x{k + 1}[].0" for k in range(1, n)), f"x{n}().w[].0"]
-
-    def nest(lo: int, hi: int) -> str:  # the components lo..hi and the cuts between them
-        if lo == hi:
-            return comps[lo]
-        k = rng.randint(lo + 1, hi)
-        return _cut(rng, f"x{k}", nest(lo, k - 1), nest(k, hi))
-
-    return nest(0, n)
-
-
-def _star(n: int, seed: int) -> str:
-    """_many_cuts with its cuts nested in a random order and orientation."""
-    rng = random.Random(f"configuration-star:{n}:{seed}")
-    body = "".join(f"x{i}()." for i in range(1, n + 1)) + "w[].0"
-    for k in rng.sample(range(1, n + 1), n):
-        body = _cut(rng, f"x{k}", f"x{k}[].0", body)
-    return body
+def _term(decl: str) -> str:
+    """The term of a one-declaration file."""
+    return decl.partition(" = ")[2].strip()
 
 
 def _shape(dialect: str, src: str, name: str | None = None):
@@ -210,8 +204,8 @@ SHAPES = ([_shape("cp", _chain(n, False)) for n in (25, 50, 100, 200)]
           + [_shape("hcp", _chain(n, True)) for n in (25, 50, 100, 150)]
           + [_shape("hcp", _mix(w)) for w in (16, 32, 64)]
           + [_shape("cp", _many_cuts(n), f"cp-many-cuts-{n}") for n in (2, 10, 25, 50)]
-          + [_shape("cp", _path(n, seed), f"cp-path-{n}-{seed}") for n in (10, 25, 50) for seed in (1, 2)]
-          + [_shape("cp", _star(n, seed), f"cp-star-{n}-{seed}") for n in (10, 25, 50) for seed in (1, 2)])
+          + [_shape("cp", _term(scaling.path(n, seed)), f"cp-path-{n}-{seed}") for n in (10, 25, 50) for seed in (1, 2)]
+          + [_shape("cp", _term(scaling.star(n, seed)), f"cp-star-{n}-{seed}") for n in (10, 25, 50) for seed in (1, 2)])
 
 
 @pytest.mark.parametrize("dialect,src", SHAPES)
@@ -225,14 +219,14 @@ TOP_CONFIGS = [harness.GenConfig(42), harness.GenConfig(7, max_depth=3),
                harness.GenConfig(1234, max_depth=6, max_type_size=6)]
 
 
-def _top_leaf_terms() -> list:
-    """The well-typed terms the shrinker builds from CP samples 0-199 of
-    each config by putting a ⊤ leaf (`x?{}`) at one site.  A ⊤ absorbs
-    names, so some of their cuts have an endpoint on one side only, and the
-    steps that meet such a cut raise."""
+def _top_leaf_terms(configs=TOP_CONFIGS, samples=range(200)) -> list:
+    """The well-typed terms the shrinker builds from the given CP samples
+    (0-199 of each config) by putting a ⊤ leaf (`x?{}`) at one site.  A ⊤
+    absorbs names, so some of their cuts have an endpoint on one side only,
+    and the steps that meet such a cut raise."""
     out = []
-    for cfg in TOP_CONFIGS:
-        for i in range(200):
+    for cfg in configs:
+        for i in samples:
             _, env, d = harness.gen_cp(cfg, i)
             for site in harness._shrink_sites(d):
                 if isinstance(site[2], cp.Absurd):
@@ -255,8 +249,20 @@ def test_agrees_with_reference_on_top_leaves():
     assert (len(corpus), raised) == (232, 35)
 
 
+def test_agrees_with_reference_when_a_later_step_leaves_two_cuts_without_ends():
+    """Sample 58 of `GenConfig(10)` with a ⊤ leaf: a step after the first
+    leaves two cuts without two endpoints, and the error names the one that
+    comes first in the cut order of the term before that step, which is not
+    the first of the two in the original term's prenex order."""
+    corpus = _top_leaf_terms([harness.GenConfig(10)], [58])
+    for t in corpus:
+        _check_term(t)
+    assert ("CongruenceError", "cannot rebuild: binder c17 lacks two endpoint components") in [
+        _outcome(lambda: rd.reduce(t))[1] for t in corpus]
+
+
 def _tied(rng: random.Random, n: int, star: bool) -> cp.CpTerm:
-    """_star's or _path's shape built in code, whose distinct names draw
+    """`scaling.star`'s or `scaling.path`'s shape built in code, whose distinct names draw
     their uids from 1..4, so that cuts' uids tie."""
     xs = [Name(f"x{k}", rng.randint(1, 4)) for k in range(1, n + 1)]
     w = cp.Halt(Name("w", 99))
@@ -331,30 +337,39 @@ def test_whole_term_walks_do_not_grow_with_the_term(mod, monkeypatch):
     assert set(counts[25]) == {"freshen_if_needed", "binders", "measure"}
 
 
-def test_a_cp_step_reorders_only_its_redex(monkeypatch):
-    """One `reduce` of the many-cuts term: the first step puts the whole
-    configuration in cut order; after it no step orders cuts with
-    `cut_order`, and the components a step places and relabels are as few
-    for 100 cuts as for 25."""
+def test_a_cp_step_writes_only_its_redex(monkeypatch):
+    """`reduce` of the many-cuts term orders no cuts with `cut_order`, and
+    the slots a step adds or rewrites are as few for 100 cuts as for 25."""
     most = {}
     for n in (25, 100):
-        c = rd.Configuration(surface.parse_term(_many_cuts(n), "cp"), with_measure=True)
-        ordered, placed, per_step = [], [], []
-        real_order, real_insert = cg.cut_order, rd.Configuration._insert
-        with monkeypatch.context() as m:
-            m.setattr(cg, "cut_order", lambda bs, k: ordered.append(len(bs)) or real_order(bs, k))
-            m.setattr(rd.Configuration, "_insert", lambda c, k, s, *a: placed.append(s) or real_insert(c, k, s, *a))
-            while (r := c.first_redex()) is not None:
-                before = dict(c._label)
-                c.fire(r)
-                moved = {s for s, label in c._label.items() if before.get(s, label) != label}
-                per_step.append((sum(ordered), len(moved.union(placed))))
-                placed.clear()
-                ordered.clear()
-        assert len(per_step) == n and per_step[0][0] == n - 1  # the first step orders every cut left
-        assert all(k == 0 for k, _ in per_step[1:])
-        most[n] = max(moved for _, moved in per_step[1:])
+        t = surface.parse_term(_many_cuts(n), "cp")
+        ordered = []
+        real_order = cg.cut_order
+        monkeypatch.setattr(cg, "cut_order", lambda bs, k: ordered.append(len(bs)) or real_order(bs, k))
+        assert len(rd.reduce(t).steps) == n and ordered == []
+        c, written = rd.Configuration(t, with_measure=True), []
+        while (r := c.first_redex()) is not None:
+            before = dict(zip(c.slots, c.comps))
+            c.fire(r)
+            written.append(sum(before.get(s) is not comp for s, comp in zip(c.slots, c.comps)))
+        assert len(written) == n and ordered == []
+        most[n] = max(written)
+        monkeypatch.undo()
     assert most[25] == most[100] <= 2
+
+
+def test_building_a_trace_orders_each_term_once(monkeypatch):
+    """A CP trace orders its cuts only when a step's term is built: one
+    `cut_order` per term, none for a term built before."""
+    ordered = []
+    real_order = cg.cut_order
+    monkeypatch.setattr(cg, "cut_order", lambda bs, k: ordered.append(len(bs)) or real_order(bs, k))
+    for src in (_many_cuts(10), _term(scaling.path(25, 1)), _term(scaling.star(25, 2)), _chain(10, False)):
+        ordered.clear()
+        trace = rd.reduce(surface.parse_term(src, "cp"))
+        assert ordered == [] and trace.status == "canonical"
+        for k, st in enumerate(trace.steps, 1):
+            assert st.term is st.term and len(ordered) == k
 
 
 # -- rebuild_cp -----------------------------------------------------------------

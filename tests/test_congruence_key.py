@@ -17,7 +17,7 @@ from collections import Counter
 
 import reference_congruence
 from sill import congruence as cg
-from sill import cp, harness, hcp, reduction, terms
+from sill import cp, harness, hcp, reduction, terms, translate, typecheck
 from sill.names import Name
 from sill.surface import parse_term
 from sill.terms import SCHEMA
@@ -468,6 +468,63 @@ def test_only_the_second_assignment_pairs_restriction_with_restriction():
     a = parse_term("new x:1. b().new y:1. (x().c[].0 | y[].0)", "hcp")
     b = parse_term("new x:1. b().new y:1. (y().c[].0 | x[].0)", "hcp")
     _decided(a, b, False)
+
+
+_PREFIXES = (hcp.InUnit, hcp.OutUnit, hcp.Inl, hcp.Inr, hcp.In, hcp.BoundOut)
+
+
+def _restriction_moves(t) -> list[tuple]:
+    """Per one-body prefix of the HCP term t and two names of one class that
+    its body's level restricts: t with the first of them restricted just
+    above the prefix instead, and t with the second.  The two have one key
+    and differ only in which level restricts which name."""
+    out = []
+    stack = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        for f in SCHEMA[type(node)].subterms:
+            stack.append((getattr(node, f), (path, node, f)))
+        if type(node) not in _PREFIXES:
+            continue
+        binders, comps = cg.spine_hcp(node.body)
+
+        def moved(x, a):
+            inner = cg.rebuild_hcp([b for b in binders if b[0] != x], comps)
+            prefix = type(node)(*[inner if g == "body" else getattr(node, g) for g in SCHEMA[type(node)].args])
+            return cg.rebuild_site((path, None, hcp.New(x, a, prefix)))
+
+        for k, (y, b) in enumerate(binders):
+            for w, c in binders[k + 1:]:
+                if {b, dual(b)} == {c, dual(c)}:
+                    out.append((moved(y, b), moved(w, c)))
+    return out
+
+
+def test_generated_pairs_that_differ_in_which_level_restricts_a_name():
+    """Samples of both generators (CP ones translated) with one of two
+    restrictions of one class moved out of a prefix, or else the other,
+    both well typed: every component pairs, and only the restrictions check
+    (`congruence._binders_match`) finds that the outer restriction of one
+    is the inner one of the other."""
+    cfg = harness.GenConfig(seed=42)
+    samples = [(t, dict(env)) for t, env, _ in (harness.gen_hcp(cfg, i) for i in range(40))]
+    samples += [(translate.cp_to_hcp(t), env) for t, env, _ in (harness.gen_cp(cfg, i) for i in range(40))]
+    pairs = noes = 0
+    for t, env in samples:
+        for a, b in _restriction_moves(t):
+            try:
+                typecheck.check_hcp(a, env)
+                typecheck.check_hcp(b, env)
+            except typecheck.TypeCheckError:
+                continue
+            assert cg.key(a) == cg.key(b)
+            want = reference_congruence.equiv(a, b)
+            assert cg.equiv(a, b) == cg.equiv(b, a) == want
+            if pairs % 4 == 0:  # the oracle finds no rewrite one axiom away
+                assert not cg.bfs_equiv(a, b, max_steps=1) or want
+            pairs += 1
+            noes += not want
+    assert pairs >= 150 and noes == pairs
 
 
 def test_a_no_exhausts_every_candidate():
