@@ -26,8 +26,10 @@ which print six outputs:
   `sill translate`, `sill disentangle` and `sill internalize` (text,
   `--json`, `--show-derivation`) of every declaration of this checkout's
   `fixtures/*.sill`, of HCP mixes of w = 3..6 unit cuts in a shuffled order,
-  of CP and HCP unit-cut chains of n = 25 and 50, of CP terms with n = 25
-  and 50 top-level cuts (`scaling.many_cuts`), of CP cut paths and stars of
+  of CP and HCP unit-cut chains of n = 25 and 50, of HCP link chains of
+  n = 10 and 25 (`scaling.link_chain`, the one input that takes many κ↔
+  steps), of CP terms with n = 25 and 50 top-level cuts
+  (`scaling.many_cuts`), of CP cut paths and stars of
   n = 10 and 25 with shuffled cut uids and orientations, seeds 1 and 2
   (`scaling.path`, `scaling.star`; the steps of these three reorder the
   cut tree) and of a CP term whose ⊤ absorbs a cut's channel (its `reduce`
@@ -131,7 +133,7 @@ def emit_graph() -> None:
 
 def cli_inputs() -> dict[str, str]:
     """The `cli` output's input files, by file name."""
-    from scaling import many_cuts, path, star
+    from scaling import link_chain, many_cuts, path, star
 
     files = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.sill"))}
     for w in range(3, 7):
@@ -150,6 +152,7 @@ def cli_inputs() -> dict[str, str]:
             files[f"chain-{kw}-{n}.sill"] = f"{kw} Main : w:1 = {body}\n"
         files[f"many-cuts-{n}.sill"] = many_cuts(n)
     for n in (10, 25):
+        files[f"link-chain-{n}.sill"] = link_chain(n)
         for seed in (1, 2):
             files[f"path-{n}-{seed}.sill"] = path(n, seed)
             files[f"star-{n}-{seed}.sill"] = star(n, seed)

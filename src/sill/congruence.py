@@ -339,15 +339,17 @@ def _levels(t) -> _Level:
             if subs:
                 certs[i] += tuple([s.key for s in subs])
         classes = tuple(sorted([c for _, c in level.binders])) if level.binders else ()
-        level.key = (tuple(sorted(certs)) if len(certs) > 1 else tuple(certs), classes)
+        level.key = (classes, *sorted(certs)) if len(certs) > 1 else (classes, *certs)
     return root
 
 
 def key(t) -> tuple:
     """An invariant of structural congruence: congruent terms get equal keys.
 
-    Per prenex level, the key holds the sorted certificates of the level's
-    components and the sorted classes {A, dual A} of its restrictions.  A
+    Per prenex level, the key is the flat tuple (classes, *certificates):
+    the sorted classes {A, dual A} of the level's restrictions, then the
+    sorted certificates of its components, so comparing two keys recurses
+    twice per level, not more.  A
     component's certificate is its constructor, its subject names' labels (a
     link's two sorted) and the keys of its subterms' levels.  A free name's
     label is its surface; a bound one's is its binder's: `•` for a prefix

@@ -30,10 +30,19 @@ the prenex form of the whole term again at every step would build:
   most two formulas it restricts, and for a selection removes those of the
   restrictions inside the branch it discards.
 
+One step routine serves both dialects: `Configuration.fire` drops the
+redex's components, substitutes a link's other end into the components
+that use its channel, splices the continuations in and keeps the index and
+the measure.  Only each β rule's contraction (`_contract_cp`,
+`_contract_hcp`: the continuations, the restrictions the rule makes, the
+branch a selection discards) is written per dialect, beside the rule
+tables, so that the simulation suites still compare two independent
+semantics; and CP alone keeps its cut records.
+
 A step touches the redex's two components, the index entries of the names
 they mention and the levels it splices in; it never walks inside the other
-components.  A unit step whose continuation is a single component puts it
-in the consumed component's slot, so the index entries of the names it
+components.  A CP unit step whose continuation is a single component puts
+it in the consumed component's slot, so the index entries of the names it
 mentions stay as they are.  A trace keeps each step's configuration fields
 and builds the step's term only when asked (`TraceStep.term`).
 
@@ -145,6 +154,46 @@ def _cp_binders(records, slots) -> list[CpBinder]:
     return [CpBinder(x, a, at[left], at[right]) for x, (a, left, right) in records]
 
 
+def _contract_cp(r: Redex, rec: tuple, ci, cj, si: int, sj: int) -> tuple:
+    """CP's β rules: the continuations to splice in, each with the slot it
+    comes from; the cuts the step makes, each (name, formula, the pieces
+    holding its left and right endpoints); and the branch a selection
+    discards.  A unit step splices its continuation only if it is a cut:
+    otherwise `fire` puts it in the consumed component's slot."""
+    ch, rule = r.channel, r.rule
+    if rule == RULE_TENS:
+        s = _oriented(ch, rec, si, ty.Tensor)
+        pieces = ((ci.payload, si), (ci.cont, si), (terms.substitute(cj.body, ci.y, cj.y), sj))
+        return pieces, ((ci.y, s.left, 0, 2), (ch, s.right, 1, 2)), None
+    if rule == RULE_UNIT:
+        return ((cj.body, sj),) if type(cj.body) is cp.Cut else (), (), None
+    s = _oriented(ch, rec, si, ty.Plus)
+    first = rule == RULE_PLUS1
+    pieces = ((ci.body, si), (cj.left if first else cj.right, sj))
+    return pieces, ((ch, s.left if first else s.right, 0, 1),), cj.right if first else cj.left
+
+
+def _contract_hcp(r: Redex, a: ty.Type, ci, cj, si: int, sj: int) -> tuple:
+    """HCP's β rules: the continuations to splice in, each with the slot it
+    comes from; the restrictions the step makes, each (name, formula); and
+    the branch a selection discards."""
+    ch, rule = r.channel, r.rule
+    if rule == RULE_TENS:
+        s = a if isinstance(a, ty.Tensor) else dual(a)
+        if not isinstance(s, ty.Tensor):
+            raise ReductionError(f"restriction {ch} is not annotated with an output type")
+        pieces = ((ci.body, si), (terms.substitute(cj.body, ci.y, cj.y), sj))
+        return pieces, ((ch, s.right), (ci.y, s.left)), None
+    if rule == RULE_UNIT:
+        return ((ci.body, si), (cj.body, sj)), (), None
+    s = a if isinstance(a, ty.Plus) else dual(a)
+    if not isinstance(s, ty.Plus):
+        raise ReductionError(f"restriction {ch} is not annotated with a selection type")
+    first = rule == RULE_PLUS1
+    pieces = ((ci.body, si), (cj.left if first else cj.right, sj))
+    return pieces, ((ch, s.left if first else s.right),), cj.right if first else cj.left
+
+
 class Configuration:
     """A term in prenex form, which `fire` rewrites in place (see the module
     docstring).
@@ -160,18 +209,19 @@ class Configuration:
     components a step leaves alone never change.  `sizes`: the measure in
     ascending order, if asked for.
 
-    `binders` (HCP): each restricted name's type, in prenex order.  `_cut`
-    (CP): each cut's record (formula, left slot, right slot), the formula
-    being its left end's.  Before the first step the components and cuts
-    are the term's, in prenex order; after it they are in no particular
-    order, and `term` nests the cuts with `congruence.rebuild_cp`.  That
-    puts last the right end of the cut of largest uid, `_top` (None before
-    the first step), so `_top`'s record has the sides the term built before
-    the step gives that cut (`_retop`); no other record's sides matter.
-    `redexes` breaks a tie in (uid, rule) by the positions in `term()`.
-    When two cuts share a uid (`_tied`), `cut_order` breaks the tie by list
-    position, so each step puts `_cut` in cut order, each record leaf first,
-    as the built term lists its cuts.
+    `binders`: each restricted name's binder, in prenex order before the
+    first step.  For HCP it is the restriction's type, and the order stays
+    the term's.  For CP it is the cut's record (formula, left slot, right
+    slot), the formula being its left end's; after the first step the
+    components and cuts are in no particular order, and `term` nests the
+    cuts with `congruence.rebuild_cp`.  That puts last the right end of the
+    cut of largest uid, `_top` (None before the first step, and for HCP),
+    so `_top`'s record has the sides the term built before the step gives
+    that cut (`_retop`); no other record's sides matter.  `redexes` breaks
+    a tie in (uid, rule) by the positions in `term()`.  When two cuts share
+    a uid (`_tied`), `cut_order` breaks the tie by list position, so each
+    step puts the records in cut order, each record leaf first, as the
+    built term lists its cuts.
 
     `first_redex` keeps the uids of the restricted names that may have a
     redex in a heap.  A name leaves it when found without one, and returns
@@ -180,15 +230,14 @@ class Configuration:
     one."""
 
     __slots__ = ("is_cp", "binders", "comps", "fvs", "slots", "users", "sizes", "_next", "_heap", "_pending",
-                 "_cut", "_top", "_tied")
+                 "_top", "_tied")
 
     def __init__(self, t, with_measure: bool = False):
         self.is_cp = isinstance(t, cp.CpTerm)
         t = terms.freshen_if_needed(t)
         if self.is_cp:
             cuts, comps, fvs, users = congruence.spine_cp(t)
-            self._cut = {x: (a, left, right) for x, a, left, right in cuts}
-            self._top, self._tied = None, False
+            self.binders = {x: (a, left, right) for x, a, left, right in cuts}
         else:
             binders, comps = congruence.spine_hcp(t)
             self.binders = dict(binders)
@@ -200,22 +249,15 @@ class Configuration:
         self._next = len(comps)
         self.sizes = sorted(measure(t)) if with_measure else None
         self._heap = None  # built by the first first_redex
+        self._top, self._tied = None, False
 
     def copy(self) -> Configuration:
         c = object.__new__(Configuration)
-        c.is_cp, c._next, c._heap = self.is_cp, self._next, None
+        c.is_cp, c._next, c._heap, c._top, c._tied = self.is_cp, self._next, None, self._top, self._tied
         c.comps, c.fvs, c.slots = list(self.comps), list(self.fvs), list(self.slots)
-        c.users = dict(self.users)
+        c.binders, c.users = dict(self.binders), dict(self.users)
         c.sizes = None if self.sizes is None else list(self.sizes)
-        if self.is_cp:
-            c._cut, c._top, c._tied = dict(self._cut), self._top, self._tied
-        else:
-            c.binders = dict(self.binders)
         return c
-
-    def names(self) -> list[Name]:
-        """The restricted names, in prenex order before the first step."""
-        return list(self._cut if self.is_cp else self.binders)
 
     def measure(self) -> tuple[int, ...]:
         """Multiset (sorted descending) of restriction-formula sizes."""
@@ -225,7 +267,7 @@ class Configuration:
         """Every redex, in (channel uid, rule tag, i, j) order; after a CP
         step, by positions in `term()` where uid and rule tie (`_sorted`)."""
         out: list[Redex] = []
-        for b in self.names():
+        for b in self.binders:
             self._redexes_on(b, out)
         return self._sorted(out)
 
@@ -253,9 +295,9 @@ class Configuration:
         if len(out) < 2:
             return out
         out.sort(key=_redex_order)
-        if self.is_cp and self._top is not None and any(
+        if self._top is not None and any(
                 a.channel.uid == b.channel.uid and a.rule == b.rule for a, b in zip(out, out[1:])):
-            order, last = congruence.cut_order(_cp_binders(self._cut.items(), self.slots), len(self.slots))
+            order, last = congruence.cut_order(_cp_binders(self.binders.items(), self.slots), len(self.slots))
             rank = [0] * len(self.slots)
             for k, (_, leaf, _, _) in enumerate(order):
                 rank[leaf] = k
@@ -302,112 +344,41 @@ class Configuration:
                         out.append(Redex(tag, b, i, j))
 
     def fire(self, r: Redex) -> None:
-        """Take the step r in place.  A step that raises past the redex's
-        checks may leave the configuration half rewritten."""
-        comps, n = self.comps, len(self.comps)
-        if not (0 <= r.i < n and 0 <= r.j < n and r.i != r.j):
+        """Take the step r in place, in either dialect (see the module
+        docstring): the rule's restrictions go before the continuations',
+        and a CP step then updates its cut records.  A step that raises past
+        the redex's checks may leave the configuration half rewritten."""
+        comps, fvs, slots, is_cp = self.comps, self.fvs, self.slots, self.is_cp
+        ch, i, j, n = r.channel, r.i, r.j, len(comps)
+        if not (0 <= i < n and 0 <= j < n and i != j):
             raise StaleRedexError("redex indices out of range")
-        ci = comps[r.i]
+        ci, cj = comps[i], comps[j]
         if r.rule == RULE_LINK:
-            if not (type(ci) is (cp.Link if self.is_cp else hcp.Link) and r.channel in (ci.x, ci.y)):
+            if not (type(ci) is (cp.Link if is_cp else hcp.Link) and ch in (ci.x, ci.y)):
                 raise StaleRedexError("link redex no longer matches")
-            fv = self.fvs[r.j]
-            if self.is_cp and r.channel not in self.users:
-                fv = cp.free_names(comps[r.j])  # CP sets are exact on restricted names only
-            if r.channel not in fv:
+            fv = fvs[j]
+            if is_cp and ch not in self.users:
+                fv = cp.free_names(cj)  # CP sets are exact on restricted names only
+            if ch not in fv:
                 raise StaleRedexError("link partner no longer matches")
         else:
-            cj = comps[r.j]
-            if getattr(ci, "x", None) != r.channel or getattr(cj, "x", None) != r.channel:
+            if getattr(ci, "x", None) != ch or getattr(cj, "x", None) != ch:
                 raise StaleRedexError("redex components no longer act on the channel")
-            if (_CP_BETA if self.is_cp else _HCP_BETA).get((type(ci), type(cj))) != r.rule:
+            if (_CP_BETA if is_cp else _HCP_BETA).get((type(ci), type(cj))) != r.rule:
                 raise StaleRedexError("redex components no longer match the rule")
-        if self.is_cp:
-            self._fire_cp(r)
-        else:
-            self._fire_hcp(r)
-
-    def _resize(self, out: ty.Type, ins: tuple, dropped=None) -> None:
-        """The formula out and the restrictions inside the dropped branch
-        leave the measure, the formulas ins enter it."""
-        sizes = self.sizes
-        if sizes is not None:
-            for k in [size(out)] + ([] if dropped is None else _cut_sizes(dropped)):
-                del sizes[bisect_left(sizes, k)]
-            for a in ins:
-                insort(sizes, size(a))
-
-    def _fire_hcp(self, r: Redex) -> None:
-        binders, comps = self.binders, self.comps
-        ch = r.channel
-        if ch not in binders:
-            raise StaleRedexError(f"channel {ch} is not restricted")
-        a = binders[ch]
-        ci, cj = comps[r.i], comps[r.j]
-        if r.rule == RULE_LINK:
-            self._link(r.i, ch)
-            del binders[ch]
-            self._resize(a, ())
-            return
-        if r.rule == RULE_TENS:
-            s = a if isinstance(a, ty.Tensor) else dual(a)
-            if not isinstance(s, ty.Tensor):
-                raise ReductionError(f"restriction {ch} is not annotated with an output type")
-            cuts = ((ch, s.right), (ci.y, s.left))
-            pieces = (ci.body, terms.substitute(cj.body, ci.y, cj.y))
-            dropped = None
-        elif r.rule == RULE_UNIT:
-            cuts, pieces, dropped = (), (ci.body, cj.body), None
-        else:
-            s = a if isinstance(a, ty.Plus) else dual(a)
-            if not isinstance(s, ty.Plus):
-                raise ReductionError(f"restriction {ch} is not annotated with a selection type")
-            cuts = ((ch, s.left if r.rule == RULE_PLUS1 else s.right),)
-            pieces = (ci.body, cj.left if r.rule == RULE_PLUS1 else cj.right)
-            dropped = cj.right if r.rule == RULE_PLUS1 else cj.left
-        self._consume(r.i, r.j, ch, [x for x, _ in cuts])
-        del binders[ch]
-        binders.update(cuts)
-        for piece in pieces:
-            bs, cs = congruence.spine_hcp(piece)
-            binders.update(bs)
-            for x, _ in bs:
-                self.users[x] = ()
-            for c in cs:
-                self._append(c, hcp.free_names(c))
-        self._resize(a, tuple(b for _, b in cuts), dropped)
-
-    def _fire_cp(self, r: Redex) -> None:
-        ch, i, j, rule = r.channel, r.i, r.j, r.rule
-        cut, users = self._cut, self.users
-        rec = cut.get(ch)
+        binders, users = self.binders, self.users
+        rec = binders.get(ch)
         if rec is None:
             raise StaleRedexError(f"channel {ch} is not restricted")
-        comps, fvs, slots = self.comps, self.fvs, self.slots
-        ci, cj, si, sj, fi, fj = comps[i], comps[j], slots[i], slots[j], fvs[i], fvs[j]
-        # the continuations to splice in, each with the slot it comes from,
-        # and the cuts the step makes: (name, formula, the pieces holding its
-        # left and right endpoints)
-        pieces, cuts, dropped = (), (), None  # dropped: the branch a selection discards
-        if rule == RULE_TENS:
-            s = _oriented(ch, rec, si, ty.Tensor)
-            pieces = ((ci.payload, si), (ci.cont, si), (terms.substitute(cj.body, ci.y, cj.y), sj))
-            cuts = ((ci.y, s.left, 0, 2), (ch, s.right, 1, 2))
-        elif rule == RULE_UNIT:
-            if type(cj.body) is cp.Cut:
-                pieces = ((cj.body, sj),)
-        elif rule != RULE_LINK:
-            s = _oriented(ch, rec, si, ty.Plus)
-            a = s.left if rule == RULE_PLUS1 else s.right
-            pieces = ((ci.body, si), (cj.left if rule == RULE_PLUS1 else cj.right, sj))
-            dropped = cj.right if rule == RULE_PLUS1 else cj.left
-            cuts = ((ch, a, 0, 1),)
-
+        si, sj, fi, fj = slots[i], slots[j], fvs[i], fvs[j]
+        pieces, cuts, dropped = (), (), None
+        if r.rule != RULE_LINK:
+            pieces, cuts, dropped = (_contract_cp if is_cp else _contract_hcp)(r, rec, ci, cj, si, sj)
         gone = [(si, fi)]  # the slots the step empties, with their free names
         kept = ()  # the slots whose components it rewrites in place
         spliced: dict = {}  # a gone slot -> the slots its endpoints may have moved to
         self._forget(si, fi)
-        if rule == RULE_LINK:
+        if r.rule == RULE_LINK:
             w = ci.y if ci.x == ch else ci.x
             kept = users.pop(ch)
             for s in kept:
@@ -422,7 +393,7 @@ class Configuration:
             if pieces:
                 gone.append((sj, fj))
                 self._forget(sj, fj)
-            else:  # a unit step's one continuation component takes sj's place
+            else:  # a CP unit step's one continuation component takes sj's place
                 comps[j], fvs[j], kept = cj.body, fj - {ch}, (sj,)
                 self._touch(_acts_on(cj.body))
             if not cuts:
@@ -432,53 +403,67 @@ class Configuration:
         for p in sorted((i, j)[:len(gone)], reverse=True):
             del comps[p], fvs[p], slots[p]
         fresh = self._next  # the continuations' components take the slots from here on
-        new_cuts = []  # (name, formula, left slot, right slot)
+        free_names = cp.free_names if is_cp else hcp.free_names
+        new = []  # the continuations' restrictions; a CP cut's with its endpoint slots
         regions = []
         for piece, origin in pieces:
-            bs, spans, cs = congruence.cut_spans(piece)
+            if is_cp:
+                bs, spans, cs = congruence.cut_spans(piece)
+            else:
+                bs, cs = congruence.spine_hcp(piece)
             start = self._next
             for x, _ in bs:
                 users[x] = ()
             for c in cs:
-                self._append(c, cp.free_names(c))
-            for (x, a), span in zip(bs, spans):
-                new_cuts.append((x, a, *congruence.ends(users[x], span, start)))
+                self._append(c, free_names(c))
+            new += bs if not is_cp else [(x, a, *congruence.ends(users[x], span, start))
+                                         for (x, a), span in zip(bs, spans)]
             region = range(start, self._next)
             regions.append(region)
             # an origin's pieces are spliced one after the other
             spliced[origin] = range(spliced[origin].start, self._next) if origin in spliced else region
+        del binders[ch]
+        sizes = self.sizes
+        if sizes is not None:  # ch's formula and a dropped branch's leave the measure, the step's enter
+            for k in [size(rec[0] if is_cp else rec)] + ([] if dropped is None else _cut_sizes(dropped)):
+                del sizes[bisect_left(sizes, k)]
+            for c in cuts:
+                insort(sizes, size(c[1]))
+        if not is_cp:
+            binders.update(cuts)
+            binders.update(new)
+            return
+
         for x, a, left, right in cuts:
-            new_cuts.append((x, a, _the_comp_with(users[x], regions[left], x),
-                             _the_comp_with(users[x], regions[right], x)))
-        del cut[ch]
+            new.append((x, a, _the_comp_with(users[x], regions[left], x),
+                        _the_comp_with(users[x], regions[right], x)))
         # an endpoint in a gone slot moves to the one component spliced from
         # it (or the link's partner) that holds the cut's name
         before: dict = {}  # a cut whose endpoint moved -> its record before the step
         for g, fv in gone:
             for x in fv:
-                rx = cut.get(x)
+                rx = binders.get(x)
                 if rx is not None and (rx[1] == g or rx[2] == g):
                     hits = [s for s in users[x] if s in spliced.get(g, ())]
                     s = hits[0] if len(hits) == 1 else None
                     before.setdefault(x, rx)
-                    cut[x] = rx[0], s if rx[1] == g else rx[1], s if rx[2] == g else rx[2]
-        for x, a, left, right in new_cuts:
-            cut[x] = a, left, right
+                    binders[x] = rx[0], s if rx[1] == g else rx[1], s if rx[2] == g else rx[2]
+        for x, a, left, right in new:
+            binders[x] = a, left, right
         first = self._top is None
-        if any(map(_broken, cut.values() if first else [cut[x] for x in before] + [c[1:] for c in new_cuts])):
-            self._refuse(ch, rec, first, before, new_cuts)
+        if any(map(_broken, binders.values() if first else [binders[x] for x in before] + [c[1:] for c in new])):
+            self._refuse(ch, rec, first, before, new)
         if first:
-            self._tied = _tied(cut)
-            self._top = max(cut, key=_uid) if cut else None
+            self._tied = _tied(binders)
+            self._top = max(binders, key=_uid) if binders else None
         else:
-            self._retop(kept, fresh, new_cuts)
-            self._tied = self._tied or bool(new_cuts) and _tied(cut)
+            self._retop(kept, fresh, new)
+            self._tied = self._tied or bool(new) and _tied(binders)
         if self._tied:
-            order, _ = congruence.cut_order(_cp_binders(cut.items(), slots), len(slots))
-            self._cut = {b.name: (ann, slots[leaf], slots[other]) for b, leaf, other, ann in order}
+            order, _ = congruence.cut_order(_cp_binders(binders.items(), slots), len(slots))
+            self.binders = {b.name: (ann, slots[leaf], slots[other]) for b, leaf, other, ann in order}
             self._top = order[-1][0].name if order else None
-            self._tied = _tied(self._cut)
-        self._resize(rec[0], [c[1] for c in cuts], dropped)
+            self._tied = _tied(self.binders)
 
     def _retop(self, kept, fresh: int, new_cuts) -> None:
         """Find the CP cut of largest uid after a step that was not the
@@ -490,7 +475,7 @@ class Configuration:
         any other cut.  So if the step removed `_top` and an older cut takes
         its place, that cut's record is turned to put the step's components
         on its right; a new cut keeps the sides the step gave it."""
-        cut, top = self._cut, self._top
+        cut, top = self.binders, self._top
         if top in cut:
             for x, *_ in new_cuts:
                 if x.uid > top.uid:
@@ -508,7 +493,7 @@ class Configuration:
     def _reaches(self, start: int, avoid: Name, fresh: int, kept) -> bool:
         """Whether a CP component the step wrote (kept, or in a slot from
         fresh on) is joined to slot start by cuts other than avoid."""
-        cut, slots, fvs = self._cut, self.slots, self.fvs
+        cut, slots, fvs = self.binders, self.slots, self.fvs
         seen, stack = {start}, [start]
         while stack:
             v = stack.pop()
@@ -528,7 +513,7 @@ class Configuration:
         term built before the step lists its cuts (the term's prenex order
         before the first step), that the step left without two distinct
         endpoints; then the step's new cuts."""
-        cut = self._cut
+        cut = self.binders
         new = {c[0] for c in new_cuts}
         old = [x for x in cut if x not in new]
         if not (first or self._tied):
@@ -538,49 +523,20 @@ class Configuration:
             old = [b.name for b, *_ in order if b.name != ch]
         congruence.cut_order([CpBinder(x, *cut[x]) for x in old] + [CpBinder(*c) for c in new_cuts], self._next)
 
-    def _link(self, p: int, ch: Name) -> None:
-        """Drop the HCP link at position p, one of whose ends is ch, and put
-        its other end for ch in the components ch is free in."""
-        link = self.comps[p]
-        w = link.y if link.x == ch else link.x
-        self._drop(p)
-        comps, fvs, users = self.comps, self.fvs, self.users
-        for s in users[ch]:
-            q = bisect_left(self.slots, s)
-            comps[q] = terms.substitute(comps[q], w, ch)
-            fvs[q] = fvs[q] - {ch} | {w}
-        if w in users:
-            users[w] = tuple(sorted(set(users[w]).union(users[ch])))
-        del users[ch]
-
-    def _consume(self, i: int, j: int, ch: Name, cut_names) -> None:
-        """Drop the HCP redex's components at positions i and j, and make
-        ready the users of the names the step cuts; ch stays restricted only
-        if it is one of them."""
-        for p in sorted((i, j), reverse=True):
-            self._drop(p)
-        users = self.users
-        if ch not in cut_names:
-            del users[ch]
-        for x in cut_names:
-            users.setdefault(x, ())
-
-    def _drop(self, p: int) -> None:
-        """Remove the HCP component at position p."""
-        s = self.slots.pop(p)
-        del self.comps[p]
-        fv = self.fvs.pop(p)
-        self._forget(s, fv)
-        self._touch(fv)
-
     def _append(self, c, fv: frozenset[Name]) -> None:
-        """Add a component at the end, in a new slot."""
+        """Add a component at the end, in a new slot, and put the slot into
+        `users`."""
         s = self._next
         self._next += 1
         self.comps.append(c)
         self.fvs.append(fv)
         self.slots.append(s)
-        self._add(s, fv)
+        users = self.users
+        for n in fv:
+            us = users.get(n)
+            if us is not None:
+                users[n] = us + (s,)
+        self._touch(fv)
 
     def _forget(self, s: int, fv) -> None:
         """Take slot s, whose free names are fv, out of `users`."""
@@ -590,15 +546,6 @@ class Configuration:
             if us is not None:
                 users[n] = tuple([x for x in us if x != s])
 
-    def _add(self, s: int, fv) -> None:
-        """Put slot s, whose free names are fv, into `users`."""
-        users = self.users
-        for n in fv:
-            us = users.get(n)
-            if us is not None:
-                users[n] = us + (s,)
-        self._touch(fv)
-
     def term(self):
         """The term this configuration stands for.  For CP only once a step
         has been taken: the cuts nested by `congruence.rebuild_cp`."""
@@ -606,9 +553,8 @@ class Configuration:
 
     def snapshot(self) -> tuple:
         """What `term` needs, unaffected by later steps."""
-        if self.is_cp:
-            return True, (tuple(self._cut), tuple(self._cut.values()), tuple(self.slots)), tuple(self.comps)
-        return False, (tuple(self.binders), tuple(self.binders.values())), tuple(self.comps)
+        return (self.is_cp, tuple(self.binders), tuple(self.binders.values()),
+                tuple(self.slots) if self.is_cp else None, tuple(self.comps))
 
 
 def _uid(x: Name) -> int:
@@ -620,13 +566,11 @@ def _redex_order(r: Redex) -> tuple:
 
 
 def _build(snapshot: tuple):
-    is_cp, binders, comps = snapshot
+    is_cp, names, binders, slots, comps = snapshot
     if is_cp:
-        names, records, slots = binders
-        t = congruence.rebuild_cp(_cp_binders(zip(names, records), slots), comps)
+        t = congruence.rebuild_cp(_cp_binders(zip(names, binders), slots), comps)
     else:
-        names, types = binders
-        t = congruence.rebuild_hcp(list(zip(names, types)), comps)
+        t = congruence.rebuild_hcp(list(zip(names, binders)), comps)
     object.__setattr__(t, "_clean", True)  # see the module docstring: fresh stays fresh
     return t
 
@@ -714,7 +658,7 @@ def is_canonical(t) -> CanonicalResult:
 def canonical(c: Configuration) -> CanonicalResult:
     """Whether the configuration c is in canonical form (see is_canonical)."""
     link_cls = cp.Link if c.is_cp else hcp.Link
-    names = c.names()
+    names = list(c.binders)
     bound = set(names)
     comps = list(c.comps)
     if not c.is_cp and names and len(comps) < len(names) + 1:
@@ -849,7 +793,7 @@ def _identity(c: Configuration) -> tuple:
     if c.is_cp:
         comp = dict(zip(c.slots, map(id, c.comps)))
         return (frozenset((x, frozenset(((comp[left], a), (comp[right], dual(a)))))
-                          for x, (a, left, right) in c._cut.items()),
+                          for x, (a, left, right) in c.binders.items()),
                 tuple(sorted(comp.values())))
     return frozenset(c.binders.items()), tuple(sorted(map(id, c.comps)))
 

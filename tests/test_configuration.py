@@ -13,8 +13,10 @@ configuration, not the term), the reduct (`==`), the measure and the
 configuration's fields against the prenex form of the reduct (for CP as
 multisets: each cut with its two components) or on the error's class and
 message; per run on the trace, the status and the name supply's counter
-afterwards.  Single steps on a term, whose positions are the term's, are
-compared on every redex of every sample.
+afterwards.  After every step the configuration's index (`users`, the free
+names, the CP cut records' endpoints, the slots) is checked against its
+components (`_check_index`).  Single steps on a term, whose positions are
+the term's, are compared on every redex of every sample.
 """
 import pathlib
 import random
@@ -75,7 +77,7 @@ def _ref_fields(t) -> tuple:
 def _fields(c: rd.Configuration) -> tuple:
     if c.is_cp:
         at = dict(zip(c.slots, c.comps))
-        return _cp_fields([(x, a, at[left], at[right]) for x, (a, left, right) in c._cut.items()], c.comps)
+        return _cp_fields([(x, a, at[left], at[right]) for x, (a, left, right) in c.binders.items()], c.comps)
     return list(c.binders.items()), list(c.comps)
 
 
@@ -96,6 +98,25 @@ def _ref_walk(t) -> list:
     return out
 
 
+def _check_index(c: rd.Configuration) -> None:
+    """The index a step keeps: `users[x]` is exactly the slots whose free
+    names hold the restricted name x; the free names are the component's
+    (for CP on the restricted names only); a CP cut's two endpoint slots
+    are among its name's users; the slots ascend."""
+    assert set(c.users) == set(c.binders)
+    for x, us in c.users.items():
+        assert sorted(us) == [s for s, fv in zip(c.slots, c.fvs) if x in fv], x
+    for comp, fv in zip(c.comps, c.fvs):
+        if c.is_cp:
+            assert fv & c.users.keys() == cp.free_names(comp) & c.users.keys()
+        else:
+            assert fv == hcp.free_names(comp)
+    if c.is_cp:
+        for x, (_, left, right) in c.binders.items():
+            assert left in c.users[x] and right in c.users[x], x
+    assert all(a < b for a, b in zip(c.slots, c.slots[1:]))
+
+
 def _walk(t) -> list:
     out, c = [], rd.Configuration(t, with_measure=True)
     for _ in range(1 + sum(rd.measure(t))):
@@ -105,6 +126,7 @@ def _walk(t) -> list:
         if not rs:
             break
         c.fire(rs[0])
+        _check_index(c)
         out.append((c.term(), c.measure(), _fields(c)))
     return out
 

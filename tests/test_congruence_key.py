@@ -548,7 +548,14 @@ def test_key_on_deep_chains_without_recursion():
         cp_chain = cp.Wait(w, cp_chain)
     for term, ctor in ((hcp.Par(hcp_chain, hcp.Inert()), "InUnit"), (cp_chain, "Wait")):
         k, depth = cg.key(term), 0
-        while k[0][0][0] == ctor:  # ((certificate,), ()) per level
-            assert k[0][0][1] == "w" and k[1] == ()
-            k, depth = k[0][0][2], depth + 1
-        assert depth == n and k == ((("Link", "x", "y"),), ())
+        while k[1][0] == ctor:  # ((), certificate) per level
+            assert len(k) == 2 and k[0] == () and k[1][1] == "w"
+            k, depth = k[1][2], depth + 1
+        assert depth == n and k == ((), ("Link", "x", "y"))
+
+
+def test_equiv_on_deep_unit_chains_at_the_default_limit():
+    # a flat key per level: comparing two equal keys recurses twice per
+    # prefix, where the nested keys recursed three times and failed at 332
+    src = "".join(f"x{i}()." for i in range(1, 401)) + "w[].0"
+    assert cg.equiv(parse_term(src, "hcp"), parse_term(src, "hcp"))
