@@ -29,11 +29,11 @@ which print six outputs:
   of CP and HCP unit-cut chains of n = 25 and 50, of HCP link chains of
   n = 10 and 25 (`scaling.link_chain`, the one input that takes many κ↔
   steps), of CP terms with n = 25 and 50 top-level cuts
-  (`scaling.many_cuts`), of CP cut paths and stars of
-  n = 10 and 25 with shuffled cut uids and orientations, seeds 1 and 2
-  (`scaling.path`, `scaling.star`; the steps of these three reorder the
-  cut tree) and of a CP term whose ⊤ absorbs a cut's channel (its `reduce`
-  and `graph` fail), with each command's stdout, stderr and exit code.  A
+  (`scaling.many_cuts`), of CP cut paths and stars of n = 10 and 25 with
+  shuffled cut uids and orientations, seeds 1 and 2 (`scaling.path`,
+  `scaling.star`; the steps of these three reorder the cut tree) and of a
+  CP term whose ⊤ absorbs a cut's channel (its `reduce` and `graph`
+  fail), with each command's stdout, stderr and exit code.  A
   command refuses a declaration of the other dialect, and that refusal is
   compared too.  The inputs are written to a temporary directory, which is
   the working directory while the commands run.

@@ -349,9 +349,9 @@ def key(t) -> tuple:
     Per prenex level, the key is the flat tuple (classes, *certificates):
     the sorted classes {A, dual A} of the level's restrictions, then the
     sorted certificates of its components, so comparing two keys recurses
-    twice per level, not more.  A
-    component's certificate is its constructor, its subject names' labels (a
-    link's two sorted) and the keys of its subterms' levels.  A free name's
+    twice per level.  A component's certificate is its constructor, its
+    subject names' labels (a link's two sorted) and the keys of its
+    subterms' levels.  A free name's
     label is its surface; a bound one's is its binder's: `•` for a prefix
     binder, `•` and the endpoint's type for a CP cut, `•` and the class of the
     annotation for an HCP restriction.  Every axiom keeps every label: CP's

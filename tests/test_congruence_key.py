@@ -555,7 +555,7 @@ def test_key_on_deep_chains_without_recursion():
 
 
 def test_equiv_on_deep_unit_chains_at_the_default_limit():
-    # a flat key per level: comparing two equal keys recurses twice per
-    # prefix, where the nested keys recursed three times and failed at 332
+    # comparing two equal keys recurses twice per prefix, so 400 prefixes
+    # stay under the default recursion limit of 1000
     src = "".join(f"x{i}()." for i in range(1, 401)) + "w[].0"
     assert cg.equiv(parse_term(src, "hcp"), parse_term(src, "hcp"))
